@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from prehomog.cli import JobSpec, main, report_table, run
-from prehomog.fixtures import get_fixture
+from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.quiver import star_quiver
 from prehomog.serialize import generatorset_to_json, quiver_to_json
 
@@ -190,3 +191,24 @@ class TestMain:
     def test_main_chain(self, capsys):
         assert main(["chain", "s+1", "s+1"]) == 0
         assert "spectrum" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).parent / "golden" / "bfunction"
+# the non-special fixtures, whose functional equation fails (exit 2)
+FAILING = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4", "cubic-chain-4"}
+
+
+class TestGoldenBytes:
+    """`prehomog bfunction --fixture NAME --json` against recorded stdout.
+
+    The ten-variable dtilde3-22111 is left out for its run time; criterion
+    05 covers its b.
+    """
+
+    @pytest.mark.parametrize(
+        "name", [n for n in fixture_names() if n != "dtilde3-22111"])
+    def test_bfunction_json(self, name, capsys):
+        code = main(["bfunction", "--fixture", name, "--json"])
+        assert code == (2 if name in FAILING else 0)
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN / f"{name}.out").read_bytes()
