@@ -9,8 +9,6 @@ Failure of that identity is a first-class result, not an exception:
 for non-special inputs the equation genuinely does not hold.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -205,72 +203,92 @@ def _primitive_terms(p: MultiPoly):
     return ints, Fraction(g, den)
 
 
-def _int_step(P, k, fv, f, vi):
-    """One derivation over integer dicts; P maps exps -> list[int]."""
+def _int_step(P, k, fv, f, shift, mask, W):
+    """One derivation on packed terms: P maps packed exponents to P_e(2^W)."""
     out = {}
-
-    def add_in(exps, sc):
-        cur = out.get(exps)
-        if cur is None:
-            out[exps] = list(sc)
-        else:
-            if len(cur) < len(sc):
-                cur.extend([0] * (len(sc) - len(cur)))
-            for idx, val in enumerate(sc):
-                cur[idx] += val
-
+    get = out.get
     c0 = 1 - k
-    for e1, sc in P.items():
-        lifted = [0] * (len(sc) + 1)
-        for idx, val in enumerate(sc):
-            lifted[idx] += c0 * val
-            lifted[idx + 1] += val
-        for e2, c2 in fv.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            add_in(exps, [c2 * val for val in lifted])
-    for e1, sc in P.items():
-        mult = e1[vi]
-        if not mult:
-            continue
-        de1 = e1[:vi] + (e1[vi] - 1,) + e1[vi + 1:]
-        dsc = [mult * val for val in sc]
-        for e2, c2 in f.items():
-            exps = tuple(a + b for a, b in zip(de1, e2))
-            add_in(exps, [c2 * val for val in dsc])
-    for e in list(out):
-        sc = out[e]
-        while sc and not sc[-1]:
-            sc.pop()
-        if not sc:
-            del out[e]
-    return out
+    unit = 1 << shift
+    for e1, V in P.items():
+        lifted = (V << W) + c0 * V          # (s + 1 - k) * P_e at s = 2^W
+        for e2, c2 in fv:
+            e = e1 + e2
+            out[e] = get(e, 0) + c2 * lifted
+        mult = (e1 >> shift) & mask
+        if mult:
+            dV = mult * V
+            de1 = e1 - unit
+            for e2, c2 in f:
+                e = de1 + e2
+                out[e] = get(e, 0) + c2 * dV
+    return {e: V for e, V in out.items() if V}
 
 
-def _run_monomial(alpha, f_int, fderivs, nvars):
-    P = {(0,) * nvars: [1]}
+def _run_monomial(alpha, f_packed, fv_packed, B, mask, W):
+    P = {0: 1}
     k = 0
-    for vi in range(nvars):
-        for _ in range(alpha[vi]):
-            P = _int_step(P, k, fderivs[vi], f_int, vi)
+    for vi, times in enumerate(alpha):
+        for _ in range(times):
+            P = _int_step(P, k, fv_packed[vi], f_packed, B * vi, mask, W)
             k += 1
     return P
 
 
-def _fanout_width():
-    raw = os.environ.get("PREHOMOG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _slot_width(fs_int, f_int, fderivs):
+    """Bits per s-slot that provably hold every coefficient of the result.
+
+    N bounds the l1 norm of P_k over x and s together:
+    ||(s+1-k) f_v P + f dP/dv|| <= ((1+|1-k|) ||f_v|| + deg_v(P) ||f||) ||P||,
+    and deg_v(P_k) <= k deg_v(f) - (derivations in v so far).  The sum of
+    |c_alpha| N_alpha bounds every coefficient of the merged state.
+    """
+    norm_f = sum(abs(c) for c in f_int.values())
+    norm_fv = [sum(abs(c) for c in d.values()) for d in fderivs]
+    deg_f = [max(e[vi] for e in f_int) for vi in range(len(fderivs))]
+    bound = 0
+    for alpha, c in fs_int.items():
+        N = 1
+        k = 0
+        for vi, times in enumerate(alpha):
+            for j in range(times):
+                deg_v = max(0, k * deg_f[vi] - j)
+                N *= (1 + abs(1 - k)) * norm_fv[vi] + deg_v * norm_f
+                k += 1
+        bound += abs(c) * N
+    return bound.bit_length() + 2
+
+
+def _balanced_digits(V, W):
+    """Coefficients of the s-polynomial whose value at s = 2^W is V."""
+    full = 1 << W
+    half = full >> 1
+    digits = []
+    while V:
+        d = V & (full - 1)
+        if d >= half:
+            d -= full
+        digits.append(d)
+        V = (V - d) >> W
+    return digits
 
 
 def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     """Apply f*(d/dx) to f^{s+1}; returns the k = deg f state.
 
-    The dual variables of fstar map to f's variables positionally.
-    Monomials of f* are processed independently (optionally fanned out
-    across PREHOMOG_THREADS workers) and merged in lexicographic order,
-    so results are bit-identical regardless of scheduling.
+    The dual variables of fstar map to f's variables positionally.  The
+    engine runs on the content-free integer forms of f and f* and restores
+    the scale exactly at the end.  Each monomial of f* is walked on its
+    own and merged into the total as soon as it is done.
+
+    A state term is one pair of Python ints.  The exponent vector is packed
+    with B = bit_length(n(n-1)) bits per variable (n = deg f): a state at
+    offset k has total degree k(n-1) <= n(n-1), so no slot ever carries,
+    adding monomials is one int add and d/dx_i subtracts 1 << B*i.  The
+    s-polynomial P is stored as its value P(2^W) (Kronecker substitution),
+    so multiplying by (s + 1 - k) is a shift and an add.  Every value is
+    exact in Z, so only the final unpacking into balanced base-2^W digits
+    needs W, which `_slot_width` proves large enough from an l1 bound on
+    the coefficient growth before the walk starts.
     """
     if f.is_zero or fstar.is_zero:
         raise DomainError("f and f* must be nonzero")
@@ -293,32 +311,27 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
                 de = e[:vi] + (e[vi] - 1,) + e[vi + 1:]
                 d[de] = d.get(de, 0) + c * e[vi]
         fderivs.append(d)
+    W = _slot_width(fs_int, f_int, fderivs)
 
-    alphas = sorted(fs_int)  # lexicographic merge order
-    width = _fanout_width()
-    if width > 1 and len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            parts = list(pool.map(
-                lambda a: _run_monomial(a, f_int, fderivs, nvars), alphas))
-    else:
-        parts = [_run_monomial(a, f_int, fderivs, nvars) for a in alphas]
+    B = max(1, (n * (n - 1)).bit_length())
+    mask = (1 << B) - 1
 
+    def pack(terms):
+        return [(sum(x << B * i for i, x in enumerate(e)), c)
+                for e, c in terms.items()]
+
+    f_packed = pack(f_int)
+    fv_packed = [pack(d) for d in fderivs]
     total = {}
-    for alpha, P in zip(alphas, parts):
+    for alpha in sorted(fs_int):
         c_alpha = fs_int[alpha]
-        for e, sc in P.items():
-            cur = total.get(e)
-            if cur is None:
-                total[e] = [c_alpha * v for v in sc]
-            else:
-                if len(cur) < len(sc):
-                    cur.extend([0] * (len(sc) - len(cur)))
-                for i, v in enumerate(sc):
-                    cur[i] += c_alpha * v
+        for e, V in _run_monomial(alpha, f_packed, fv_packed, B, mask, W).items():
+            total[e] = total.get(e, 0) + c_alpha * V
 
-    # engine ran on scaled inputs; restore the true scale exactly
     mult = fs_scale * f_scale ** n
-    terms = {e: [mult * v for v in sc] for e, sc in total.items()}
+    terms = {tuple((e >> B * i) & mask for i in range(nvars)):
+             [mult * v for v in _balanced_digits(V, W)]
+             for e, V in total.items()}
     return SPowerExpression(f.variables, n, terms)
 
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +17,7 @@ from prehomog.liealg import GeneratorSet, discriminant, dual_generators
 from prehomog.polyring import MultiPoly, UniPoly
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def f_xy():
@@ -78,7 +81,7 @@ class TestApplyOperator:
 
     def test_against_literal_differentiation(self):
         # at integer s + 1 = m the state evaluates to f*(d/dx) f^m
-        for name in ("nc-3", "binary-cubic"):
+        for name in ("nc-3", "binary-cubic", "det22-squared"):
             g = get_fixture(name).generators()
             f = discriminant(g)
             fstar = discriminant(dual_generators(g)).with_variables(f.variables)
@@ -267,18 +270,53 @@ class TestFourier:
         assert sub.C == op.C
 
 
-class TestThreadFanout:
-    def test_deterministic_across_widths(self, monkeypatch):
-        g = get_fixture("star-2111").generators()
-        results = []
-        for width in ("1", "3"):
-            monkeypatch.setenv("PREHOMOG_THREADS", width)
-            r = bfunction(g)
-            assert isinstance(r, BResult)
-            results.append((tuple(r.b.coeffs), r.raw_leading))
-        assert results[0] == results[1]
+def random_form(rng, nvars, degree, bits):
+    """Homogeneous integer form with coefficients of both signs below 2^bits."""
+    monomials = [e for e in product(range(degree + 1), repeat=nvars)
+                 if sum(e) == degree]
+    terms = {}
+    for e in rng.sample(monomials, rng.randint(1, len(monomials))):
+        c = rng.randrange(1, 2 ** bits) * rng.choice((1, -1))
+        terms[e] = c
+    return MultiPoly(XYZ[:nvars], terms)
 
-    def test_garbage_width_falls_back(self, monkeypatch):
-        monkeypatch.setenv("PREHOMOG_THREADS", "many")
-        r = bfunction(get_fixture("nc-2").generators())
-        assert isinstance(r, BResult)
+
+def derivation_reference(fstar, f):
+    """sum_alpha c_alpha (composed apply_derivation steps), over Fractions."""
+    total = None
+    for alpha, c in sorted(fstar.terms.items()):
+        e = SPowerExpression.start(f)
+        for v, times in zip(f.variables, alpha):
+            for _ in range(times):
+                e = apply_derivation(e, v, f)
+        e = e.scale(c)
+        total = e if total is None else total + e
+    return total
+
+
+class TestPackedEngine:
+    def test_against_fraction_derivations(self):
+        # seeded random inputs whose outputs overflow any machine word
+        rng = random.Random(20081)
+        widest = 0
+        for case in range(12):
+            nvars = rng.randint(2, 3)
+            degree = rng.randint(2, 4)
+            bits = 80 if case % 2 else rng.randint(1, 8)
+            f = random_form(rng, nvars, degree, bits)
+            fstar = random_form(rng, nvars, degree, bits)
+            q = apply_operator(fstar, f)
+            assert q == derivation_reference(fstar, f), case
+            widest = max([widest] + [abs(c.numerator).bit_length()
+                                     for sc in q.terms.values() for c in sc])
+        assert widest > 64
+
+    def test_exponent_wider_than_a_byte(self):
+        # n(n-1) = 272 > 255: an 8-bit exponent field would wrap
+        f = MultiPoly(("x",), {(17,): 1})
+        q = apply_operator(f, f)
+        expect = UniPoly([1])
+        for j in range(17):
+            expect = expect * UniPoly([17 - j, 17])
+        assert list(q.terms) == [(272,)]
+        assert q.coefficient((272,)) == expect
