@@ -274,10 +274,8 @@ def random_form(rng, nvars, degree, bits):
     """Homogeneous integer form with coefficients of both signs below 2^bits."""
     monomials = [e for e in product(range(degree + 1), repeat=nvars)
                  if sum(e) == degree]
-    terms = {}
-    for e in rng.sample(monomials, rng.randint(1, len(monomials))):
-        c = rng.randrange(1, 2 ** bits) * rng.choice((1, -1))
-        terms[e] = c
+    terms = {e: rng.randrange(1, 2 ** bits) * rng.choice((1, -1))
+             for e in rng.sample(monomials, rng.randint(1, len(monomials)))}
     return MultiPoly(XYZ[:nvars], terms)
 
 
