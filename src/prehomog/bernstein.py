@@ -21,8 +21,9 @@ from .polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly,
 class SPowerExpression:
     """f^{s+1-k} * P with P sparse in x and dense in s.
 
-    terms maps exponent tuples to tuples of Fractions (s-coefficients,
-    lowest degree first, trailing zeros trimmed).  deg_s P <= k always.
+    terms maps exponent tuples to tuples of rationals (s-coefficients,
+    lowest degree first, trailing zeros trimmed): ints stay ints, anything
+    else becomes a Fraction.  deg_s P <= k always.
     """
 
     __slots__ = ("variables", "k", "terms")
@@ -42,7 +43,7 @@ class SPowerExpression:
                 raise DomainError("s-degree exceeds the power offset")
             if len(exps) != len(variables):
                 raise ContextError("exponent tuple length mismatch")
-            clean[tuple(exps)] = tuple(Fraction(c) for c in sc)
+            clean[tuple(exps)] = tuple(c if type(c) is int else Fraction(c) for c in sc)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
@@ -329,6 +330,8 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
             total[e] = total.get(e, 0) + c_alpha * V
 
     mult = fs_scale * f_scale ** n
+    if mult.denominator == 1:
+        mult = mult.numerator   # integer state: no Fraction per coefficient
     terms = {tuple((e >> B * i) & mask for i in range(nvars)):
              [mult * v for v in _balanced_digits(V, W)]
              for e, V in total.items()}
@@ -371,11 +374,11 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     nvars = len(f.variables)
     fpow = _int_poly_pow(f_int, n - 1, nvars)
 
-    den = 1
-    for sc in q.terms.values():
-        for c in sc:
-            den = lcm(den, c.denominator)
-    q_int = {e: [int(c * den) for c in sc] for e, sc in q.terms.items()}
+    den = lcm(*{c.denominator for sc in q.terms.values() for c in sc})
+    if den == 1:
+        q_int = q.terms
+    else:
+        q_int = {e: [int(c * den) for c in sc] for e, sc in q.terms.items()}
 
     beta = min(fpow)
     c_beta = fpow[beta]

@@ -106,17 +106,52 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     """Solve every bracket [A_i, A_j] in the generator span.
 
     Returns the structure constants c^k_ij on success, or the first
-    failing pair when some bracket leaves the span.
+    failing pair (in row-major order) when some bracket leaves the span.
+
+    One row reduction serves every bracket.  The rref of the rows
+    [flat(A_k) | e_k] is an echelon basis R_r of the span followed by the
+    change of basis T with R_r = sum_k T_rk A_k; the generators are
+    independent, so every pivot p_r lies in the flat block and the
+    coefficients are unique.  A bracket b is in the span iff
+    b - sum_r b[p_r] R_r vanishes, and then c_ij = (b[p_r])_r T.
+    Brackets are antisymmetric, so only i < j is reduced: c_ji = -c_ij,
+    c_ii = 0, and the first failing pair in row-major order has i < j.
     """
-    flat = [linalg.flatten(m) for m in g.matrices()]
-    constants = [[None] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        for j in range(g.n):
-            br = linalg.bracket(g.matrix(i), g.matrix(j))
-            coeffs = linalg.in_span(flat, linalg.flatten(br))
-            if coeffs is None:
+    n = g.n
+    size = n * n
+    zero = Fraction(0)
+    rows = [linalg.flatten(A) + [Fraction(int(k == r)) for r in range(n)]
+            for k, A in enumerate(g.generators)]
+    reduced, pivots = linalg.rref(rows)
+    basis = [[(c, v) for c, v in enumerate(row[:size]) if v] for row in reduced]
+    change = [row[size:] for row in reduced]
+    # nonzero entries of each generator, once as (i, k, v) and once by row k
+    entries = [[(i, k, v) for i, row in enumerate(A) for k, v in enumerate(row) if v]
+               for A in g.generators]
+    by_row = [[[(j, v) for j, v in enumerate(row) if v] for row in A]
+              for A in g.generators]
+
+    constants = [[None] * n for _ in range(n)]
+    for i in range(n):
+        constants[i][i] = (zero,) * n
+        for j in range(i + 1, n):
+            br = {}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, k, v in entries[a]:
+                    for c, w in by_row[b][k]:
+                        idx = r * n + c
+                        br[idx] = br.get(idx, zero) + sign * v * w
+            coords = [br.get(p, zero) for p in pivots]
+            for x, row in zip(coords, basis):
+                if x:
+                    for c, v in row:
+                        br[c] = br.get(c, zero) - x * v
+            if any(br.values()):
                 return StructureReport(False, None, (i, j))
-            constants[i][j] = tuple(coeffs)
+            cij = tuple(sum((x * t[k] for x, t in zip(coords, change) if x), zero)
+                        for k in range(n))
+            constants[i][j] = cij
+            constants[j][i] = tuple(-v for v in cij)
     return StructureReport(True, constants, None)
 
 
@@ -141,22 +176,6 @@ def infinitesimal_apply(A, p: MultiPoly) -> MultiPoly:
                     ne = tuple(ne)
                     out[ne] = out.get(ne, Fraction(0)) + base * row[j]
     return MultiPoly(p.variables, out)
-
-
-def _column_polys(g: GeneratorSet):
-    """Column k holds the linear forms (A_k x)_i as MultiPolys."""
-    xs = MultiPoly.gens(g.variables)
-    cols = []
-    for A in g.matrices():
-        col = []
-        for i in range(g.n):
-            form = MultiPoly.zero(g.variables)
-            for j in range(g.n):
-                if A[i][j]:
-                    form = form + A[i][j] * xs[j]
-            col.append(form)
-        cols.append(col)
-    return cols
 
 
 def _det_of_columns(cols, variables):
@@ -213,7 +232,7 @@ def matrix_columns_determinant(mats, variables) -> MultiPoly:
 
 def discriminant(g: GeneratorSet) -> MultiPoly:
     """f(x) = det(A_1 x, ..., A_n x), homogeneous of degree n or zero."""
-    return _det_of_columns(_column_polys(g), g.variables)
+    return matrix_columns_determinant(g.matrices(), g.variables)
 
 
 def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:

@@ -137,16 +137,10 @@ def nullspace(a):
 
 def solve(a, b):
     """One exact solution of a x = b, or None if inconsistent."""
-    got = solve_affine(a, b)
-    return got[0] if got is not None else None
-
-
-def solve_affine(a, b):
-    """(particular solution, kernel basis) of a x = b, or None."""
     if len(a) != len(b):
         raise ContextError("system dimension mismatch")
     if not a:
-        return [], []
+        return []
     ncols = len(a[0])
     aug = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
     m, pivots = rref(aug)
@@ -155,7 +149,13 @@ def solve_affine(a, b):
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
-    return x, nullspace(a)
+    return x
+
+
+def solve_affine(a, b):
+    """(particular solution, kernel basis) of a x = b, or None."""
+    x = solve(a, b)
+    return None if x is None else (x, nullspace(a))
 
 
 def in_span(vectors, target):

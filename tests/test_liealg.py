@@ -1,18 +1,32 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
-from prehomog import liealg
+from prehomog import liealg, linalg
 from prehomog.errors import (ClosureError, ContextError,
                              DegenerateCharacterError, DegenerateDualError,
                              DomainError, NotInvariantError)
-from prehomog.fixtures import get_fixture
+from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import (CharacterData, GeneratorSet, annihilator_basis,
                              character, character_of_combination, classify,
                              discriminant, dual_character_check,
                              dual_generators, infinitesimal_apply, is_special,
                              matrix_columns_determinant, validate_algebra)
 from prehomog.polyring import MultiPoly
+
+
+def unit(i, j, n=3):
+    return [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+
+
+def combination(coeffs, mats):
+    n = len(mats[0])
+    out = linalg.zero_matrix(n, n)
+    for a, A in zip(coeffs, mats):
+        out = linalg.mat_add(out, linalg.mat_scale(A, a))
+    return out
 
 
 def diag_gens(n):
@@ -72,6 +86,108 @@ class TestStructure:
     def test_binary_cubic_closed(self):
         rep = validate_algebra(get_fixture("binary-cubic").generators())
         assert rep.closed
+
+    def test_first_failing_pair_after_closed_pairs(self):
+        # [E11, E22] = 0 closes; [E11, E12 + E21] = E12 - E21 does not
+        g = GeneratorSet([unit(0, 0), unit(1, 1), linalg.mat_add(unit(0, 1), unit(1, 0))])
+        assert validate_algebra(g).failing_pair == (0, 2)
+        # the identity commutes with everything; [E12, E21] = E11 - E22 escapes
+        g = GeneratorSet([linalg.identity(3), unit(0, 1), unit(1, 0)])
+        rep = validate_algebra(g)
+        assert not rep.closed and rep.structure_constants is None
+        assert rep.failing_pair == (1, 2)
+
+    def test_structure_constants_antisymmetric(self):
+        g = get_fixture("star-2111").generators()
+        c = validate_algebra(g).structure_constants
+        assert any(v for row in c for cs in row for v in cs)   # not abelian
+        for i in range(g.n):
+            assert c[i][i] == (0,) * g.n
+            for j in range(g.n):
+                assert c[i][j] == tuple(-v for v in c[j][i])
+        # and they are the coordinates of the brackets
+        for i in range(g.n):
+            for j in range(g.n):
+                assert combination(c[i][j], g.matrices()) == \
+                    linalg.bracket(g.matrix(i), g.matrix(j))
+
+    def test_one_row_reduction(self, monkeypatch):
+        g = get_fixture("dtilde3-22111").generators()
+        calls = []
+        rref = linalg.rref
+
+        def counting(rows):
+            calls.append(len(rows))
+            return rref(rows)
+
+        monkeypatch.setattr(linalg, "rref", counting)
+        assert validate_algebra(g).closed
+        assert calls == [g.n]
+
+
+def bracket_by_bracket(g):
+    """Reference closure check: one in_span solve per ordered pair (i, j)."""
+    flat = [linalg.flatten(m) for m in g.matrices()]
+    constants = [[None] * g.n for _ in range(g.n)]
+    for i in range(g.n):
+        for j in range(g.n):
+            br = linalg.bracket(g.matrix(i), g.matrix(j))
+            coeffs = linalg.in_span(flat, linalg.flatten(br))
+            if coeffs is None:
+                return False, None, (i, j)
+            constants[i][j] = tuple(coeffs)
+    return True, constants, None
+
+
+@functools.lru_cache(maxsize=None)
+def closed_fixtures(n):
+    return [g.matrices() for g in (get_fixture(name).generators()
+                                   for name in fixture_names()) if g.n == n]
+
+
+def random_generator_set(rng, n):
+    """Independent sparse generators: mostly random, so rarely closed; one
+    in four is a sparse change of basis of a closed fixture of size n."""
+    while True:
+        if rng.random() < 0.25:
+            base = rng.choice(closed_fixtures(n))
+            mix = [[rng.choice((-2, -1, 1, 2)) if k == l else 0 for l in range(n)]
+                   for k in range(n)]
+            for _ in range(rng.randint(1, n)):
+                mix[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
+            mats = [combination(row, base) for row in mix]
+        else:
+            mats = [[[0] * n for _ in range(n)] for _ in range(n)]
+            for A in mats:
+                for _ in range(rng.randint(1, n)):
+                    A[rng.randrange(n)][rng.randrange(n)] = rng.choice((-2, -1, 1, 1, 2, 3))
+        try:
+            return GeneratorSet(mats)
+        except DomainError:
+            continue
+
+
+class TestClosureAgainstPerBracketSolves:
+    """validate_algebra against the per-bracket in_span loop it replaced."""
+
+    @staticmethod
+    def same(g):
+        rep = validate_algebra(g)
+        got = (rep.closed, rep.structure_constants, rep.failing_pair)
+        assert got == bracket_by_bracket(g)
+        return rep.closed
+
+    @pytest.mark.parametrize("name", fixture_names() + [
+        "atilde-4", "atilde-5", "atilde-6", "nc-5", "nc-6", "nc-7", "nc-8"])
+    def test_named(self, name):
+        assert self.same(get_fixture(name).generators())
+
+    def test_seeded_random_sets(self):
+        rng = random.Random(4011)
+        verdicts = [self.same(random_generator_set(rng, rng.randint(2, 5)))
+                    for _ in range(200)]
+        assert verdicts.count(True) >= 30
+        assert verdicts.count(False) > len(verdicts) // 2
 
 
 class TestInfinitesimalAction:
