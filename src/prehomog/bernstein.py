@@ -204,6 +204,22 @@ def _primitive_terms(p: MultiPoly):
     return ints, Fraction(g, den)
 
 
+def _exponent_bits(n):
+    """Bits per variable of a packed exponent: deg f^(n-1) = n(n-1) fits."""
+    return max(1, (n * (n - 1)).bit_length())
+
+
+def _pack(terms, B):
+    """[(packed exponent, coefficient)], variable i in bits [B*i, B*i + B)."""
+    return [(sum(x << B * i for i, x in enumerate(e)), c)
+            for e, c in terms.items()]
+
+
+def _unpack(e, B, nvars):
+    mask = (1 << B) - 1
+    return tuple((e >> B * i) & mask for i in range(nvars))
+
+
 def _int_step(P, k, fv, f, shift, mask, W):
     """One derivation on packed terms: P maps packed exponents to P_e(2^W)."""
     out = {}
@@ -314,15 +330,10 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
         fderivs.append(d)
     W = _slot_width(fs_int, f_int, fderivs)
 
-    B = max(1, (n * (n - 1)).bit_length())
+    B = _exponent_bits(n)
     mask = (1 << B) - 1
-
-    def pack(terms):
-        return [(sum(x << B * i for i, x in enumerate(e)), c)
-                for e, c in terms.items()]
-
-    f_packed = pack(f_int)
-    fv_packed = [pack(d) for d in fderivs]
+    f_packed = _pack(f_int, B)
+    fv_packed = [_pack(d, B) for d in fderivs]
     total = {}
     for alpha in sorted(fs_int):
         c_alpha = fs_int[alpha]
@@ -332,22 +343,9 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     mult = fs_scale * f_scale ** n
     if mult.denominator == 1:
         mult = mult.numerator   # integer state: no Fraction per coefficient
-    terms = {tuple((e >> B * i) & mask for i in range(nvars)):
-             [mult * v for v in _balanced_digits(V, W)]
+    terms = {_unpack(e, B, nvars): [mult * v for v in _balanced_digits(V, W)]
              for e, V in total.items()}
     return SPowerExpression(f.variables, n, terms)
-
-
-def _int_poly_pow(p, k, nvars):
-    acc = {(0,) * nvars: 1}
-    for _ in range(k):
-        out = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in p.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        acc = {e: c for e, c in out.items() if c}
-    return acc
 
 
 def extract_cofactor(q: SPowerExpression, f: MultiPoly):
@@ -371,8 +369,19 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
         return BFailure("functional-equation", "operator annihilated f^{s+1}")
 
     f_int, f_scale = _primitive_terms(f)
+    B = _exponent_bits(n)
+    f_packed = _pack(f_int, B)
+    fpow = {0: 1}
+    for _ in range(n - 1):
+        out = {}
+        get = out.get
+        for e1, c1 in fpow.items():
+            for e2, c2 in f_packed:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        fpow = {e: c for e, c in out.items() if c}
     nvars = len(f.variables)
-    fpow = _int_poly_pow(f_int, n - 1, nvars)
+    fpow = {_unpack(e, B, nvars): c for e, c in fpow.items()}
 
     den = lcm(*{c.denominator for sc in q.terms.values() for c in sc})
     if den == 1:

@@ -8,7 +8,9 @@ arithmetic is exact; there is no floating point anywhere.
 
 import random
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CapacityError, ContextError, DomainError, ParseError
 
@@ -574,7 +576,6 @@ class UniPoly:
         """(integer coefficient list, scale) with self = scale * that poly."""
         if not self.coeffs:
             return [], Fraction(1)
-        from math import gcd, lcm
         den = lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
         g = 0
@@ -652,7 +653,6 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     q, _ = b.primitive_integer_form()
     if len(p) < len(q):
         p, q = q, p
-    from math import gcd as igcd
     while q:
         # pseudo-remainder of p by q, then strip integer content
         r = list(p)
@@ -672,7 +672,7 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             r.pop()
         g = 0
         for v in r:
-            g = igcd(g, abs(v))
+            g = gcd(g, abs(v))
         if g > 1:
             r = [v // g for v in r]
         p, q = q, r
@@ -680,60 +680,140 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def rational_root_spectrum(b: UniPoly) -> Spectrum:
-    """All rational roots of b with multiplicities, by the rational root
-    theorem on the primitive integer form, with exact deflation.  Roots are
-    reported in ascending order; the residual carries any remaining
-    non-rational factor, monic."""
+    """All rational roots of b with multiplicities, roots in ascending
+    order; the residual carries any remaining non-rational factor, monic.
+
+    The search runs on the primitive integer form f, with no Fraction
+    inside it.  A root a/q in lowest terms (q > 0) has a | f(0) and
+    q | lc(f), and by Gauss's lemma q*s - a divides f in Z[s], so
+    (q - a) | f(1) and (q + a) | f(-1).  Only coprime divisor pairs are
+    tried, only inside the Fujiwara bounds on |root| and on 1/|root|, and
+    only of a sign that Descartes' rule of signs leaves possible; a pair
+    passing the divisibility tests is tested by exact integer division by
+    q*s - a, repeated for the multiplicity.
+    """
     if b.is_zero:
         raise DomainError("zero polynomial has no spectrum")
     monic = b.monic()
-    work = monic
+    f, _ = monic.primitive_integer_form()
     roots = []
-    # peel off roots at zero first so the constant term is nonzero
-    zero_mult = 0
-    while not work.is_zero and work.degree() > 0 and not work.coeffs[0]:
-        work = work.deflate(0)
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if work.degree() is not NEG_INF and work.degree() > 0:
-        ints, _ = work.primitive_integer_form()
-        c0, cd = abs(ints[0]), abs(ints[-1])
-        for num in sorted(_divisors(c0)):
-            for den in sorted(_divisors(cd)):
-                for cand in (Fraction(-num, den), Fraction(num, den)):
-                    mult = 0
-                    while work.degree() is not NEG_INF and work.degree() > 0 \
-                            and not work.evaluate(cand):
-                        work = work.deflate(cand)
-                        mult += 1
-                    if mult:
-                        roots.append((cand, mult))
+    zeros = 0
+    while not f[zeros]:
+        zeros += 1
+    if zeros:
+        roots.append((Fraction(0), zeros))
+        f = f[zeros:]
+    if len(f) > 1:
+        f = _integer_roots(f, roots)
     roots.sort(key=lambda rm: rm[0])
-    residual = work.monic() if not work.is_zero else UniPoly.one()
-    return Spectrum(monic, roots, residual)
+    return Spectrum(monic, roots, UniPoly(f).monic())
+
+
+def _integer_roots(f, roots):
+    """Append the rational roots of the primitive integer polynomial f
+    (lowest degree first, f[0] != 0) to roots; return f deflated by them."""
+    nums, dens = _divisors(abs(f[0])), _divisors(abs(f[-1]))
+    hi = _fujiwara_bound(f)             # |root| <= hi
+    lo = _fujiwara_bound(f[::-1])       # |root| >= 1/lo
+    f_neg = [-c if i % 2 else c for i, c in enumerate(f)]     # f(-s)
+    signs = [sg for sg, g in ((-1, f_neg), (1, f)) if _sign_changes(g)]
+    f1, fm1 = _at_one(f)
+    for sg in signs:
+        for q in dens:
+            first = bisect_left(nums, -(-q // lo))
+            for a in nums[first:bisect_right(nums, hi * q)]:
+                if gcd(a, q) != 1 or f[0] % a or f[-1] % q:
+                    continue
+                a *= sg
+                if (f1 % (q - a) if q != a else f1) or \
+                        (fm1 % (q + a) if q != -a else fm1):
+                    continue
+                mult = 0
+                while len(f) > 1:
+                    g = _divide_linear(f, a, q)
+                    if g is None:
+                        break
+                    f = g
+                    mult += 1
+                if mult:
+                    roots.append((Fraction(a, q), mult))
+                    if len(f) == 1:
+                        return f
+                    f1, fm1 = _at_one(f)
+    return f
+
+
+def _divide_linear(f, a, q):
+    """f / (q*s - a) in Z[s], lowest degree first; None unless exact."""
+    out = [0] * (len(f) - 1)
+    carry = 0
+    for i in range(len(f) - 1, 0, -1):
+        carry, r = divmod(f[i] + a * carry, q)
+        if r:
+            return None
+        out[i - 1] = carry
+    return out if f[0] + a * carry == 0 else None
+
+
+def _at_one(f):
+    """(f(1), f(-1))."""
+    return sum(f), sum(f[0::2]) - sum(f[1::2])
+
+
+def _sign_changes(f):
+    """Descartes' bound on the number of positive roots of f."""
+    signs = [c > 0 for c in f if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _fujiwara_bound(f):
+    """An integer h with |root| <= h for every root of f (f[-1] != 0):
+    Fujiwara's bound 2 max_i |f[d-i] / f[d]|^(1/i), with f[0] halved."""
+    d, lead = len(f) - 1, abs(f[-1])
+    k = 1
+    for i in range(1, d + 1):
+        c, scale = abs(f[d - i]), lead * (2 if i == d else 1)
+        # least integer t with t^i * scale >= c, by doubling then bisection
+        lo, hi = 0, 1
+        while hi ** i * scale < c:
+            lo, hi = hi, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid ** i * scale >= c:
+                hi = mid
+            else:
+                lo = mid + 1
+        k = max(k, hi)
+    return 2 * k
 
 
 def _divisors(n):
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+    """Positive divisors of n > 0, ascending, from trial division."""
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out = [d * p ** j for d in out for j in range(k + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 
 def is_squarefree(p: MultiPoly, trials: int, seed: int) -> bool:
-    """Monte Carlo squarefreeness via random line restrictions.
+    """Squarefreeness via random line restrictions.
 
     Restricts p to t -> p(a + t*b) for random integer a, b, resampling
     whenever the restriction degree drops below deg p, then tests
-    gcd(u, u') for a nontrivial common factor.  False as soon as one
-    trial exhibits a repeated factor; true after `trials` clean trials.
+    gcd(u, u') for a nontrivial common factor.  On a degree-preserving
+    line every factor of p keeps its degree, so p = g^2 h with deg g > 0
+    always shows the repeated factor g(a + t*b).  One clean line therefore
+    proves p squarefree: True is certified.  False comes only after
+    `trials` lines that all show a repeated factor, and is probabilistic.
     """
     if p.is_zero:
         raise DomainError("squarefreeness of the zero polynomial is undefined")
@@ -758,11 +838,10 @@ def is_squarefree(p: MultiPoly, trials: int, seed: int) -> bool:
         u = p.restrict_line(a, b)
         if u.degree() != deg:
             continue  # degree dropped; bad line, resample
-        g = univariate_gcd(u, u.derivative())
-        if g.degree() is not NEG_INF and g.degree() > 0:
-            return False
+        if univariate_gcd(u, u.derivative()).degree() == 0:
+            return True
         done += 1
-    return True
+    return False
 
 
 # -- factored polynomial string parsing ---------------------------------

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
+from prehomog.fixtures import fixture_names, get_fixture
+from prehomog.liealg import classify
 from prehomog.polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly,
                                format_rational, is_squarefree, parse_factored,
                                parse_rational, rational_root_spectrum,
@@ -257,6 +260,170 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             rational_root_spectrum(UniPoly.zero())
 
+    def test_positive_roots_found(self):
+        b = UniPoly.from_roots([Fraction(3, 2), 1, -1, -4])
+        sp = rational_root_spectrum(b)
+        assert sp.roots == ((-4, 1), (-1, 1), (1, 1), (Fraction(3, 2), 1))
+
+    def test_constants_and_pure_powers(self):
+        assert rational_root_spectrum(UniPoly([Fraction(-5, 3)])) == \
+            Spectrum(UniPoly.one(), (), UniPoly.one())
+        sp = rational_root_spectrum(UniPoly([0, 0, 0, 7]))
+        assert sp.roots == ((0, 3),) and sp.residual == UniPoly.one()
+
+    def test_large_smooth_end_terms(self):
+        # c0 has 72 bits: beyond trial division up to its square root
+        r = Fraction(2**70, 3)
+        b = UniPoly.from_roots([r, r, -5]) * UniPoly([2, 0, 1])
+        sp = rational_root_spectrum(b)
+        assert sp.roots == ((-5, 1), (r, 2))
+        assert sp.residual == UniPoly([2, 0, 1])
+
+
+class TestSpectrumAgainstTrialDivision:
+    def test_random_polynomials(self):
+        rng = random.Random(20081)
+        seen = dict.fromkeys(("positive", "zero", "repeated", "residual",
+                              "constant", "wide"), 0)
+        for _ in range(600):
+            b = random_spectrum_input(rng)
+            sp = rational_root_spectrum(b)
+            assert sp == trial_division_spectrum(b)
+            seen["positive"] += any(r > 0 for r, _ in sp.roots)
+            seen["zero"] += any(r == 0 for r, _ in sp.roots)
+            seen["repeated"] += any(m > 1 for _, m in sp.roots)
+            seen["residual"] += sp.residual.degree() > 0
+            seen["constant"] += b.degree() == 0
+            ints, _ = b.primitive_integer_form()
+            seen["wide"] += max(abs(c) for c in ints).bit_length() > 64
+        assert min(seen.values()) >= 20, seen
+
+    def test_products_of_linear_factors(self):
+        rng = random.Random(26)
+        for _ in range(8):
+            b = linear_factor_product(rng)
+            sp = rational_root_spectrum(b)
+            assert sp == trial_division_spectrum(b)
+            assert sp.residual == UniPoly.one()
+
+    def test_search_is_bounded(self, monkeypatch):
+        calls = [0]
+        divide = polyring._divide_linear
+
+        def counted(*args):
+            calls[0] += 1
+            return divide(*args)
+
+        def no_evaluate(self, x):
+            raise AssertionError("UniPoly.evaluate called by the root search")
+
+        b = parse_factored(GUARD_LIST)
+        monkeypatch.setattr(polyring, "_divide_linear", counted)
+        monkeypatch.setattr(UniPoly, "evaluate", no_evaluate)
+        sp = rational_root_spectrum(b)
+        assert sum(m for _, m in sp.roots) == 10
+        assert calls[0] <= 78   # 39 exact divisions measured; 9400 evaluations before
+
+
+def _trial_divisors(n):
+    if n == 0:
+        return []
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def trial_division_spectrum(b):
+    """The former search, kept as the oracle: every divisor pair of the
+    constant and leading terms, both signs, by Fraction evaluation."""
+    monic = b.monic()
+    work = monic
+    roots = []
+    zero_mult = 0
+    while not work.is_zero and work.degree() > 0 and not work.coeffs[0]:
+        work = work.deflate(0)
+        zero_mult += 1
+    if zero_mult:
+        roots.append((Fraction(0), zero_mult))
+    if work.degree() is not NEG_INF and work.degree() > 0:
+        ints, _ = work.primitive_integer_form()
+        c0, cd = abs(ints[0]), abs(ints[-1])
+        for num in sorted(_trial_divisors(c0)):
+            for den in sorted(_trial_divisors(cd)):
+                for cand in (Fraction(-num, den), Fraction(num, den)):
+                    mult = 0
+                    while work.degree() is not NEG_INF and work.degree() > 0 \
+                            and not work.evaluate(cand):
+                        work = work.deflate(cand)
+                        mult += 1
+                    if mult:
+                        roots.append((cand, mult))
+    roots.sort(key=lambda rm: rm[0])
+    residual = work.monic() if not work.is_zero else UniPoly.one()
+    return Spectrum(monic, roots, residual)
+
+
+def random_spectrum_input(rng):
+    """Rational roots of both signs (zero and repeats included) times an
+    optional quadratic or cubic factor, times a rational scale."""
+    roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(rng.randint(0, 4))]
+    if roots and rng.random() < 0.3:
+        roots += [rng.choice(roots)] * rng.randint(1, 2)
+    p = UniPoly.from_roots(roots)
+    kind = rng.randrange(4)
+    if kind == 1:       # s^2 + m s + 1, m >= 3: irrational roots, m > 2^64
+        p = p * UniPoly([1, 2**70 + rng.randint(0, 99), 1])
+    elif kind == 2:     # irreducible or not, small ends
+        p = p * UniPoly([rng.randint(1, 9), rng.randint(-9, 9),
+                         rng.randint(1, 5)])
+    elif kind == 3:     # a cubic; rational roots only by chance
+        p = p * UniPoly([rng.randint(-9, 9) or 1, rng.randint(-9, 9), 0,
+                         rng.randint(1, 3)])
+    scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**66),
+                     rng.randint(1, 2**66))
+    return p * scale
+
+
+def linear_factor_product(rng):
+    """6-10 factors q*s + p with q <= 12, |p| < 2q, of both signs, whose
+    constant and leading terms stay within 26 bits."""
+    while True:
+        factors = []
+        for _ in range(rng.randint(6, 10)):
+            q = rng.randint(2, 12)
+            factors.append((rng.choice((-1, 1)) * rng.randint(1, 2 * q - 1), q))
+        c0 = cd = 1
+        for p, q in factors:
+            c0 *= abs(p)
+            cd *= q
+        if max(c0, cd).bit_length() <= 26:
+            out = UniPoly.one()
+            for p, q in factors:
+                out = out * UniPoly([p, q])
+            return out
+
+
+# ten factors in the shape of a seeded chain list: roots in (-2, 0)
+GUARD_LIST = "(12s+7)(5s+9)(12s+13)(7s+4)(11s+19)(3s+2)(5s+6)(3s+4)(2s+3)(s+1)"
+
+
+def _count_lines(monkeypatch):
+    lines = [0]
+    restrict = MultiPoly.restrict_line
+
+    def counted(self, a, b):
+        lines[0] += 1
+        return restrict(self, a, b)
+
+    monkeypatch.setattr(MultiPoly, "restrict_line", counted)
+    return lines
+
 
 class TestSquarefree:
     def test_squarefree_product_of_coordinates(self):
@@ -272,6 +439,24 @@ class TestSquarefree:
         p = (x + 2 * y - z) ** 2 * (x - y)
         runs = [is_squarefree(p, trials=4, seed=11) for _ in range(3)]
         assert runs == [False, False, False]
+
+    def test_one_clean_line_certifies(self, monkeypatch):
+        lines = _count_lines(monkeypatch)
+        x, y, z = MultiPoly.gens(XYZ)
+        assert is_squarefree(x * y * z, trials=8, seed=0) is True
+        assert lines[0] == 1
+
+    def test_false_after_every_trial(self, monkeypatch):
+        lines = _count_lines(monkeypatch)
+        x, y, z = MultiPoly.gens(XYZ)
+        assert is_squarefree((x + y) ** 2 * z, trials=8, seed=0) is False
+        assert lines[0] == 8
+
+    def test_classify_verdicts_unchanged(self):
+        nonreduced = {"atilde-2", "atilde-3", "det22-squared", "dtilde3-22111"}
+        for name in fixture_names():
+            cls = classify(get_fixture(name).generators())
+            assert cls.reduced is (name not in nonreduced), name
 
     def test_degree_zero_and_errors(self):
         assert is_squarefree(MultiPoly.constant(XYZ, 5), trials=2, seed=0)
