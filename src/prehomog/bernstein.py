@@ -10,11 +10,10 @@ for non-special inputs the equation genuinely does not hold.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from . import liealg, linalg
 from .errors import ClosureError, ContextError, DomainError
-from .polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly,
+from .polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly, primitive,
                        rational_root_spectrum)
 
 
@@ -188,22 +187,6 @@ def apply_derivation(e: SPowerExpression, v, f: MultiPoly) -> SPowerExpression:
 # integer fast path used by apply_operator: same recurrence as
 # apply_derivation, over content-free integer forms of f and f*.
 
-def _primitive_terms(p: MultiPoly):
-    """(integer term dict, scale) with p = scale * integer poly."""
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    ints = {e: int(c * den) for e, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = {e: v // g for e, v in ints.items()}
-    else:
-        g = 1
-    return ints, Fraction(g, den)
-
-
 def _exponent_bits(n):
     """Bits per variable of a packed exponent: deg f^(n-1) = n(n-1) fits."""
     return max(1, (n * (n - 1)).bit_length())
@@ -318,8 +301,10 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
         raise DomainError(f"degree mismatch: deg f* = {fstar.degree()}, deg f = {n}")
     nvars = len(f.variables)
 
-    f_int, f_scale = _primitive_terms(f)
-    fs_int, fs_scale = _primitive_terms(fstar)
+    f_coeffs, f_scale = primitive(f.terms.values())
+    f_int = dict(zip(f.terms, f_coeffs))
+    fs_coeffs, fs_scale = primitive(fstar.terms.values())
+    fs_int = dict(zip(fstar.terms, fs_coeffs))
     fderivs = []
     for vi in range(nvars):
         d = {}
@@ -368,9 +353,9 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     if q.is_zero:
         return BFailure("functional-equation", "operator annihilated f^{s+1}")
 
-    f_int, f_scale = _primitive_terms(f)
+    f_coeffs, f_scale = primitive(f.terms.values())
     B = _exponent_bits(n)
-    f_packed = _pack(f_int, B)
+    f_packed = _pack(dict(zip(f.terms, f_coeffs)), B)
     fpow = {0: 1}
     for _ in range(n - 1):
         out = {}
@@ -383,35 +368,25 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     nvars = len(f.variables)
     fpow = {_unpack(e, B, nvars): c for e, c in fpow.items()}
 
-    den = lcm(*{c.denominator for sc in q.terms.values() for c in sc})
-    if den == 1:
-        q_int = q.terms
-    else:
-        q_int = {e: [int(c * den) for c in sc] for e, sc in q.terms.items()}
-
     beta = min(fpow)
     c_beta = fpow[beta]
-    b_num = q_int.get(beta, [])
-    if not b_num:
+    q_beta = q.terms.get(beta)
+    if q_beta is None:
         return BFailure("functional-equation",
                         "cofactor monomial missing from the operator image")
 
-    # verify c_beta * Q == b_num * f^{n-1} as integer polynomials in (x, s)
-    if set(q_int) != set(fpow):
+    # verify c_beta * Q == Q_beta * f^{n-1}, exactly on Q's coefficients;
+    # the s-lists are trimmed and c_beta, c != 0, so equal lists mean equal
+    # polynomials
+    if q.terms.keys() != fpow.keys():
         return BFailure("functional-equation", "support mismatch against f^(n-1)")
     for e, c in fpow.items():
-        lhs = [c_beta * v for v in q_int[e]]
-        rhs = [c * v for v in b_num]
-        if len(lhs) < len(rhs):
-            lhs.extend([0] * (len(rhs) - len(lhs)))
-        elif len(rhs) < len(lhs):
-            rhs.extend([0] * (len(lhs) - len(rhs)))
-        if lhs != rhs:
+        if [c_beta * v for v in q.terms[e]] != [c * v for v in q_beta]:
             return BFailure("functional-equation",
                             f"residual nonzero at monomial {e}")
 
-    scale = Fraction(1, den) / (f_scale ** (n - 1) * c_beta)
-    b_raw = UniPoly([Fraction(v) * scale for v in b_num])
+    scale = 1 / (f_scale ** (n - 1) * c_beta)
+    b_raw = UniPoly([v * scale for v in q_beta])
     spectrum = rational_root_spectrum(b_raw)
     return BResult(b_raw.monic(), b_raw.leading(), spectrum)
 

@@ -222,29 +222,6 @@ def run(job: JobSpec):
         return 1, f"error: {exc}"
 
 
-def report_table(results) -> str:
-    """Aligned summary table: n | f | reductive | spectrum.
-
-    Each entry is a mapping with keys n, f, reductive, spectrum; the
-    divisor column is truncated to keep rows readable.
-    """
-    header = ("n", "f", "reductive", "spectrum")
-    rows = []
-    for r in results:
-        f = str(r.get("f", ""))
-        if len(f) > 32:
-            f = f[:29] + "..."
-        rows.append((str(r.get("n", "")), f, _flag(r.get("reductive")),
-                     str(r.get("spectrum", ""))))
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row):
-        return " | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-    return "\n".join([fmt(header)] + [fmt(r) for r in rows])
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="prehomog",
@@ -256,14 +233,15 @@ def _build_parser():
             p.add_argument("--fixture", help="named fixture, e.g. star-2111")
             p.add_argument("--input", dest="input_path",
                            help="JSON file with generators or a quiver")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (default 0)")
-        p.add_argument("--trials", type=int, default=8,
-                       help="trials for randomized checks (default 8)")
         p.add_argument("--json", dest="json_output", action="store_true",
                        help="machine readable output")
 
-    add_common(sub.add_parser("classify", help="discriminant and its kind"))
+    p = sub.add_parser("classify", help="discriminant and its kind")
+    add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the squarefree test (default 0)")
+    p.add_argument("--trials", type=int, default=8,
+                   help="lines for the squarefree test (default 8)")
     add_common(sub.add_parser("bfunction",
                               help="b-function via the dual functional equation"))
     p = sub.add_parser("symmetry", help="check b(s) = (-1)^d b(-s-2)")
@@ -291,8 +269,8 @@ def main(argv=None):
         command=ns.command,
         fixture=getattr(ns, "fixture", None),
         input_path=getattr(ns, "input_path", None),
-        seed=ns.seed,
-        trials=ns.trials,
+        seed=getattr(ns, "seed", 0),
+        trials=getattr(ns, "trials", 8),
         point=getattr(ns, "point", None),
         covector=getattr(ns, "covector", None),
         poly=getattr(ns, "poly", None),

@@ -44,7 +44,12 @@ class GeneratorSet:
             raise ContextError("need one variable per generator")
         if not linalg.independent(gens):
             raise DomainError("generators are linearly dependent")
-        object.__setattr__(self, "n", n)
+        self._fill(gens, variables)
+
+    def _fill(self, gens, variables):
+        """Set the fields from checked data: independent n x n Fraction
+        matrices and n variable names."""
+        object.__setattr__(self, "n", len(gens))
         object.__setattr__(self, "generators", tuple(tuple(tuple(row) for row in m) for m in gens))
         object.__setattr__(self, "variables", variables)
 
@@ -284,9 +289,14 @@ def dual_variables(variables):
 
 
 def dual_generators(g: GeneratorSet) -> GeneratorSet:
-    """The dual action {-A^t} on dual variables."""
+    """The dual action {-A^t} on dual variables.
+
+    A -> -A^t is linear and invertible, so the duals are independent
+    because the A_k are; the independence proof is not rerun."""
     duals = [linalg.mat_scale(linalg.transpose(m), -1) for m in g.matrices()]
-    return GeneratorSet(duals, dual_variables(g.variables))
+    dual = GeneratorSet.__new__(GeneratorSet)
+    dual._fill(duals, dual_variables(g.variables))
+    return dual
 
 
 def dual_character_check(g: GeneratorSet) -> bool:

@@ -10,7 +10,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import CapacityError, ContextError, DomainError, ParseError
 
@@ -46,6 +46,23 @@ class _NegInf:
 
 
 NEG_INF = _NegInf()
+
+
+def primitive(values):
+    """(ints, scale) with values[i] == scale * ints[i], the ints without a
+    common factor and scale > 0; values is a sequence of ints and
+    Fractions, and an empty one gives ([], 1)."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints, Fraction(g or 1, den)
+
+
+def _exact(c):
+    """A coordinate kept exact: ints stay ints, the rest become Fractions."""
+    return c if type(c) is int else _coerce(c)
 
 
 def _coerce(c) -> Fraction:
@@ -291,30 +308,21 @@ class MultiPoly:
 
     def shift(self, point):
         """p(point + x), same variable context."""
-        point = [_coerce(x) for x in point]
+        point = [_exact(x) for x in point]
         if len(point) != len(self.variables):
             raise ContextError("point dimension mismatch")
-        nv = len(self.variables)
-        one = MultiPoly.constant(self.variables, 1)
-        xs = MultiPoly.gens(self.variables)
-        # cache (i, k) -> (point_i + x_i)^k
-        cache = {}
-
-        def lin_pow(i, k):
-            got = cache.get((i, k))
-            if got is None:
-                got = (xs[i] + point[i]) ** k
-                cache[(i, k)] = got
-            return got
-
-        result = MultiPoly.zero(self.variables)
-        for e, c in self.terms.items():
-            term = one * c
-            for i in range(nv):
-                if e[i]:
-                    term = term * lin_pow(i, e[i])
-            result = result + term
-        return result
+        ints, scale = primitive(self.terms.values())
+        out = {}
+        for e, c in zip(self.terms, ints):
+            # (point_i + x_i)^k = sum_j row[j] x_i^j, one variable at a time
+            part = {(): c}
+            for x, k in zip(point, e):
+                row = _binomial_row(x, 1, k)
+                part = {pe + (j,): pc * r for pe, pc in part.items()
+                        for j, r in enumerate(row) if r}
+            for pe, pc in part.items():
+                out[pe] = out.get(pe, 0) + pc
+        return MultiPoly(self.variables, {e: scale * c for e, c in out.items()})
 
     def restrict(self, keep_indices):
         """Set all variables outside keep_indices to zero; project onto the kept ones."""
@@ -330,40 +338,24 @@ class MultiPoly:
         return MultiPoly(tuple(self.variables[i] for i in keep), out)
 
     def restrict_line(self, a, b):
-        """Univariate restriction t -> p(a + t*b)."""
-        a = [_coerce(x) for x in a]
-        b = [_coerce(x) for x in b]
+        """Univariate restriction t -> p(a + t*b), as scale * P(a + t*b) on
+        the primitive integer form P: integer a and b stay in Z."""
+        a = [_exact(x) for x in a]
+        b = [_exact(x) for x in b]
         if len(a) != len(self.variables) or len(b) != len(self.variables):
             raise ContextError("line dimension mismatch")
-        cache = {}
-
-        def lin_pow(i, k):
-            # (a_i + t b_i)^k as a dense coefficient list
-            got = cache.get((i, k))
-            if got is None:
-                cur = [Fraction(1)]
-                for _ in range(k):
-                    nxt = [Fraction(0)] * (len(cur) + 1)
-                    for j, c in enumerate(cur):
-                        nxt[j] += c * a[i]
-                        nxt[j + 1] += c * b[i]
-                    cur = nxt
-                got = cur
-                cache[(i, k)] = got
-            return got
-
-        acc = [Fraction(0)]
-        for e, c in self.terms.items():
+        ints, scale = primitive(self.terms.values())
+        acc = [0]
+        for e, c in zip(self.terms, ints):
             term = [c]
-            for i, k in enumerate(e):
+            for ai, bi, k in zip(a, b, e):
                 if k:
-                    f = lin_pow(i, k)
-                    term = _dense_mul(term, f)
+                    term = _dense_mul(term, _binomial_row(ai, bi, k))
             if len(term) > len(acc):
-                acc.extend([Fraction(0)] * (len(term) - len(acc)))
+                acc.extend([0] * (len(term) - len(acc)))
             for j, v in enumerate(term):
                 acc[j] += v
-        return UniPoly(acc)
+        return UniPoly([scale * v for v in acc])
 
     # -- display -------------------------------------------------------
 
@@ -401,8 +393,13 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def _binomial_row(a, b, k):
+    """(a + t*b)^k as a dense coefficient list, lowest degree first."""
+    return [comb(k, j) * a ** (k - j) * b ** j for j in range(k + 1)]
+
+
 def _dense_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -572,18 +569,6 @@ class UniPoly:
             out[i - 1] = carry
         return UniPoly(out)
 
-    def primitive_integer_form(self):
-        """(integer coefficient list, scale) with self = scale * that poly."""
-        if not self.coeffs:
-            return [], Fraction(1)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        return ints, Fraction(g, den)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -649,8 +634,8 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    p, _ = a.primitive_integer_form()
-    q, _ = b.primitive_integer_form()
+    p, _ = primitive(a.coeffs)
+    q, _ = primitive(b.coeffs)
     if len(p) < len(q):
         p, q = q, p
     while q:
@@ -670,12 +655,7 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             r.pop()
         while r and not r[-1]:
             r.pop()
-        g = 0
-        for v in r:
-            g = gcd(g, abs(v))
-        if g > 1:
-            r = [v // g for v in r]
-        p, q = q, r
+        p, q = q, primitive(r)[0]
     return UniPoly(p).monic()
 
 
@@ -695,7 +675,7 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     if b.is_zero:
         raise DomainError("zero polynomial has no spectrum")
     monic = b.monic()
-    f, _ = monic.primitive_integer_form()
+    f, _ = primitive(monic.coeffs)
     roots = []
     zeros = 0
     while not f[zeros]:
@@ -712,11 +692,13 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
 def _integer_roots(f, roots):
     """Append the rational roots of the primitive integer polynomial f
     (lowest degree first, f[0] != 0) to roots; return f deflated by them."""
+    f_neg = [-c if i % 2 else c for i, c in enumerate(f)]     # f(-s)
+    signs = [sg for sg, g in ((-1, f_neg), (1, f)) if _sign_changes(g)]
+    if not signs:
+        return f
     nums, dens = _divisors(abs(f[0])), _divisors(abs(f[-1]))
     hi = _fujiwara_bound(f)             # |root| <= hi
     lo = _fujiwara_bound(f[::-1])       # |root| >= 1/lo
-    f_neg = [-c if i % 2 else c for i, c in enumerate(f)]     # f(-s)
-    signs = [sg for sg, g in ((-1, f_neg), (1, f)) if _sign_changes(g)]
     f1, fm1 = _at_one(f)
     for sg in signs:
         for q in dens:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from prehomog.cli import JobSpec, main, report_table, run
+from prehomog.cli import JobSpec, main, run
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.quiver import star_quiver
 from prehomog.serialize import generatorset_to_json, quiver_to_json
@@ -160,25 +160,6 @@ class TestJsonOutput:
         assert obj["discriminant"]["variables"] == ["x11", "x12", "x21", "x22"]
 
 
-class TestReportTable:
-    def test_empty(self):
-        assert report_table([]) == "n | f | reductive | spectrum"
-
-    def test_alignment_and_truncation(self):
-        rows = [
-            {"n": 2, "f": "x*y", "reductive": True, "spectrum": "(s+1)^2"},
-            {"n": 6, "f": "a" * 40, "reductive": None, "spectrum": ""},
-        ]
-        text = report_table(rows)
-        lines = text.split("\n")
-        assert len(lines) == 3
-        assert "a" * 29 + "..." in lines[2]
-        assert "unknown" in lines[2]
-        # single separator style, no trailing spaces
-        for line in lines:
-            assert line == line.rstrip()
-
-
 class TestMain:
     def test_main_exit_code(self, capsys):
         assert main(["symmetry", "--poly", "(s+1)^2"]) == 0
@@ -191,6 +172,17 @@ class TestMain:
     def test_main_chain(self, capsys):
         assert main(["chain", "s+1", "s+1"]) == 0
         assert "spectrum" in capsys.readouterr().out
+
+    def test_seed_and_trials_only_on_classify(self, capsys):
+        argv = ["--fixture", "binary-cubic", "--json"]
+        assert main(["classify", "--seed", "3", "--trials", "2"] + argv) == 0
+        for command in ("bfunction", "symmetry", "euler", "microlocal"):
+            for flag in ("--seed", "--trials"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, flag, "3"] + argv)
+                assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["chain", "--seed", "3", "s+1"])
 
 
 GOLDEN = Path(__file__).parent / "golden" / "bfunction"

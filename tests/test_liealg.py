@@ -302,6 +302,21 @@ class TestDual:
         assert d.variables == ("x1*", "x2*")
         assert d.matrix(0) == [[-1, 0], [0, 0]]
 
+    def test_no_independence_proof(self, monkeypatch):
+        def no_rref(rows):
+            raise AssertionError("dual_generators called linalg.rref")
+
+        for name in fixture_names():
+            g = get_fixture(name).generators()
+            duals = [linalg.mat_scale(linalg.transpose(m), -1)
+                     for m in g.matrices()]
+            expected = GeneratorSet(duals, liealg.dual_variables(g.variables))
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "rref", no_rref)
+                d = dual_generators(g)
+            assert d == expected, name
+            assert (d.n, d.variables) == (expected.n, expected.variables)
+
     def test_difference_formula_on_fixtures(self):
         for name in ("nc-3", "binary-cubic", "star-2111", "quadric-cone-3"):
             assert dual_character_check(get_fixture(name).generators())

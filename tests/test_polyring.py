@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import classify
 from prehomog.polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly,
                                format_rational, is_squarefree, parse_factored,
-                               parse_rational, rational_root_spectrum,
-                               univariate_gcd)
+                               parse_rational, primitive,
+                               rational_root_spectrum, univariate_gcd)
 
 XYZ = ("x", "y", "z")
 
@@ -151,6 +152,102 @@ class TestCalculusAndSubstitution:
                 assert u.evaluate(t) == p.evaluate(pt)
 
 
+class TestExpansionsAgainstFraction:
+    def test_random_lines_and_points(self):
+        rng = random.Random(4107)
+        seen = dict.fromkeys(("zero", "fraction_coeffs", "int_coeffs",
+                              "rational_line", "int_line"), 0)
+        for _ in range(320):
+            nv = rng.randint(1, 4)
+            variables = tuple(f"v{i}" for i in range(nv))
+            p = random_expansion_input(rng, variables)
+            integral = rng.random() < 0.5
+            a, b, point = ([random_coordinate(rng, integral) for _ in variables]
+                           for _ in range(3))
+            assert p.restrict_line(a, b) == fraction_restrict_line(p, a, b)
+            assert p.shift(point) == fraction_shift(p, point)
+            seen["zero"] += p.is_zero
+            seen["fraction_coeffs"] += any(c.denominator > 1
+                                           for c in p.terms.values())
+            seen["int_coeffs"] += not p.is_zero and all(
+                c.denominator == 1 for c in p.terms.values())
+            seen["rational_line"] += not integral
+            seen["int_line"] += integral
+        assert min(seen.values()) >= 20, seen
+
+    def test_integer_line_stays_in_integers(self, monkeypatch):
+        # the only Fraction products are the final scale times each coefficient
+        x, y, z = MultiPoly.gens(XYZ)
+        p = (x + 2 * y - z) ** 4 * Fraction(1, 3) + x * y * z
+        expected = fraction_restrict_line(p, [3, -1, 2], [1, 5, -4])
+        products = [0]
+        mul = Fraction.__mul__
+
+        def counted(self, other):
+            products[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Fraction, "__mul__", counted)
+        u = p.restrict_line([3, -1, 2], [1, 5, -4])
+        monkeypatch.undo()
+        assert u == expected
+        assert products[0] <= u.degree() + 1
+
+
+def random_coordinate(rng, integral):
+    if integral:
+        return rng.randint(-6, 6)
+    return rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                       rng.randint(-6, 6), "-5/4"))
+
+
+def random_expansion_input(rng, variables):
+    """Sparse polynomials of degree <= 5 per variable, about one in twelve
+    zero, half of the rest with integer coefficients."""
+    if rng.random() < 1 / 12:
+        return MultiPoly.zero(variables)
+    integral = rng.random() < 0.5
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = tuple(rng.randint(0, 5 if len(variables) < 3 else 3)
+                  for _ in variables)
+        c = rng.randint(-40, 40)
+        terms[e] = c if integral else Fraction(c, rng.randint(1, 9))
+    return MultiPoly(variables, terms)
+
+
+def fraction_restrict_line(p, a, b):
+    """The former Fraction expansion of p(a + t*b), kept as the oracle."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    acc = [Fraction(0)]
+    for e, c in p.terms.items():
+        term = [c]
+        for i, k in enumerate(e):
+            for _ in range(k):      # times (a_i + t b_i)
+                nxt = [Fraction(0)] * (len(term) + 1)
+                for j, v in enumerate(term):
+                    nxt[j] += v * a[i]
+                    nxt[j + 1] += v * b[i]
+                term = nxt
+        acc.extend([Fraction(0)] * (len(term) - len(acc)))
+        for j, v in enumerate(term):
+            acc[j] += v
+    return UniPoly(acc)
+
+
+def fraction_shift(p, point):
+    """The former expansion of p(point + x) by MultiPoly products."""
+    xs = MultiPoly.gens(p.variables)
+    result = MultiPoly.zero(p.variables)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(p.variables, c)
+        for i, k in enumerate(e):
+            term = term * (xs[i] + Fraction(point[i])) ** k
+        result = result + term
+    return result
+
+
 class TestUniPoly:
     def test_construction_trims(self):
         p = UniPoly([1, 2, 0, 0])
@@ -190,17 +287,48 @@ class TestUniPoly:
         with pytest.raises(DomainError):
             p.deflate(7)
 
-    def test_primitive_integer_form(self):
-        p = UniPoly([Fraction(2, 3), Fraction(4, 3)])
-        ints, scale = p.primitive_integer_form()
-        assert ints == [1, 2]
-        assert scale == Fraction(2, 3)
-        assert UniPoly([Fraction(i) * scale for i in ints]) == p
-
     def test_str(self):
         assert str(UniPoly([1, 1])) == "s + 1"
         assert str(UniPoly([Fraction(-1, 2), 0, 1])) == "s^2 - 1/2"
         assert str(UniPoly.zero()) == "0"
+
+
+class TestPrimitive:
+    def test_fraction_coefficients(self):
+        p = UniPoly([Fraction(2, 3), Fraction(4, 3)])
+        ints, scale = primitive(p.coeffs)
+        assert ints == [1, 2]
+        assert scale == Fraction(2, 3)
+        assert UniPoly([Fraction(i) * scale for i in ints]) == p
+
+    def test_empty(self):
+        assert primitive([]) == ([], 1)
+
+    def test_all_int(self):
+        assert primitive([6, 4, 10]) == ([3, 2, 5], 2)
+        assert primitive([3, 5]) == ([3, 5], 1)
+
+    def test_negative_leading(self):
+        ints, scale = primitive([Fraction(-3, 4), Fraction(9, 2)])
+        assert ints == [-1, 6]
+        assert scale == Fraction(3, 4)
+
+    def test_interior_zero(self):
+        ints, scale = primitive([Fraction(5, 2), 0, Fraction(-5, 3), 0])
+        assert ints == [3, 0, -2, 0]
+        assert scale == Fraction(5, 6)
+        assert primitive([0, 0]) == ([0, 0], 1)
+
+    def test_random_contract(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            values = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                      for _ in range(rng.randint(1, 6))]
+            ints, scale = primitive(values)
+            assert scale > 0
+            assert [scale * v for v in ints] == values
+            assert all(type(v) is int for v in ints)
+            assert math.gcd(*ints) in (0, 1)
 
 
 class TestGcd:
@@ -271,6 +399,21 @@ class TestSpectrum:
         sp = rational_root_spectrum(UniPoly([0, 0, 0, 7]))
         assert sp.roots == ((0, 3),) and sp.residual == UniPoly.one()
 
+    def test_no_sign_survives_descartes(self, monkeypatch):
+        # s^2 + p has no real root: no divisor list is built
+        calls = [0]
+        divisors = polyring._divisors
+
+        def counted(n):
+            calls[0] += 1
+            return divisors(n)
+
+        monkeypatch.setattr(polyring, "_divisors", counted)
+        p = 2**48 - 59      # prime
+        sp = rational_root_spectrum(UniPoly([p, 0, 1]))
+        assert sp.roots == () and sp.residual == UniPoly([p, 0, 1])
+        assert calls[0] == 0
+
     def test_large_smooth_end_terms(self):
         # c0 has 72 bits: beyond trial division up to its square root
         r = Fraction(2**70, 3)
@@ -294,7 +437,7 @@ class TestSpectrumAgainstTrialDivision:
             seen["repeated"] += any(m > 1 for _, m in sp.roots)
             seen["residual"] += sp.residual.degree() > 0
             seen["constant"] += b.degree() == 0
-            ints, _ = b.primitive_integer_form()
+            ints, _ = primitive(b.coeffs)
             seen["wide"] += max(abs(c) for c in ints).bit_length() > 64
         assert min(seen.values()) >= 20, seen
 
@@ -351,7 +494,7 @@ def trial_division_spectrum(b):
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if work.degree() is not NEG_INF and work.degree() > 0:
-        ints, _ = work.primitive_integer_form()
+        ints, _ = primitive(work.coeffs)
         c0, cd = abs(ints[0]), abs(ints[-1])
         for num in sorted(_trial_divisors(c0)):
             for den in sorted(_trial_divisors(cd)):
