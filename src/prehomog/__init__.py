@@ -7,9 +7,9 @@ symmetry and specialness checks, and microlocal conormal orders.
 
 from .bernstein import (BFailure, BResult, FirstOrderOperator,
                         SPowerExpression, annihilator_identity_check,
-                        apply_derivation, apply_operator, bfunction,
-                        extract_cofactor, fourier_check, fourier_transform,
-                        q_dual_operator, q_operator, symmetry_check)
+                        apply_operator, bfunction, extract_cofactor,
+                        fourier_check, fourier_transform, q_dual_operator,
+                        q_operator, symmetry_check)
 from .errors import (CapacityError, ClosureError, ContextError,
                      DegenerateCharacterError, DegenerateDualError,
                      DomainError, InadmissibleCovectorError, MathFailure,
@@ -40,9 +40,9 @@ __all__ = [
     "MathFailure", "MultiPoly", "NotInvariantError", "NotTransversalError",
     "OrderForm", "ParseError", "PointContext", "PrehomogError", "Quiver",
     "Rational", "Spectrum", "SPowerExpression", "UniPoly",
-    "annihilator_basis", "annihilator_identity_check", "apply_derivation",
-    "apply_operator", "atilde_quiver", "bfunction", "chain_assemble",
-    "character", "classify", "codim1_ratio", "conormal_order", "discriminant",
+    "annihilator_basis", "annihilator_identity_check", "apply_operator",
+    "atilde_quiver", "bfunction", "chain_assemble", "character", "classify",
+    "codim1_ratio", "conormal_order", "discriminant",
     "dtilde3_quiver", "dual_character_check", "dual_generators",
     "euler_at_point", "extract_cofactor", "fourier_check",
     "fourier_transform", "infinitesimal_apply", "infinitesimal_generators",

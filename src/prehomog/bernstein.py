@@ -13,12 +13,13 @@ from fractions import Fraction
 
 from . import liealg, linalg
 from .errors import ClosureError, ContextError, DomainError
-from .polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly, primitive,
+from .polyring import (MultiPoly, Spectrum, UniPoly, primitive,
                        rational_root_spectrum)
 
 
 class SPowerExpression:
-    """f^{s+1-k} * P with P sparse in x and dense in s.
+    """f^{s+1-k} * P with P sparse in x and dense in s: the result record
+    of `apply_operator` and the input of `extract_cofactor`.
 
     terms maps exponent tuples to tuples of rationals (s-coefficients,
     lowest degree first, trailing zeros trimmed): ints stay ints, anything
@@ -50,45 +51,12 @@ class SPowerExpression:
     def __setattr__(self, name, value):
         raise AttributeError("SPowerExpression is immutable")
 
-    @classmethod
-    def start(cls, f: MultiPoly):
-        """f^{s+1} * 1, the state before any derivation."""
-        n = len(f.variables)
-        return cls(f.variables, 0, {(0,) * n: (Fraction(1),)})
-
     @property
     def is_zero(self):
         return not self.terms
 
     def coefficient(self, exps) -> UniPoly:
         return UniPoly(self.terms.get(tuple(exps), ()))
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return SPowerExpression(self.variables, self.k, {})
-        return SPowerExpression(
-            self.variables, self.k,
-            {e: [c * v for v in sc] for e, sc in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, SPowerExpression):
-            return NotImplemented
-        if other.k != self.k:
-            raise DomainError("cannot add expressions at different power offsets")
-        if other.variables != self.variables:
-            raise ContextError("variable context mismatch")
-        out = {e: list(sc) for e, sc in self.terms.items()}
-        for e, sc in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = list(sc)
-            else:
-                if len(cur) < len(sc):
-                    cur.extend([Fraction(0)] * (len(sc) - len(cur)))
-                for i, v in enumerate(sc):
-                    cur[i] += v
-        return SPowerExpression(self.variables, self.k, out)
 
     def __eq__(self, other):
         if not isinstance(other, SPowerExpression):
@@ -139,63 +107,20 @@ class BFailure:
         return f"BFailure({self.reason}: {self.detail})"
 
 
-def apply_derivation(e: SPowerExpression, v, f: MultiPoly) -> SPowerExpression:
-    """One derivative: d/dv (f^{s+1-k} P) = f^{s-k} ((s+1-k) f_v P + f dP/dv)."""
-    if v not in e.variables:
-        raise ContextError(f"unknown variable {v!r}")
-    if f.variables != e.variables:
-        raise ContextError("f must live on the expression's variables")
-    i = e.variables.index(v)
-    k = e.k
-    out = {}
-
-    def add_in(exps, sc):
-        cur = out.get(exps)
-        if cur is None:
-            out[exps] = list(sc)
-        else:
-            if len(cur) < len(sc):
-                cur.extend([Fraction(0)] * (len(sc) - len(cur)))
-            for idx, val in enumerate(sc):
-                cur[idx] += val
-
-    # (s + 1 - k) * f_v * P
-    fv = f.derivative(v)
-    shift = Fraction(1 - k)
-    for e1, sc in e.terms.items():
-        lifted = [Fraction(0)] * (len(sc) + 1)
-        for idx, val in enumerate(sc):
-            lifted[idx] += shift * val
-            lifted[idx + 1] += val
-        for e2, c2 in fv.terms.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            add_in(exps, [c2 * val for val in lifted])
-    # f * dP/dv
-    for e1, sc in e.terms.items():
-        if not e1[i]:
-            continue
-        mult = e1[i]
-        de1 = e1[:i] + (e1[i] - 1,) + e1[i + 1:]
-        dsc = [mult * val for val in sc]
-        for e2, c2 in f.terms.items():
-            exps = tuple(a + b for a, b in zip(de1, e2))
-            add_in(exps, [c2 * val for val in dsc])
-    return SPowerExpression(e.variables, k + 1, out)
-
-
 # ---------------------------------------------------------------------
-# integer fast path used by apply_operator: same recurrence as
-# apply_derivation, over content-free integer forms of f and f*.
+# the derivation engine: packed exponents and Kronecker-packed s-polynomials
 
 def _exponent_bits(n):
     """Bits per variable of a packed exponent: deg f^(n-1) = n(n-1) fits."""
     return max(1, (n * (n - 1)).bit_length())
 
 
-def _pack(terms, B):
-    """[(packed exponent, coefficient)], variable i in bits [B*i, B*i + B)."""
+def _packed(f: MultiPoly, B):
+    """(terms, scale): f = scale * sum c x^e over the content-free integer
+    terms [(packed e, c)], variable i in bits [B*i, B*i + B) of packed e."""
+    coeffs, scale = primitive(f.terms.values())
     return [(sum(x << B * i for i, x in enumerate(e)), c)
-            for e, c in terms.items()]
+            for e, c in zip(f.terms, coeffs)], scale
 
 
 def _unpack(e, B, nvars):
@@ -204,7 +129,8 @@ def _unpack(e, B, nvars):
 
 
 def _int_step(P, k, fv, f, shift, mask, W):
-    """One derivation on packed terms: P maps packed exponents to P_e(2^W)."""
+    """d/dv (f^{s+1-k} P) = f^{s-k} ((s+1-k) f_v P + f dP/dv) on packed
+    terms: P maps packed exponents to P_e(2^W), v sits at bit `shift`."""
     out = {}
     get = out.get
     c0 = 1 - k
@@ -234,17 +160,20 @@ def _run_monomial(alpha, f_packed, fv_packed, B, mask, W):
     return P
 
 
-def _slot_width(fs_int, f_int, fderivs):
+def _slot_width(fs_int, f_packed, B):
     """Bits per s-slot that provably hold every coefficient of the result.
 
     N bounds the l1 norm of P_k over x and s together:
     ||(s+1-k) f_v P + f dP/dv|| <= ((1+|1-k|) ||f_v|| + deg_v(P) ||f||) ||P||,
     and deg_v(P_k) <= k deg_v(f) - (derivations in v so far).  The sum of
-    |c_alpha| N_alpha bounds every coefficient of the merged state.
+    |c_alpha| N_alpha bounds every coefficient of the merged state.  The
+    terms of f_v are those of f with e_v > 0, so ||f_v|| = sum |c| e_v.
     """
-    norm_f = sum(abs(c) for c in f_int.values())
-    norm_fv = [sum(abs(c) for c in d.values()) for d in fderivs]
-    deg_f = [max(e[vi] for e in f_int) for vi in range(len(fderivs))]
+    nvars = len(next(iter(fs_int)))
+    f_int = [(_unpack(e, B, nvars), abs(c)) for e, c in f_packed]
+    norm_f = sum(c for _, c in f_int)
+    norm_fv = [sum(e[vi] * c for e, c in f_int) for vi in range(nvars)]
+    deg_f = [max(e[vi] for e, _ in f_int) for vi in range(nvars)]
     bound = 0
     for alpha, c in fs_int.items():
         N = 1
@@ -301,24 +230,17 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
         raise DomainError(f"degree mismatch: deg f* = {fstar.degree()}, deg f = {n}")
     nvars = len(f.variables)
 
-    f_coeffs, f_scale = primitive(f.terms.values())
-    f_int = dict(zip(f.terms, f_coeffs))
-    fs_coeffs, fs_scale = primitive(fstar.terms.values())
-    fs_int = dict(zip(fstar.terms, fs_coeffs))
-    fderivs = []
-    for vi in range(nvars):
-        d = {}
-        for e, c in f_int.items():
-            if e[vi]:
-                de = e[:vi] + (e[vi] - 1,) + e[vi + 1:]
-                d[de] = d.get(de, 0) + c * e[vi]
-        fderivs.append(d)
-    W = _slot_width(fs_int, f_int, fderivs)
-
     B = _exponent_bits(n)
     mask = (1 << B) - 1
-    f_packed = _pack(f_int, B)
-    fv_packed = [_pack(d, B) for d in fderivs]
+    f_packed, f_scale = _packed(f, B)
+    # f_v: every term with e_v > 0 becomes (e - x_v, c e_v); none collide
+    fv_packed = [[(e - (1 << B * vi), c * ((e >> B * vi) & mask))
+                  for e, c in f_packed if (e >> B * vi) & mask]
+                 for vi in range(nvars)]
+    fs_coeffs, fs_scale = primitive(fstar.terms.values())
+    fs_int = dict(zip(fstar.terms, fs_coeffs))
+    W = _slot_width(fs_int, f_packed, B)
+
     total = {}
     for alpha in sorted(fs_int):
         c_alpha = fs_int[alpha]
@@ -353,9 +275,8 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     if q.is_zero:
         return BFailure("functional-equation", "operator annihilated f^{s+1}")
 
-    f_coeffs, f_scale = primitive(f.terms.values())
     B = _exponent_bits(n)
-    f_packed = _pack(dict(zip(f.terms, f_coeffs)), B)
+    f_packed, f_scale = _packed(f, B)
     fpow = {0: 1}
     for _ in range(n - 1):
         out = {}
@@ -434,29 +355,8 @@ def annihilator_identity_check(A, g: liealg.GeneratorSet) -> bool:
     if f.is_zero:
         raise DomainError("discriminant vanishes")
     A = linalg.frac_matrix(A)
-    d = liealg.infinitesimal_apply(A, f)
-    lead_e, lead_c = f.leading_term_lex()
-    lam = d.coefficient(lead_e) / lead_c
-    if d != f * lam:
-        return False
-    return lam == linalg.trace(A)
-
-
-def apply_constant_coefficient_operator(fstar: MultiPoly, p: MultiPoly) -> MultiPoly:
-    """Literal f*(d/dx) p by repeated differentiation; brute-force oracle."""
-    if len(fstar.variables) != len(p.variables):
-        raise ContextError("variable count mismatch")
-    out = MultiPoly.zero(p.variables)
-    for alpha in sorted(fstar.terms):
-        c = fstar.terms[alpha]
-        q = p
-        for vi, e in enumerate(alpha):
-            for _ in range(e):
-                q = q.derivative(p.variables[vi])
-                if q.is_zero:
-                    break
-        out = out + c * q
-    return out
+    lam = liealg.character_value(A, f)
+    return lam is not None and lam == linalg.trace(A)
 
 
 # ---------------------------------------------------------------------

@@ -264,20 +264,8 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    job = JobSpec(
-        command=ns.command,
-        fixture=getattr(ns, "fixture", None),
-        input_path=getattr(ns, "input_path", None),
-        seed=getattr(ns, "seed", 0),
-        trials=getattr(ns, "trials", 8),
-        point=getattr(ns, "point", None),
-        covector=getattr(ns, "covector", None),
-        poly=getattr(ns, "poly", None),
-        factors=getattr(ns, "factors", None),
-        json_output=ns.json_output,
-    )
-    code, text = run(job)
+    # every subparser's keys are JobSpec fields; JobSpec fills the rest
+    code, text = run(JobSpec(**vars(parser.parse_args(argv))))
     print(text)
     return code
 

@@ -240,18 +240,25 @@ def discriminant(g: GeneratorSet) -> MultiPoly:
     return matrix_columns_determinant(g.matrices(), g.variables)
 
 
+def character_value(A, f: MultiPoly):
+    """lam with delta_A(f) = lam * f, or None when f is not a semi-invariant
+    of A.  lam is read off the lexicographically first term of f."""
+    d = infinitesimal_apply(A, f)
+    lead_e, lead_c = f.leading_term_lex()
+    lam = d.coefficient(lead_e) / lead_c
+    return lam if d == f * lam else None
+
+
 def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
     """Extract dchi(A_k) from delta_{A_k}(f) = dchi(A_k) * f, plus traces."""
     if f.is_zero:
         raise DomainError("character requires a nonzero discriminant")
-    lead_e, lead_c = f.leading_term_lex()
     values = []
     traces = []
     for k in range(g.n):
         A = g.matrix(k)
-        d = infinitesimal_apply(A, f)
-        lam = d.coefficient(lead_e) / lead_c
-        if d != f * lam:
+        lam = character_value(A, f)
+        if lam is None:
             raise NotInvariantError(
                 f"delta_A(f) is not proportional to f for generator {k + 1}")
         values.append(lam)

@@ -79,7 +79,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not re.fullmatch(r"[+-]?\d+(/\d+)?", text):
         raise ParseError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(c: Fraction) -> str:
@@ -839,7 +842,7 @@ def _tokenize(text):
         if not m or m.end() == pos:
             raise ParseError(f"bad character in polynomial at position {pos}: {text[pos:]!r}")
         num, sym = m.groups()
-        out.append(("num", Fraction(num)) if num is not None else (sym, None))
+        out.append(("num", parse_rational(num)) if num is not None else (sym, None))
         pos = m.end()
     return out
 

@@ -27,6 +27,10 @@ class Quiver:
             raise DomainError("duplicate vertex names")
         if not vertices:
             raise DomainError("quiver needs at least one vertex")
+        edges = tuple(edges)
+        for e in edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise DomainError(f"edge {e!r} is not a (source, target) pair")
         edges = tuple((a, b) for a, b in edges)
         known = set(vertices)
         for a, b in edges:
@@ -71,9 +75,13 @@ class DimensionVector:
     __slots__ = ("dims",)
 
     def __init__(self, dims):
+        if not isinstance(dims, dict):
+            raise DomainError("dimensions must map vertex names to integers")
         clean = {}
-        for v, d in dict(dims).items():
-            d = int(d)
+        for v, d in dims.items():
+            if type(d) is not int:  # no bool, float or string dimensions
+                raise DomainError(
+                    f"dimension at vertex {v!r} must be an integer, got {d!r}")
             if d <= 0:
                 raise DomainError(f"dimension at vertex {v!r} must be positive")
             clean[v] = d

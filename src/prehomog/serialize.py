@@ -90,7 +90,7 @@ def quiver_to_json(qv: Quiver, d: DimensionVector) -> dict:
 
 def quiver_from_json(obj):
     try:
-        qv = Quiver(obj["vertices"], [tuple(e) for e in obj["edges"]])
+        qv = Quiver(obj["vertices"], obj["edges"])
         d = DimensionVector(obj["dimensions"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed quiver record: {exc}") from None

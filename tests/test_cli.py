@@ -185,6 +185,42 @@ class TestMain:
             main(["chain", "--seed", "3", "s+1"])
 
 
+class TestBadInput:
+    """Malformed numbers and quivers end in an `error:` line, exit code 1."""
+
+    def run_main(self, argv, capsys, reason=""):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and reason in out
+
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--fixture", "nc-3", "--point", "1/0,0,0"],
+        ["chain", "s+1/0"],
+        ["symmetry", "--poly", "(s+1)^1/0"],
+    ])
+    def test_zero_denominator(self, argv, capsys):
+        self.run_main(argv, capsys, "zero denominator")
+
+    def test_zero_denominator_in_generators(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {"generators": [[["1/0"]]]})
+        self.run_main(["bfunction", "--input", path], capsys, "zero denominator")
+
+    @pytest.mark.parametrize("dims", [
+        {"c": 1.7, "s": 1}, {"c": True, "s": 1}, {"c": "x", "s": 1}, "x",
+    ])
+    def test_quiver_dimensions(self, dims, tmp_path, capsys):
+        obj = {"vertices": ["c", "s"], "edges": [["s", "c"]], "dimensions": dims}
+        path = write_json(tmp_path, "q.json", obj)
+        self.run_main(["classify", "--input", path], capsys, "integer")
+
+    @pytest.mark.parametrize("edge", [["s", "c", "z"], ["s"], "sc"])
+    def test_quiver_edge_not_a_pair(self, edge, tmp_path, capsys):
+        obj = {"vertices": ["s", "c", "z"], "edges": [edge],
+               "dimensions": {"s": 1, "c": 1, "z": 1}}
+        path = write_json(tmp_path, "q.json", obj)
+        self.run_main(["classify", "--input", path], capsys, "pair")
+
+
 GOLDEN = Path(__file__).parent / "golden" / "bfunction"
 # the non-special fixtures, whose functional equation fails (exit 2)
 FAILING = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4", "cubic-chain-4"}
