@@ -3,10 +3,25 @@
 Implements the functional equation f*(d/dx) f^{s+1} = b(s) f^s by
 symbolic differentiation of symbolic powers: states are expressions
 f^{s+1-k} * P with P in Q[s][x].  Derivations raise k by one; after n
-derivations (n = deg f) the accumulated state is f^{s+1-n} * Q and the
-candidate b(s) is read off from the cofactor identity Q = b(s) f^{n-1}.
-Failure of that identity is a first-class result, not an exception:
-for non-special inputs the equation genuinely does not hold.
+derivations (n = deg f) the accumulated state is f^{s+1-n} * Q, and the
+equation holds exactly when Q = b(s) f^{n-1}.
+
+`bfunction` certifies that identity before it computes anything and then
+reads b(s) off one integer point.  With chi the character of f and chi*
+that of f* under the dual generators {-A^t}, [delta_A, f*(d)] acts on the
+symbol as delta_{-A^t}, so F = Q / f^{n-1} satisfies
+delta_A F = (chi + chi*)(A) F.  The fields delta_{A_k} span every
+derivation where f != 0 (Saito's criterion), so F is constant in x
+exactly when chi + chi* vanishes on every generator.  Both characters
+are tr A - tr ad A with the same structure constants, up to the sign of
+the trace, so chi + chi* = 2 (chi - tr): the certificate is specialness.
+A special input has Q = b(s) f^{n-1}, so b(s) = Q(x0) / f(x0)^{n-1} at any
+x0 with f(x0) != 0, and the walk evaluates each variable as soon as its
+last derivation is done.  A non-special input fails the equation; that
+is a first-class result, not an exception.
+
+`apply_operator` and `extract_cofactor` build and divide the whole
+k = n state: the full-state route, kept public as an independent check.
 """
 
 from fractions import Fraction
@@ -123,6 +138,13 @@ def _packed(f: MultiPoly, B):
             for e, c in zip(f.terms, coeffs)], scale
 
 
+def _derivative(terms, shift, mask):
+    """d/dv of packed pairs, v at bit `shift`: each term with e_v > 0
+    becomes (e - x_v, c e_v), and none collide."""
+    return [(e - (1 << shift), c * ((e >> shift) & mask))
+            for e, c in terms if (e >> shift) & mask]
+
+
 def _unpack(e, B, nvars):
     mask = (1 << B) - 1
     return tuple((e >> B * i) & mask for i in range(nvars))
@@ -233,10 +255,7 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     B = _exponent_bits(n)
     mask = (1 << B) - 1
     f_packed, f_scale = _packed(f, B)
-    # f_v: every term with e_v > 0 becomes (e - x_v, c e_v); none collide
-    fv_packed = [[(e - (1 << B * vi), c * ((e >> B * vi) & mask))
-                  for e, c in f_packed if (e >> B * vi) & mask]
-                 for vi in range(nvars)]
+    fv_packed = [_derivative(f_packed, B * vi, mask) for vi in range(nvars)]
     fs_coeffs, fs_scale = primitive(fstar.terms.values())
     fs_int = dict(zip(fstar.terms, fs_coeffs))
     W = _slot_width(fs_int, f_packed, B)
@@ -312,11 +331,121 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     return BResult(b_raw.monic(), b_raw.leading(), spectrum)
 
 
+# ---------------------------------------------------------------------
+# the pointwise walk: b(s) = Q(x0) / f(x0)^(n-1) for a certified input
+
+def _point(f: MultiPoly):
+    """Greedy integer point with f(x0) != 0.
+
+    Coordinate by coordinate, keep the first of 0, 1, ..., n that leaves f
+    nonzero in the variables still free.  deg_v f <= n, so at most n values
+    of x_v make that restriction vanish (Alon's Combinatorial
+    Nullstellensatz) and the search always succeeds.
+    """
+    n = f.degree()
+    terms = dict(zip(f.terms, primitive(f.terms.values())[0]))
+    x0 = []
+    for _ in f.variables:
+        for a in range(n + 1):
+            rest = {}
+            for e, c in terms.items():
+                if a or not e[0]:
+                    rest[e[1:]] = rest.get(e[1:], 0) + c * a ** e[0]
+            rest = {e: c for e, c in rest.items() if c}
+            if rest:
+                break
+        x0.append(a)
+        terms = rest
+    return x0
+
+
+def _substitute(terms, shift, a, mask):
+    """{packed e: value} of the pairs `terms` with the variable at bit
+    `shift` set to a."""
+    out = {}
+    get = out.get
+    for e, V in terms:
+        d = (e >> shift) & mask
+        if d:
+            if not a:
+                continue
+            e -= d << shift
+            V *= a ** d
+        out[e] = get(e, 0) + V
+    return {e: V for e, V in out.items() if V}
+
+
+def _pointwise_b(fstar: MultiPoly, f: MultiPoly, x0):
+    """The raw b(s) = Q(x0) / f(x0)^(n-1), or None when Q(x0) = 0.
+
+    Exact only when Q = b(s) f^(n-1), which `bfunction` certifies first.
+    Each monomial alpha of f* is walked on its own, on the packed integer
+    forms of `apply_operator`: variables with alpha_v = 0 are set to x0_v
+    in f, in every f_u and in the state from the start; the others are
+    derived in the order "x0_v = 0 first" and set to x0_v as soon as their
+    last derivation is done, so a zero coordinate prunes the state early.
+    Q is homogeneous of degree n(n-1), so evaluating at x0 multiplies the
+    l1 bound of `_slot_width` by at most R^(n(n-1)), R = max |x0_v|.
+    """
+    n = f.degree()
+    nvars = len(f.variables)
+    B = _exponent_bits(n)
+    mask = (1 << B) - 1
+    f_packed, f_scale = _packed(f, B)
+    restricted = {0: f_packed}  # bit set of the variables set to x0 -> f
+
+    def at(done, v):
+        """The bit set done + {v}, with f there memoised from f at done."""
+        key = done | 1 << v
+        if key not in restricted:
+            restricted[key] = list(
+                _substitute(restricted[done], B * v, x0[v], mask).items())
+        return key
+
+    every = 0
+    for v in range(nvars):
+        every = at(every, v)
+    f0 = dict(restricted[every]).get(0)
+    if not f0:
+        raise DomainError("f vanishes at the evaluation point")
+    fs_coeffs, fs_scale = primitive(fstar.terms.values())
+    fs_int = dict(zip(fstar.terms, fs_coeffs))
+    R = max(abs(a) for a in x0)
+    W = _slot_width(fs_int, f_packed, B) + (R ** (n * (n - 1))).bit_length()
+
+    order = sorted(range(nvars), key=lambda v: x0[v] != 0)
+    total = 0
+    for alpha, c_alpha in fs_int.items():
+        done = 0
+        for v in range(nvars):
+            if not alpha[v]:
+                done = at(done, v)
+        P = {0: 1}
+        k = 0
+        for v in order:
+            if not alpha[v]:
+                continue
+            # f_v there is d/dv of f there: v itself is still free
+            f_done = restricted[done]
+            fv_done = _derivative(f_done, B * v, mask)
+            for _ in range(alpha[v]):
+                P = _int_step(P, k, fv_done, f_done, B * v, mask, W)
+                k += 1
+            done = at(done, v)
+            P = _substitute(P.items(), B * v, x0[v], mask)
+        total += c_alpha * P.get(0, 0)
+    if not total:
+        return None
+    scale = fs_scale * f_scale / Fraction(f0) ** (n - 1)
+    return UniPoly([d * scale for d in _balanced_digits(total, W)])
+
+
 def bfunction(g: liealg.GeneratorSet):
-    """Full pipeline: discriminant, dual, operator application, cofactor.
+    """Full pipeline: closure, discriminant, character, dual, then b(s).
 
     Returns BResult on success, BFailure when the functional equation
-    fails or the dual determinant vanishes.
+    fails or the dual determinant vanishes.  A non-special input fails
+    without any derivation; a special one is walked at `_point(f)`.
     """
     report = liealg.validate_algebra(g)
     if not report.closed:
@@ -330,12 +459,17 @@ def bfunction(g: liealg.GeneratorSet):
     fstar = liealg.discriminant(liealg.dual_generators(g))
     if fstar.is_zero:
         return BFailure("dual-degenerate", "f* = 0", special=special)
-    q = apply_operator(fstar.with_variables(f.variables), f)
-    result = extract_cofactor(q, f)
-    result.special = special
-    if isinstance(result, BResult):
-        result.symmetric = symmetry_check(result.b)
-    return result
+    if not special:
+        return BFailure("functional-equation",
+                        "chi + chi* != 0, so f*(d) f^{s+1} / f^s is not constant",
+                        special=special)
+    b_raw = _pointwise_b(fstar, f, _point(f))
+    if b_raw is None:
+        return BFailure("functional-equation", "operator annihilated f^{s+1}",
+                        special=special)
+    b = b_raw.monic()
+    return BResult(b, b_raw.leading(), rational_root_spectrum(b_raw), special,
+                   symmetry_check(b))
 
 
 def symmetry_check(b: UniPoly) -> bool:

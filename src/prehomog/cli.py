@@ -60,8 +60,8 @@ def _load_source(job: JobSpec):
         else:
             raise ParseError('input needs either "edges" (quiver) or "generators"')
         reductive = obj.get("reductive")
-        if reductive is not None:
-            reductive = bool(reductive)
+        if "reductive" in obj and not isinstance(reductive, bool):
+            raise ParseError('"reductive" must be true or false')
         return g, reductive, job.input_path
     raise ParseError("a source is required: --fixture NAME or --input FILE")
 

@@ -11,7 +11,8 @@ from .errors import ContextError
 
 
 def frac_matrix(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+    return [[v if type(v) is Fraction else Fraction(v) for v in row]
+            for row in rows]
 
 
 def frac_vector(v):
@@ -98,11 +99,11 @@ def rref(rows):
             continue
         m[r], m[sel] = m[sel], m[r]
         inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        m[r] = [v * inv if v else v for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots

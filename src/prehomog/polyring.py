@@ -19,6 +19,8 @@ Rational = Fraction
 
 # total-degree cap; beyond this we refuse rather than grind forever
 MAX_TOTAL_DEGREE = 10**6
+# degree cap of parse_factored: (7s+1/11)^300 expands in about 0.7 s
+MAX_PARSED_DEGREE = 300
 
 
 class _NegInf:
@@ -847,9 +849,20 @@ def _tokenize(text):
     return out
 
 
+def _capped(degree):
+    if degree > MAX_PARSED_DEGREE:
+        raise CapacityError(f"degree or exponent {degree} exceeds the limit "
+                            f"{MAX_PARSED_DEGREE} of parsed polynomials")
+
+
 def parse_factored(text: str) -> UniPoly:
     """Parse products of factored polynomial strings in s, e.g.
-    "(s+2/3)(s+1)^5(s+4/3)(s+2)" or "3s+2" or "(2s+1)(s+1)^2(2s+3)"."""
+    "(s+2/3)(s+1)^5(s+4/3)(s+2)" or "3s+2" or "(2s+1)(s+1)^2(2s+3)".
+
+    Every product and power is checked against MAX_PARSED_DEGREE before it
+    is expanded, and so is every exponent, even of a constant: a larger
+    one raises CapacityError.
+    """
     tokens = _tokenize(text)
     pos = 0
 
@@ -882,11 +895,11 @@ def parse_factored(text: str) -> UniPoly:
         while True:
             if peek() == "*":
                 take()
-                acc = acc * parse_factor()
-            elif peek() in ("num", "s", "("):
-                acc = acc * parse_factor()
-            else:
+            elif peek() not in ("num", "s", "("):
                 return acc
+            factor = parse_factor()
+            _capped(max(acc.degree(), 0) + max(factor.degree(), 0))
+            acc = acc * factor
 
     def parse_factor():
         atom = parse_atom()
@@ -896,6 +909,7 @@ def parse_factored(text: str) -> UniPoly:
             k = tok[1]
             if k.denominator != 1 or k < 0:
                 raise ParseError("exponent must be a nonnegative integer")
+            _capped(int(k) * max(atom.degree(), 1))
             atom = atom ** int(k)
         return atom
 

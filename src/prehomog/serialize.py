@@ -70,6 +70,10 @@ def generatorset_to_json(g: GeneratorSet) -> dict:
 def generatorset_from_json(obj) -> GeneratorSet:
     try:
         variables = obj.get("variables")
+        if variables is not None and not (
+                isinstance(variables, list)
+                and all(isinstance(v, str) for v in variables)):
+            raise TypeError('"variables" must be a list of names')
         mats = [[[parse_rational(str(v)) for v in row] for row in m]
                 for m in obj["generators"]]
     except (KeyError, TypeError) as exc:
@@ -90,6 +94,8 @@ def quiver_to_json(qv: Quiver, d: DimensionVector) -> dict:
 
 def quiver_from_json(obj):
     try:
+        if not isinstance(obj["vertices"], list):
+            raise TypeError('"vertices" must be a list of names')
         qv = Quiver(obj["vertices"], obj["edges"])
         d = DimensionVector(obj["dimensions"])
     except (KeyError, TypeError) as exc:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from prehomog import bernstein
 from prehomog.bernstein import (BFailure, BResult, FirstOrderOperator,
                                 SPowerExpression, annihilator_identity_check,
                                 apply_operator, bfunction, extract_cofactor,
@@ -11,8 +12,9 @@ from prehomog.bernstein import (BFailure, BResult, FirstOrderOperator,
                                 q_dual_operator, q_operator, substitute_s,
                                 symmetry_check)
 from prehomog.errors import ClosureError, ContextError, DomainError
-from prehomog.fixtures import get_fixture
-from prehomog.liealg import GeneratorSet, discriminant, dual_generators
+from prehomog.fixtures import fixture_names, get_fixture
+from prehomog.liealg import (GeneratorSet, character, discriminant,
+                             dual_generators, is_special)
 from prehomog.polyring import MultiPoly, UniPoly
 
 XY = ("x", "y")
@@ -374,3 +376,121 @@ class TestPackedEngine:
             expect = expect * UniPoly([17 - j, 17])
         assert list(q.terms) == [(272,)]
         assert q.coefficient((272,)) == expect
+
+
+# ---------------------------------------------------------------------
+# the certified pointwise route against the full-state route
+
+def full_state_route(g):
+    f = discriminant(g)
+    fstar = discriminant(dual_generators(g)).with_variables(f.variables)
+    return extract_cofactor(apply_operator(fstar, f), f)
+
+
+def f_and_fstar(name):
+    g = get_fixture(name).generators()
+    return discriminant(g), discriminant(dual_generators(g))
+
+
+def direct_sum(g1, g2):
+    """Block-diagonal generators: the divisor f1(x) f2(y) on V1 + V2."""
+    n1, n2 = g1.n, g2.n
+    gens = [[row + [0] * n2 for row in A] + [[0] * (n1 + n2)] * n2
+            for A in g1.matrices()]
+    gens += [[[0] * (n1 + n2)] * n1 + [[0] * n1 + row for row in A]
+             for A in g2.matrices()]
+    return GeneratorSet(gens)
+
+
+# every fixture but the ten-variable dtilde3-22111, whose b criterion 05
+# checks against the catalogue, plus the larger family members
+ROUTE_INPUTS = ([n for n in fixture_names() if n != "dtilde3-22111"]
+                + [f"atilde-{k}" for k in (4, 5, 6)]
+                + [f"nc-{k}" for k in (5, 6, 7, 8)])
+
+
+class TestPointwise:
+    @pytest.mark.parametrize("name", ROUTE_INPUTS)
+    def test_matches_full_state_route(self, name):
+        g = get_fixture(name).generators()
+        got, want = bfunction(g), full_state_route(g)
+        assert got.functional_equation_held == want.functional_equation_held
+        if want.functional_equation_held:
+            assert got.b == want.b
+            assert got.raw_leading == want.raw_leading
+            assert got.spectrum.roots == want.spectrum.roots
+            assert got.spectrum.residual == want.spectrum.residual
+        else:
+            assert got.reason == want.reason == "functional-equation"
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_certificate_is_specialness(self, name):
+        # chi* = -tr - tr ad and chi = tr - tr ad, so chi + chi* = 2 (chi - tr)
+        g = get_fixture(name).generators()
+        dual = dual_generators(g)
+        chi = character(g, discriminant(g))
+        chi_star = character(dual, discriminant(dual))
+        sums = [a + b for a, b in zip(chi.values, chi_star.values)]
+        assert sums == [2 * (a - t) for a, t in zip(chi.values, chi.trace_values)]
+        assert (not any(sums)) == is_special(chi)
+
+    @pytest.mark.parametrize("name, x0", [
+        ("nc-2", (2, -1)),
+        ("nc-3", (3, 3, 3)),
+        ("binary-cubic", (2, -1, 3, 2)),
+        ("det22-squared", (3, 2, -1, 3)),
+        ("star-2111", (2, -1, 3, 2, -1, 3)),
+    ])
+    def test_forced_points(self, name, x0):
+        # entries beyond {0, 1}: the slot width takes the powers of max |x0_v|
+        f, fstar = f_and_fstar(name)
+        assert f.evaluate(x0)
+        want = full_state_route(get_fixture(name).generators())
+        assert bernstein._pointwise_b(fstar, f, list(x0)) == want.b * want.raw_leading
+
+    def test_zero_coordinates_first(self, monkeypatch):
+        # the derivation order sets the cost, not the result: on dtilde3 the
+        # natural order walks 2979 state terms and "x0_v != 0 first" 16919
+        sizes = []
+        step = bernstein._int_step
+
+        def counted(*args):
+            out = step(*args)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(bernstein, "_int_step", counted)
+        f, fstar = f_and_fstar("dtilde3-22111")
+        assert bernstein._pointwise_b(fstar, f, bernstein._point(f)) is not None
+        assert len(sizes) == 180
+        assert max(sizes) <= 112 and sum(sizes) <= 1514
+
+    def test_point_off_the_zero_set(self):
+        for name in fixture_names():
+            f, _ = f_and_fstar(name)
+            x0 = bernstein._point(f)
+            assert set(x0) <= {0, 1}
+            assert f.evaluate(x0)
+        # x = 0 kills f = xy(x - y), and so do y = 0 and y = x = 1
+        assert bernstein._point(MultiPoly(XY, {(2, 1): 1, (1, 2): -1})) == [1, 2]
+
+    def test_vanishing_point_rejected(self):
+        with pytest.raises(DomainError):
+            bernstein._pointwise_b(f_xy(), f_xy(), [0, 1])
+
+    def test_annihilated_sum(self):
+        # (d_x^2 - d_y^2) (xy)^{s+1} = (s+1) s (y^2 - x^2) (xy)^{s-1}, zero at (1, 1)
+        fstar = MultiPoly(XY, {(2, 0): 1, (0, 2): -1})
+        assert bernstein._pointwise_b(fstar, f_xy(), [1, 1]) is None
+        # elsewhere it reads Q(x0) / f(x0) = 3 (s+1) s / 2
+        assert bernstein._pointwise_b(fstar, f_xy(), [1, 2]) == \
+            UniPoly([0, Fraction(3, 2), Fraction(3, 2)])
+
+    @pytest.mark.parametrize("name", ["binary-cubic", "star-2111"])
+    def test_direct_sum(self, name):
+        g = get_fixture(name).generators()
+        one, two = bfunction(g), bfunction(direct_sum(g, g))
+        assert isinstance(two, BResult)
+        assert two.b == one.b * one.b
+        assert two.raw_leading == one.raw_leading ** 2
+        assert two.special and two.symmetric

@@ -56,6 +56,27 @@ class TestSources:
         code, text = run(JobSpec("classify", input_path=path))
         assert "reductive (asserted): yes" in text
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, []])
+    def test_reductive_must_be_a_boolean(self, flag, tmp_path):
+        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj["reductive"] = flag
+        path = write_json(tmp_path, "g.json", obj)
+        code, text = run(JobSpec("classify", input_path=path))
+        assert code == 1
+        assert text.startswith("error:") and "reductive" in text
+
+    def test_reductive_false_and_absent(self, tmp_path):
+        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        for flag, shown in ((False, "no"), (None, "unknown")):
+            if flag is None:
+                obj.pop("reductive")
+            else:
+                obj["reductive"] = flag
+            path = write_json(tmp_path, "g.json", obj)
+            code, text = run(JobSpec("classify", input_path=path))
+            assert code == 0
+            assert f"reductive (asserted): {shown}" in text
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -219,6 +240,23 @@ class TestBadInput:
                "dimensions": {"s": 1, "c": 1, "z": 1}}
         path = write_json(tmp_path, "q.json", obj)
         self.run_main(["classify", "--input", path], capsys, "pair")
+
+    @pytest.mark.parametrize("variables", [5, "xy", [1, 2], {"x": 1}])
+    def test_bad_variables(self, variables, tmp_path, capsys):
+        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj["variables"] = variables
+        path = write_json(tmp_path, "g.json", obj)
+        self.run_main(["classify", "--input", path], capsys, "variables")
+
+    def test_vertices_not_a_list(self, tmp_path, capsys):
+        obj = {"vertices": "cs", "edges": [["s", "c"]],
+               "dimensions": {"c": 1, "s": 1}}
+        path = write_json(tmp_path, "q.json", obj)
+        self.run_main(["classify", "--input", path], capsys, "vertices")
+
+    def test_polynomial_degree_cap(self, capsys):
+        self.run_main(["symmetry", "--poly", "(s+1/3)^1000000"], capsys,
+                      "exceeds")
 
 
 GOLDEN = Path(__file__).parent / "golden" / "bfunction"

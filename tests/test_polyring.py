@@ -647,3 +647,27 @@ class TestParsing:
             parse_factored("(s+1)^(1/2)")
         with pytest.raises(ParseError):
             parse_factored("")
+
+    def test_degree_cap(self, monkeypatch):
+        # the guard fires before any expansion: an expansion past the cap
+        # would fail this assertion instead of running for days
+        pow_, mul = UniPoly.__pow__, UniPoly.__mul__
+        cap = polyring.MAX_PARSED_DEGREE
+
+        def guarded_pow(p, k):
+            assert k * max(p.degree(), 1) <= cap
+            return pow_(p, k)
+
+        def guarded_mul(p, q):
+            if isinstance(q, UniPoly):
+                assert max(p.degree(), 0) + max(q.degree(), 0) <= cap
+            return mul(p, q)
+
+        monkeypatch.setattr(UniPoly, "__pow__", guarded_pow)
+        monkeypatch.setattr(UniPoly, "__mul__", guarded_mul)
+        for text in ("(s+1/3)^1000000", "2^1000000", f"s^{cap}(s+2)",
+                     f"s^{cap // 2 + 1}(s^{cap // 2 + 1})", f"(s^{cap})^2"):
+            with pytest.raises(CapacityError):
+                parse_factored(text)
+        assert parse_factored(f"s^{cap - 1}(s+2)").degree() == cap
+        assert parse_factored(f"(s-s)^{cap}(s+1)") == UniPoly([])
