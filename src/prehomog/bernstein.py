@@ -16,12 +16,17 @@ exactly when chi + chi* vanishes on every generator.  Both characters
 are tr A - tr ad A with the same structure constants, up to the sign of
 the trace, so chi + chi* = 2 (chi - tr): the certificate is specialness.
 A special input has Q = b(s) f^{n-1}, so b(s) = Q(x0) / f(x0)^{n-1} at any
-x0 with f(x0) != 0, and the walk evaluates each variable as soon as its
-last derivation is done.  A non-special input fails the equation; that
-is a first-class result, not an exception.
+x0 with f(x0) != 0.  A non-special input fails the equation; that is a
+first-class result, not an exception.
 
-`apply_operator` and `extract_cofactor` build and divide the whole
-k = n state: the full-state route, kept public as an independent check.
+There is one walk, `_walk`: it derives one monomial of f* at a time on
+packed integers and sets each variable that has a value in x0 as soon as
+its last derivation is done.  `bfunction` gives every variable a value.
+`apply_operator` gives none, so it builds the whole k = n state, and
+`extract_cofactor` divides that by f^{n-1}: the full-state route, kept
+public as the reference the pointwise route is compared with.  The
+Fraction engine in tests/test_bernstein.py, one literal derivation at a
+time, is the independent check of the walk itself.
 """
 
 from fractions import Fraction
@@ -172,16 +177,6 @@ def _int_step(P, k, fv, f, shift, mask, W):
     return {e: V for e, V in out.items() if V}
 
 
-def _run_monomial(alpha, f_packed, fv_packed, B, mask, W):
-    P = {0: 1}
-    k = 0
-    for vi, times in enumerate(alpha):
-        for _ in range(times):
-            P = _int_step(P, k, fv_packed[vi], f_packed, B * vi, mask, W)
-            k += 1
-    return P
-
-
 def _slot_width(fs_int, f_packed, B):
     """Bits per s-slot that provably hold every coefficient of the result.
 
@@ -223,13 +218,86 @@ def _balanced_digits(V, W):
     return digits
 
 
+def _substitute(terms, shift, a, mask):
+    """{packed e: value} of the pairs `terms` with the variable at bit
+    `shift` set to a."""
+    out = {}
+    get = out.get
+    for e, V in terms:
+        d = (e >> shift) & mask
+        if d:
+            if not a:
+                continue
+            e -= d << shift
+            V *= a ** d
+        out[e] = get(e, 0) + V
+    return {e: V for e, V in out.items() if V}
+
+
+def _walk(fstar: MultiPoly, f: MultiPoly, x0):
+    """(total, W, scale): f*(d/dx) f^{s+1} = f^{s+1-n} scale Q, where Q has
+    every variable v with x0[v] not None set to x0[v] and total holds Q as
+    {packed e: Q_e(2^W)}.  With no variable set, Q is the k = n state.
+
+    Each monomial alpha of f* is walked on its own: set variables with
+    alpha_v = 0 are set in f, in every f_u and in the state from the start;
+    the others are derived in the order "x0_v = 0 first" and a set one is
+    set as soon as its last derivation is done, so a zero coordinate prunes
+    the state early.  Q is homogeneous of degree n(n-1), so setting
+    variables multiplies the l1 bound of `_slot_width` by at most
+    R^(n(n-1)), R = max |x0_v| over the set variables.
+    """
+    n = f.degree()
+    B = _exponent_bits(n)
+    mask = (1 << B) - 1
+    f_packed, f_scale = _packed(f, B)
+    restricted = {0: f_packed}  # bit set of the variables set to x0 -> f
+
+    def at(done, v):
+        """The bit set done + {v}, with f there memoised from f at done."""
+        key = done | 1 << v
+        if key not in restricted:
+            restricted[key] = list(
+                _substitute(restricted[done], B * v, x0[v], mask).items())
+        return key
+
+    fs_coeffs, fs_scale = primitive(fstar.terms.values())
+    fs_int = dict(zip(fstar.terms, fs_coeffs))
+    R = max((abs(a) for a in x0 if a is not None), default=0)
+    W = _slot_width(fs_int, f_packed, B) + (R ** (n * (n - 1))).bit_length()
+
+    order = sorted(range(len(x0)), key=lambda v: x0[v] != 0)
+    total = {}
+    for alpha, c_alpha in fs_int.items():
+        done = 0
+        for v, a in enumerate(x0):
+            if not alpha[v] and a is not None:
+                done = at(done, v)
+        P = {0: 1}
+        k = 0
+        for v in order:
+            if not alpha[v]:
+                continue
+            # f_v there is d/dv of f there: v itself is still free
+            f_done = restricted[done]
+            fv_done = _derivative(f_done, B * v, mask)
+            for _ in range(alpha[v]):
+                P = _int_step(P, k, fv_done, f_done, B * v, mask, W)
+                k += 1
+            if x0[v] is not None:
+                done = at(done, v)
+                P = _substitute(P.items(), B * v, x0[v], mask)
+        for e, V in P.items():
+            total[e] = total.get(e, 0) + c_alpha * V
+    return total, W, fs_scale * f_scale ** n
+
+
 def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     """Apply f*(d/dx) to f^{s+1}; returns the k = deg f state.
 
     The dual variables of fstar map to f's variables positionally.  The
     engine runs on the content-free integer forms of f and f* and restores
-    the scale exactly at the end.  Each monomial of f* is walked on its
-    own and merged into the total as soon as it is done.
+    the scale exactly at the end: it is `_walk` with no variable set.
 
     A state term is one pair of Python ints.  The exponent vector is packed
     with B = bit_length(n(n-1)) bits per variable (n = deg f): a state at
@@ -251,24 +319,10 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     if fstar.degree() != n:
         raise DomainError(f"degree mismatch: deg f* = {fstar.degree()}, deg f = {n}")
     nvars = len(f.variables)
-
-    B = _exponent_bits(n)
-    mask = (1 << B) - 1
-    f_packed, f_scale = _packed(f, B)
-    fv_packed = [_derivative(f_packed, B * vi, mask) for vi in range(nvars)]
-    fs_coeffs, fs_scale = primitive(fstar.terms.values())
-    fs_int = dict(zip(fstar.terms, fs_coeffs))
-    W = _slot_width(fs_int, f_packed, B)
-
-    total = {}
-    for alpha in sorted(fs_int):
-        c_alpha = fs_int[alpha]
-        for e, V in _run_monomial(alpha, f_packed, fv_packed, B, mask, W).items():
-            total[e] = total.get(e, 0) + c_alpha * V
-
-    mult = fs_scale * f_scale ** n
+    total, W, mult = _walk(fstar, f, [None] * nvars)
     if mult.denominator == 1:
         mult = mult.numerator   # integer state: no Fraction per coefficient
+    B = _exponent_bits(n)
     terms = {_unpack(e, B, nvars): [mult * v for v in _balanced_digits(V, W)]
              for e, V in total.items()}
     return SPowerExpression(f.variables, n, terms)
@@ -332,7 +386,7 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
 
 
 # ---------------------------------------------------------------------
-# the pointwise walk: b(s) = Q(x0) / f(x0)^(n-1) for a certified input
+# the pointwise route: b(s) = Q(x0) / f(x0)^(n-1) for a certified input
 
 def _point(f: MultiPoly):
     """Greedy integer point with f(x0) != 0.
@@ -343,101 +397,33 @@ def _point(f: MultiPoly):
     Nullstellensatz) and the search always succeeds.
     """
     n = f.degree()
-    terms = dict(zip(f.terms, primitive(f.terms.values())[0]))
+    B = _exponent_bits(n)
+    mask = (1 << B) - 1
+    terms = _packed(f, B)[0]
     x0 = []
-    for _ in f.variables:
+    for v in range(len(f.variables)):
         for a in range(n + 1):
-            rest = {}
-            for e, c in terms.items():
-                if a or not e[0]:
-                    rest[e[1:]] = rest.get(e[1:], 0) + c * a ** e[0]
-            rest = {e: c for e, c in rest.items() if c}
+            rest = _substitute(terms, B * v, a, mask)
             if rest:
                 break
         x0.append(a)
-        terms = rest
+        terms = list(rest.items())
     return x0
-
-
-def _substitute(terms, shift, a, mask):
-    """{packed e: value} of the pairs `terms` with the variable at bit
-    `shift` set to a."""
-    out = {}
-    get = out.get
-    for e, V in terms:
-        d = (e >> shift) & mask
-        if d:
-            if not a:
-                continue
-            e -= d << shift
-            V *= a ** d
-        out[e] = get(e, 0) + V
-    return {e: V for e, V in out.items() if V}
 
 
 def _pointwise_b(fstar: MultiPoly, f: MultiPoly, x0):
     """The raw b(s) = Q(x0) / f(x0)^(n-1), or None when Q(x0) = 0.
 
     Exact only when Q = b(s) f^(n-1), which `bfunction` certifies first.
-    Each monomial alpha of f* is walked on its own, on the packed integer
-    forms of `apply_operator`: variables with alpha_v = 0 are set to x0_v
-    in f, in every f_u and in the state from the start; the others are
-    derived in the order "x0_v = 0 first" and set to x0_v as soon as their
-    last derivation is done, so a zero coordinate prunes the state early.
-    Q is homogeneous of degree n(n-1), so evaluating at x0 multiplies the
-    l1 bound of `_slot_width` by at most R^(n(n-1)), R = max |x0_v|.
     """
-    n = f.degree()
-    nvars = len(f.variables)
-    B = _exponent_bits(n)
-    mask = (1 << B) - 1
-    f_packed, f_scale = _packed(f, B)
-    restricted = {0: f_packed}  # bit set of the variables set to x0 -> f
-
-    def at(done, v):
-        """The bit set done + {v}, with f there memoised from f at done."""
-        key = done | 1 << v
-        if key not in restricted:
-            restricted[key] = list(
-                _substitute(restricted[done], B * v, x0[v], mask).items())
-        return key
-
-    every = 0
-    for v in range(nvars):
-        every = at(every, v)
-    f0 = dict(restricted[every]).get(0)
+    f0 = f.evaluate(x0)
     if not f0:
         raise DomainError("f vanishes at the evaluation point")
-    fs_coeffs, fs_scale = primitive(fstar.terms.values())
-    fs_int = dict(zip(fstar.terms, fs_coeffs))
-    R = max(abs(a) for a in x0)
-    W = _slot_width(fs_int, f_packed, B) + (R ** (n * (n - 1))).bit_length()
-
-    order = sorted(range(nvars), key=lambda v: x0[v] != 0)
-    total = 0
-    for alpha, c_alpha in fs_int.items():
-        done = 0
-        for v in range(nvars):
-            if not alpha[v]:
-                done = at(done, v)
-        P = {0: 1}
-        k = 0
-        for v in order:
-            if not alpha[v]:
-                continue
-            # f_v there is d/dv of f there: v itself is still free
-            f_done = restricted[done]
-            fv_done = _derivative(f_done, B * v, mask)
-            for _ in range(alpha[v]):
-                P = _int_step(P, k, fv_done, f_done, B * v, mask, W)
-                k += 1
-            done = at(done, v)
-            P = _substitute(P.items(), B * v, x0[v], mask)
-        total += c_alpha * P.get(0, 0)
-    if not total:
+    total, W, scale = _walk(fstar, f, x0)
+    if not total.get(0):
         return None
-    scale = fs_scale * f_scale / Fraction(f0) ** (n - 1)
-    return UniPoly([d * scale for d in _balanced_digits(total, W)])
+    scale /= f0 ** (f.degree() - 1)
+    return UniPoly([d * scale for d in _balanced_digits(total[0], W)])
 
 
 def bfunction(g: liealg.GeneratorSet):

@@ -101,23 +101,15 @@ def _quotient_vector(ctx: PointContext, v):
     return [w[q] for q in ctx.normal_coords]
 
 
-def _normal_matrix(ctx: PointContext, B):
-    """Induced endomorphism of V / tangent for a matrix B preserving it."""
-    q = len(ctx.normal_coords)
-    out = [[Fraction(0)] * q for _ in range(q)]
-    for c, qc in enumerate(ctx.normal_coords):
-        col = _quotient_vector(ctx, [row[qc] for row in B])
-        for r in range(q):
-            out[r][c] = col[r]
-    return out
-
-
 def normal_representation(ctx: PointContext, g: liealg.GeneratorSet):
     """The isotropy action on V / tangent, one matrix per isotropy basis
-    element, in the chosen normal coordinates."""
+    element, in the chosen normal coordinates: column c is the class of the
+    element's column at the c-th normal coordinate."""
     if len(ctx.x0) != g.n:
         raise ContextError("context does not match the generator set")
-    return [_normal_matrix(ctx, B) for B in ctx.isotropy]
+    return [linalg.transpose([_quotient_vector(ctx, [row[qc] for row in B])
+                              for qc in ctx.normal_coords])
+            for B in ctx.isotropy]
 
 
 def localization(f: MultiPoly, x0):
@@ -204,7 +196,7 @@ def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,
     if not any(y0):
         raise DomainError("covector must be nonzero")
 
-    normals = [_normal_matrix(ctx, B) for B in ctx.isotropy]
+    normals = normal_representation(ctx, g)
     # rows of the system: sum_j t_j * (-N_j^T y0) = y0
     rows = [[-sum(N[m][r] * y0[m] for m in range(q)) for N in normals]
             for r in range(q)]

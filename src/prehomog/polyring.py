@@ -19,8 +19,11 @@ Rational = Fraction
 
 # total-degree cap; beyond this we refuse rather than grind forever
 MAX_TOTAL_DEGREE = 10**6
-# degree cap of parse_factored: (7s+1/11)^300 expands in about 0.7 s
+# degree cap of parse_factored
 MAX_PARSED_DEGREE = 300
+# parenthesis depth cap of parse_factored: each level takes four stack
+# frames of the recursive descent, far below Python's recursion limit
+MAX_PARSED_DEPTH = 100
 
 
 class _NegInf:
@@ -299,16 +302,16 @@ class MultiPoly:
         return MultiPoly(self.variables, out)
 
     def evaluate(self, point):
-        point = [_coerce(x) for x in point]
+        point = [_exact(x) for x in point]
         if len(point) != len(self.variables):
             raise ContextError("point dimension mismatch")
         total = Fraction(0)
         for e, c in self.terms.items():
-            v = c
+            m = 1   # the monomial stays in Z at an integer point
             for x, k in zip(point, e):
                 if k:
-                    v *= x ** k
-            total += v
+                    m *= x ** k
+            total += c * m
         return total
 
     def shift(self, point):
@@ -501,6 +504,9 @@ class UniPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a nonnegative integer")
+        if len(self.coeffs) <= 2:   # affine, constant or zero: one expansion
+            a, b = (self.coeffs + (0, 0))[:2]
+            return UniPoly(_binomial_row(a, b, k))
         result = UniPoly.one()
         for _ in range(k):
             result = result * self
@@ -861,9 +867,15 @@ def parse_factored(text: str) -> UniPoly:
 
     Every product and power is checked against MAX_PARSED_DEGREE before it
     is expanded, and so is every exponent, even of a constant: a larger
-    one raises CapacityError.
+    one raises CapacityError.  Parentheses nested deeper than
+    MAX_PARSED_DEPTH raise ParseError.
     """
     tokens = _tokenize(text)
+    depth = 0
+    for kind, _ in tokens:
+        depth += (kind == "(") - (kind == ")")
+        if depth > MAX_PARSED_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH}")
     pos = 0
 
     def peek():

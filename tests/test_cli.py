@@ -222,6 +222,13 @@ class TestBadInput:
     def test_zero_denominator(self, argv, capsys):
         self.run_main(argv, capsys, "zero denominator")
 
+    @pytest.mark.parametrize("argv", [
+        ["symmetry", "--poly", "(" * 400 + "s+1" + ")" * 400],
+        ["chain", "s+2", "(" * 400 + "s+1" + ")" * 400],
+    ])
+    def test_deep_nesting(self, argv, capsys):
+        self.run_main(argv, capsys, "nested deeper")
+
     def test_zero_denominator_in_generators(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {"generators": [[["1/0"]]]})
         self.run_main(["bfunction", "--input", path], capsys, "zero denominator")
@@ -265,14 +272,9 @@ FAILING = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4", "cubic-chain-4
 
 
 class TestGoldenBytes:
-    """`prehomog bfunction --fixture NAME --json` against recorded stdout.
+    """`prehomog bfunction --fixture NAME --json` against recorded stdout."""
 
-    The ten-variable dtilde3-22111 is left out for its run time; criterion
-    05 covers its b.
-    """
-
-    @pytest.mark.parametrize(
-        "name", [n for n in fixture_names() if n != "dtilde3-22111"])
+    @pytest.mark.parametrize("name", fixture_names())
     def test_bfunction_json(self, name, capsys):
         code = main(["bfunction", "--fixture", name, "--json"])
         assert code == (2 if name in FAILING else 0)

@@ -124,6 +124,17 @@ class TestCalculusAndSubstitution:
         p = x * y - z ** 2
         assert p.evaluate([2, 3, 1]) == 5
         assert p.evaluate([Fraction(1, 2), 4, 0]) == 2
+        # integer, Fraction and string coordinates give the same Fraction
+        rng = random.Random(5)
+        for _ in range(50):
+            q = random_poly(rng)
+            point = [rng.randint(-4, 4) for _ in XYZ]
+            want = sum((c * math.prod(Fraction(v) ** k for v, k in zip(point, e))
+                        for e, c in q.terms.items()), Fraction(0))
+            for coords in (point, [Fraction(v) for v in point],
+                           [str(v) for v in point]):
+                got = q.evaluate(coords)
+                assert got == want and type(got) is Fraction
 
     def test_shift(self):
         x, y, z = MultiPoly.gens(XYZ)
@@ -286,6 +297,32 @@ class TestUniPoly:
         assert p.deflate(-1) == UniPoly([Fraction(1, 2), 1])
         with pytest.raises(DomainError):
             p.deflate(7)
+
+    def test_affine_power_against_repeated_products(self):
+        # degree <= 1 expands through one binomial row; the oracle is the
+        # product of k copies.  Two affine bases, two constants and zero are
+        # compared at 40 seeded exponents in 0..300 and at 0, 1 and 300;
+        # 30 more affine bases at every exponent up to 20.
+        rng = random.Random(20261018)
+
+        def rat():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        bases = [UniPoly([rng.randint(-9, 9), rng.randint(1, 9)]),
+                 UniPoly([rat(), rat() or 7]),
+                 UniPoly([rat() or 1]), UniPoly([-1]), UniPoly.zero()]
+        checked = {0, 1, 300} | set(rng.sample(range(2, 300), 40))
+        extra = [UniPoly([rat(), rat() or 1]) for _ in range(30)]
+        for p, top, ks in ([(p, 300, checked) for p in bases]
+                           + [(p, 20, range(21)) for p in extra]):
+            want = UniPoly.one()
+            for k in range(top + 1):
+                if k in ks:
+                    assert p ** k == want, (p, k)
+                want = want * p
+        # higher degrees keep the product loop
+        q = UniPoly([1, -2, 3])
+        assert q ** 3 == q * q * q
 
     def test_str(self):
         assert str(UniPoly([1, 1])) == "s + 1"
@@ -635,6 +672,13 @@ class TestParsing:
 
     def test_nested(self):
         assert parse_factored("((s+1))^2") == UniPoly([1, 2, 1])
+
+    def test_nesting_depth(self):
+        depth = polyring.MAX_PARSED_DEPTH
+        deep = "(" * depth + "s+1" + ")" * depth
+        assert parse_factored(deep) == UniPoly([1, 1])
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_factored("(" + deep + ")")
 
     def test_errors(self):
         with pytest.raises(ParseError):
