@@ -33,8 +33,8 @@ from fractions import Fraction
 
 from . import liealg, linalg
 from .errors import ClosureError, ContextError, DomainError
-from .polyring import (MultiPoly, Spectrum, UniPoly, primitive,
-                       rational_root_spectrum)
+from .polyring import (MultiPoly, Spectrum, UniPoly, packed, primitive,
+                       rational_root_spectrum, unpack)
 
 
 class SPowerExpression:
@@ -135,24 +135,11 @@ def _exponent_bits(n):
     return max(1, (n * (n - 1)).bit_length())
 
 
-def _packed(f: MultiPoly, B):
-    """(terms, scale): f = scale * sum c x^e over the content-free integer
-    terms [(packed e, c)], variable i in bits [B*i, B*i + B) of packed e."""
-    coeffs, scale = primitive(f.terms.values())
-    return [(sum(x << B * i for i, x in enumerate(e)), c)
-            for e, c in zip(f.terms, coeffs)], scale
-
-
 def _derivative(terms, shift, mask):
     """d/dv of packed pairs, v at bit `shift`: each term with e_v > 0
     becomes (e - x_v, c e_v), and none collide."""
     return [(e - (1 << shift), c * ((e >> shift) & mask))
             for e, c in terms if (e >> shift) & mask]
-
-
-def _unpack(e, B, nvars):
-    mask = (1 << B) - 1
-    return tuple((e >> B * i) & mask for i in range(nvars))
 
 
 def _int_step(P, k, fv, f, shift, mask, W):
@@ -187,7 +174,7 @@ def _slot_width(fs_int, f_packed, B):
     terms of f_v are those of f with e_v > 0, so ||f_v|| = sum |c| e_v.
     """
     nvars = len(next(iter(fs_int)))
-    f_int = [(_unpack(e, B, nvars), abs(c)) for e, c in f_packed]
+    f_int = [(unpack(e, B, nvars), abs(c)) for e, c in f_packed]
     norm_f = sum(c for _, c in f_int)
     norm_fv = [sum(e[vi] * c for e, c in f_int) for vi in range(nvars)]
     deg_f = [max(e[vi] for e, _ in f_int) for vi in range(nvars)]
@@ -250,7 +237,7 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
     n = f.degree()
     B = _exponent_bits(n)
     mask = (1 << B) - 1
-    f_packed, f_scale = _packed(f, B)
+    f_packed, f_scale = packed(f, B)
     restricted = {0: f_packed}  # bit set of the variables set to x0 -> f
 
     def at(done, v):
@@ -323,7 +310,7 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     if mult.denominator == 1:
         mult = mult.numerator   # integer state: no Fraction per coefficient
     B = _exponent_bits(n)
-    terms = {_unpack(e, B, nvars): [mult * v for v in _balanced_digits(V, W)]
+    terms = {unpack(e, B, nvars): [mult * v for v in _balanced_digits(V, W)]
              for e, V in total.items()}
     return SPowerExpression(f.variables, n, terms)
 
@@ -349,7 +336,7 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
         return BFailure("functional-equation", "operator annihilated f^{s+1}")
 
     B = _exponent_bits(n)
-    f_packed, f_scale = _packed(f, B)
+    f_packed, f_scale = packed(f, B)
     fpow = {0: 1}
     for _ in range(n - 1):
         out = {}
@@ -360,7 +347,7 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
                 out[e] = get(e, 0) + c1 * c2
         fpow = {e: c for e, c in out.items() if c}
     nvars = len(f.variables)
-    fpow = {_unpack(e, B, nvars): c for e, c in fpow.items()}
+    fpow = {unpack(e, B, nvars): c for e, c in fpow.items()}
 
     beta = min(fpow)
     c_beta = fpow[beta]
@@ -399,7 +386,7 @@ def _point(f: MultiPoly):
     n = f.degree()
     B = _exponent_bits(n)
     mask = (1 << B) - 1
-    terms = _packed(f, B)[0]
+    terms = packed(f, B)[0]
     x0 = []
     for v in range(len(f.variables)):
         for a in range(n + 1):

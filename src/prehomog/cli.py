@@ -6,6 +6,7 @@ does not hold, covector not admissible).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,7 +223,10 @@ def run(job: JobSpec):
         return 1, f"error: {exc}"
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: parse_args fills a new
+    namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="prehomog",
         description="Exact b-functions of prehomogeneous determinants")

@@ -146,11 +146,21 @@ _STATIC = {
 }
 
 
+# family members by name, each built on its first request
+_FAMILY = {}
+
+
 def get_fixture(name: str) -> Fixture:
-    """Resolve a fixture by name; nc-N and atilde-N are families."""
-    got = _STATIC.get(name)
-    if got is not None:
-        return got
+    """Resolve a fixture by name; nc-N and atilde-N are families.  Every
+    name resolves to one Fixture per process, so its generators are built
+    once."""
+    got = _STATIC.get(name) or _FAMILY.get(name)
+    if got is None:
+        got = _FAMILY[name] = _family(name)
+    return got
+
+
+def _family(name):
     m = re.fullmatch(r"nc-(\d+)", name)
     if m:
         n = int(m.group(1))

@@ -5,6 +5,13 @@ matrix A acts as the vector field delta_A = <Ax, d/dx>; the discriminant
 is f(x) = det(A_1 x | ... | A_n x).  This module computes discriminants,
 infinitesimal characters, annihilators, specialness, and the dual
 (negative transpose) generator set.
+
+The discriminant and delta_A run on content-free integer forms in the
+packed exponent format of `polyring.packed`: each matrix and f are
+scaled to integers once, and the scales are restored once at the end.
+One delta_A kernel, `_delta`, serves both `infinitesimal_apply` and the
+character, which checks delta_A f = lam f by exact cross-multiplication
+without building lam f.
 """
 
 from fractions import Fraction
@@ -12,7 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (ClosureError, ContextError, DegenerateCharacterError,
                      DegenerateDualError, DomainError, NotInvariantError)
-from .polyring import MultiPoly, is_squarefree
+from .polyring import MultiPoly, is_squarefree, packed, primitive, unpack
 
 
 def default_variables(n):
@@ -160,104 +167,166 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     return StructureReport(True, constants, None)
 
 
-def infinitesimal_apply(A, p: MultiPoly) -> MultiPoly:
-    """delta_A(p) = sum_i (Ax)_i * dp/dx_i."""
+def _square(A, n):
+    """A as Fractions, checked to be n x n."""
     A = linalg.frac_matrix(A)
-    n = len(p.variables)
     if len(A) != n or any(len(row) != n for row in A):
         raise ContextError("matrix size does not match the variable context")
+    return A
+
+
+def _degree_bits(p: MultiPoly):
+    """Bits per variable for packed exponents of p and of delta_A p: delta_A
+    keeps the total degree, so every exponent stays <= deg p."""
+    return max(1, max(map(sum, p.terms), default=0).bit_length())
+
+
+def _integer_rows(A):
+    """(rows, scale): A = scale * M with M a content-free integer matrix
+    and rows[i] = [(j, M_ij)] over the nonzero entries of row i."""
+    nonzero = [(i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+    ints, scale = primitive([v for _, _, v in nonzero])
+    rows = [[] for _ in A]
+    for (i, j, _), a in zip(nonzero, ints):
+        rows[i].append((j, a))
+    return rows, scale
+
+
+def _delta(A, terms, B):
+    """(d, scale): delta_A of the packed pairs `terms` is scale * d, with
+    d = {packed e: int} and no zero values.
+
+    A is taken in its content-free integer form, scale its content.  x_j
+    d/dx_i moves e to e - x_i + x_j: one int add on the packed exponent."""
+    rows, scale = _integer_rows(A)
+    mask = (1 << B) - 1
+    rows = [(B * i, [((1 << B * j) - (1 << B * i), a) for j, a in row])
+            for i, row in enumerate(rows) if row]
     out = {}
-    for e, c in p.terms.items():
-        for i in range(n):
-            if not e[i]:
-                continue
-            base = c * e[i]
-            row = A[i]
-            for j in range(n):
-                if row[j]:
-                    ne = list(e)
-                    ne[i] -= 1
-                    ne[j] += 1
-                    ne = tuple(ne)
-                    out[ne] = out.get(ne, Fraction(0)) + base * row[j]
-    return MultiPoly(p.variables, out)
+    get = out.get
+    for e, c in terms:
+        for shift, moves in rows:
+            m = (e >> shift) & mask
+            if m:
+                base = c * m
+                for step, a in moves:
+                    ne = e + step
+                    out[ne] = get(ne, 0) + base * a
+    return {e: v for e, v in out.items() if v}, scale
 
 
-def _det_of_columns(cols, variables):
-    """Determinant of a matrix given by columns of MultiPoly entries.
-
-    Expansion by minors with memoization over column subsets; row r is
-    expanded when r+1 columns have been consumed.
-    """
-    n = len(cols)
-    memo = {(): MultiPoly.constant(variables, 1)}
-
-    def minor(used):
-        got = memo.get(used)
-        if got is not None:
-            return got
-        row = len(used) - 1
-        acc = MultiPoly.zero(variables)
-        for idx, j in enumerate(used):
-            entry = cols[j][row]
-            if entry.is_zero:
-                continue
-            rest = tuple(c for c in used if c != j)
-            term = minor(rest) * entry
-            acc = acc + (term if (row + idx) % 2 == 0 else -term)
-        memo[used] = acc
-        return acc
-
-    return minor(tuple(range(n)))
+def infinitesimal_apply(A, p: MultiPoly) -> MultiPoly:
+    """delta_A(p) = sum_i (Ax)_i * dp/dx_i."""
+    n = len(p.variables)
+    A = _square(A, n)
+    B = _degree_bits(p)
+    terms, p_scale = packed(p, B)
+    d, a_scale = _delta(A, terms, B)
+    scale = a_scale * p_scale
+    return MultiPoly(p.variables, {unpack(e, B, n): scale * v for e, v in d.items()})
 
 
 def matrix_columns_determinant(mats, variables) -> MultiPoly:
     """det(A_1 x, ..., A_k x) for any list of k square matrices on k
-    variables; no independence requirement, so the result may be zero."""
+    variables; no independence requirement, so the result may be zero.
+
+    Each A_k is scaled once to its content-free integer form, the
+    determinant of those is expanded by minors with memoisation over
+    column subsets (row r is expanded when r + 1 columns have been
+    consumed) and the product of the scales is restored once at the end.
+    An r-minor has degree r <= n, so bit_length(n) bits per variable hold
+    every packed exponent.
+    """
     variables = tuple(variables)
     n = len(variables)
     if len(mats) != n:
         raise ContextError("need one matrix per variable")
-    xs = MultiPoly.gens(variables)
-    cols = []
+    B = max(1, n.bit_length())
+    scale = Fraction(1)
+    cols = []   # cols[k][i]: the linear form (A_k x)_i as packed pairs
     for A in mats:
         A = linalg.frac_matrix(A)
         if len(A) != n or any(len(row) != n for row in A):
             raise ContextError(f"matrices must be {n}x{n}")
-        col = []
-        for i in range(n):
-            form = MultiPoly.zero(variables)
-            for j in range(n):
-                if A[i][j]:
-                    form = form + A[i][j] * xs[j]
-            col.append(form)
-        cols.append(col)
-    return _det_of_columns(cols, variables)
+        rows, s = _integer_rows(A)
+        scale *= s
+        cols.append([[(1 << B * j, a) for j, a in row] for row in rows])
+    memo = {0: {0: 1}}
+
+    def minor(used):
+        """Rows 0..|used|-1 in the columns of the bit set `used`."""
+        got = memo.get(used)
+        if got is not None:
+            return got
+        row = used.bit_count() - 1
+        sign = -1 if row % 2 else 1
+        acc = {}
+        get = acc.get
+        for j in range(n):
+            if not used >> j & 1:
+                continue
+            form = cols[j][row]
+            if form:
+                for e1, c1 in minor(used ^ 1 << j).items():
+                    c1 *= sign
+                    for e2, c2 in form:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+            sign = -sign
+        got = memo[used] = {e: c for e, c in acc.items() if c}
+        return got
+
+    det = minor((1 << n) - 1)
+    return MultiPoly(variables, {unpack(e, B, n): scale * c for e, c in det.items()})
 
 
 def discriminant(g: GeneratorSet) -> MultiPoly:
     """f(x) = det(A_1 x, ..., A_n x), homogeneous of degree n or zero."""
-    return matrix_columns_determinant(g.matrices(), g.variables)
+    return matrix_columns_determinant(g.generators, g.variables)
+
+
+def _eigenvalue(A, terms, support, B):
+    """lam with delta_A f = lam * f for f the packed pairs `terms` with the
+    key set `support`, or None.  Exact by cross-multiplication against the
+    first term (e0, c0): d_e c0 = d_e0 c_e on supp f, and d has no term
+    outside supp f."""
+    d, scale = _delta(A, terms, B)
+    e0, c0 = terms[0]
+    d0 = d.get(e0, 0)
+    if not d.keys() <= support or any(d.get(e, 0) * c0 != d0 * c for e, c in terms):
+        return None
+    return scale * Fraction(d0, c0)
+
+
+def _packed_form(f: MultiPoly):
+    """(terms, support, B) of nonzero f for `_eigenvalue`; the content of f
+    cancels from lam and is dropped."""
+    if f.is_zero:
+        raise DomainError("zero polynomial has no character")
+    B = _degree_bits(f)
+    terms = packed(f, B)[0]
+    return terms, {e for e, _ in terms}, B
 
 
 def character_value(A, f: MultiPoly):
     """lam with delta_A(f) = lam * f, or None when f is not a semi-invariant
-    of A.  lam is read off the lexicographically first term of f."""
-    d = infinitesimal_apply(A, f)
-    lead_e, lead_c = f.leading_term_lex()
-    lam = d.coefficient(lead_e) / lead_c
-    return lam if d == f * lam else None
+    of A."""
+    A = _square(A, len(f.variables))
+    return _eigenvalue(A, *_packed_form(f))
 
 
 def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
-    """Extract dchi(A_k) from delta_{A_k}(f) = dchi(A_k) * f, plus traces."""
+    """Extract dchi(A_k) from delta_{A_k}(f) = dchi(A_k) * f, plus traces;
+    f is packed once for all generators."""
     if f.is_zero:
         raise DomainError("character requires a nonzero discriminant")
+    if len(f.variables) != g.n:
+        raise ContextError("matrix size does not match the variable context")
+    form = _packed_form(f)
     values = []
     traces = []
-    for k in range(g.n):
-        A = g.matrix(k)
-        lam = character_value(A, f)
+    for k, A in enumerate(g.generators):
+        lam = _eigenvalue(A, *form)
         if lam is None:
             raise NotInvariantError(
                 f"delta_A(f) is not proportional to f for generator {k + 1}")

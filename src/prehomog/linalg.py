@@ -66,7 +66,7 @@ def transpose(a):
 
 
 def trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+    return sum((a[i][i] for i in range(len(a)) if a[i][i]), Fraction(0))
 
 
 def bracket(a, b):
@@ -80,7 +80,7 @@ def is_zero_matrix(a):
 
 def rref(rows):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    m = [list(map(Fraction, row)) for row in rows]
+    m = frac_matrix(rows)
     if not m:
         return [], []
     ncols = len(m[0])
@@ -143,8 +143,7 @@ def solve(a, b):
     if not a:
         return []
     ncols = len(a[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
-    m, pivots = rref(aug)
+    m, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
     if ncols in pivots:
         return None  # pivot in the constant column: inconsistent
     x = [Fraction(0)] * ncols

@@ -4,6 +4,11 @@ MultiPoly is a sparse multivariate polynomial: a map from exponent
 tuples to Fraction coefficients, together with an ordered variable
 context.  UniPoly is dense univariate, lowest degree first.  All
 arithmetic is exact; there is no floating point anywhere.
+
+The integer engines (the determinant and delta_A in liealg, the
+derivation walk in bernstein) share one exponent format: `packed` scales
+a MultiPoly to its content-free integer form and packs each exponent
+tuple into one int, `unpack` reads a tuple back.
 """
 
 import random
@@ -63,6 +68,23 @@ def primitive(values):
     if g > 1:
         ints = [v // g for v in ints]
     return ints, Fraction(g or 1, den)
+
+
+def packed(p, B):
+    """(terms, scale): p = scale * sum c x^e over the content-free integer
+    terms [(packed e, c)], variable i in bits [B*i, B*i + B) of packed e.
+
+    The caller picks B so that every exponent it reaches fits in B bits;
+    then adding monomials is one int add and no slot ever carries."""
+    coeffs, scale = primitive(p.terms.values())
+    return [(sum(x << B * i for i, x in enumerate(e)), c)
+            for e, c in zip(p.terms, coeffs)], scale
+
+
+def unpack(e, B, nvars):
+    """The exponent tuple of the packed exponent e."""
+    mask = (1 << B) - 1
+    return tuple((e >> B * i) & mask for i in range(nvars))
 
 
 def _exact(c):
@@ -403,6 +425,8 @@ class MultiPoly:
 
 def _binomial_row(a, b, k):
     """(a + t*b)^k as a dense coefficient list, lowest degree first."""
+    if not b:
+        return [a ** k]
     return [comb(k, j) * a ** (k - j) * b ** j for j in range(k + 1)]
 
 

@@ -206,6 +206,22 @@ class TestMain:
             main(["chain", "--seed", "3", "s+1"])
 
 
+    def test_parser_state_does_not_leak(self, monkeypatch, capsys):
+        jobs = []
+        monkeypatch.setattr("prehomog.cli.run",
+                            lambda job: jobs.append(job) or (0, ""))
+        argv = ["classify", "--fixture", "nc-2"]
+        main(argv + ["--seed", "3", "--trials", "2", "--json"])
+        main(argv)
+        assert [(j.seed, j.trials, j.json_output) for j in jobs] == \
+            [(3, 2, True), (0, 8, False)]
+        with pytest.raises(SystemExit):
+            main(argv + ["--seed", "x"])
+        assert main(["chain", "s+1"]) == 0
+        assert (jobs[-1].command, jobs[-1].factors, jobs[-1].seed) == \
+            ("chain", ["s+1"], 0)
+
+
 class TestBadInput:
     """Malformed numbers and quivers end in an `error:` line, exit code 1."""
 

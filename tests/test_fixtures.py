@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from prehomog import fixtures, quiver
 from prehomog.errors import ContextError
 from prehomog.fixtures import (fixture_names, get_fixture,
                                reduced_discriminant_bfunctions, star_chain,
@@ -33,6 +34,22 @@ class TestRegistry:
     def test_generators_cached(self):
         fx = get_fixture("binary-cubic")
         assert fx.generators() is fx.generators()
+
+    def test_family_memoised(self, monkeypatch):
+        monkeypatch.setattr(fixtures, "_FAMILY", {})
+        built = []
+        atilde = quiver.atilde_quiver
+
+        def counting(n):
+            built.append(n)
+            return atilde(n)
+
+        monkeypatch.setattr(quiver, "atilde_quiver", counting)
+        for name in ("atilde-3", "nc-5"):
+            fx = get_fixture(name)
+            assert get_fixture(name) is fx
+            assert fx.generators() is get_fixture(name).generators()
+        assert built == [3]
 
 
 class TestMetadata:

@@ -1,10 +1,11 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from prehomog import liealg, linalg
+from prehomog import liealg, linalg, quiver
 from prehomog.errors import (ClosureError, ContextError,
                              DegenerateCharacterError, DegenerateDualError,
                              DomainError, NotInvariantError)
@@ -12,7 +13,8 @@ from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import (CharacterData, GeneratorSet, annihilator_basis,
                              character, character_of_combination, classify,
                              discriminant, dual_character_check,
-                             dual_generators, infinitesimal_apply, is_special,
+                             character_value, dual_generators,
+                             infinitesimal_apply, is_special,
                              matrix_columns_determinant, validate_algebra)
 from prehomog.polyring import MultiPoly
 
@@ -213,6 +215,27 @@ class TestInfinitesimalAction:
         with pytest.raises(ContextError):
             infinitesimal_apply([[1]], MultiPoly.gens(("x", "y"))[0])
 
+    def test_against_derivatives(self):
+        """Seeded oracle: sum_i (Ax)_i dp/dx_i in MultiPoly arithmetic, on
+        rational A and p that are not homogeneous, with exponents up to 9."""
+        rng = random.Random(2718)
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            names = tuple(f"v{i}" for i in range(n))
+            p = MultiPoly(names, {
+                tuple(rng.randint(0, 9 if trial % 3 == 0 else 3) for _ in range(n)):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 6))})
+            A = [[rng.choice((0, 0, 1, -2, Fraction(3, 4), Fraction(-5, 6)))
+                  for _ in range(n)] for _ in range(n)]
+            xs = MultiPoly.gens(names)
+            want = MultiPoly.zero(names)
+            for i, v in enumerate(names):
+                form = sum((a * x for a, x in zip(A[i], xs)), MultiPoly.zero(names))
+                want = want + form * p.derivative(v)
+            got = infinitesimal_apply(A, p)
+            assert got.terms == want.terms, (A, p)
+
 
 class TestDiscriminant:
     def test_normal_crossings(self):
@@ -237,6 +260,39 @@ class TestDiscriminant:
         f2 = matrix_columns_determinant([e11, [[2, 0], [0, 0]]], ("x", "y"))
         assert f2.is_zero
 
+    def test_against_leibniz(self):
+        """Seeded oracle: the Leibniz sum over permutations in MultiPoly
+        arithmetic, on rational matrices with zero and dependent columns."""
+        rng = random.Random(1618)
+        entries = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+        for trial in range(32):
+            n = 5 if trial % 8 == 7 else rng.randint(1, 4)
+            names = tuple(f"v{i}" for i in range(n))
+            mats = [[[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1 and trial % 4 == 1:
+                mats[rng.randrange(n)] = linalg.zero_matrix(n, n)
+            if n > 1 and trial % 4 == 2:
+                i, j = rng.sample(range(n), 2)
+                mats[j] = linalg.mat_scale(mats[i], Fraction(-2, 3))
+            xs = MultiPoly.gens(names)
+            cols = [[sum((a * x for a, x in zip(row, xs)), MultiPoly.zero(names))
+                     for row in A] for A in mats]
+            acc = {}
+            for perm in permutations(range(n)):
+                sign = (-1) ** sum(perm[a] > perm[b] for a in range(n)
+                                   for b in range(a + 1, n))
+                term = MultiPoly.constant(names, sign)
+                for k in range(n):
+                    term = term * cols[k][perm[k]]
+                for e, c in term.terms.items():
+                    acc[e] = acc.get(e, 0) + c
+            want = MultiPoly(names, acc)
+            got = matrix_columns_determinant(mats, names)
+            assert got.terms == want.terms, mats
+            if n > 1 and trial % 4 in (1, 2):
+                assert got.is_zero
+
     def test_degree_equals_dimension(self):
         for name in ("binary-cubic", "det22-squared", "star-2111"):
             g = get_fixture(name).generators()
@@ -258,6 +314,38 @@ class TestCharacter:
         x, y = MultiPoly.gens(g.variables)
         with pytest.raises(NotInvariantError):
             character(g, x + y)
+
+    def test_term_outside_support(self):
+        # delta of the field y d/dx on x^2 is 2xy, a monomial f lacks
+        g = GeneratorSet([[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
+        x, y = MultiPoly.gens(g.variables)
+        assert character_value(g.matrix(0), x * x) is None
+        with pytest.raises(NotInvariantError, match="generator 1"):
+            character(g, 3 * x * x)
+
+    def test_same_support_not_proportional(self):
+        # delta of x d/dx + 2y d/dy on x + y is x + 2y: same support
+        g = GeneratorSet([[[1, 0], [0, 0]], [[1, 0], [0, 2]]])
+        x, y = MultiPoly.gens(g.variables)
+        f = Fraction(2, 3) * (x + y)
+        assert character_value(g.matrix(1), f) is None
+        assert character_value(g.matrix(0), x * x) == 2
+        with pytest.raises(NotInvariantError, match="generator 1"):
+            character(g, f)
+
+    def test_star_31111(self):
+        """n = 12: the center-3 star with four 1-dimensional sources."""
+        sources = ["s1", "s2", "s3", "s4"]
+        qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
+        d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
+        g = quiver.infinitesimal_generators(qv, d)
+        f = discriminant(g)
+        dual = dual_generators(g)
+        fstar = discriminant(dual)
+        assert (g.n, len(f.terms), len(fstar.terms)) == (12, 415, 415)
+        assert is_special(character(g, f))
+        assert character(dual, fstar).values == \
+            tuple(-v for v in character(g, f).values)
 
     def test_combination_linearity(self):
         c = CharacterData([1, 2, 3], [1, 1, 1])
