@@ -6,12 +6,15 @@ is f(x) = det(A_1 x | ... | A_n x).  This module computes discriminants,
 infinitesimal characters, annihilators, specialness, and the dual
 (negative transpose) generator set.
 
-The discriminant and delta_A run on content-free integer forms in the
-packed exponent format of `polyring.packed`: each matrix and f are
-scaled to integers once, and the scales are restored once at the end.
-One delta_A kernel, `_delta`, serves both `infinitesimal_apply` and the
-character, which checks delta_A f = lam f by exact cross-multiplication
-without building lam f.
+A GeneratorSet stores the content-free integer form A_k = scale_k * M_k
+of each generator, built once by `_integer_form` (the one route from a
+matrix to integers) when the set is filled; the dual set negates and
+transposes the same integers.  The closure check's brackets, the
+determinant and the one delta_A kernel `_delta` read the stored forms,
+and ad-hoc matrices are converted per call.  The determinant and delta_A
+use the packed exponents of `polyring.packed` and restore the scales
+once at the end; the character checks delta_A f = lam f by exact
+cross-multiplication without building lam f.
 """
 
 from fractions import Fraction
@@ -32,18 +35,20 @@ class GeneratorSet:
     Generator order is semantically significant: the discriminant is
     the literal column determinant in this order, so reordering changes
     f by a sign and scaling changes it by a scalar.
+
+    `generators` holds the matrices as Fraction tuples, and `forms[k]`
+    the integer form (rows, scale) of A_k from `_integer_form`, built
+    once from the checked Fraction matrices; `dual_generators` reuses it.
     """
 
-    __slots__ = ("n", "generators", "variables")
+    __slots__ = ("n", "generators", "variables", "forms")
 
     def __init__(self, generators, variables=None):
         gens = [linalg.frac_matrix(m) for m in generators]
         n = len(gens)
         if n < 1:
             raise DomainError("need at least one generator")
-        for m in gens:
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ContextError(f"generators must be {n}x{n} matrices")
+        forms = [_integer_form(m, n) for m in gens]
         if variables is None:
             variables = default_variables(n)
         variables = tuple(variables)
@@ -51,14 +56,15 @@ class GeneratorSet:
             raise ContextError("need one variable per generator")
         if not linalg.independent(gens):
             raise DomainError("generators are linearly dependent")
-        self._fill(gens, variables)
+        self._fill(gens, variables, forms)
 
-    def _fill(self, gens, variables):
+    def _fill(self, gens, variables, forms):
         """Set the fields from checked data: independent n x n Fraction
-        matrices and n variable names."""
+        matrices, n variable names and the matrices' integer forms."""
         object.__setattr__(self, "n", len(gens))
         object.__setattr__(self, "generators", tuple(tuple(tuple(row) for row in m) for m in gens))
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "forms", tuple(forms))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSet is immutable")
@@ -128,6 +134,8 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     b - sum_r b[p_r] R_r vanishes, and then c_ij = (b[p_r])_r T.
     Brackets are antisymmetric, so only i < j is reduced: c_ji = -c_ij,
     c_ii = 0, and the first failing pair in row-major order has i < j.
+    The products run on the stored integer forms: [A_i, A_j] =
+    scale_i scale_j [M_i, M_j], and the integer bracket is reduced.
     """
     n = g.n
     size = n * n
@@ -137,11 +145,9 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     reduced, pivots = linalg.rref(rows)
     basis = [[(c, v) for c, v in enumerate(row[:size]) if v] for row in reduced]
     change = [row[size:] for row in reduced]
-    # nonzero entries of each generator, once as (i, k, v) and once by row k
-    entries = [[(i, k, v) for i, row in enumerate(A) for k, v in enumerate(row) if v]
-               for A in g.generators]
-    by_row = [[[(j, v) for j, v in enumerate(row) if v] for row in A]
-              for A in g.generators]
+    # nonzero entries (i, k, M_ik) of each integer form
+    entries = [[(i, k, a) for i, row in enumerate(form[0]) for k, a in row]
+               for form in g.forms]
 
     constants = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -149,30 +155,38 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
         for j in range(i + 1, n):
             br = {}
             for a, b, sign in ((i, j, 1), (j, i, -1)):
+                by_row = g.forms[b][0]
                 for r, k, v in entries[a]:
-                    for c, w in by_row[b][k]:
+                    for c, w in by_row[k]:
                         idx = r * n + c
-                        br[idx] = br.get(idx, zero) + sign * v * w
-            coords = [br.get(p, zero) for p in pivots]
+                        br[idx] = br.get(idx, 0) + sign * v * w
+            coords = [br.get(p, 0) for p in pivots]
             for x, row in zip(coords, basis):
                 if x:
                     for c, v in row:
-                        br[c] = br.get(c, zero) - x * v
+                        br[c] = br.get(c, 0) - x * v
             if any(br.values()):
                 return StructureReport(False, None, (i, j))
-            cij = tuple(sum((x * t[k] for x, t in zip(coords, change) if x), zero)
+            scale = g.forms[i][1] * g.forms[j][1]
+            cij = tuple(scale * sum((x * t[k] for x, t in zip(coords, change) if x), zero)
                         for k in range(n))
             constants[i][j] = cij
             constants[j][i] = tuple(-v for v in cij)
     return StructureReport(True, constants, None)
 
 
-def _square(A, n):
-    """A as Fractions, checked to be n x n."""
-    A = linalg.frac_matrix(A)
+def _integer_form(A, n):
+    """(rows, scale) of the n x n matrix A of ints and Fractions: A =
+    scale * M with M a content-free integer matrix, scale > 0 and
+    rows[i] = ((j, M_ij), ...) over the nonzero entries of row i."""
     if len(A) != n or any(len(row) != n for row in A):
-        raise ContextError("matrix size does not match the variable context")
-    return A
+        raise ContextError(f"matrices must be {n}x{n}")
+    nonzero = [(i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+    ints, scale = primitive([v for _, _, v in nonzero])
+    rows = [[] for _ in range(n)]
+    for (i, j, _), a in zip(nonzero, ints):
+        rows[i].append((j, a))
+    return tuple(map(tuple, rows)), scale
 
 
 def _degree_bits(p: MultiPoly):
@@ -181,24 +195,13 @@ def _degree_bits(p: MultiPoly):
     return max(1, max(map(sum, p.terms), default=0).bit_length())
 
 
-def _integer_rows(A):
-    """(rows, scale): A = scale * M with M a content-free integer matrix
-    and rows[i] = [(j, M_ij)] over the nonzero entries of row i."""
-    nonzero = [(i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v]
-    ints, scale = primitive([v for _, _, v in nonzero])
-    rows = [[] for _ in A]
-    for (i, j, _), a in zip(nonzero, ints):
-        rows[i].append((j, a))
-    return rows, scale
-
-
-def _delta(A, terms, B):
+def _delta(form, terms, B):
     """(d, scale): delta_A of the packed pairs `terms` is scale * d, with
     d = {packed e: int} and no zero values.
 
-    A is taken in its content-free integer form, scale its content.  x_j
-    d/dx_i moves e to e - x_i + x_j: one int add on the packed exponent."""
-    rows, scale = _integer_rows(A)
+    form = (rows, scale) is the integer form of A.  x_j d/dx_i moves e to
+    e - x_i + x_j: one int add on the packed exponent."""
+    rows, scale = form
     mask = (1 << B) - 1
     rows = [(B * i, [((1 << B * j) - (1 << B * i), a) for j, a in row])
             for i, row in enumerate(rows) if row]
@@ -218,10 +221,9 @@ def _delta(A, terms, B):
 def infinitesimal_apply(A, p: MultiPoly) -> MultiPoly:
     """delta_A(p) = sum_i (Ax)_i * dp/dx_i."""
     n = len(p.variables)
-    A = _square(A, n)
     B = _degree_bits(p)
     terms, p_scale = packed(p, B)
-    d, a_scale = _delta(A, terms, B)
+    d, a_scale = _delta(_integer_form(linalg.frac_matrix(A), n), terms, B)
     scale = a_scale * p_scale
     return MultiPoly(p.variables, {unpack(e, B, n): scale * v for e, v in d.items()})
 
@@ -241,14 +243,17 @@ def matrix_columns_determinant(mats, variables) -> MultiPoly:
     n = len(variables)
     if len(mats) != n:
         raise ContextError("need one matrix per variable")
+    return _determinant([_integer_form(linalg.frac_matrix(A), n) for A in mats],
+                        variables)
+
+
+def _determinant(forms, variables):
+    """det(A_1 x, ..., A_n x) from the integer forms of the A_k."""
+    n = len(variables)
     B = max(1, n.bit_length())
     scale = Fraction(1)
     cols = []   # cols[k][i]: the linear form (A_k x)_i as packed pairs
-    for A in mats:
-        A = linalg.frac_matrix(A)
-        if len(A) != n or any(len(row) != n for row in A):
-            raise ContextError(f"matrices must be {n}x{n}")
-        rows, s = _integer_rows(A)
+    for rows, s in forms:
         scale *= s
         cols.append([[(1 << B * j, a) for j, a in row] for row in rows])
     memo = {0: {0: 1}}
@@ -282,15 +287,15 @@ def matrix_columns_determinant(mats, variables) -> MultiPoly:
 
 def discriminant(g: GeneratorSet) -> MultiPoly:
     """f(x) = det(A_1 x, ..., A_n x), homogeneous of degree n or zero."""
-    return matrix_columns_determinant(g.generators, g.variables)
+    return _determinant(g.forms, g.variables)
 
 
-def _eigenvalue(A, terms, support, B):
+def _eigenvalue(form, terms, support, B):
     """lam with delta_A f = lam * f for f the packed pairs `terms` with the
     key set `support`, or None.  Exact by cross-multiplication against the
     first term (e0, c0): d_e c0 = d_e0 c_e on supp f, and d has no term
     outside supp f."""
-    d, scale = _delta(A, terms, B)
+    d, scale = _delta(form, terms, B)
     e0, c0 = terms[0]
     d0 = d.get(e0, 0)
     if not d.keys() <= support or any(d.get(e, 0) * c0 != d0 * c for e, c in terms):
@@ -311,8 +316,8 @@ def _packed_form(f: MultiPoly):
 def character_value(A, f: MultiPoly):
     """lam with delta_A(f) = lam * f, or None when f is not a semi-invariant
     of A."""
-    A = _square(A, len(f.variables))
-    return _eigenvalue(A, *_packed_form(f))
+    form = _integer_form(linalg.frac_matrix(A), len(f.variables))
+    return _eigenvalue(form, *_packed_form(f))
 
 
 def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
@@ -325,8 +330,8 @@ def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
     form = _packed_form(f)
     values = []
     traces = []
-    for k, A in enumerate(g.generators):
-        lam = _eigenvalue(A, *form)
+    for k, (A, A_form) in enumerate(zip(g.generators, g.forms)):
+        lam = _eigenvalue(A_form, *form)
         if lam is None:
             raise NotInvariantError(
                 f"delta_A(f) is not proportional to f for generator {k + 1}")
@@ -368,10 +373,22 @@ def dual_generators(g: GeneratorSet) -> GeneratorSet:
     """The dual action {-A^t} on dual variables.
 
     A -> -A^t is linear and invertible, so the duals are independent
-    because the A_k are; the independence proof is not rerun."""
-    duals = [linalg.mat_scale(linalg.transpose(m), -1) for m in g.matrices()]
+    because the A_k are; the independence proof is not rerun.  The
+    integer form of -A^t is (-M^t, scale), so nothing is rescanned."""
+    n = g.n
+    zero = Fraction(0)
+    duals, forms = [], []
+    for A, (rows, scale) in zip(g.generators, g.forms):
+        D = [[zero] * n for _ in range(n)]
+        cols = [[] for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, a in row:
+                D[j][i] = -A[i][j]
+                cols[j].append((i, -a))
+        duals.append(D)
+        forms.append((tuple(map(tuple, cols)), scale))
     dual = GeneratorSet.__new__(GeneratorSet)
-    dual._fill(duals, dual_variables(g.variables))
+    dual._fill(duals, dual_variables(g.variables), forms)
     return dual
 
 

@@ -74,10 +74,6 @@ def bracket(a, b):
     return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -1))
 
 
-def is_zero_matrix(a):
-    return all(not v for row in a for v in row)
-
-
 def rref(rows):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     m = frac_matrix(rows)

@@ -193,13 +193,6 @@ class MultiPoly:
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def leading_term_lex(self):
-        """(exponent tuple, coefficient) of the lexicographically first monomial."""
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading term")
-        e = min(self.terms)
-        return e, self.terms[e]
-
     def homogeneous_components(self):
         """Map total degree -> homogeneous part."""
         parts = {}
@@ -592,18 +585,6 @@ class UniPoly:
             acc = acc * lin + c
         return acc
 
-    def deflate(self, root):
-        """Exact division by (s - root); raises if root is not a root."""
-        root = _coerce(root)
-        if self.evaluate(root):
-            raise DomainError(f"{root} is not a root")
-        out = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[i] + carry * root
-            out[i - 1] = carry
-        return UniPoly(out)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -639,12 +620,6 @@ class Spectrum:
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
-
-    def root_multiset(self):
-        out = []
-        for r, m in self.roots:
-            out.extend([r] * m)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -68,6 +69,57 @@ class TestGeneratorSet:
         g = diag_gens(2)
         with pytest.raises(AttributeError):
             g.n = 5
+
+
+def random_rational_set(rng, n):
+    """Independent generators with fractional and negative entries; about
+    one row in three is zero."""
+    while True:
+        mats = [[[0] * n if rng.random() < 0.3 else
+                 [Fraction(rng.choice((0, 0, rng.randint(-12, 12))), rng.randint(1, 6))
+                  for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        try:
+            return GeneratorSet(mats)
+        except DomainError:
+            continue
+
+
+def expand_form(form, n):
+    """The integer matrix M of a stored form (rows, scale)."""
+    rows, _ = form
+    M = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            M[i][j] = a
+    return M
+
+
+class TestIntegerForm:
+    """GeneratorSet.forms: A_k = scale_k * M_k, M_k content-free, scale_k > 0."""
+
+    @staticmethod
+    def check_forms(g):
+        assert len(g.forms) == g.n
+        for A, form in zip(g.generators, g.forms):
+            rows, scale = form
+            assert type(scale) is Fraction and scale > 0
+            assert all(a and type(a) is int for row in rows for _, a in row)
+            M = expand_form(form, g.n)
+            assert [[scale * a for a in row] for row in M] == [list(r) for r in A]
+            assert math.gcd(*(a for row in M for a in row)) == 1
+
+    def test_seeded_rational_sets(self):
+        rng = random.Random(2718)
+        for _ in range(150):
+            g = random_rational_set(rng, rng.randint(1, 5))
+            self.check_forms(g)
+            self.check_forms(dual_generators(g))
+
+    def test_scales_and_zero_rows(self):
+        g = GeneratorSet([[[Fraction(2, 3), Fraction(-4, 9)], [0, 0]],
+                          [[0, 0], [0, Fraction(-5, 2)]]])
+        assert g.forms == (((((0, 3), (1, -2)), ()), Fraction(2, 9)),
+                           (((), ((1, -1),)), Fraction(5, 2)))
 
 
 class TestStructure:
@@ -301,6 +353,26 @@ class TestDiscriminant:
             assert f.degree() == g.n
 
 
+class TestStoredFormAgainstMatrices:
+    """The kernels on a GeneratorSet read its stored forms; the same
+    kernels on ad-hoc matrices build the forms per call.  Both agree."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_named_and_dual(self, name, monkeypatch):
+        g = get_fixture(name).generators()
+        for h in (g, dual_generators(g)):
+            TestIntegerForm.check_forms(h)
+            with monkeypatch.context() as m:
+                m.setattr(liealg, "_integer_form", None)   # no per-call scan
+                f = discriminant(h)
+                values = character(h, f).values if not f.is_zero else ()
+                validate_algebra(h)
+                dual_generators(h)
+            assert f == matrix_columns_determinant(h.matrices(), h.variables)
+            for k, v in enumerate(values):
+                assert v == character_value(h.matrix(k), f)
+
+
 class TestCharacter:
     def test_star_values(self):
         g = get_fixture("star-2111").generators()
@@ -404,6 +476,17 @@ class TestDual:
                 d = dual_generators(g)
             assert d == expected, name
             assert (d.n, d.variables) == (expected.n, expected.variables)
+            assert d.forms == expected.forms, name
+
+    def test_dual_of_dual(self):
+        rng = random.Random(1618)
+        sets = [get_fixture(name).generators() for name in fixture_names()]
+        sets += [random_rational_set(rng, rng.randint(1, 5)) for _ in range(40)]
+        for g in sets:
+            back = dual_generators(dual_generators(g))
+            assert back.generators == g.generators
+            assert back.forms == g.forms
+            assert back.variables == tuple(v + "**" for v in g.variables)
 
     def test_difference_formula_on_fixtures(self):
         for name in ("nc-3", "binary-cubic", "star-2111", "quadric-cone-3"):

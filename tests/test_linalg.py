@@ -34,10 +34,6 @@ class TestBasics:
         ba = linalg.bracket(b, a)
         assert linalg.mat_add(ab, ba) == linalg.zero_matrix(3, 3)
 
-    def test_is_zero_matrix(self):
-        assert linalg.is_zero_matrix(linalg.zero_matrix(2, 3))
-        assert not linalg.is_zero_matrix([[0, 1]])
-
 
 class TestEchelon:
     def test_rref_known(self):
