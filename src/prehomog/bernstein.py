@@ -19,10 +19,12 @@ A special input has Q = b(s) f^{n-1}, so b(s) = Q(x0) / f(x0)^{n-1} at any
 x0 with f(x0) != 0.  A non-special input fails the equation; that is a
 first-class result, not an exception.
 
-There is one walk, `_walk`: it derives one monomial of f* at a time on
-packed integers and sets each variable that has a value in x0 as soon as
-its last derivation is done.  `bfunction` gives every variable a value.
-`apply_operator` gives none, so it builds the whole k = n state, and
+There is one walk, `_walk`: derivations commute, so it walks the
+monomials of f* as a trie over the variables, on packed integers.  Each
+prefix of derivations shared by several monomials is done once, and each
+variable that has a value in x0 is set as soon as its last derivation is
+done.  `bfunction` gives every variable a value.  `apply_operator` gives
+none, so it builds the whole k = n state, and
 `extract_cofactor` divides that by f^{n-1}: the full-state route, kept
 public as the reference the pointwise route is compared with.  The
 Fraction engine in tests/test_bernstein.py, one literal derivation at a
@@ -164,7 +166,7 @@ def _int_step(P, k, fv, f, shift, mask, W):
     return {e: V for e, V in out.items() if V}
 
 
-def _slot_width(fs_int, f_packed, B):
+def _slot_width(monomials, f_packed, B):
     """Bits per s-slot that provably hold every coefficient of the result.
 
     N bounds the l1 norm of P_k over x and s together:
@@ -173,13 +175,13 @@ def _slot_width(fs_int, f_packed, B):
     |c_alpha| N_alpha bounds every coefficient of the merged state.  The
     terms of f_v are those of f with e_v > 0, so ||f_v|| = sum |c| e_v.
     """
-    nvars = len(next(iter(fs_int)))
+    nvars = len(monomials[0][0])
     f_int = [(unpack(e, B, nvars), abs(c)) for e, c in f_packed]
     norm_f = sum(c for _, c in f_int)
     norm_fv = [sum(e[vi] * c for e, c in f_int) for vi in range(nvars)]
     deg_f = [max(e[vi] for e, _ in f_int) for vi in range(nvars)]
     bound = 0
-    for alpha, c in fs_int.items():
+    for alpha, c in monomials:
         N = 1
         k = 0
         for vi, times in enumerate(alpha):
@@ -226,11 +228,14 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
     every variable v with x0[v] not None set to x0[v] and total holds Q as
     {packed e: Q_e(2^W)}.  With no variable set, Q is the k = n state.
 
-    Each monomial alpha of f* is walked on its own: set variables with
-    alpha_v = 0 are set in f, in every f_u and in the state from the start;
-    the others are derived in the order "x0_v = 0 first" and a set one is
-    set as soon as its last derivation is done, so a zero coordinate prunes
-    the state early.  Q is homogeneous of degree n(n-1), so setting
+    Derivations commute, so the monomials of f* are walked as a trie over
+    the variables in the order "x0_v = 0 first", and a zero coordinate
+    prunes the state early.  At depth d, with v = order[d], the monomials
+    are grouped by alpha_v; f_v is formed once and the shared state is
+    derived t = 1, ..., max alpha_v times.  After each t that a group
+    uses, v is set to x0_v in that state and in f, and the group is walked
+    below it.  A leaf holds one monomial alpha and adds c_alpha times its
+    state to total.  Q is homogeneous of degree n(n-1), so setting
     variables multiplies the l1 bound of `_slot_width` by at most
     R^(n(n-1)), R = max |x0_v| over the set variables.
     """
@@ -238,44 +243,37 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
     B = _exponent_bits(n)
     mask = (1 << B) - 1
     f_packed, f_scale = packed(f, B)
-    restricted = {0: f_packed}  # bit set of the variables set to x0 -> f
-
-    def at(done, v):
-        """The bit set done + {v}, with f there memoised from f at done."""
-        key = done | 1 << v
-        if key not in restricted:
-            restricted[key] = list(
-                _substitute(restricted[done], B * v, x0[v], mask).items())
-        return key
-
     fs_coeffs, fs_scale = primitive(fstar.terms.values())
-    fs_int = dict(zip(fstar.terms, fs_coeffs))
+    monomials = list(zip(fstar.terms, fs_coeffs))
     R = max((abs(a) for a in x0 if a is not None), default=0)
-    W = _slot_width(fs_int, f_packed, B) + (R ** (n * (n - 1))).bit_length()
+    W = _slot_width(monomials, f_packed, B) + (R ** (n * (n - 1))).bit_length()
 
     order = sorted(range(len(x0)), key=lambda v: x0[v] != 0)
     total = {}
-    for alpha, c_alpha in fs_int.items():
-        done = 0
-        for v, a in enumerate(x0):
-            if not alpha[v] and a is not None:
-                done = at(done, v)
-        P = {0: 1}
-        k = 0
-        for v in order:
-            if not alpha[v]:
-                continue
-            # f_v there is d/dv of f there: v itself is still free
-            f_done = restricted[done]
-            fv_done = _derivative(f_done, B * v, mask)
-            for _ in range(alpha[v]):
-                P = _int_step(P, k, fv_done, f_done, B * v, mask, W)
+
+    def descend(d, group, P, k, f_d):
+        if d == len(order):
+            ((_, c_alpha),) = group
+            for e, V in P.items():
+                total[e] = total.get(e, 0) + c_alpha * V
+            return
+        v = order[d]
+        shift, a = B * v, x0[v]
+        by_t = {}
+        for alpha, c in group:
+            by_t.setdefault(alpha[v], []).append((alpha, c))
+        fv = _derivative(f_d, shift, mask)
+        f_set = f_d if a is None else list(_substitute(f_d, shift, a, mask).items())
+        for t in range(max(by_t) + 1):
+            if t:
+                P = _int_step(P, k, fv, f_d, shift, mask, W)
                 k += 1
-            if x0[v] is not None:
-                done = at(done, v)
-                P = _substitute(P.items(), B * v, x0[v], mask)
-        for e, V in P.items():
-            total[e] = total.get(e, 0) + c_alpha * V
+            if t in by_t:
+                descend(d + 1, by_t[t],
+                        P if a is None else _substitute(P.items(), shift, a, mask),
+                        k, f_set)
+
+    descend(0, monomials, {0: 1}, 0, f_packed)
     return total, W, fs_scale * f_scale ** n
 
 
@@ -335,20 +333,7 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     if q.is_zero:
         return BFailure("functional-equation", "operator annihilated f^{s+1}")
 
-    B = _exponent_bits(n)
-    f_packed, f_scale = packed(f, B)
-    fpow = {0: 1}
-    for _ in range(n - 1):
-        out = {}
-        get = out.get
-        for e1, c1 in fpow.items():
-            for e2, c2 in f_packed:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        fpow = {e: c for e, c in out.items() if c}
-    nvars = len(f.variables)
-    fpow = {unpack(e, B, nvars): c for e, c in fpow.items()}
-
+    fpow = (f ** (n - 1)).terms
     beta = min(fpow)
     c_beta = fpow[beta]
     q_beta = q.terms.get(beta)
@@ -366,8 +351,7 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
             return BFailure("functional-equation",
                             f"residual nonzero at monomial {e}")
 
-    scale = 1 / (f_scale ** (n - 1) * c_beta)
-    b_raw = UniPoly([v * scale for v in q_beta])
+    b_raw = UniPoly([v / c_beta for v in q_beta])
     spectrum = rational_root_spectrum(b_raw)
     return BResult(b_raw.monic(), b_raw.leading(), spectrum)
 

@@ -15,7 +15,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .errors import CapacityError, ContextError, DomainError, ParseError
 
@@ -26,6 +26,10 @@ Rational = Fraction
 MAX_TOTAL_DEGREE = 10**6
 # degree cap of parse_factored
 MAX_PARSED_DEGREE = 300
+# trial-division cap of the rational root search: an end term that still
+# needs a larger trial divisor raises CapacityError instead of running
+# for minutes
+MAX_TRIAL_DIVISOR = 10**6
 # parenthesis depth cap of parse_factored: each level takes four stack
 # frames of the recursive descent, far below Python's recursion limit
 MAX_PARSED_DEPTH = 100
@@ -780,17 +784,24 @@ def _fujiwara_bound(f):
 
 
 def _divisors(n):
-    """Positive divisors of n > 0, ascending, from trial division."""
+    """Positive divisors of n > 0, ascending, from trial division by
+    p <= MAX_TRIAL_DIVISOR."""
     out = [1]
     p = 2
-    while p * p <= n:
+    top = min(isqrt(n), MAX_TRIAL_DIVISOR)
+    while p <= top:
         if n % p == 0:
             k = 0
             while n % p == 0:
                 n //= p
                 k += 1
             out = [d * p ** j for d in out for j in range(k + 1)]
+            top = min(isqrt(n), MAX_TRIAL_DIVISOR)
         p += 1 if p == 2 else 2
+    if p * p <= n:      # stopped at the cap, not at the square root
+        raise CapacityError(f"an end term has a cofactor {n} with no prime "
+                            f"factor up to the trial-division limit "
+                            f"{MAX_TRIAL_DIVISOR}")
     if n > 1:
         out += [d * n for d in out]
     return sorted(out)

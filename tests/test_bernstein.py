@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
-from prehomog import bernstein
+from prehomog import bernstein, linalg, quiver
 from prehomog.bernstein import (BFailure, BResult, FirstOrderOperator,
                                 SPowerExpression, annihilator_identity_check,
                                 apply_operator, bfunction, extract_cofactor,
@@ -409,6 +410,20 @@ ROUTE_INPUTS = ([n for n in fixture_names() if n != "dtilde3-22111"]
                 + [f"nc-{k}" for k in (5, 6, 7, 8)])
 
 
+def count_steps(monkeypatch):
+    """The term counts of the states `_int_step` returns, one per call."""
+    sizes = []
+    step = bernstein._int_step
+
+    def counted(*args):
+        out = step(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(bernstein, "_int_step", counted)
+    return sizes
+
+
 class TestPointwise:
     @pytest.mark.parametrize("name", ROUTE_INPUTS)
     def test_matches_full_state_route(self, name):
@@ -450,20 +465,27 @@ class TestPointwise:
 
     def test_zero_coordinates_first(self, monkeypatch):
         # the derivation order sets the cost, not the result: on dtilde3 the
-        # natural order walks 2979 state terms and "x0_v != 0 first" 16919
-        sizes = []
-        step = bernstein._int_step
-
-        def counted(*args):
-            out = step(*args)
-            sizes.append(len(out))
-            return out
-
-        monkeypatch.setattr(bernstein, "_int_step", counted)
+        # natural order walks 1331 state terms and "x0_v != 0 first" 95944
+        sizes = count_steps(monkeypatch)
         f, fstar = f_and_fstar("dtilde3-22111")
         assert bernstein._pointwise_b(fstar, f, bernstein._point(f)) is not None
-        assert len(sizes) == 180
-        assert max(sizes) <= 112 and sum(sizes) <= 1514
+        assert len(sizes) == 134
+        assert max(sizes) <= 112 and sum(sizes) <= 644
+
+    def test_star_31111(self, monkeypatch):
+        # n = 12, 415 terms in f and f*: the prefix-shared walk takes 3044
+        # steps where one walk per monomial took 4980
+        sources = ["s1", "s2", "s3", "s4"]
+        qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
+        d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
+        sizes = count_steps(monkeypatch)
+        res = bfunction(quiver.infinitesimal_generators(qv, d))
+        assert len(sizes) == 3044
+        roots = [Fraction(-3, 2)] + [Fraction(-5, 4)] * 2 + [-1] * 6 + \
+            [Fraction(-3, 4)] * 2 + [Fraction(-1, 2)]
+        assert res.b == UniPoly.from_roots(roots)
+        assert res.raw_leading == -65536
+        assert res.symmetric
 
     def test_point_off_the_zero_set(self):
         for name in fixture_names():
@@ -494,3 +516,54 @@ class TestPointwise:
         assert two.b == one.b * one.b
         assert two.raw_leading == one.raw_leading ** 2
         assert two.special and two.symmetric
+
+
+# ---------------------------------------------------------------------
+# metamorphic properties: the same divisor in other generators or coordinates
+
+METAMORPHIC_INPUTS = ["binary-cubic", "star-2111", "atilde-3", "dtilde3-22111"]
+
+
+def elementary_product(rng, n, count):
+    """(P, P^-1) for P a product of `count` seeded matrices I + c e_ij,
+    i != j: det P = 1, and P^-1 is the product of the I - c e_ij."""
+    P, P_inv = linalg.identity(n), linalg.identity(n)
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2))
+        E, E_inv = linalg.identity(n), linalg.identity(n)
+        E[i][j], E_inv[i][j] = c, -c
+        P, P_inv = linalg.mat_mul(P, E), linalg.mat_mul(E_inv, P_inv)
+    return P, P_inv
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("name", METAMORPHIC_INPUTS)
+    def test_permuted_and_scaled_generators(self, name):
+        # f and f* both take the sign of the permutation and the factor
+        # prod c_k, so b f^s = f*(d) f^{s+1} takes (prod c_k)^2
+        rng = random.Random(12)
+        g = get_fixture(name).generators()
+        order = rng.sample(range(g.n), g.n)
+        scales = [rng.choice((2, -3, Fraction(1, 2), Fraction(-5, 4)))
+                  for _ in range(g.n)]
+        h = GeneratorSet([linalg.mat_scale(g.matrix(k), c)
+                          for k, c in zip(order, scales)])
+        one, two = bfunction(g), bfunction(h)
+        assert isinstance(two, BResult)
+        assert two.b == one.b
+        assert two.raw_leading == one.raw_leading * prod(scales) ** 2
+
+    @pytest.mark.parametrize("name", METAMORPHIC_INPUTS)
+    def test_unimodular_conjugate(self, name):
+        # f becomes det P f(P^-1 x) and f* det P^-1 f*(P^t y): b and the raw
+        # leading coefficient stay, and the walk runs on a new support
+        g = get_fixture(name).generators()
+        P, P_inv = elementary_product(random.Random(13), g.n, 3)
+        assert linalg.mat_mul(P, P_inv) == linalg.identity(g.n)
+        h = GeneratorSet([linalg.mat_mul(linalg.mat_mul(P, A), P_inv)
+                          for A in g.matrices()])
+        assert len(discriminant(h).terms) > len(discriminant(g).terms)
+        one, two = bfunction(g), bfunction(h)
+        assert isinstance(two, BResult)
+        assert (two.b, two.raw_leading) == (one.b, one.raw_leading)

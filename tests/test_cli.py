@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import prehomog
 from prehomog.cli import JobSpec, main, run
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.quiver import star_quiver
@@ -244,6 +248,16 @@ class TestBadInput:
     ])
     def test_deep_nesting(self, argv, capsys):
         self.run_main(argv, capsys, "nested deeper")
+
+    def test_prime_end_term_fails_fast(self):
+        # 2^64 - 59 is prime: trial division up to its square root would run
+        # for minutes, so the root search refuses it at its divisor limit
+        env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "prehomog.cli", "chain", "s+18446744073709551557"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == 1
+        assert done.stdout.startswith("error:") and "trial-division limit" in done.stdout
 
     def test_zero_denominator_in_generators(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {"generators": [[["1/0"]]]})

@@ -442,6 +442,15 @@ class TestSpectrum:
         assert sp.roots == () and sp.residual == UniPoly([p, 0, 1])
         assert calls[0] == 0
 
+    def test_trial_division_limit(self):
+        # 999983 is the largest prime below the limit and 10^6 + 3 the least
+        # above it: a cofactor needing a trial divisor past the limit is refused
+        assert polyring._divisors(999983 ** 2) == [1, 999983, 999983 ** 2]
+        with pytest.raises(CapacityError, match="trial-division limit"):
+            polyring._divisors((10**6 + 3) ** 2)
+        with pytest.raises(CapacityError):
+            rational_root_spectrum(UniPoly([2**64 - 59, 1]))
+
     def test_large_smooth_end_terms(self):
         # c0 has 72 bits: beyond trial division up to its square root
         r = Fraction(2**70, 3)
