@@ -9,15 +9,17 @@ infinitesimal characters, annihilators, specialness, and the dual
 A GeneratorSet stores the content-free integer form A_k = scale_k * M_k
 of each generator, built once by `_integer_form` (the one route from a
 matrix to integers) when the set is filled; the dual set negates and
-transposes the same integers.  The closure check's brackets, the
-determinant and the one delta_A kernel `_delta` read the stored forms,
-and ad-hoc matrices are converted per call.  The determinant and delta_A
-use the packed exponents of `polyring.packed` and restore the scales
-once at the end; the character checks delta_A f = lam f by exact
-cross-multiplication without building lam f.
+transposes the same integers.  The independence and closure checks (one
+fraction-free integer echelon, `_echelon`), the determinant and the one
+delta_A kernel `_delta` read the stored forms, and ad-hoc matrices are
+converted per call.  The determinant and delta_A use the packed
+exponents of `polyring.packed` and restore the scales once at the end;
+the character checks delta_A f = lam f by exact cross-multiplication
+without building lam f.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (ClosureError, ContextError, DegenerateCharacterError,
@@ -54,7 +56,7 @@ class GeneratorSet:
         variables = tuple(variables)
         if len(variables) != n:
             raise ContextError("need one variable per generator")
-        if not linalg.independent(gens):
+        if _echelon(forms, n) is None:
             raise DomainError("generators are linearly dependent")
         self._fill(gens, variables, forms)
 
@@ -126,25 +128,22 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     Returns the structure constants c^k_ij on success, or the first
     failing pair (in row-major order) when some bracket leaves the span.
 
-    One row reduction serves every bracket.  The rref of the rows
-    [flat(A_k) | e_k] is an echelon basis R_r of the span followed by the
-    change of basis T with R_r = sum_k T_rk A_k; the generators are
-    independent, so every pivot p_r lies in the flat block and the
-    coefficients are unique.  A bracket b is in the span iff
-    b - sum_r b[p_r] R_r vanishes, and then c_ij = (b[p_r])_r T.
-    Brackets are antisymmetric, so only i < j is reduced: c_ji = -c_ij,
-    c_ii = 0, and the first failing pair in row-major order has i < j.
-    The products run on the stored integer forms: [A_i, A_j] =
-    scale_i scale_j [M_i, M_j], and the integer bracket is reduced.
+    One integer echelon serves every bracket.  `_echelon` reduces the
+    rows [M_k | e_k] of the stored integer forms A_k = s_k M_k to rows
+    E_r = sum_k T_rk M_k with E_r[p_s] = D delta_rs; the generators are
+    independent, so there are n pivots p_r, all in the flat block, and
+    the coefficients are unique.  The integer bracket b = [M_i, M_j] is in
+    the span iff D b - sum_r b[p_r] E_r vanishes, and then y = sum_r
+    b[p_r] T_r gives c^k_ij = s_i s_j y_k / (D s_k), since [A_i, A_j] =
+    s_i s_j b.  Everything but the last division runs on ints.  Brackets
+    are antisymmetric, so only i < j is reduced: c_ji = -c_ij, c_ii = 0,
+    and the first failing pair in row-major order has i < j.
     """
     n = g.n
     size = n * n
     zero = Fraction(0)
-    rows = [linalg.flatten(A) + [Fraction(int(k == r)) for r in range(n)]
-            for k, A in enumerate(g.generators)]
-    reduced, pivots = linalg.rref(rows)
-    basis = [[(c, v) for c, v in enumerate(row[:size]) if v] for row in reduced]
-    change = [row[size:] for row in reduced]
+    D, basis = _echelon(g.forms, n)
+    scales = [(s.numerator, s.denominator) for _, s in g.forms]
     # nonzero entries (i, k, M_ik) of each integer form
     entries = [[(i, k, a) for i, row in enumerate(form[0]) for k, a in row]
                for form in g.forms]
@@ -160,19 +159,66 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
                     for c, w in by_row[k]:
                         idx = r * n + c
                         br[idx] = br.get(idx, 0) + sign * v * w
-            coords = [br.get(p, 0) for p in pivots]
-            for x, row in zip(coords, basis):
+            # res = D b - sum_r b[p_r] E_r: zero on the flat block iff b is
+            # in the span, and -y on the columns size + k
+            res = {c: D * v for c, v in br.items()}
+            for p, E in basis:
+                x = br.get(p)
                 if x:
-                    for c, v in row:
-                        br[c] = br.get(c, 0) - x * v
-            if any(br.values()):
+                    for c, v in E.items():
+                        res[c] = res.get(c, 0) - x * v
+            if any(v for c, v in res.items() if c < size):
                 return StructureReport(False, None, (i, j))
-            scale = g.forms[i][1] * g.forms[j][1]
-            cij = tuple(scale * sum((x * t[k] for x, t in zip(coords, change) if x), zero)
-                        for k in range(n))
+            num = scales[i][0] * scales[j][0]
+            den = scales[i][1] * scales[j][1] * D
+            cij = tuple(Fraction(-num * res[size + k] * sd, den * sn)
+                        if res.get(size + k) else zero
+                        for k, (sn, sd) in enumerate(scales))
             constants[i][j] = cij
             constants[j][i] = tuple(-v for v in cij)
     return StructureReport(True, constants, None)
+
+
+def _echelon(forms, n):
+    """(D, [(p_r, E_r)]) from integer Gauss-Jordan on the rows [M_k | e_k]
+    of the integer forms, or None when the M_k are linearly dependent.
+
+    A row is a dict {column: nonzero int}: i*n + j holds M_ij and
+    n*n + k holds e_k.  Rows are combined by cross-multiplication and
+    divided by their gcd, so every entry stays an int (Bareiss); at the
+    end each row is scaled to the common pivot value D > 0.  Then
+    E_r[p_s] = D delta_rs and E_r = sum_k T_rk M_k with T_rk =
+    E_r[n*n + k].  Pivots are leftmost columns, in the order of the rows.
+    """
+    size = n * n
+    rows = []
+    for k, (form, _) in enumerate(forms):
+        row = {i * n + j: a for i, r in enumerate(form) for j, a in r}
+        row[size + k] = 1
+        for p, E in rows:
+            row = _eliminate(row, E, p)
+        flat = [c for c in row if c < size]
+        if not flat:
+            return None
+        p = min(flat)
+        rows = [(q, _eliminate(E, row, p)) for q, E in rows]
+        rows.append((p, row))
+    D = lcm(*(E[p] for p, E in rows))
+    return D, [(p, {c: v * (D // E[p]) for c, v in E.items()}) for p, E in rows]
+
+
+def _eliminate(row, E, p):
+    """row with column p cleared by E[p] row - row[p] E, divided by the gcd
+    of its entries; row itself when row[p] is already zero."""
+    x = row.get(p)
+    if not x:
+        return row
+    a = E[p]
+    out = {c: a * v for c, v in row.items()}
+    for c, v in E.items():
+        out[c] = out.get(c, 0) - x * v
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items() if v}
 
 
 def _integer_form(A, n):

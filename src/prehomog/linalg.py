@@ -160,13 +160,3 @@ def in_span(vectors, target):
         return None if any(target) else []
     a = transpose([frac_vector(v) for v in vectors])
     return solve(a, frac_vector(target))
-
-
-def flatten(a):
-    return [v for row in a for v in row]
-
-
-def independent(matrices):
-    """Are the given matrices linearly independent (as flattened vectors)?"""
-    rows = [flatten(m) for m in matrices]
-    return rank(rows) == len(rows)

@@ -106,14 +106,19 @@ def _coerce(c) -> Fraction:
     raise ContextError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+    m = _RATIONAL.fullmatch(text)
+    if not m:
         raise ParseError(f"bad rational literal {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+    num, den = m.groups()
+    den = int(den or 1)
+    if not den:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
 def format_rational(c: Fraction) -> str:

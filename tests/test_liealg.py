@@ -51,6 +51,18 @@ class TestGeneratorSet:
         with pytest.raises(DomainError):
             GeneratorSet([[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
 
+    def test_rational_dependence_and_zero_generator(self):
+        A = [[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 1, 0], [Fraction(5, 3), 0, 0]]
+        B = [[0, Fraction(2, 7), 0], [0, 0, 0], [0, 0, 1]]
+        C = linalg.mat_add(A, linalg.mat_scale(B, Fraction(-4, 5)))
+        for mats in ([A, linalg.mat_scale(A, Fraction(2, 3)), B],
+                     [A, B, C],
+                     [A, linalg.zero_matrix(3, 3), B],
+                     [linalg.zero_matrix(1, 1)]):
+            with pytest.raises(DomainError):
+                GeneratorSet(mats)
+        assert GeneratorSet([A, B, linalg.mat_add(C, unit(1, 0))]).n == 3
+
     def test_variable_count(self):
         with pytest.raises(ContextError):
             GeneratorSet([[[1]]], variables=("x", "y"))
@@ -165,28 +177,31 @@ class TestStructure:
                 assert combination(c[i][j], g.matrices()) == \
                     linalg.bracket(g.matrix(i), g.matrix(j))
 
-    def test_one_row_reduction(self, monkeypatch):
+    def test_no_row_reduction(self, monkeypatch):
+        """The closure check and the independence check run on the integer
+        echelon, not on the Fraction rref."""
         g = get_fixture("dtilde3-22111").generators()
-        calls = []
-        rref = linalg.rref
+        mats = g.matrices()
 
-        def counting(rows):
-            calls.append(len(rows))
-            return rref(rows)
+        def no_rref(rows):
+            raise AssertionError("linalg.rref called")
 
-        monkeypatch.setattr(linalg, "rref", counting)
+        monkeypatch.setattr(linalg, "rref", no_rref)
         assert validate_algebra(g).closed
-        assert calls == [g.n]
+        assert GeneratorSet(mats, g.variables) == g
 
 
 def bracket_by_bracket(g):
     """Reference closure check: one in_span solve per ordered pair (i, j)."""
-    flat = [linalg.flatten(m) for m in g.matrices()]
+    def flatten(m):
+        return [v for row in m for v in row]
+
+    flat = [flatten(m) for m in g.matrices()]
     constants = [[None] * g.n for _ in range(g.n)]
     for i in range(g.n):
         for j in range(g.n):
             br = linalg.bracket(g.matrix(i), g.matrix(j))
-            coeffs = linalg.in_span(flat, linalg.flatten(br))
+            coeffs = linalg.in_span(flat, flatten(br))
             if coeffs is None:
                 return False, None, (i, j)
             constants[i][j] = tuple(coeffs)
@@ -221,6 +236,14 @@ def random_generator_set(rng, n):
             continue
 
 
+def rescaled(g, rng):
+    """g with each generator multiplied by a seeded nonzero rational, so
+    the stored forms keep their integers and change their scales."""
+    factors = (Fraction(-3, 2), Fraction(2, 5), 7, Fraction(-1, 6), Fraction(9, 4))
+    return GeneratorSet([linalg.mat_scale(A, rng.choice(factors)) for A in g.matrices()],
+                        g.variables)
+
+
 class TestClosureAgainstPerBracketSolves:
     """validate_algebra against the per-bracket in_span loop it replaced."""
 
@@ -229,12 +252,16 @@ class TestClosureAgainstPerBracketSolves:
         rep = validate_algebra(g)
         got = (rep.closed, rep.structure_constants, rep.failing_pair)
         assert got == bracket_by_bracket(g)
+        assert all(type(v) is Fraction for row in rep.structure_constants or ()
+                   for cs in row for v in cs)
         return rep.closed
 
     @pytest.mark.parametrize("name", fixture_names() + [
         "atilde-4", "atilde-5", "atilde-6", "nc-5", "nc-6", "nc-7", "nc-8"])
     def test_named(self, name):
-        assert self.same(get_fixture(name).generators())
+        g = get_fixture(name).generators()
+        assert self.same(g)
+        assert self.same(rescaled(g, random.Random(name)))
 
     def test_seeded_random_sets(self):
         rng = random.Random(4011)
@@ -242,6 +269,18 @@ class TestClosureAgainstPerBracketSolves:
                     for _ in range(200)]
         assert verdicts.count(True) >= 30
         assert verdicts.count(False) > len(verdicts) // 2
+
+    def test_seeded_rescaled_sets(self):
+        """Rational generators: the scales differ from 1 and the common
+        pivot value of the echelon is often above 1."""
+        rng = random.Random(5077)
+        sets = [rescaled(random_generator_set(rng, rng.randint(2, 5)), rng)
+                for _ in range(150)]
+        verdicts = [self.same(g) for g in sets]
+        assert verdicts.count(True) >= 20
+        assert verdicts.count(False) > len(verdicts) // 2
+        assert sum(liealg._echelon(g.forms, g.n)[0] > 1 for g in sets) >= 30
+        assert all(any(s != 1 for _, s in g.forms) for g in sets)
 
 
 class TestInfinitesimalAction:

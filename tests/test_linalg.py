@@ -109,10 +109,3 @@ class TestKernelAndSolve:
             assert got is not None
             assert linalg.mat_vec(a, got) == b
 
-
-class TestIndependence:
-    def test_independent(self):
-        e1 = [[1, 0], [0, 0]]
-        e2 = [[0, 1], [0, 0]]
-        assert linalg.independent([e1, e2])
-        assert not linalg.independent([e1, linalg.mat_scale(e1, 2)])

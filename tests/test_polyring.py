@@ -654,6 +654,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_rational("1.5")
 
+    def test_rational_language(self):
+        """Surrounding space is stripped; the rest must be [+-]?\\d+(/\\d+)?
+        with a nonzero denominator."""
+        for text, want in ((" +7 ", 7), ("\t-0/5\n", 0), ("006/4", Fraction(3, 2)),
+                           ("-12/8", Fraction(-3, 2))):
+            assert parse_rational(text) == want
+            assert type(parse_rational(text)) is Fraction
+        for text in ("1.5", "1e3", "1_000", "3/0", "/2", "2/", "", "+", "1/-2",
+                     "- 1", "1 /2", "1/2/3", "0x10"):
+            with pytest.raises(ParseError):
+                parse_rational(text)
+
     def test_factored_products(self):
         p = parse_factored("(s+2/3)(s+1)^5(s+4/3)(s+2)")
         exp = UniPoly.from_roots(
