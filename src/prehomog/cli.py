@@ -245,7 +245,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the squarefree test (default 0)")
     p.add_argument("--trials", type=int, default=8,
-                   help="lines for the squarefree test (default 8)")
+                   help="lines for the squarefree test (default 8, at most 1000)")
     add_common(sub.add_parser("bfunction",
                               help="b-function via the dual functional equation"))
     p = sub.add_parser("symmetry", help="check b(s) = (-1)^d b(-s-2)")

@@ -9,9 +9,10 @@ infinitesimal characters, annihilators, specialness, and the dual
 A GeneratorSet stores the content-free integer form A_k = scale_k * M_k
 of each generator, built once by `_integer_form` (the one route from a
 matrix to integers) when the set is filled; the dual set negates and
-transposes the same integers.  The independence and closure checks (one
-fraction-free integer echelon, `_echelon`), the determinant and the one
-delta_A kernel `_delta` read the stored forms, and ad-hoc matrices are
+transposes the same integers.  The independence and closure checks
+(`_echelon`, which reduces the rows [M_k | e_k] with the one integer
+Gauss-Jordan `linalg.echelon`), the determinant and the one delta_A
+kernel `_delta` read the stored forms, and ad-hoc matrices are
 converted per call.  The determinant and delta_A use the packed
 exponents of `polyring.packed` and restore the scales once at the end;
 the character checks delta_A f = lam f by exact cross-multiplication
@@ -19,7 +20,7 @@ without building lam f.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import (ClosureError, ContextError, DegenerateCharacterError,
@@ -129,8 +130,9 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     failing pair (in row-major order) when some bracket leaves the span.
 
     One integer echelon serves every bracket.  `_echelon` reduces the
-    rows [M_k | e_k] of the stored integer forms A_k = s_k M_k to rows
-    E_r = sum_k T_rk M_k with E_r[p_s] = D delta_rs; the generators are
+    rows [M_k | e_k] of the stored integer forms A_k = s_k M_k with
+    `linalg.echelon`, the one row-reduction routine, to rows E_r =
+    sum_k T_rk M_k with E_r[p_s] = D delta_rs; the generators are
     independent, so there are n pivots p_r, all in the flat block, and
     the coefficients are unique.  The integer bracket b = [M_i, M_j] is in
     the span iff D b - sum_r b[p_r] E_r vanishes, and then y = sum_r
@@ -180,45 +182,21 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
 
 
 def _echelon(forms, n):
-    """(D, [(p_r, E_r)]) from integer Gauss-Jordan on the rows [M_k | e_k]
-    of the integer forms, or None when the M_k are linearly dependent.
+    """(D, [(p_r, E_r)]) from `linalg.echelon` on the rows [M_k | e_k] of
+    the integer forms, or None when the M_k are linearly dependent.
 
-    A row is a dict {column: nonzero int}: i*n + j holds M_ij and
-    n*n + k holds e_k.  Rows are combined by cross-multiplication and
-    divided by their gcd, so every entry stays an int (Bareiss); at the
-    end each row is scaled to the common pivot value D > 0.  Then
-    E_r[p_s] = D delta_rs and E_r = sum_k T_rk M_k with T_rk =
-    E_r[n*n + k].  Pivots are leftmost columns, in the order of the rows.
+    Column i*n + j holds M_ij and n*n + k holds e_k, so no row cancels and
+    a pivot lands in the e-block exactly when the M_k are dependent.  Each
+    row is then scaled to the common pivot value D > 0: E_r[p_s] =
+    D delta_rs and E_r = sum_k T_rk M_k with T_rk = E_r[n*n + k].
     """
     size = n * n
-    rows = []
-    for k, (form, _) in enumerate(forms):
-        row = {i * n + j: a for i, r in enumerate(form) for j, a in r}
-        row[size + k] = 1
-        for p, E in rows:
-            row = _eliminate(row, E, p)
-        flat = [c for c in row if c < size]
-        if not flat:
-            return None
-        p = min(flat)
-        rows = [(q, _eliminate(E, row, p)) for q, E in rows]
-        rows.append((p, row))
+    rows = linalg.echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
+                          | {size + k: 1} for k, (form, _) in enumerate(forms))
+    if any(p >= size for p, _ in rows):
+        return None
     D = lcm(*(E[p] for p, E in rows))
     return D, [(p, {c: v * (D // E[p]) for c, v in E.items()}) for p, E in rows]
-
-
-def _eliminate(row, E, p):
-    """row with column p cleared by E[p] row - row[p] E, divided by the gcd
-    of its entries; row itself when row[p] is already zero."""
-    x = row.get(p)
-    if not x:
-        return row
-    a = E[p]
-    out = {c: a * v for c, v in row.items()}
-    for c, v in E.items():
-        out[c] = out.get(c, 0) - x * v
-    g = gcd(*out.values())
-    return {c: v // g for c, v in out.items() if v}
 
 
 def _integer_form(A, n):

@@ -1,13 +1,19 @@
 """Exact linear algebra over Q.
 
 Matrices are lists of row lists of Fractions; functions never mutate
-their arguments.  Echelon reduction uses leftmost-pivot order with
-first-nonzero row tie-breaking so every derived basis is deterministic.
+their arguments.  All row reduction runs in `echelon`, one sparse
+fraction-free integer Gauss-Jordan that the closure check of `liealg`
+shares.  `rref` clears each row to a primitive integer row, reduces the
+integer rows and divides by the pivots once at the end; kernels and
+solves read that form.  The reduced row echelon form is unique, so every
+derived basis is deterministic.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ContextError
+from .polyring import primitive
 
 
 def frac_matrix(rows):
@@ -74,39 +80,55 @@ def bracket(a, b):
     return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -1))
 
 
+def echelon(rows):
+    """[(p_r, E_r)] from integer Gauss-Jordan on rows {column: nonzero int}.
+
+    Each row is reduced by the rows kept so far and dropped if it cancels;
+    else its leftmost column p is its pivot, cleared from the kept rows.
+    Rows are combined by cross-multiplication and divided by their gcd, so
+    entries stay ints (Bareiss).  The kept rows come in input order with
+    E_r[p_s] = 0 for r != s; the pivot values keep their signs.
+    """
+    out = []
+    for row in rows:
+        for p, E in out:
+            row = _eliminate(row, E, p)
+        if row:
+            p = min(row)
+            out = [(q, _eliminate(E, row, p)) for q, E in out]
+            out.append((p, row))
+    return out
+
+
+def _eliminate(row, E, p):
+    """row with column p cleared by E[p] row - row[p] E, divided by the gcd
+    of its entries ({} if it cancels); row itself when row[p] is already
+    zero."""
+    x = row.get(p)
+    if not x:
+        return row
+    a = E[p]
+    out = {c: a * v for c, v in row.items()}
+    for c, v in E.items():
+        out[c] = out.get(c, 0) - x * v
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items() if v}
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    """Reduced row echelon form.  Returns (R, pivot_columns): R has the
+    rows of the input, the zero rows last, and the pivots ascend."""
     m = frac_matrix(rows)
     if not m:
         return [], []
     ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        # first row at or below r with a nonzero entry in column c
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv if v else v for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rank(rows):
-    return len(rref(rows)[1])
+    basis = sorted(echelon({c: v for c, v in enumerate(primitive(row)[0]) if v}
+                           for row in m))
+    zero = Fraction(0)
+    R = [[Fraction(E[c], E[p]) if c in E else zero for c in range(ncols)]
+         for p, E in basis]
+    R += [[zero] * ncols for _ in range(len(m) - len(basis))]
+    return R, [p for p, _ in basis]
 
 
 def row_space_basis(rows):
@@ -117,41 +139,35 @@ def row_space_basis(rows):
 
 def nullspace(a):
     """Deterministic basis of the right kernel of a (rows x cols)."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    m, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return solve_affine(a, [0] * len(a))[1]
 
 
 def solve(a, b):
     """One exact solution of a x = b, or None if inconsistent."""
+    sol = solve_affine(a, b)
+    return None if sol is None else sol[0]
+
+
+def solve_affine(a, b):
+    """(particular solution, kernel basis) of a x = b, or None if
+    inconsistent, both read from the one RREF of [a | b]: the kernel has
+    one vector per free column of a."""
     if len(a) != len(b):
         raise ContextError("system dimension mismatch")
     if not a:
-        return []
+        return [], []
     ncols = len(a[0])
     m, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
     if ncols in pivots:
         return None  # pivot in the constant column: inconsistent
+    free = [c for c in range(ncols) if c not in pivots]
     x = [Fraction(0)] * ncols
+    kernel = [[Fraction(int(c == fc)) for c in range(ncols)] for fc in free]
     for r, pc in enumerate(pivots):
         x[pc] = m[r][ncols]
-    return x
-
-
-def solve_affine(a, b):
-    """(particular solution, kernel basis) of a x = b, or None."""
-    x = solve(a, b)
-    return None if x is None else (x, nullspace(a))
+        for v, fc in zip(kernel, free):
+            v[pc] = -m[r][fc]
+    return x, kernel
 
 
 def in_span(vectors, target):

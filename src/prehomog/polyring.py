@@ -30,6 +30,8 @@ MAX_PARSED_DEGREE = 300
 # needs a larger trial divisor raises CapacityError instead of running
 # for minutes
 MAX_TRIAL_DIVISOR = 10**6
+# line cap of is_squarefree: each line costs about a millisecond at n = 10
+MAX_SQUAREFREE_TRIALS = 1000
 # parenthesis depth cap of parse_factored: each level takes four stack
 # frames of the recursive descent, far below Python's recursion limit
 MAX_PARSED_DEPTH = 100
@@ -827,6 +829,8 @@ def is_squarefree(p: MultiPoly, trials: int, seed: int) -> bool:
         raise DomainError("squarefreeness of the zero polynomial is undefined")
     if trials < 1:
         raise DomainError("trials must be positive")
+    if trials > MAX_SQUAREFREE_TRIALS:
+        raise CapacityError(f"trials {trials} exceeds the limit {MAX_SQUAREFREE_TRIALS}")
     deg = p.degree()
     if deg == 0:
         return True

@@ -9,9 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import record_criterion
+from conftest import record_criterion, ref_in_span
 
-from prehomog import linalg
 from prehomog.bernstein import (BFailure, BResult, apply_operator, bfunction,
                                 extract_cofactor, fourier_check,
                                 symmetry_check)
@@ -241,7 +240,7 @@ def test_criterion_09():
                     for m in g.matrices()]
             ident = [F(1) if i % (g.n + 1) == 0 else F(0)
                      for i in range(g.n * g.n)]
-            coeffs = linalg.in_span(flat, ident)
+            coeffs = ref_in_span(flat, ident)
             if coeffs is None:
                 missing.add(name)
                 continue

@@ -8,7 +8,7 @@ import pytest
 
 import prehomog
 from prehomog.cli import JobSpec, main, run
-from prehomog.fixtures import fixture_names, get_fixture
+from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.quiver import star_quiver
 from prehomog.serialize import generatorset_to_json, quiver_to_json
 
@@ -259,6 +259,21 @@ class TestBadInput:
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "trial-division limit" in done.stdout
 
+    def test_squarefree_trials_capped(self):
+        # a squarefree line costs about a millisecond on dtilde3-22111, so an
+        # unbounded --trials could run for hours; the line count is capped
+        env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
+
+        def classify(fixture, trials):
+            return subprocess.run(
+                [sys.executable, "-m", "prehomog.cli", "classify", "--fixture", fixture,
+                 "--trials", str(trials)], capture_output=True, text=True, env=env, timeout=10)
+
+        done = classify("dtilde3-22111", 1001)
+        assert done.returncode == 1
+        assert done.stdout.startswith("error:") and "exceeds the limit 1000" in done.stdout
+        assert classify("nc-1", 1000).returncode == 0
+
     def test_zero_denominator_in_generators(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {"generators": [[["1/0"]]]})
         self.run_main(["bfunction", "--input", path], capsys, "zero denominator")
@@ -296,17 +311,46 @@ class TestBadInput:
                       "exceeds")
 
 
-GOLDEN = Path(__file__).parent / "golden" / "bfunction"
+GOLDEN = Path(__file__).parent / "golden"
 # the non-special fixtures, whose functional equation fails (exit 2)
 FAILING = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4", "cubic-chain-4"}
 
 
+def coords(v):
+    return ",".join(map(str, v))
+
+
+def geometry_runs():
+    """(golden file stem, argv) of the recorded `euler` and `microlocal`
+    runs, with the stem as test id: the star chain, each microlocal run
+    with its covector, and the origin and e_1 of three more fixtures."""
+    runs = []
+    for p in star_chain():
+        at = ["--fixture", "star-2111", "--point", coords(p.x0), "--json"]
+        runs.append((f"euler/star-2111-{p.label}", ["euler"] + at))
+        cov = [] if p.y0 is None else ["--covector", coords(p.y0)]
+        runs.append((f"microlocal/star-2111-{p.label}", ["microlocal"] + at + cov))
+    for name in ("dtilde3-22111", "binary-cubic", "det22-squared"):
+        n = get_fixture(name).generators().n
+        for label, x0 in (("origin", [0] * n), ("e1", [1] + [0] * (n - 1))):
+            runs.append((f"euler/{name}-{label}",
+                         ["euler", "--fixture", name, "--point", coords(x0), "--json"]))
+    return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
+
+
 class TestGoldenBytes:
-    """`prehomog bfunction --fixture NAME --json` against recorded stdout."""
+    """`prehomog bfunction --fixture NAME --json`, and the `euler` and
+    `microlocal` runs of `geometry_runs`, against recorded stdout."""
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_bfunction_json(self, name, capsys):
         code = main(["bfunction", "--fixture", name, "--json"])
         assert code == (2 if name in FAILING else 0)
         out = capsys.readouterr().out.encode("utf-8")
-        assert out == (GOLDEN / f"{name}.out").read_bytes()
+        assert out == (GOLDEN / "bfunction" / f"{name}.out").read_bytes()
+
+    @pytest.mark.parametrize("stem, argv", geometry_runs())
+    def test_geometry_json(self, stem, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN / f"{stem}.out").read_bytes()

@@ -6,6 +6,8 @@ from itertools import permutations
 
 import pytest
 
+from conftest import ref_in_span
+
 from prehomog import liealg, linalg, quiver
 from prehomog.errors import (ClosureError, ContextError,
                              DegenerateCharacterError, DegenerateDualError,
@@ -179,7 +181,7 @@ class TestStructure:
 
     def test_no_row_reduction(self, monkeypatch):
         """The closure check and the independence check run on the integer
-        echelon, not on the Fraction rref."""
+        echelon directly, not through rref and its Fractions."""
         g = get_fixture("dtilde3-22111").generators()
         mats = g.matrices()
 
@@ -192,7 +194,8 @@ class TestStructure:
 
 
 def bracket_by_bracket(g):
-    """Reference closure check: one in_span solve per ordered pair (i, j)."""
+    """Reference closure check: one Fraction in_span solve per ordered pair
+    (i, j), on the reference elimination of conftest."""
     def flatten(m):
         return [v for row in m for v in row]
 
@@ -201,7 +204,7 @@ def bracket_by_bracket(g):
     for i in range(g.n):
         for j in range(g.n):
             br = linalg.bracket(g.matrix(i), g.matrix(j))
-            coeffs = linalg.in_span(flat, flatten(br))
+            coeffs = ref_in_span(flat, flatten(br))
             if coeffs is None:
                 return False, None, (i, j)
             constants[i][j] = tuple(coeffs)
@@ -502,8 +505,8 @@ class TestDual:
         assert d.matrix(0) == [[-1, 0], [0, 0]]
 
     def test_no_independence_proof(self, monkeypatch):
-        def no_rref(rows):
-            raise AssertionError("dual_generators called linalg.rref")
+        def no_elimination(rows):
+            raise AssertionError("dual_generators reduced rows")
 
         for name in fixture_names():
             g = get_fixture(name).generators()
@@ -511,7 +514,8 @@ class TestDual:
                      for m in g.matrices()]
             expected = GeneratorSet(duals, liealg.dual_variables(g.variables))
             with monkeypatch.context() as m:
-                m.setattr(linalg, "rref", no_rref)
+                m.setattr(linalg, "rref", no_elimination)
+                m.setattr(linalg, "echelon", no_elimination)
                 d = dual_generators(g)
             assert d == expected, name
             assert (d.n, d.variables) == (expected.n, expected.variables)

@@ -645,6 +645,10 @@ class TestSquarefree:
         x = MultiPoly.gens(XYZ)[0]
         with pytest.raises(DomainError):
             is_squarefree(x, trials=0, seed=0)
+        limit = polyring.MAX_SQUAREFREE_TRIALS
+        assert is_squarefree(x, trials=limit, seed=0)
+        with pytest.raises(CapacityError):
+            is_squarefree(x, trials=limit + 1, seed=0)
 
 
 class TestParsing:
