@@ -1,6 +1,11 @@
 """Pointwise geometry of a discriminant: isotropy, normal representation,
 localization, Euler homogeneity at a point, conormal orders, and chain
 assembly of b-function factors along an orbit chain.
+
+The orbit tangent at x0 is spanned by the images A_k x0 and the isotropy
+by the combinations sum c_k A_k with sum c_k A_k x0 = 0; both come from
+the stored integer forms of the generator set (`GeneratorSet.images`
+and `GeneratorSet.combination`).
 """
 
 from fractions import Fraction
@@ -69,23 +74,15 @@ class OrderForm:
 
 def point_context(g: liealg.GeneratorSet, x0) -> PointContext:
     """Isotropy, tangent, and normal coordinates at a rational point."""
-    x0 = [Fraction(v) for v in x0]
+    x0 = linalg.frac_vector(x0)
     if len(x0) != g.n:
         raise ContextError(f"point has {len(x0)} coordinates, expected {g.n}")
-    mats = g.matrices()
-    images = [linalg.mat_vec(A, x0) for A in mats]
-    # columns map: coefficient vector c -> sum c_k A_k x0
-    cols = [[images[k][i] for k in range(g.n)] for i in range(g.n)]
-    iso_coeffs = linalg.nullspace(cols)
-    iso_mats = []
-    for cs in iso_coeffs:
-        B = [[Fraction(0)] * g.n for _ in range(g.n)]
-        for k, ck in enumerate(cs):
-            if ck:
-                B = linalg.mat_add(B, linalg.mat_scale(mats[k], ck))
-        iso_mats.append(B)
+    images = g.images(x0)
+    # the columns map a coefficient vector c to sum c_k A_k x0
+    iso_coeffs = linalg.nullspace(linalg.transpose(images))
+    iso_mats = [g.combination(cs) for cs in iso_coeffs]
     tangent, pivots = linalg.row_space_basis(images)
-    normal = [i for i in range(g.n) if i not in set(pivots)]
+    normal = sorted(set(range(g.n)).difference(pivots))
     return PointContext(x0, iso_mats, iso_coeffs, tangent, pivots, normal)
 
 
@@ -172,10 +169,11 @@ def strong_euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
     annihilator images {B x0 : dchi(B) = 0}?"""
     if c.values[0] != 1:
         raise DomainError("first generator must have character value 1")
-    ann = liealg.annihilator_basis(g, c)
-    images = [linalg.mat_vec(B, list(ctx.x0)) for B in ann]
-    target = linalg.mat_vec(g.matrix(0), list(ctx.x0))
-    return linalg.in_span(images, target) is not None
+    images = g.images(ctx.x0)
+    # B x0 = sum c_k A_k x0 for each B = sum c_k A_k of `annihilator_basis`
+    ann = [[sum(ck * v[i] for ck, v in zip(cs, images)) for i in range(g.n)]
+           for cs in linalg.nullspace([list(c.values)])]
+    return linalg.in_span(ann, images[0]) is not None
 
 
 def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,

@@ -6,17 +6,17 @@ is f(x) = det(A_1 x | ... | A_n x).  This module computes discriminants,
 infinitesimal characters, annihilators, specialness, and the dual
 (negative transpose) generator set.
 
-A GeneratorSet stores the content-free integer form A_k = scale_k * M_k
-of each generator, built once by `_integer_form` (the one route from a
-matrix to integers) when the set is filled; the dual set negates and
-transposes the same integers.  The independence and closure checks
-(`_echelon`, which reduces the rows [M_k | e_k] with the one integer
-Gauss-Jordan `linalg.echelon`), the determinant and the one delta_A
-kernel `_delta` read the stored forms, and ad-hoc matrices are
-converted per call.  The determinant and delta_A use the packed
-exponents of `polyring.packed` and restore the scales once at the end;
-the character checks delta_A f = lam f by exact cross-multiplication
-without building lam f.
+A GeneratorSet stores each generator once, as its content-free integer
+form A_k = scale_k * M_k from `_integer_form` (the one route from a
+matrix to integers); the dual set negates and transposes the integers.
+Everything reads the forms: the independence and closure checks
+(`_echelon` on the rows [M_k | e_k], via `linalg.echelon`), the
+determinant, the delta_A kernel `_delta`, the traces, and the images
+A_k x and combinations sum c_k A_k of the annihilator and the pointwise
+geometry; ad-hoc matrices are converted per call.  The determinant and
+delta_A use the packed exponents of `polyring.packed` and restore the
+scales once at the end; the character checks delta_A f = lam f by exact
+cross-multiplication without building lam f.
 """
 
 from fractions import Fraction
@@ -25,7 +25,8 @@ from math import lcm
 from . import linalg
 from .errors import (ClosureError, ContextError, DegenerateCharacterError,
                      DegenerateDualError, DomainError, NotInvariantError)
-from .polyring import MultiPoly, is_squarefree, packed, primitive, unpack
+from .polyring import (MultiPoly, _coerce, is_squarefree, packed, primitive,
+                       unpack)
 
 
 def default_variables(n):
@@ -39,19 +40,20 @@ class GeneratorSet:
     the literal column determinant in this order, so reordering changes
     f by a sign and scaling changes it by a scalar.
 
-    `generators` holds the matrices as Fraction tuples, and `forms[k]`
-    the integer form (rows, scale) of A_k from `_integer_form`, built
-    once from the checked Fraction matrices; `dual_generators` reuses it.
+    `forms[k]`, the integer form (rows, scale) of A_k, is the only stored
+    copy of the generator, and canonical: equal sets have equal forms.
+    `matrix` and `matrices` rebuild Fraction lists from it; `combination`
+    and `images` work on its sparse integer rows.
     """
 
-    __slots__ = ("n", "generators", "variables", "forms")
+    __slots__ = ("n", "variables", "forms")
 
     def __init__(self, generators, variables=None):
-        gens = [linalg.frac_matrix(m) for m in generators]
-        n = len(gens)
+        generators = list(generators)
+        n = len(generators)
         if n < 1:
             raise DomainError("need at least one generator")
-        forms = [_integer_form(m, n) for m in gens]
+        forms = [_integer_form(m, n) for m in generators]
         if variables is None:
             variables = default_variables(n)
         variables = tuple(variables)
@@ -59,13 +61,11 @@ class GeneratorSet:
             raise ContextError("need one variable per generator")
         if _echelon(forms, n) is None:
             raise DomainError("generators are linearly dependent")
-        self._fill(gens, variables, forms)
+        self._fill(variables, forms)
 
-    def _fill(self, gens, variables, forms):
-        """Set the fields from checked data: independent n x n Fraction
-        matrices, n variable names and the matrices' integer forms."""
-        object.__setattr__(self, "n", len(gens))
-        object.__setattr__(self, "generators", tuple(tuple(tuple(row) for row in m) for m in gens))
+    def _fill(self, variables, forms):
+        """Set the fields from n names and n independent integer forms."""
+        object.__setattr__(self, "n", len(forms))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "forms", tuple(forms))
 
@@ -73,15 +73,41 @@ class GeneratorSet:
         raise AttributeError("GeneratorSet is immutable")
 
     def matrix(self, k):
-        return [list(row) for row in self.generators[k]]
+        """A_k as a fresh list of Fraction rows."""
+        rows, scale = self.forms[k]
+        zero = Fraction(0)
+        out = [[zero] * self.n for _ in rows]
+        for out_row, row in zip(out, rows):
+            for j, a in row:
+                out_row[j] = scale * a
+        return out
 
     def matrices(self):
         return [self.matrix(k) for k in range(self.n)]
 
+    def combination(self, coeffs):
+        """sum_k coeffs_k A_k as Fraction rows, from integer row sums
+        weighted by coeffs_k scale_k = q w_k, w_k ints."""
+        w, q = primitive([c * s for c, (_, s) in zip(coeffs, self.forms)])
+        acc = [{} for _ in range(self.n)]
+        for wk, (rows, _) in zip(w, self.forms):
+            if wk:
+                for target, row in zip(acc, rows):
+                    for j, a in row:
+                        target[j] = target.get(j, 0) + wk * a
+        zero = Fraction(0)
+        return [[q * r[j] if j in r else zero for j in range(self.n)] for r in acc]
+
+    def images(self, x):
+        """[A_k x for each k] as Fraction lists, for x of ints and Fractions."""
+        X, q = primitive(x)
+        return [[scale * q * sum(a * X[j] for j, a in row) for row in rows]
+                for rows, scale in self.forms]
+
     def __eq__(self, other):
         if not isinstance(other, GeneratorSet):
             return NotImplemented
-        return self.generators == other.generators and self.variables == other.variables
+        return self.forms == other.forms and self.variables == other.variables
 
     def __repr__(self):
         return f"GeneratorSet(n={self.n}, variables={self.variables})"
@@ -200,9 +226,10 @@ def _echelon(forms, n):
 
 
 def _integer_form(A, n):
-    """(rows, scale) of the n x n matrix A of ints and Fractions: A =
-    scale * M with M a content-free integer matrix, scale > 0 and
-    rows[i] = ((j, M_ij), ...) over the nonzero entries of row i."""
+    """(rows, scale) of the n x n matrix A of ints, Fractions and "p/q"
+    strings: A = scale * M with M a content-free integer matrix, scale > 0
+    and rows[i] = ((j, M_ij), ...) over the nonzero entries of row i."""
+    A = [[v if type(v) is int else _coerce(v) for v in row] for row in A]
     if len(A) != n or any(len(row) != n for row in A):
         raise ContextError(f"matrices must be {n}x{n}")
     nonzero = [(i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v]
@@ -247,7 +274,7 @@ def infinitesimal_apply(A, p: MultiPoly) -> MultiPoly:
     n = len(p.variables)
     B = _degree_bits(p)
     terms, p_scale = packed(p, B)
-    d, a_scale = _delta(_integer_form(linalg.frac_matrix(A), n), terms, B)
+    d, a_scale = _delta(_integer_form(A, n), terms, B)
     scale = a_scale * p_scale
     return MultiPoly(p.variables, {unpack(e, B, n): scale * v for e, v in d.items()})
 
@@ -267,8 +294,7 @@ def matrix_columns_determinant(mats, variables) -> MultiPoly:
     n = len(variables)
     if len(mats) != n:
         raise ContextError("need one matrix per variable")
-    return _determinant([_integer_form(linalg.frac_matrix(A), n) for A in mats],
-                        variables)
+    return _determinant([_integer_form(A, n) for A in mats], variables)
 
 
 def _determinant(forms, variables):
@@ -340,7 +366,7 @@ def _packed_form(f: MultiPoly):
 def character_value(A, f: MultiPoly):
     """lam with delta_A(f) = lam * f, or None when f is not a semi-invariant
     of A."""
-    form = _integer_form(linalg.frac_matrix(A), len(f.variables))
+    form = _integer_form(A, len(f.variables))
     return _eigenvalue(form, *_packed_form(f))
 
 
@@ -354,13 +380,14 @@ def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
     form = _packed_form(f)
     values = []
     traces = []
-    for k, (A, A_form) in enumerate(zip(g.generators, g.forms)):
-        lam = _eigenvalue(A_form, *form)
+    for k, (rows, scale) in enumerate(g.forms):
+        lam = _eigenvalue((rows, scale), *form)
         if lam is None:
             raise NotInvariantError(
                 f"delta_A(f) is not proportional to f for generator {k + 1}")
         values.append(lam)
-        traces.append(linalg.trace(A))
+        traces.append(scale * sum(a for i, row in enumerate(rows)
+                                  for j, a in row if i == j))
     return CharacterData(values, traces)
 
 
@@ -373,15 +400,7 @@ def annihilator_basis(g: GeneratorSet, c: CharacterData):
     """Deterministic (n-1)-element basis of ker(dchi) inside the span."""
     if not any(c.values):
         raise DegenerateCharacterError("dchi vanishes on every generator")
-    kernel = linalg.nullspace([list(c.values)])
-    out = []
-    for coeffs in kernel:
-        B = linalg.zero_matrix(g.n, g.n)
-        for a, A in zip(coeffs, g.matrices()):
-            if a:
-                B = linalg.mat_add(B, linalg.mat_scale(A, a))
-        out.append(B)
-    return out
+    return [g.combination(cs) for cs in linalg.nullspace([list(c.values)])]
 
 
 def is_special(c: CharacterData) -> bool:
@@ -399,20 +418,15 @@ def dual_generators(g: GeneratorSet) -> GeneratorSet:
     A -> -A^t is linear and invertible, so the duals are independent
     because the A_k are; the independence proof is not rerun.  The
     integer form of -A^t is (-M^t, scale), so nothing is rescanned."""
-    n = g.n
-    zero = Fraction(0)
-    duals, forms = [], []
-    for A, (rows, scale) in zip(g.generators, g.forms):
-        D = [[zero] * n for _ in range(n)]
-        cols = [[] for _ in range(n)]
+    forms = []
+    for rows, scale in g.forms:
+        cols = [[] for _ in range(g.n)]
         for i, row in enumerate(rows):
             for j, a in row:
-                D[j][i] = -A[i][j]
                 cols[j].append((i, -a))
-        duals.append(D)
         forms.append((tuple(map(tuple, cols)), scale))
     dual = GeneratorSet.__new__(GeneratorSet)
-    dual._fill(duals, dual_variables(g.variables), forms)
+    dual._fill(dual_variables(g.variables), forms)
     return dual
 
 

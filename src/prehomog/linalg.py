@@ -1,68 +1,36 @@
 """Exact linear algebra over Q.
 
 Matrices are lists of row lists of Fractions; functions never mutate
-their arguments.  All row reduction runs in `echelon`, one sparse
-fraction-free integer Gauss-Jordan that the closure check of `liealg`
-shares.  `rref` clears each row to a primitive integer row, reduces the
-integer rows and divides by the pivots once at the end; kernels and
-solves read that form.  The reduced row echelon form is unique, so every
-derived basis is deterministic.
+their arguments, and entries enter through `frac_matrix` and
+`frac_vector`, which take ints, Fractions and "p/q" strings and reject
+anything else (floats included) with a ContextError.  All row reduction
+runs in `echelon`, one sparse fraction-free integer Gauss-Jordan that
+the closure check of `liealg` shares.  `rref` clears each row to a
+primitive integer row, reduces the integer rows and divides by the
+pivots once at the end; kernels and solves read that form.  The reduced
+row echelon form is unique, so every derived basis is deterministic.
+Generator images and combinations live on `liealg.GeneratorSet`.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .errors import ContextError
-from .polyring import primitive
+from .polyring import _coerce, primitive
 
 
 def frac_matrix(rows):
-    return [[v if type(v) is Fraction else Fraction(v) for v in row]
+    return [[v if type(v) is Fraction else _coerce(v) for v in row]
             for row in rows]
 
 
 def frac_vector(v):
-    return [Fraction(x) for x in v]
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [x if type(x) is Fraction else _coerce(x) for x in v]
 
 
 def mat_scale(a, c):
     c = Fraction(c)
     return [[c * x for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    if not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    out = []
-    for row in a:
-        if len(row) != inner:
-            raise ContextError("matrix dimension mismatch in product")
-        out.append([sum((row[k] * b[k][j] for k in range(inner)), Fraction(0))
-                    for j in range(cols)])
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        if len(row) != len(v):
-            raise ContextError("matrix-vector dimension mismatch")
-        out.append(sum((x * y for x, y in zip(row, v)), Fraction(0)))
-    return out
 
 
 def transpose(a):
@@ -73,11 +41,6 @@ def transpose(a):
 
 def trace(a):
     return sum((a[i][i] for i in range(len(a)) if a[i][i]), Fraction(0))
-
-
-def bracket(a, b):
-    """Commutator [a, b] = ab - ba."""
-    return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -1))
 
 
 def echelon(rows):

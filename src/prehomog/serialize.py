@@ -63,7 +63,7 @@ def generatorset_to_json(g: GeneratorSet) -> dict:
         "n": g.n,
         "variables": list(g.variables),
         "generators": [[[format_rational(v) for v in row] for row in m]
-                       for m in g.generators],
+                       for m in g.matrices()],
     }
 
 

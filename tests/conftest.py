@@ -1,9 +1,13 @@
-"""Shared test plumbing: the acceptance summary lines, and the Fraction
-Gauss-Jordan that checks the integer echelon of `linalg.echelon`."""
+"""Shared test plumbing: the acceptance summary lines, the Fraction
+Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
+Fraction matrix helpers, and the dense pointwise geometry that checks
+the geometry on the stored integer forms."""
 
 from fractions import Fraction
 
-from prehomog.linalg import frac_matrix, frac_vector, transpose
+from prehomog.errors import DomainError
+from prehomog.geometry import PointContext
+from prehomog.linalg import frac_matrix, frac_vector, mat_scale, transpose
 
 _acceptance_lines = []
 
@@ -89,3 +93,74 @@ def ref_in_span(vectors, target):
     if not vectors:
         return None if any(target) else []
     return ref_solve(transpose([frac_vector(v) for v in vectors]), frac_vector(target))
+
+
+# -- dense Fraction matrices ---------------------------------------------
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def bracket(a, b):
+    """Commutator [a, b] = ab - ba."""
+    return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -1))
+
+
+def combination(coeffs, mats):
+    """sum_k coeffs_k mats_k, dense."""
+    n = len(mats[0])
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for a, A in zip(coeffs, mats):
+        if a:
+            out = mat_add(out, mat_scale(A, a))
+    return out
+
+
+# -- dense pointwise geometry --------------------------------------------
+
+def ref_point_context(g, x0):
+    """point_context with images A_k x0 by `mat_vec`, isotropy matrices by
+    `combination` and the elimination of `ref_rref`."""
+    x0 = [Fraction(v) for v in x0]
+    mats = g.matrices()
+    images = [mat_vec(A, x0) for A in mats]
+    coeffs = ref_nullspace(transpose(images))
+    R, pivots = ref_rref(images)
+    normal = [i for i in range(g.n) if i not in pivots]
+    return PointContext(x0, [combination(cs, mats) for cs in coeffs], coeffs,
+                        R[:len(pivots)], pivots, normal)
+
+
+def ref_annihilator_basis(g, c):
+    return [combination(cs, g.matrices()) for cs in ref_nullspace([list(c.values)])]
+
+
+def ref_euler_witness(c, ctx):
+    """B / dchi(B) for the first isotropy element B with dchi(B) != 0."""
+    for cs, B in zip(ctx.isotropy_coeffs, ctx.isotropy):
+        val = sum(a * v for a, v in zip(cs, c.values))
+        if val:
+            return tuple(tuple(v / val for v in row) for row in B)
+    return None
+
+
+def ref_strong_euler(g, c, x0):
+    """Is A_1 x0 in the span of {B x0} over the dense annihilator basis?"""
+    if c.values[0] != 1:
+        raise DomainError("first generator must have character value 1")
+    x0 = [Fraction(v) for v in x0]
+    images = [mat_vec(B, x0) for B in ref_annihilator_basis(g, c)]
+    return ref_in_span(images, mat_vec(g.matrix(0), x0)) is not None

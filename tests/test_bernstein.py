@@ -5,6 +5,8 @@ from math import prod
 
 import pytest
 
+from conftest import identity, mat_mul
+
 from prehomog import bernstein, linalg, quiver
 from prehomog.bernstein import (BFailure, BResult, FirstOrderOperator,
                                 SPowerExpression, annihilator_identity_check,
@@ -527,13 +529,13 @@ METAMORPHIC_INPUTS = ["binary-cubic", "star-2111", "atilde-3", "dtilde3-22111"]
 def elementary_product(rng, n, count):
     """(P, P^-1) for P a product of `count` seeded matrices I + c e_ij,
     i != j: det P = 1, and P^-1 is the product of the I - c e_ij."""
-    P, P_inv = linalg.identity(n), linalg.identity(n)
+    P, P_inv = identity(n), identity(n)
     for _ in range(count):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((1, -1, 2))
-        E, E_inv = linalg.identity(n), linalg.identity(n)
+        E, E_inv = identity(n), identity(n)
         E[i][j], E_inv[i][j] = c, -c
-        P, P_inv = linalg.mat_mul(P, E), linalg.mat_mul(E_inv, P_inv)
+        P, P_inv = mat_mul(P, E), mat_mul(E_inv, P_inv)
     return P, P_inv
 
 
@@ -560,8 +562,8 @@ class TestMetamorphic:
         # leading coefficient stay, and the walk runs on a new support
         g = get_fixture(name).generators()
         P, P_inv = elementary_product(random.Random(13), g.n, 3)
-        assert linalg.mat_mul(P, P_inv) == linalg.identity(g.n)
-        h = GeneratorSet([linalg.mat_mul(linalg.mat_mul(P, A), P_inv)
+        assert mat_mul(P, P_inv) == identity(g.n)
+        h = GeneratorSet([mat_mul(mat_mul(P, A), P_inv)
                           for A in g.matrices()])
         assert len(discriminant(h).terms) > len(discriminant(g).terms)
         one, two = bfunction(g), bfunction(h)

@@ -1,16 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import (ref_annihilator_basis, ref_euler_witness,
+                      ref_point_context, ref_strong_euler)
+
 from prehomog.errors import (ContextError, DomainError,
                              InadmissibleCovectorError, NotTransversalError)
-from prehomog.fixtures import get_fixture, star_chain
+from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import (OrderForm, PointContext, chain_assemble,
                                codim1_ratio, conormal_order, euler_at_point,
                                lemma46_check, localization,
                                normal_discriminant, normal_representation,
                                point_context, strong_euler_at_point)
-from prehomog.liealg import character, discriminant
+from prehomog.liealg import (GeneratorSet, annihilator_basis, character,
+                             discriminant)
 from prehomog.polyring import MultiPoly, UniPoly
 
 F = Fraction
@@ -249,3 +254,66 @@ class TestChainAssembly:
             chain_assemble(["s+1"])
         with pytest.raises(DomainError):
             chain_assemble([UniPoly([])])
+
+
+def typed(value):
+    """value with every leaf replaced by (type, leaf), so == compares types too."""
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(typed(v) for v in value)
+    return type(value), value
+
+
+def reference_points(g, rng):
+    """e_1, the origin, seeded rational points and seeded 0/1 points."""
+    e1 = (1,) + (0,) * (g.n - 1)
+    rational = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g.n))
+                for _ in range(3)]
+    binary = [tuple(rng.randint(0, 1) for _ in range(g.n)) for _ in range(4)]
+    return [e1, (0,) * g.n] + rational + binary
+
+
+class TestAgainstDenseReference:
+    """The geometry on the stored integer forms against the dense Fraction
+    geometry of conftest (mat_vec images, mat_add combinations)."""
+
+    @staticmethod
+    def check(g, c, x0):
+        ctx, ref = point_context(g, x0), ref_point_context(g, x0)
+        for field in PointContext.__slots__:
+            assert typed(getattr(ctx, field)) == typed(getattr(ref, field)), field
+        assert typed(euler_at_point(g, c, ctx)) == typed(ref_euler_witness(c, ref))
+        try:
+            want = ref_strong_euler(g, c, x0)
+        except DomainError:
+            with pytest.raises(DomainError):
+                strong_euler_at_point(g, c, ctx)
+        else:
+            assert strong_euler_at_point(g, c, ctx) is want
+
+    @staticmethod
+    def with_unit_character(g, c):
+        """g with A_1 divided by dchi(A_1), so that strong Euler applies."""
+        mats = g.matrices()
+        mats[0] = [[v / c.values[0] for v in row] for row in mats[0]]
+        h = GeneratorSet(mats, g.variables)
+        return h, character(h, discriminant(h))
+
+    def test_star_chain(self):
+        g = get_fixture("star-2111").generators()
+        c = character(g, discriminant(g))
+        for pt in star_chain():
+            self.check(g, c, pt.x0)
+            self.check(*self.with_unit_character(g, c), pt.x0)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        g = get_fixture(name).generators()
+        c = character(g, discriminant(g))
+        assert typed(annihilator_basis(g, c)) == typed(ref_annihilator_basis(g, c))
+        assert typed(list(c.trace_values)) == \
+            typed([sum((A[i][i] for i in range(g.n)), F(0)) for A in g.matrices()])
+        rng = random.Random(name)
+        unit = self.with_unit_character(g, c) if c.values[0] else (g, c)
+        for h, ch in ((g, c), unit):
+            for x0 in reference_points(h, rng):
+                self.check(h, ch, x0)

@@ -6,7 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from conftest import ref_in_span
+from conftest import (bracket, combination, identity, mat_add, mat_vec,
+                      ref_in_span)
 
 from prehomog import liealg, linalg, quiver
 from prehomog.errors import (ClosureError, ContextError,
@@ -24,14 +25,6 @@ from prehomog.polyring import MultiPoly
 
 def unit(i, j, n=3):
     return [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
-
-
-def combination(coeffs, mats):
-    n = len(mats[0])
-    out = linalg.zero_matrix(n, n)
-    for a, A in zip(coeffs, mats):
-        out = linalg.mat_add(out, linalg.mat_scale(A, a))
-    return out
 
 
 def diag_gens(n):
@@ -56,14 +49,14 @@ class TestGeneratorSet:
     def test_rational_dependence_and_zero_generator(self):
         A = [[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 1, 0], [Fraction(5, 3), 0, 0]]
         B = [[0, Fraction(2, 7), 0], [0, 0, 0], [0, 0, 1]]
-        C = linalg.mat_add(A, linalg.mat_scale(B, Fraction(-4, 5)))
+        C = mat_add(A, linalg.mat_scale(B, Fraction(-4, 5)))
         for mats in ([A, linalg.mat_scale(A, Fraction(2, 3)), B],
                      [A, B, C],
-                     [A, linalg.zero_matrix(3, 3), B],
-                     [linalg.zero_matrix(1, 1)]):
+                     [A, [[0] * 3 for _ in range(3)], B],
+                     [[[0]]]):
             with pytest.raises(DomainError):
                 GeneratorSet(mats)
-        assert GeneratorSet([A, B, linalg.mat_add(C, unit(1, 0))]).n == 3
+        assert GeneratorSet([A, B, mat_add(C, unit(1, 0))]).n == 3
 
     def test_variable_count(self):
         with pytest.raises(ContextError):
@@ -84,18 +77,56 @@ class TestGeneratorSet:
         with pytest.raises(AttributeError):
             g.n = 5
 
+    def test_entries_coerced_like_coefficients(self):
+        """Matrix entries follow the coefficient rule of MultiPoly: ints,
+        bools, Fractions and "p/q" strings, nothing else."""
+        for bad in (0.1, 1.0, None, [1], 1j):
+            with pytest.raises(ContextError, match="cannot use"):
+                GeneratorSet([[[bad]]])
+            with pytest.raises(ContextError, match="cannot use"):
+                infinitesimal_apply([[bad]], MultiPoly(("x",), {(1,): 1}))
+        assert GeneratorSet([[[True]]]) == GeneratorSet([[["2/2"]]])
+
+    def test_matrices_give_back_fractions(self):
+        g = GeneratorSet([[[1, "-2/6"], [0, Fraction(3, 4)]],
+                          [["5", 0], [Fraction(0), -7]]])
+        got = g.matrices()
+        assert got == [[[1, Fraction(-1, 3)], [0, Fraction(3, 4)]], [[5, 0], [0, -7]]]
+        assert all(type(row) is list and all(type(v) is Fraction for v in row)
+                   for A in got for row in A)
+        assert got == [g.matrix(0), g.matrix(1)]
+
+    def test_equality_follows_matrices(self):
+        """Equal matrices give equal stored forms, and unequal ones do not,
+        even when their integer rows agree."""
+        for name in fixture_names():
+            g = get_fixture(name).generators()
+            mats = g.matrices()
+            assert GeneratorSet([linalg.mat_scale(A, 1) for A in mats], g.variables) == g
+            for k in (0, g.n - 1):
+                other = [linalg.mat_scale(A, Fraction(2, 3)) if i == k else A
+                         for i, A in enumerate(mats)]
+                h = GeneratorSet(other, g.variables)
+                assert h != g and h.matrices() != mats
+                assert [rows for rows, _ in h.forms] == [rows for rows, _ in g.forms]
+            assert GeneratorSet(mats, liealg.dual_variables(g.variables)) != g
+
 
 def random_rational_set(rng, n):
-    """Independent generators with fractional and negative entries; about
-    one row in three is zero."""
+    """(g, mats): independent generators with fractional and negative
+    entries, about one row in three zero, and the set built from them."""
     while True:
         mats = [[[0] * n if rng.random() < 0.3 else
                  [Fraction(rng.choice((0, 0, rng.randint(-12, 12))), rng.randint(1, 6))
                   for _ in range(n)] for _ in range(n)] for _ in range(n)]
         try:
-            return GeneratorSet(mats)
+            return GeneratorSet(mats), mats
         except DomainError:
             continue
+
+
+def dual_matrices(mats):
+    return [linalg.mat_scale(linalg.transpose(A), -1) for A in mats]
 
 
 def expand_form(form, n):
@@ -108,13 +139,31 @@ def expand_form(form, n):
     return M
 
 
+class TestImagesAndCombinations:
+    """GeneratorSet.images and .combination against dense Fraction products."""
+
+    def test_seeded_rational_sets(self):
+        rng = random.Random(3141)
+        for _ in range(80):
+            g, mats = random_rational_set(rng, rng.randint(1, 5))
+            x = [rng.choice((0, 1, -3, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+                 for _ in range(g.n)]
+            cs = [rng.choice((0, 0, 1, -2, Fraction(3, 5))) for _ in range(g.n)]
+            images, comb = g.images(x), g.combination(cs)
+            assert images == [mat_vec(A, x) for A in mats]
+            assert comb == combination(cs, mats)
+            assert all(type(v) is Fraction for v in sum(images + comb, []))
+            assert g.combination([0] * g.n) == [[0] * g.n] * g.n
+
+
 class TestIntegerForm:
     """GeneratorSet.forms: A_k = scale_k * M_k, M_k content-free, scale_k > 0."""
 
     @staticmethod
-    def check_forms(g):
-        assert len(g.forms) == g.n
-        for A, form in zip(g.generators, g.forms):
+    def check_forms(g, mats):
+        """g was built from the matrices mats."""
+        assert len(g.forms) == g.n == len(mats)
+        for A, form in zip(mats, g.forms):
             rows, scale = form
             assert type(scale) is Fraction and scale > 0
             assert all(a and type(a) is int for row in rows for _, a in row)
@@ -125,9 +174,9 @@ class TestIntegerForm:
     def test_seeded_rational_sets(self):
         rng = random.Random(2718)
         for _ in range(150):
-            g = random_rational_set(rng, rng.randint(1, 5))
-            self.check_forms(g)
-            self.check_forms(dual_generators(g))
+            g, mats = random_rational_set(rng, rng.randint(1, 5))
+            self.check_forms(g, mats)
+            self.check_forms(dual_generators(g), dual_matrices(mats))
 
     def test_scales_and_zero_rows(self):
         g = GeneratorSet([[[Fraction(2, 3), Fraction(-4, 9)], [0, 0]],
@@ -157,10 +206,10 @@ class TestStructure:
 
     def test_first_failing_pair_after_closed_pairs(self):
         # [E11, E22] = 0 closes; [E11, E12 + E21] = E12 - E21 does not
-        g = GeneratorSet([unit(0, 0), unit(1, 1), linalg.mat_add(unit(0, 1), unit(1, 0))])
+        g = GeneratorSet([unit(0, 0), unit(1, 1), mat_add(unit(0, 1), unit(1, 0))])
         assert validate_algebra(g).failing_pair == (0, 2)
         # the identity commutes with everything; [E12, E21] = E11 - E22 escapes
-        g = GeneratorSet([linalg.identity(3), unit(0, 1), unit(1, 0)])
+        g = GeneratorSet([identity(3), unit(0, 1), unit(1, 0)])
         rep = validate_algebra(g)
         assert not rep.closed and rep.structure_constants is None
         assert rep.failing_pair == (1, 2)
@@ -177,7 +226,7 @@ class TestStructure:
         for i in range(g.n):
             for j in range(g.n):
                 assert combination(c[i][j], g.matrices()) == \
-                    linalg.bracket(g.matrix(i), g.matrix(j))
+                    bracket(g.matrix(i), g.matrix(j))
 
     def test_no_row_reduction(self, monkeypatch):
         """The closure check and the independence check run on the integer
@@ -194,20 +243,23 @@ class TestStructure:
 
 
 def bracket_by_bracket(g):
-    """Reference closure check: one Fraction in_span solve per ordered pair
-    (i, j), on the reference elimination of conftest."""
+    """Reference closure check: one Fraction in_span solve per pair i < j,
+    on the reference elimination of conftest.  Brackets are antisymmetric,
+    so c_ji = -c_ij and c_ii = 0 exactly, and the first failing pair in
+    row-major order has i < j."""
     def flatten(m):
         return [v for row in m for v in row]
 
-    flat = [flatten(m) for m in g.matrices()]
-    constants = [[None] * g.n for _ in range(g.n)]
+    mats = g.matrices()
+    flat = [flatten(m) for m in mats]
+    constants = [[(Fraction(0),) * g.n] * g.n for _ in range(g.n)]
     for i in range(g.n):
-        for j in range(g.n):
-            br = linalg.bracket(g.matrix(i), g.matrix(j))
-            coeffs = ref_in_span(flat, flatten(br))
+        for j in range(i + 1, g.n):
+            coeffs = ref_in_span(flat, flatten(bracket(mats[i], mats[j])))
             if coeffs is None:
                 return False, None, (i, j)
             constants[i][j] = tuple(coeffs)
+            constants[j][i] = tuple(-v for v in coeffs)
     return True, constants, None
 
 
@@ -365,7 +417,7 @@ class TestDiscriminant:
             mats = [[[rng.choice(entries) for _ in range(n)] for _ in range(n)]
                     for _ in range(n)]
             if n > 1 and trial % 4 == 1:
-                mats[rng.randrange(n)] = linalg.zero_matrix(n, n)
+                mats[rng.randrange(n)] = [[0] * n for _ in range(n)]
             if n > 1 and trial % 4 == 2:
                 i, j = rng.sample(range(n), 2)
                 mats[j] = linalg.mat_scale(mats[i], Fraction(-2, 3))
@@ -402,17 +454,19 @@ class TestStoredFormAgainstMatrices:
     @pytest.mark.parametrize("name", fixture_names())
     def test_named_and_dual(self, name, monkeypatch):
         g = get_fixture(name).generators()
-        for h in (g, dual_generators(g)):
-            TestIntegerForm.check_forms(h)
+        mats = g.matrices()
+        for h, h_mats in ((GeneratorSet(mats, g.variables), mats),
+                          (dual_generators(g), dual_matrices(mats))):
+            TestIntegerForm.check_forms(h, h_mats)
             with monkeypatch.context() as m:
                 m.setattr(liealg, "_integer_form", None)   # no per-call scan
                 f = discriminant(h)
                 values = character(h, f).values if not f.is_zero else ()
                 validate_algebra(h)
                 dual_generators(h)
-            assert f == matrix_columns_determinant(h.matrices(), h.variables)
+            assert f == matrix_columns_determinant(h_mats, h.variables)
             for k, v in enumerate(values):
-                assert v == character_value(h.matrix(k), f)
+                assert v == character_value(h_mats[k], f)
 
 
 class TestCharacter:
@@ -510,9 +564,8 @@ class TestDual:
 
         for name in fixture_names():
             g = get_fixture(name).generators()
-            duals = [linalg.mat_scale(linalg.transpose(m), -1)
-                     for m in g.matrices()]
-            expected = GeneratorSet(duals, liealg.dual_variables(g.variables))
+            expected = GeneratorSet(dual_matrices(g.matrices()),
+                                    liealg.dual_variables(g.variables))
             with monkeypatch.context() as m:
                 m.setattr(linalg, "rref", no_elimination)
                 m.setattr(linalg, "echelon", no_elimination)
@@ -523,11 +576,12 @@ class TestDual:
 
     def test_dual_of_dual(self):
         rng = random.Random(1618)
-        sets = [get_fixture(name).generators() for name in fixture_names()]
+        mats = [get_fixture(name).generators().matrices() for name in fixture_names()]
+        sets = [(GeneratorSet(m), m) for m in mats]
         sets += [random_rational_set(rng, rng.randint(1, 5)) for _ in range(40)]
-        for g in sets:
+        for g, mats in sets:
             back = dual_generators(dual_generators(g))
-            assert back.generators == g.generators
+            assert back.matrices() == mats
             assert back.forms == g.forms
             assert back.variables == tuple(v + "**" for v in g.variables)
 

@@ -6,7 +6,7 @@ import pytest
 from prehomog import linalg
 from prehomog.errors import ContextError
 
-from conftest import ref_in_span, ref_nullspace, ref_rref, ref_solve
+from conftest import mat_vec, ref_in_span, ref_nullspace, ref_rref, ref_solve
 
 
 def rand_matrix(rng, r, c, lo=-5, hi=5):
@@ -14,27 +14,19 @@ def rand_matrix(rng, r, c, lo=-5, hi=5):
 
 
 class TestBasics:
-    def test_mat_mul_identity(self):
-        rng = random.Random(0)
-        a = rand_matrix(rng, 3, 3)
-        assert linalg.mat_mul(a, linalg.identity(3)) == linalg.frac_matrix(a)
-        assert linalg.mat_mul(linalg.identity(3), a) == linalg.frac_matrix(a)
-
-    def test_mat_vec(self):
-        a = [[1, 2], [3, 4]]
-        assert linalg.mat_vec(a, [1, 1]) == [3, 7]
-
     def test_transpose_trace(self):
         a = [[1, 2], [3, 4]]
         assert linalg.transpose(a) == [[1, 3], [2, 4]]
         assert linalg.trace(a) == 5
 
-    def test_bracket_antisymmetric(self):
-        rng = random.Random(1)
-        a, b = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
-        ab = linalg.bracket(a, b)
-        ba = linalg.bracket(b, a)
-        assert linalg.mat_add(ab, ba) == linalg.zero_matrix(3, 3)
+    def test_entries_coerced_like_coefficients(self):
+        assert linalg.frac_matrix([[1, "-2/4", Fraction(1, 3), True]]) == \
+            [[1, Fraction(-1, 2), Fraction(1, 3), 1]]
+        for bad in (0.5, None, 2j):
+            with pytest.raises(ContextError, match="cannot use"):
+                linalg.frac_matrix([[1, bad]])
+            with pytest.raises(ContextError, match="cannot use"):
+                linalg.in_span([[1, 0]], [bad, 0])
 
 
 class TestEchelon:
@@ -79,7 +71,7 @@ class TestKernelAndSolve:
             basis = linalg.nullspace(a)
             assert len(basis) == len(a[0]) - len(linalg.rref(a)[1])
             for v in basis:
-                assert all(x == 0 for x in linalg.mat_vec(a, v))
+                assert all(x == 0 for x in mat_vec(a, v))
 
     def test_nullspace_free_column_structure(self):
         basis = linalg.nullspace([[1, 2, 3]])
@@ -115,10 +107,10 @@ class TestKernelAndSolve:
             n = rng.randint(1, 4)
             a = rand_matrix(rng, n, n)
             x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            b = linalg.mat_vec(a, x)
+            b = mat_vec(a, x)
             got = linalg.solve(a, b)
             assert got is not None
-            assert linalg.mat_vec(a, got) == b
+            assert mat_vec(a, got) == b
 
 
 
@@ -165,7 +157,7 @@ class TestAgainstFractionReference:
             c = len(a[0]) if a else 0
             if rng.random() < 0.5:
                 x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(c)]
-                b = linalg.mat_vec(a, x)
+                b = mat_vec(a, x)
             else:
                 b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in a]
             x0, kernel = ref_solve(a, b), ref_nullspace(a)
