@@ -35,8 +35,8 @@ from fractions import Fraction
 
 from . import liealg, linalg
 from .errors import ClosureError, ContextError, DomainError
-from .polyring import (MultiPoly, Spectrum, UniPoly, packed, primitive,
-                       rational_root_spectrum, unpack)
+from .polyring import (MultiPoly, Spectrum, UniPoly, _coerce, _exact, packed,
+                       primitive, rational_root_spectrum, unpack)
 
 
 class SPowerExpression:
@@ -44,8 +44,8 @@ class SPowerExpression:
     of `apply_operator` and the input of `extract_cofactor`.
 
     terms maps exponent tuples to tuples of rationals (s-coefficients,
-    lowest degree first, trailing zeros trimmed): ints stay ints, anything
-    else becomes a Fraction.  deg_s P <= k always.
+    lowest degree first, trailing zeros trimmed), made exact by `_exact`:
+    ints stay ints, the rest become Fractions.  deg_s P <= k always.
     """
 
     __slots__ = ("variables", "k", "terms")
@@ -65,7 +65,7 @@ class SPowerExpression:
                 raise DomainError("s-degree exceeds the power offset")
             if len(exps) != len(variables):
                 raise ContextError("exponent tuple length mismatch")
-            clean[tuple(exps)] = tuple(c if type(c) is int else Fraction(c) for c in sc)
+            clean[tuple(exps)] = tuple(map(_exact, sc))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
@@ -99,7 +99,7 @@ class BResult:
     def __init__(self, b: UniPoly, raw_leading: Fraction, spectrum: Spectrum,
                  special=None, symmetric=None):
         self.b = b
-        self.raw_leading = Fraction(raw_leading)
+        self.raw_leading = raw_leading
         self.spectrum = spectrum
         self.degree = b.degree()
         self.special = special
@@ -460,8 +460,8 @@ class FirstOrderOperator:
 
     def __init__(self, C, c0=0, c1=0):
         self.C = linalg.frac_matrix(C)
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
+        self.c0 = _coerce(c0)
+        self.c1 = _coerce(c1)
 
     def __eq__(self, other):
         if not isinstance(other, FirstOrderOperator):
@@ -475,13 +475,13 @@ class FirstOrderOperator:
 def q_operator(A, s_trace) -> FirstOrderOperator:
     """Q_A(s) = delta_A - s_trace * s; delta_A = sum A[i][j] x_j d_i."""
     return FirstOrderOperator(linalg.transpose(linalg.frac_matrix(A)),
-                              0, -Fraction(s_trace))
+                              0, -_coerce(s_trace))
 
 
 def q_dual_operator(A, s_trace) -> FirstOrderOperator:
     """Q*_A(s) = delta*_A + s_trace * s on the dual side."""
     return FirstOrderOperator(linalg.mat_scale(linalg.frac_matrix(A), -1),
-                              0, Fraction(s_trace))
+                              0, _coerce(s_trace))
 
 
 def fourier_transform(op: FirstOrderOperator) -> FirstOrderOperator:
@@ -493,14 +493,14 @@ def fourier_transform(op: FirstOrderOperator) -> FirstOrderOperator:
 
 def substitute_s(op: FirstOrderOperator, a, b) -> FirstOrderOperator:
     """s -> a*s + b in the scalar part."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _coerce(a), _coerce(b)
     return FirstOrderOperator(op.C, op.c0 + op.c1 * b, op.c1 * a)
 
 
 def fourier_check(A, s_trace=None) -> bool:
     """Is F(Q_A(s)) = Q*_A(-s-1)?  Holds exactly when s_trace = tr(A)."""
     A = linalg.frac_matrix(A)
-    t = linalg.trace(A) if s_trace is None else Fraction(s_trace)
+    t = linalg.trace(A) if s_trace is None else _coerce(s_trace)
     lhs = fourier_transform(q_operator(A, t))
     rhs = substitute_s(q_dual_operator(A, t), -1, -1)
     return lhs == rhs

@@ -49,7 +49,7 @@ def _load_source(job: JobSpec):
                 obj = json.load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read {job.input_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise ParseError(f"malformed JSON in {job.input_path}: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError("input must be a JSON object")

@@ -13,9 +13,9 @@ from fractions import Fraction
 import re
 
 from . import quiver
-from .errors import ContextError
+from .errors import CapacityError, ContextError
 from .liealg import GeneratorSet
-from .polyring import UniPoly, parse_factored
+from .polyring import UniPoly, parse_factored, parse_rational
 
 
 class Fixture:
@@ -161,21 +161,20 @@ def get_fixture(name: str) -> Fixture:
 
 
 def _family(name):
-    m = re.fullmatch(r"nc-(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise ContextError("nc-N needs N >= 1")
-        return Fixture(name, _nc(n), True,
-                       f"normal crossings x1*...*x{n}")
-    m = re.fullmatch(r"atilde-(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise ContextError("atilde-N needs N >= 1")
-        return Fixture(name, _from_quiver(quiver.atilde_quiver, n), True,
-                       f"affine A{n} shape; f = det^2 * path coordinates")
-    raise ContextError(f"unknown fixture {name!r}")
+    m = re.fullmatch(r"(nc|atilde)-(\d+)", name)
+    if not m:
+        raise ContextError(f"unknown fixture {name!r}")
+    kind, n = m.group(1), int(parse_rational(m.group(2)))
+    if n < 1:
+        raise ContextError(f"{kind}-N needs N >= 1")
+    size = n if kind == "nc" else n + 3  # variables of nc-N and atilde-N
+    if size > quiver.MAX_GENERATED_VARIABLES:
+        raise CapacityError(f"{name} has {size} variables, more than the "
+                            f"limit {quiver.MAX_GENERATED_VARIABLES}")
+    if kind == "nc":
+        return Fixture(name, _nc(n), True, f"normal crossings x1*...*x{n}")
+    return Fixture(name, _from_quiver(quiver.atilde_quiver, n), True,
+                   f"affine A{n} shape; f = det^2 * path coordinates")
 
 
 def fixture_names():

@@ -2,10 +2,10 @@
 localization, Euler homogeneity at a point, conormal orders, and chain
 assembly of b-function factors along an orbit chain.
 
-The orbit tangent at x0 is spanned by the images A_k x0 and the isotropy
-by the combinations sum c_k A_k with sum c_k A_k x0 = 0; both come from
-the stored integer forms of the generator set (`GeneratorSet.images`
-and `GeneratorSet.combination`).
+The orbit tangent at x0 is spanned by the images A_k x0 (`GeneratorSet.images`)
+and the isotropy by the combinations sum c_k A_k with sum c_k A_k x0 = 0,
+kept as their coefficients c; `GeneratorSet.combination` rebuilds a matrix
+where one is needed.  Caller numbers are made exact once, on entry.
 """
 
 from fractions import Fraction
@@ -13,30 +13,25 @@ from fractions import Fraction
 from . import liealg, linalg
 from .errors import (ContextError, DomainError, InadmissibleCovectorError,
                      NotTransversalError)
-from .polyring import MultiPoly, UniPoly
+from .polyring import MultiPoly, UniPoly, _coerce
 
 
 class PointContext:
     """A rational point with its isotropy, orbit tangent, and a chosen
-    coordinate complement.
+    coordinate complement, built by `point_context` and stored as given.
 
-    tangent rows are in reduced echelon form; normal_coords are the
-    non-pivot coordinate indices, so the classes of those coordinate
-    vectors form a basis of V / tangent.
+    isotropy_coeffs has one vector c per isotropy basis element sum c_k A_k
+    (its matrix is `g.combination(c)`); tangent rows are in reduced echelon
+    form; normal_coords are the non-pivot coordinate indices, so the
+    classes of those coordinate vectors form a basis of V / tangent.
     """
 
-    __slots__ = ("x0", "isotropy", "isotropy_coeffs", "tangent", "pivots",
-                 "normal_coords")
+    __slots__ = ("x0", "isotropy_coeffs", "tangent", "pivots", "normal_coords")
 
-    def __init__(self, x0, isotropy, isotropy_coeffs, tangent, pivots,
-                 normal_coords):
-        object.__setattr__(self, "x0", tuple(Fraction(v) for v in x0))
-        object.__setattr__(self, "isotropy", tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in B) for B in isotropy))
-        object.__setattr__(self, "isotropy_coeffs", tuple(
-            tuple(Fraction(v) for v in cs) for cs in isotropy_coeffs))
-        object.__setattr__(self, "tangent", tuple(
-            tuple(Fraction(v) for v in row) for row in tangent))
+    def __init__(self, x0, isotropy_coeffs, tangent, pivots, normal_coords):
+        object.__setattr__(self, "x0", tuple(x0))
+        object.__setattr__(self, "isotropy_coeffs", tuple(map(tuple, isotropy_coeffs)))
+        object.__setattr__(self, "tangent", tuple(map(tuple, tangent)))
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "normal_coords", tuple(normal_coords))
 
@@ -44,7 +39,8 @@ class PointContext:
         raise AttributeError("PointContext is immutable")
 
     def __repr__(self):
-        return (f"PointContext(x0={self.x0}, dim isotropy={len(self.isotropy)}, "
+        return (f"PointContext(x0={self.x0}, "
+                f"dim isotropy={len(self.isotropy_coeffs)}, "
                 f"dim tangent={len(self.tangent)})")
 
 
@@ -54,8 +50,8 @@ class OrderForm:
     __slots__ = ("m", "half_mu")
 
     def __init__(self, m, half_mu):
-        self.m = Fraction(m)
-        self.half_mu = Fraction(half_mu)
+        self.m = _coerce(m)
+        self.half_mu = _coerce(half_mu)
 
     def to_polynomial(self) -> UniPoly:
         return UniPoly([-self.half_mu, -self.m])
@@ -80,15 +76,14 @@ def point_context(g: liealg.GeneratorSet, x0) -> PointContext:
     images = g.images(x0)
     # the columns map a coefficient vector c to sum c_k A_k x0
     iso_coeffs = linalg.nullspace(linalg.transpose(images))
-    iso_mats = [g.combination(cs) for cs in iso_coeffs]
     tangent, pivots = linalg.row_space_basis(images)
     normal = sorted(set(range(g.n)).difference(pivots))
-    return PointContext(x0, iso_mats, iso_coeffs, tangent, pivots, normal)
+    return PointContext(x0, iso_coeffs, tangent, pivots, normal)
 
 
 def _quotient_vector(ctx: PointContext, v):
     """Class of v in V / tangent, in the normal coordinates."""
-    w = [Fraction(x) for x in v]
+    w = list(v)
     for row, p in zip(ctx.tangent, ctx.pivots):
         c = w[p]
         if c:
@@ -106,7 +101,7 @@ def normal_representation(ctx: PointContext, g: liealg.GeneratorSet):
         raise ContextError("context does not match the generator set")
     return [linalg.transpose([_quotient_vector(ctx, [row[qc] for row in B])
                               for qc in ctx.normal_coords])
-            for B in ctx.isotropy]
+            for B in map(g.combination, ctx.isotropy_coeffs)]
 
 
 def localization(f: MultiPoly, x0):
@@ -122,9 +117,9 @@ def localization(f: MultiPoly, x0):
 def normal_discriminant(ctx: PointContext, g: liealg.GeneratorSet) -> MultiPoly:
     """Discriminant of the induced isotropy action on the normal space."""
     q = len(ctx.normal_coords)
-    if len(ctx.isotropy) != q:
-        raise DomainError(
-            f"isotropy dimension {len(ctx.isotropy)} != normal dimension {q}")
+    if len(ctx.isotropy_coeffs) != q:
+        raise DomainError(f"isotropy dimension {len(ctx.isotropy_coeffs)} "
+                          f"!= normal dimension {q}")
     if q == 0:
         return MultiPoly.constant((), 1)
     names = tuple(g.variables[i] for i in ctx.normal_coords)
@@ -155,11 +150,10 @@ def euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
                    ctx: PointContext):
     """A matrix B with B x0 = 0 and dchi(B) = 1, if the character does
     not vanish on the isotropy; None means inconclusive, not a disproof."""
-    for cs, B in zip(ctx.isotropy_coeffs, ctx.isotropy):
+    for cs in ctx.isotropy_coeffs:
         val = liealg.character_of_combination(c, cs)
         if val:
-            inv = 1 / val
-            return tuple(tuple(inv * v for v in row) for row in B)
+            return tuple(map(tuple, g.combination([v / val for v in cs])))
     return None
 
 
@@ -186,7 +180,7 @@ def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,
     ord = dchi(A0) s - (conormal trace of A0 - half the normal dimension).
     """
     q = len(ctx.normal_coords)
-    y0 = tuple(Fraction(v) for v in (y0 or ()))
+    y0 = linalg.frac_vector(y0 or ())
     if len(y0) != q:
         raise ContextError(f"covector has {len(y0)} coordinates, expected {q}")
     if q == 0:
@@ -198,7 +192,7 @@ def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,
     # rows of the system: sum_j t_j * (-N_j^T y0) = y0
     rows = [[-sum(N[m][r] * y0[m] for m in range(q)) for N in normals]
             for r in range(q)]
-    sol = linalg.solve_affine(rows, list(y0))
+    sol = linalg.solve_affine(rows, y0)
     if sol is None:
         raise InadmissibleCovectorError(
             "covector not admissible at this point; no conormal symmetry "

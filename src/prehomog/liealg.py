@@ -130,8 +130,8 @@ class CharacterData:
     __slots__ = ("values", "trace_values")
 
     def __init__(self, values, trace_values):
-        self.values = tuple(Fraction(v) for v in values)
-        self.trace_values = tuple(Fraction(v) for v in trace_values)
+        self.values = tuple(values)
+        self.trace_values = tuple(trace_values)
 
 
 class Classification:
@@ -393,7 +393,7 @@ def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
 
 def character_of_combination(c: CharacterData, coeffs):
     """dchi is linear; evaluate it on sum coeffs_k * A_k."""
-    return sum((Fraction(a) * v for a, v in zip(coeffs, c.values)), Fraction(0))
+    return sum((_coerce(a) * v for a, v in zip(coeffs, c.values)), Fraction(0))
 
 
 def annihilator_basis(g: GeneratorSet, c: CharacterData):

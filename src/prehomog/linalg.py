@@ -29,7 +29,7 @@ def frac_vector(v):
 
 
 def mat_scale(a, c):
-    c = Fraction(c)
+    c = _coerce(c)
     return [[c * x for x in row] for row in a]
 
 

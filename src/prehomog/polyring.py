@@ -117,10 +117,14 @@ def parse_rational(text: str) -> Fraction:
     if not m:
         raise ParseError(f"bad rational literal {text!r}")
     num, den = m.groups()
-    den = int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than Python converts to an int
+        raise CapacityError(f"rational literal of {len(text)} characters is "
+                            "too long") from None
     if not den:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(int(num), den)
+    return Fraction(num, den)
 
 
 def format_rational(c: Fraction) -> str:

@@ -9,7 +9,12 @@ trivially, so one scalar generator is dropped to match dim Rep.
 from fractions import Fraction
 
 from . import liealg
-from .errors import ContextError, DomainError
+from .errors import CapacityError, ContextError, DomainError
+
+# variable cap of generated inputs (nc-N, atilde-N, quiver dimension
+# vectors): n variables take about n^3 dense matrix entries to build, and
+# 128 variables build in seconds
+MAX_GENERATED_VARIABLES = 128
 
 
 class Quiver:
@@ -177,6 +182,9 @@ def infinitesimal_generators(quiver: Quiver, d: DimensionVector) -> liealg.Gener
     layout, nv = _layout(quiver, d)
     if nv == 0:
         raise DomainError("representation space is zero dimensional")
+    if nv > MAX_GENERATED_VARIABLES:
+        raise CapacityError(f"representation space has {nv} variables, more "
+                            f"than the limit {MAX_GENERATED_VARIABLES}")
 
     last_vertex = quiver.vertices[-1]
     mats = []

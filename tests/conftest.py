@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from prehomog.errors import DomainError
 from prehomog.geometry import PointContext
+from prehomog.liealg import matrix_columns_determinant
 from prehomog.linalg import frac_matrix, frac_vector, mat_scale, transpose
 
 _acceptance_lines = []
@@ -132,25 +133,47 @@ def combination(coeffs, mats):
 # -- dense pointwise geometry --------------------------------------------
 
 def ref_point_context(g, x0):
-    """point_context with images A_k x0 by `mat_vec`, isotropy matrices by
-    `combination` and the elimination of `ref_rref`."""
+    """point_context with images A_k x0 by `mat_vec` and the elimination
+    of `ref_rref`; the isotropy is kept as its coefficients."""
     x0 = [Fraction(v) for v in x0]
-    mats = g.matrices()
-    images = [mat_vec(A, x0) for A in mats]
+    images = [mat_vec(A, x0) for A in g.matrices()]
     coeffs = ref_nullspace(transpose(images))
     R, pivots = ref_rref(images)
     normal = [i for i in range(g.n) if i not in pivots]
-    return PointContext(x0, [combination(cs, mats) for cs in coeffs], coeffs,
-                        R[:len(pivots)], pivots, normal)
+    return PointContext(x0, coeffs, R[:len(pivots)], pivots, normal)
+
+
+def ref_isotropy(g, ctx):
+    """The isotropy matrices sum c_k A_k by the dense `combination`."""
+    return [combination(cs, g.matrices()) for cs in ctx.isotropy_coeffs]
+
+
+def ref_normal_representation(g, ctx):
+    """normal_representation with each column's class in V / tangent solved
+    from the basis tangent + {e_q : q normal} by `ref_solve`."""
+    basis = [list(row) for row in ctx.tangent]
+    basis += [[Fraction(int(i == q)) for i in range(g.n)] for q in ctx.normal_coords]
+    a = transpose(basis)
+    t = len(ctx.tangent)
+    return [transpose([ref_solve(a, [row[qc] for row in B])[t:]
+                       for qc in ctx.normal_coords])
+            for B in ref_isotropy(g, ctx)]
+
+
+def ref_normal_discriminant(g, ctx):
+    """Determinant of `ref_normal_representation`; the determinant itself
+    is checked against the Leibniz sum in test_liealg."""
+    names = tuple(g.variables[i] for i in ctx.normal_coords)
+    return matrix_columns_determinant(ref_normal_representation(g, ctx), names)
 
 
 def ref_annihilator_basis(g, c):
     return [combination(cs, g.matrices()) for cs in ref_nullspace([list(c.values)])]
 
 
-def ref_euler_witness(c, ctx):
+def ref_euler_witness(g, c, ctx):
     """B / dchi(B) for the first isotropy element B with dchi(B) != 0."""
-    for cs, B in zip(ctx.isotropy_coeffs, ctx.isotropy):
+    for cs, B in zip(ctx.isotropy_coeffs, ref_isotropy(g, ctx)):
         val = sum(a * v for a, v in zip(cs, c.values))
         if val:
             return tuple(tuple(v / val for v in row) for row in B)

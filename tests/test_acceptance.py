@@ -257,7 +257,7 @@ def test_criterion_09():
                 x0 = [F(rng.randrange(-4, 5), rng.randrange(1, 3))
                       for _ in range(g.n)]
                 ctx = point_context(g, x0)
-                assert len(ctx.isotropy) == len(ctx.normal_coords), name
+                assert len(ctx.isotropy_coeffs) == len(ctx.normal_coords), name
         return True
 
     run_criterion(9, "property suites: product rule, symmetry, scaling, "

@@ -274,6 +274,26 @@ class TestBadInput:
         assert done.stdout.startswith("error:") and "exceeds the limit 1000" in done.stdout
         assert classify("nc-1", 1000).returncode == 0
 
+    # past Python's limit of 4300 digits for int() on a string
+    BIG = "7" * 5000
+
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--fixture", "nc-3", "--point", f"{BIG},0,0"],
+        ["microlocal", "--fixture", "nc-2", "--point", "1,0", "--covector", BIG],
+        ["symmetry", "--poly", f"(s+{BIG})^2"],
+        ["chain", "s+1", f"s+1/{BIG}"],
+        ["bfunction", "--fixture", f"nc-{BIG}"],
+    ], ids=["point", "covector", "poly", "chain", "fixture"])
+    def test_oversized_literal(self, argv, capsys):
+        self.run_main(argv, capsys, "too long")
+
+    def test_oversized_literal_in_json(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {"generators": [[[f"{self.BIG}/2"]]]})
+        self.run_main(["classify", "--input", path], capsys, "too long")
+        path = tmp_path / "n.json"
+        path.write_text('{"generators": [[[' + self.BIG + ']]]}', encoding="utf-8")
+        self.run_main(["classify", "--input", str(path)], capsys, "malformed JSON")
+
     def test_zero_denominator_in_generators(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {"generators": [[["1/0"]]]})
         self.run_main(["bfunction", "--input", path], capsys, "zero denominator")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from prehomog import fixtures, quiver
-from prehomog.errors import ContextError
+from prehomog.errors import CapacityError, ContextError
 from prehomog.fixtures import (fixture_names, get_fixture,
                                reduced_discriminant_bfunctions, star_chain,
                                star_edge_factors, table_spectra)
@@ -30,6 +30,16 @@ class TestRegistry:
             get_fixture("nc-0")
         with pytest.raises(ContextError):
             get_fixture("atilde-0")
+
+    def test_family_size_cap(self):
+        # refused when the name resolves, before any matrix is built;
+        # nc-N has N variables and atilde-N has N + 3
+        cap = quiver.MAX_GENERATED_VARIABLES
+        for name in ("nc-1000000", f"nc-{cap + 1}", f"atilde-{cap - 2}"):
+            with pytest.raises(CapacityError, match="variables"):
+                get_fixture(name)
+        assert get_fixture(f"nc-{cap}").name == f"nc-{cap}"
+        assert get_fixture(f"atilde-{cap - 3}").name == f"atilde-{cap - 3}"
 
     def test_generators_cached(self):
         fx = get_fixture("binary-cubic")

@@ -1,6 +1,6 @@
 import pytest
 
-from prehomog.errors import ContextError, DomainError
+from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
 from prehomog.liealg import discriminant
 from prehomog.polyring import MultiPoly
@@ -115,6 +115,15 @@ class TestGenerators:
         qv, _ = star_quiver()
         d = DimensionVector({"c": 3, "s1": 1, "s2": 1, "s3": 1})
         with pytest.raises(DomainError, match="Tits form"):
+            infinitesimal_generators(qv, d)
+
+    def test_size_cap(self):
+        # the Kronecker quiver at (1001, 1000) has Tits form 1 and about two
+        # million variables: refused before the first matrix is built
+        qv = Quiver(["a", "b"], [("a", "b"), ("a", "b")])
+        d = DimensionVector({"a": 1001, "b": 1000})
+        assert tits_form(qv, d) == 1
+        with pytest.raises(CapacityError, match="2002000 variables"):
             infinitesimal_generators(qv, d)
 
 
