@@ -358,9 +358,36 @@ def geometry_runs():
     return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
 
 
+# factor lists of the recorded `chain` and `symmetry --poly` runs
+POLY_INPUTS = {
+    "star-edges": ["s+1", "s+1", "(3s+2)(3s+3)(3s+4)", "s+1"],
+    "star-roots": ["(s+2/3)(s+1)^5(s+4/3)(s+2)"],
+    "leading-minus": ["-(3s+2)(s+1)^2"],
+    "constant-factor": ["5(s+1)^2"],
+    "residual": ["(s^2+1)(2s+1)"],
+    "non-symmetric": ["(2s+1)^2", "(s+3)(3s+5)", "7s+2"],
+}
+
+
+def poly_runs():
+    """(golden file stem, argv) of `chain` on each factor list and of
+    `symmetry --poly` on their product, as text and as --json.  "--" and
+    "--poly=" keep a leading minus from reading as an option."""
+    runs = []
+    for name, factors in POLY_INPUTS.items():
+        poly = factors[0] if len(factors) == 1 else \
+            "".join(f"({t})" for t in factors)
+        for form, flag in (("txt", []), ("json", ["--json"])):
+            runs.append((f"chain/{name}.{form}", ["chain"] + flag + ["--"] + factors))
+            runs.append((f"symmetry/{name}.{form}",
+                         ["symmetry", f"--poly={poly}"] + flag))
+    return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
+
+
 class TestGoldenBytes:
-    """`prehomog bfunction --fixture NAME --json`, and the `euler` and
-    `microlocal` runs of `geometry_runs`, against recorded stdout."""
+    """`prehomog bfunction --fixture NAME --json`, the `euler` and
+    `microlocal` runs of `geometry_runs` and the `chain` and `symmetry`
+    runs of `poly_runs`, against recorded stdout."""
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_bfunction_json(self, name, capsys):
@@ -371,6 +398,12 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("stem, argv", geometry_runs())
     def test_geometry_json(self, stem, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN / f"{stem}.out").read_bytes()
+
+    @pytest.mark.parametrize("stem, argv", poly_runs())
+    def test_poly_bytes(self, stem, argv, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert out == (GOLDEN / f"{stem}.out").read_bytes()
