@@ -394,7 +394,7 @@ def _pointwise_b(fstar: MultiPoly, f: MultiPoly, x0):
     if not total.get(0):
         return None
     scale /= f0 ** (f.degree() - 1)
-    return UniPoly([d * scale for d in _balanced_digits(total[0], W)])
+    return UniPoly._form(_balanced_digits(total[0], W), scale)
 
 
 def bfunction(g: liealg.GeneratorSet):

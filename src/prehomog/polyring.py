@@ -2,8 +2,11 @@
 
 MultiPoly is a sparse multivariate polynomial: a map from exponent
 tuples to Fraction coefficients, together with an ordered variable
-context.  UniPoly is dense univariate, lowest degree first.  All
-arithmetic is exact; there is no floating point anywhere.
+context.  UniPoly is dense univariate, lowest degree first, and is kept
+as its content-free integer form (ints, scale), the pair `primitive`
+returns, so b(s), the chain products, the symmetry check and the
+rational root search run on integers.  All arithmetic is exact; there is
+no floating point anywhere.
 
 The integer engines (the determinant and delta_A in liealg, the
 derivation walk in bernstein) share one exponent format: `packed` scales
@@ -30,6 +33,10 @@ MAX_PARSED_DEGREE = 300
 # needs a larger trial divisor raises CapacityError instead of running
 # for minutes
 MAX_TRIAL_DIVISOR = 10**6
+# pair cap of the rational root search: end terms with more divisor pairs
+# (a | f(0), q | lc f) than this raise CapacityError before any divisor is
+# listed; the tests and the benchmark inputs reach 100800 pairs
+MAX_ROOT_PAIRS = 2 * 10**6
 # line cap of is_squarefree: each line costs about a millisecond at n = 10
 MAX_SQUAREFREE_TRIALS = 1000
 # parenthesis depth cap of parse_factored: each level takes four stack
@@ -393,7 +400,8 @@ class MultiPoly:
                 acc.extend([0] * (len(term) - len(acc)))
             for j, v in enumerate(term):
                 acc[j] += v
-        return UniPoly([scale * v for v in acc])
+        ints, line_scale = primitive(acc)   # a rational line leaves Fractions
+        return UniPoly._form(ints, scale * line_scale)
 
     # -- display -------------------------------------------------------
 
@@ -449,75 +457,142 @@ def _dense_mul(a, b):
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q, lowest degree first."""
+    """Dense univariate polynomial over Q, kept as its content-free integer
+    form: p = scale * sum ints[i] s^i, lowest degree first, with no
+    trailing zero, gcd(ints) = 1 and scale > 0 a Fraction (the zero
+    polynomial is ints () and scale 1).
 
-    __slots__ = ("coeffs",)
+    The form is canonical, so == compares (ints, scale), and the
+    arithmetic runs on the ints: a product of content-free forms is
+    content-free (Gauss's lemma), so only sums, derivatives and
+    substitutions divide the content out again.  `coeffs` gives the
+    Fraction coefficients.
+    """
+
+    __slots__ = ("ints", "scale")
 
     def __init__(self, coeffs):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        ints, scale = primitive([_exact(c) for c in coeffs])
+        while ints and not ints[-1]:
+            ints.pop()
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "scale", scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
+    def _new(cls, ints, scale):
+        """The polynomial of a form already content-free, trimmed and with
+        scale > 0."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ints", tuple(ints))
+        object.__setattr__(p, "scale", scale)
+        return p
+
+    @classmethod
+    def _form(cls, ints, scale):
+        """scale * sum ints[i] s^i for integers ints and a nonzero Fraction
+        scale: trims, moves the sign of scale into the ints and divides the
+        content out."""
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(*ints)
+        if not g:
+            return _ZERO
+        if scale < 0:
+            g = -g
+        if g != 1:
+            ints = [v // g for v in ints]
+            scale *= g
+        return cls._new(ints, scale)
+
+    @classmethod
     def zero(cls):
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls._new((1,), Fraction(1))
+
+    @classmethod
+    def constant(cls, c):
+        c = _coerce(c)
+        if not c:
+            return _ZERO
+        return cls._new((1,), c) if c > 0 else cls._new((-1,), -c)
 
     @classmethod
     def variable(cls):
-        return cls((0, 1))
+        return cls._new((0, 1), Fraction(1))
 
     @classmethod
     def from_roots(cls, roots):
         p = cls.one()
         for r in roots:
-            p = p * cls((-_coerce(r), 1))
+            r = _coerce(r)
+            d = r.denominator
+            p = p * cls._new((-r.numerator, d), Fraction(1, d))
         return p
 
     @property
+    def coeffs(self):
+        """The coefficients as Fractions, lowest degree first."""
+        scale = self.scale
+        return tuple(scale * c for c in self.ints)
+
+    @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.scale * self.ints[-1]
 
     def monic(self):
-        if not self.coeffs:
+        if not self.ints:
             raise DomainError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        return UniPoly([c / lead for c in self.coeffs])
+        lead = self.ints[-1]
+        if lead > 0:
+            return UniPoly._new(self.ints, Fraction(1, lead))
+        return UniPoly._new([-c for c in self.ints], Fraction(1, -lead))
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly((other,))
-        a, b = self.coeffs, other.coeffs
+            other = UniPoly.constant(other)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # scale_a A + scale_b B = (g / den) (na A + nb B)
+        sa, sb = self.scale, other.scale
+        den = lcm(sa.denominator, sb.denominator)
+        na = sa.numerator * (den // sa.denominator)
+        nb = sb.numerator * (den // sb.denominator)
+        g = gcd(na, nb)
+        na //= g
+        nb //= g
+        a, b = self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, na, nb = b, a, nb, na
+        out = [na * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+            out[i] += nb * c
+        return UniPoly._form(out, Fraction(g, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._new([-c for c in self.ints], self.scale)
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly((other,))
+            other = UniPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -526,19 +601,24 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = _coerce(other)
-            return UniPoly([c * v for v in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        return UniPoly(_dense_mul(list(self.coeffs), list(other.coeffs)))
+            if not c or not self.ints:
+                return _ZERO
+            if c > 0:
+                return UniPoly._new(self.ints, self.scale * c)
+            return UniPoly._new([-v for v in self.ints], self.scale * -c)
+        if not self.ints or not other.ints:
+            return _ZERO
+        return UniPoly._new(_dense_mul(self.ints, other.ints),
+                            self.scale * other.scale)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a nonnegative integer")
-        if len(self.coeffs) <= 2:   # affine, constant or zero: one expansion
-            a, b = (self.coeffs + (0, 0))[:2]
-            return UniPoly(_binomial_row(a, b, k))
+        if len(self.ints) <= 2:   # affine, constant or zero: one expansion
+            a, b = (self.ints + (0, 0))[:2]
+            return UniPoly._form(_binomial_row(a, b, k), self.scale ** k)
         result = UniPoly.one()
         for _ in range(k):
             result = result * self
@@ -546,21 +626,24 @@ class UniPoly:
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.scale == other.scale
         if isinstance(other, (int, Fraction)):
-            return self == UniPoly((other,))
+            return self == UniPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its value, as it compares equal to it
+        if len(self.ints) < 2:
+            return hash(self.leading() if self.ints else 0)
+        return hash((self.ints, self.scale))
 
     def __divmod__(self, other):
         if not isinstance(other, UniPoly):
-            other = UniPoly((other,))
+            other = UniPoly.constant(other)
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        q = [Fraction(0)] * max(len(rem) - len(other.ints) + 1, 0)
         d = other.coeffs
         while len(rem) >= len(d) and any(rem):
             while rem and not rem[-1]:
@@ -582,30 +665,47 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def evaluate(self, x) -> Fraction:
+        """p(x) by Horner on the ints: at x = n/d, p(x) = scale *
+        sum ints[i] n^i d^(deg - i) / d^deg."""
         x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.ints:
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        acc, dk = self.ints[-1], 1
+        for c in reversed(self.ints[:-1]):
+            dk *= d
+            acc = acc * n + c * dk
+        return self.scale * Fraction(acc, dk)
 
     def derivative(self):
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly._form([c * i for i, c in enumerate(self.ints)][1:],
+                             self.scale)
 
     def compose_linear(self, a, b):
-        """p(a*s + b) by Horner over Q[s]."""
+        """p(a*s + b) by Horner over Z[s]: with a*s + b = (A*s + B) / D in
+        integers, p(a*s + b) = scale D^-d sum ints[i] (A*s + B)^i D^(d-i)."""
         a, b = _coerce(a), _coerce(b)
-        lin = UniPoly((b, a))
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        if not self.ints:
+            return _ZERO
+        D = lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+        acc, dk = [self.ints[-1]], 1
+        for c in reversed(self.ints[:-1]):
+            dk *= D
+            nxt = [v * B for v in acc] + [0]
+            for j, v in enumerate(acc):
+                nxt[j + 1] += v * A
+            nxt[0] += c * dk
+            acc = nxt
+        return UniPoly._form(acc, self.scale / dk)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "0"
+        coeffs = self.coeffs
         pieces = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:
@@ -621,6 +721,9 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self})"
+
+
+_ZERO = UniPoly._new((), Fraction(1))
 
 
 class Spectrum:
@@ -659,8 +762,7 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    p, _ = primitive(a.coeffs)
-    q, _ = primitive(b.coeffs)
+    p, q = list(a.ints), list(b.ints)
     if len(p) < len(q):
         p, q = q, p
     while q:
@@ -681,7 +783,7 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         while r and not r[-1]:
             r.pop()
         p, q = q, primitive(r)[0]
-    return UniPoly(p).monic()
+    return UniPoly._form(p, Fraction(1)).monic()
 
 
 def rational_root_spectrum(b: UniPoly) -> Spectrum:
@@ -700,7 +802,7 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     if b.is_zero:
         raise DomainError("zero polynomial has no spectrum")
     monic = b.monic()
-    f, _ = primitive(monic.coeffs)
+    f = list(monic.ints)
     roots = []
     zeros = 0
     while not f[zeros]:
@@ -711,7 +813,7 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     if len(f) > 1:
         f = _integer_roots(f, roots)
     roots.sort(key=lambda rm: rm[0])
-    return Spectrum(monic, roots, UniPoly(f).monic())
+    return Spectrum(monic, roots, UniPoly._form(f, Fraction(1)).monic())
 
 
 def _integer_roots(f, roots):
@@ -721,7 +823,9 @@ def _integer_roots(f, roots):
     signs = [sg for sg, g in ((-1, f_neg), (1, f)) if _sign_changes(g)]
     if not signs:
         return f
-    nums, dens = _divisors(abs(f[0])), _divisors(abs(f[-1]))
+    dens, count = _prime_powers(abs(f[-1]), MAX_ROOT_PAIRS)
+    nums, _ = _prime_powers(abs(f[0]), MAX_ROOT_PAIRS // count)
+    nums, dens = _divisors(nums), _divisors(dens)
     hi = _fujiwara_bound(f)             # |root| <= hi
     lo = _fujiwara_bound(f[::-1])       # |root| >= 1/lo
     f1, fm1 = _at_one(f)
@@ -794,10 +898,21 @@ def _fujiwara_bound(f):
     return 2 * k
 
 
-def _divisors(n):
-    """Positive divisors of n > 0, ascending, from trial division by
-    p <= MAX_TRIAL_DIVISOR."""
-    out = [1]
+def _prime_powers(n, most):
+    """(the prime powers [(p, k)] of n > 0, its divisor count), from trial
+    division by p <= MAX_TRIAL_DIVISOR.  The count is kept as each prime
+    is found, and CapacityError is raised as soon as it passes most."""
+    out, count = [], 1
+
+    def found(p, k):
+        nonlocal count
+        out.append((p, k))
+        count *= k + 1
+        if count > most:
+            raise CapacityError(f"the rational root test would try more than "
+                                f"{MAX_ROOT_PAIRS} divisor pairs of the end "
+                                f"terms")
+
     p = 2
     top = min(isqrt(n), MAX_TRIAL_DIVISOR)
     while p <= top:
@@ -806,7 +921,7 @@ def _divisors(n):
             while n % p == 0:
                 n //= p
                 k += 1
-            out = [d * p ** j for d in out for j in range(k + 1)]
+            found(p, k)
             top = min(isqrt(n), MAX_TRIAL_DIVISOR)
         p += 1 if p == 2 else 2
     if p * p <= n:      # stopped at the cap, not at the square root
@@ -814,7 +929,16 @@ def _divisors(n):
                             f"factor up to the trial-division limit "
                             f"{MAX_TRIAL_DIVISOR}")
     if n > 1:
-        out += [d * n for d in out]
+        found(n, 1)
+    return out, count
+
+
+def _divisors(powers):
+    """The positive divisors, ascending, of the number with these prime
+    powers."""
+    out = [1]
+    for p, k in powers:
+        out = [d * p ** j for d in out for j in range(k + 1)]
     return sorted(out)
 
 
@@ -915,10 +1039,10 @@ def parse_factored(text: str) -> UniPoly:
         return tok
 
     def parse_sum():
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take()[0] == "-" else 1
-        acc = parse_product() * sign
+        negate = peek() in ("+", "-") and take()[0] == "-"
+        acc = parse_product()
+        if negate:
+            acc = -acc
         while peek() in ("+", "-"):
             op = take()[0]
             term = parse_product()
@@ -956,7 +1080,7 @@ def parse_factored(text: str) -> UniPoly:
             take(")")
             return inner
         if kind == "num":
-            return UniPoly((take()[1],))
+            return UniPoly.constant(take()[1])
         if kind == "s":
             take()
             return UniPoly.variable()

@@ -1,7 +1,8 @@
 """Shared test plumbing: the acceptance summary lines, the Fraction
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
-Fraction matrix helpers, and the dense pointwise geometry that checks
-the geometry on the stored integer forms."""
+Fraction matrix helpers, the dense pointwise geometry that checks the
+geometry on the stored integer forms, and the Fraction coefficient
+arithmetic that checks `UniPoly` on its integer form."""
 
 from fractions import Fraction
 
@@ -187,3 +188,109 @@ def ref_strong_euler(g, c, x0):
     x0 = [Fraction(v) for v in x0]
     images = [mat_vec(B, x0) for B in ref_annihilator_basis(g, c)]
     return ref_in_span(images, mat_vec(g.matrix(0), x0)) is not None
+
+
+# -- univariate polynomials as Fraction coefficient lists -----------------
+# Each takes and returns a tuple of Fractions, lowest degree first, with
+# no trailing zero: the arithmetic UniPoly ran on before it kept its
+# content-free integer form.
+
+def ref_trim(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return ref_trim(out)
+
+
+def ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def ref_mul(a, b):
+    """a times the coefficient list b, or times the scalar b."""
+    if not isinstance(b, tuple):
+        return ref_trim([Fraction(b) * v for v in a])
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_pow(a, k):
+    out = (Fraction(1),)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_derivative(a):
+    return ref_trim([c * i for i, c in enumerate(a)][1:])
+
+
+def ref_evaluate(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_compose_linear(p, a, b):
+    """p(a*s + b) by Horner over Q[s]."""
+    lin = ref_trim((b, a))
+    acc = ()
+    for c in reversed(p):
+        acc = ref_add(ref_mul(acc, lin), (Fraction(c),))
+    return acc
+
+
+def ref_divmod(a, d):
+    rem = list(a)
+    q = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
+    while len(rem) >= len(d) and any(rem):
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) < len(d):
+            break
+        f = rem[-1] / d[-1]
+        shift = len(rem) - len(d)
+        q[shift] = f
+        for i, c in enumerate(d):
+            rem[shift + i] -= f * c
+        rem.pop()
+    return ref_trim(q), ref_trim(rem)
+
+
+def ref_restrict_line(p, a, b):
+    """p(a + t*b) for a MultiPoly p, one factor (a_i + t b_i) at a time."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    acc = [Fraction(0)]
+    for e, c in p.terms.items():
+        term = [c]
+        for i, k in enumerate(e):
+            for _ in range(k):
+                nxt = [Fraction(0)] * (len(term) + 1)
+                for j, v in enumerate(term):
+                    nxt[j] += v * a[i]
+                    nxt[j + 1] += v * b[i]
+                term = nxt
+        acc.extend([Fraction(0)] * (len(term) - len(acc)))
+        for j, v in enumerate(term):
+            acc[j] += v
+    return ref_trim(acc)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,20 @@ class TestBadInput:
             capture_output=True, text=True, env=env, timeout=10)
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "trial-division limit" in done.stdout
+
+    def test_divisor_pairs_fail_fast(self):
+        # every prime factor of 7...7 (60 digits) is squared: its divisor
+        # list would triple per prime, so the root search refuses it by the
+        # count.  The child's address space is capped at 1 GiB, so a search
+        # that lists the divisors fails there instead of filling the memory
+        env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "prehomog.cli", "chain", "(s+" + "7" * 60 + ")^2"],
+            capture_output=True, text=True, env=env, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (1 << 30, 1 << 30)))
+        assert done.returncode == 1
+        assert done.stdout.startswith("error:") and "divisor pairs" in done.stdout
 
     def test_squarefree_trials_capped(self):
         # a squarefree line costs about a millisecond on dtilde3-22111, so an

@@ -1,9 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import (ref_add, ref_compose_linear, ref_derivative, ref_divmod,
+                      ref_evaluate, ref_monic, ref_mul, ref_neg, ref_pow,
+                      ref_restrict_line, ref_trim)
 from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
@@ -170,7 +174,7 @@ class TestExpansionsAgainstFraction:
             integral = rng.random() < 0.5
             a, b, point = ([random_coordinate(rng, integral) for _ in variables]
                            for _ in range(3))
-            assert p.restrict_line(a, b) == fraction_restrict_line(p, a, b)
+            assert p.restrict_line(a, b).coeffs == ref_restrict_line(p, a, b)
             assert p.shift(point) == fraction_shift(p, point)
             seen["zero"] += p.is_zero
             seen["fraction_coeffs"] += any(c.denominator > 1
@@ -185,7 +189,7 @@ class TestExpansionsAgainstFraction:
         # the only Fraction products are the final scale times each coefficient
         x, y, z = MultiPoly.gens(XYZ)
         p = (x + 2 * y - z) ** 4 * Fraction(1, 3) + x * y * z
-        expected = fraction_restrict_line(p, [3, -1, 2], [1, 5, -4])
+        expected = ref_restrict_line(p, [3, -1, 2], [1, 5, -4])
         products = [0]
         mul = Fraction.__mul__
 
@@ -196,7 +200,7 @@ class TestExpansionsAgainstFraction:
         monkeypatch.setattr(Fraction, "__mul__", counted)
         u = p.restrict_line([3, -1, 2], [1, 5, -4])
         monkeypatch.undo()
-        assert u == expected
+        assert u.coeffs == expected
         assert products[0] <= u.degree() + 1
 
 
@@ -220,26 +224,6 @@ def random_expansion_input(rng, variables):
         c = rng.randint(-40, 40)
         terms[e] = c if integral else Fraction(c, rng.randint(1, 9))
     return MultiPoly(variables, terms)
-
-
-def fraction_restrict_line(p, a, b):
-    """The former Fraction expansion of p(a + t*b), kept as the oracle."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    acc = [Fraction(0)]
-    for e, c in p.terms.items():
-        term = [c]
-        for i, k in enumerate(e):
-            for _ in range(k):      # times (a_i + t b_i)
-                nxt = [Fraction(0)] * (len(term) + 1)
-                for j, v in enumerate(term):
-                    nxt[j] += v * a[i]
-                    nxt[j + 1] += v * b[i]
-                term = nxt
-        acc.extend([Fraction(0)] * (len(term) - len(acc)))
-        for j, v in enumerate(term):
-            acc[j] += v
-    return UniPoly(acc)
 
 
 def fraction_shift(p, point):
@@ -320,6 +304,130 @@ class TestUniPoly:
         assert str(UniPoly([1, 1])) == "s + 1"
         assert str(UniPoly([Fraction(-1, 2), 0, 1])) == "s^2 - 1/2"
         assert str(UniPoly.zero()) == "0"
+
+
+def random_unipoly(rng):
+    """Coefficient lists: zero, constants, and degree 1..6 with integer or
+    rational coefficients of either sign, sometimes given with trailing
+    zeros."""
+    kind = rng.choice(("zero", "constant", "integer", "rational", "rational"))
+    if kind == "zero":
+        return [0] * rng.randint(0, 2)
+    size = 1 if kind == "constant" else rng.randint(2, 7)
+    cs = []
+    for _ in range(size):
+        c = rng.randint(-30, 30)
+        cs.append(c if kind == "integer" else Fraction(c, rng.randint(1, 12)))
+    cs[-1] = cs[-1] or rng.choice((1, -1, Fraction(-5, 7)))
+    return cs + [0] * rng.randint(0, 1)
+
+
+def random_rational(rng):
+    return rng.choice((rng.randint(-5, 5),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 8))))
+
+
+class TestUniPolyAgainstFraction:
+    """UniPoly on its content-free integer form against the Fraction
+    coefficient arithmetic of conftest, on seeded inputs."""
+
+    def check(self, got, want, seen):
+        want = ref_trim(want)
+        assert got.coeffs == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert type(got.scale) is Fraction and got.scale > 0
+        assert all(type(c) is int for c in got.ints)
+        assert math.gcd(*got.ints) == (1 if want else 0)
+        assert not got.ints or got.ints[-1]
+        same = UniPoly(want)
+        assert got == same and hash(got) == hash(same)
+        if len(want) < 2:
+            value = want[0] if want else 0
+            assert got == value and hash(got) == hash(value)
+        seen["zero"] += not want
+        seen["constant"] += len(want) == 1
+        seen["negative_leading"] += bool(want) and want[-1] < 0
+        seen["rational"] += any(c.denominator > 1 for c in want)
+
+    def test_operations(self):
+        rng = random.Random(18)
+        seen = dict.fromkeys(("zero", "constant", "negative_leading",
+                              "rational", "compose_a_zero"), 0)
+        for _ in range(300):
+            ca, cb = random_unipoly(rng), random_unipoly(rng)
+            a, b = UniPoly(ca), UniPoly(cb)
+            fa, fb = ref_trim(ca), ref_trim(cb)
+            self.check(a, fa, seen)
+            c = random_rational(rng)
+            x, y = random_rational(rng), random_rational(rng)
+            if rng.random() < 0.2:
+                x = 0
+            seen["compose_a_zero"] += x == 0
+            self.check(a + b, ref_add(fa, fb), seen)
+            self.check(a - b, ref_add(fa, ref_neg(fb)), seen)
+            self.check(a + c, ref_add(fa, (Fraction(c),)), seen)
+            self.check(c - a, ref_add((Fraction(c),), ref_neg(fa)), seen)
+            self.check(-a, ref_neg(fa), seen)
+            self.check(a * c, ref_mul(fa, c), seen)
+            self.check(c * a, ref_mul(fa, c), seen)
+            self.check(a * b, ref_mul(fa, fb), seen)
+            k = rng.randint(0, 5)
+            self.check(a ** k, ref_pow(fa, k), seen)
+            self.check(a.compose_linear(x, y), ref_compose_linear(fa, x, y), seen)
+            self.check(a.derivative(), ref_derivative(fa), seen)
+            assert a.evaluate(x) == ref_evaluate(fa, x)
+            assert type(a.evaluate(x)) is Fraction
+            if fa:
+                self.check(a.monic(), ref_monic(fa), seen)
+                assert a.leading() == fa[-1]
+            if fb:
+                q, r = divmod(a, b)
+                want_q, want_r = ref_divmod(fa, fb)
+                self.check(q, want_q, seen)
+                self.check(r, want_r, seen)
+        for _ in range(60):
+            nv = rng.randint(1, 3)
+            variables = tuple(f"v{i}" for i in range(nv))
+            p = random_expansion_input(rng, variables)
+            integral = rng.random() < 0.5
+            a, b = ([random_coordinate(rng, integral) for _ in variables]
+                    for _ in range(2))
+            self.check(p.restrict_line(a, b), ref_restrict_line(p, a, b), seen)
+        assert min(seen.values()) >= 20, seen
+
+    def test_constant_hashes_as_its_value(self):
+        assert UniPoly([5]) == 5 and hash(UniPoly([5])) == hash(5)
+        assert UniPoly.zero() == 0 and hash(UniPoly.zero()) == hash(0)
+        assert UniPoly([Fraction(-2, 3)]) == Fraction(-2, 3)
+        assert hash(UniPoly([Fraction(-2, 3)])) == hash(Fraction(-2, 3))
+        assert len({UniPoly([5]), 5}) == 1
+        assert len({UniPoly.zero(), 0, Fraction(0)}) == 1
+
+    def test_no_fraction_per_term(self, monkeypatch):
+        # on a degree-60 input the integer form builds a bounded number of
+        # Fractions per operation; the Fraction arithmetic builds one or
+        # more per coefficient
+        rng = random.Random(60)
+        a = UniPoly([Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                     for _ in range(60)] + [Fraction(7, 3)])
+        b = UniPoly([Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                     for _ in range(60)] + [Fraction(-1, 2)])
+        lin = UniPoly([Fraction(5, 3), Fraction(-7, 2)])
+        made = [0]
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+                   lambda: a * Fraction(-3, 4), lambda: lin ** 60,
+                   lambda: a.compose_linear(Fraction(-1, 3), Fraction(2, 5)),
+                   lambda: a.monic(), lambda: a.derivative()):
+            made[0] = 0
+            op()
+            assert made[0] <= 8, made[0]
 
 
 class TestPrimitive:
@@ -445,9 +553,11 @@ class TestSpectrum:
     def test_trial_division_limit(self):
         # 999983 is the largest prime below the limit and 10^6 + 3 the least
         # above it: a cofactor needing a trial divisor past the limit is refused
-        assert polyring._divisors(999983 ** 2) == [1, 999983, 999983 ** 2]
+        powers = polyring._prime_powers(999983 ** 2, 3)
+        assert powers == ([(999983, 2)], 3)
+        assert polyring._divisors(powers[0]) == [1, 999983, 999983 ** 2]
         with pytest.raises(CapacityError, match="trial-division limit"):
-            polyring._divisors((10**6 + 3) ** 2)
+            polyring._prime_powers((10**6 + 3) ** 2, polyring.MAX_ROOT_PAIRS)
         with pytest.raises(CapacityError):
             rational_root_spectrum(UniPoly([2**64 - 59, 1]))
 
@@ -458,6 +568,29 @@ class TestSpectrum:
         sp = rational_root_spectrum(b)
         assert sp.roots == ((-5, 1), (r, 2))
         assert sp.residual == UniPoly([2, 0, 1])
+
+    @pytest.mark.parametrize("text", [
+        "(s+" + "7" * 60 + ")^2",                   # each prime squared
+        "s+" + str(math.prod(p for p in range(2, 542)
+                             if all(p % q for q in range(2, p)))),  # 100 primes
+    ])
+    def test_divisor_pair_cap(self, text):
+        # the divisor count is known from the prime exponents, so an end
+        # term with millions of divisors is refused before any is listed
+        b = parse_factored(text)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="divisor pairs"):
+            rational_root_spectrum(b)
+        assert time.perf_counter() - start < 1
+
+    def test_divisor_pair_cap_boundary(self, monkeypatch):
+        # (2s + 1)(s + 6): 2 * 4 divisor pairs of (lc, f(0)) = (2, 6)
+        b = parse_factored("(2s+1)(s+6)")
+        monkeypatch.setattr(polyring, "MAX_ROOT_PAIRS", 8)
+        assert rational_root_spectrum(b).roots == ((-6, 1), (Fraction(-1, 2), 1))
+        monkeypatch.setattr(polyring, "MAX_ROOT_PAIRS", 7)
+        with pytest.raises(CapacityError, match="more than 7 divisor pairs"):
+            rational_root_spectrum(b)
 
 
 class TestSpectrumAgainstTrialDivision:
