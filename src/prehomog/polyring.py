@@ -531,9 +531,7 @@ class UniPoly:
     def from_roots(cls, roots):
         p = cls.one()
         for r in roots:
-            r = _coerce(r)
-            d = r.denominator
-            p = p * cls._new((-r.numerator, d), Fraction(1, d))
+            p = p * cls((-_coerce(r), 1))
         return p
 
     @property
@@ -823,9 +821,9 @@ def _integer_roots(f, roots):
     signs = [sg for sg, g in ((-1, f_neg), (1, f)) if _sign_changes(g)]
     if not signs:
         return f
-    dens, count = _prime_powers(abs(f[-1]), MAX_ROOT_PAIRS)
-    nums, _ = _prime_powers(abs(f[0]), MAX_ROOT_PAIRS // count)
-    nums, dens = _divisors(nums), _divisors(dens)
+    den_powers, count = _prime_powers(abs(f[-1]), MAX_ROOT_PAIRS)
+    num_powers, _ = _prime_powers(abs(f[0]), MAX_ROOT_PAIRS // count)
+    nums, dens = _divisors(num_powers), _divisors(den_powers)
     hi = _fujiwara_bound(f)             # |root| <= hi
     lo = _fujiwara_bound(f[::-1])       # |root| >= 1/lo
     f1, fm1 = _at_one(f)
@@ -903,33 +901,30 @@ def _prime_powers(n, most):
     division by p <= MAX_TRIAL_DIVISOR.  The count is kept as each prime
     is found, and CapacityError is raised as soon as it passes most."""
     out, count = [], 1
-
-    def found(p, k):
-        nonlocal count
-        out.append((p, k))
-        count *= k + 1
-        if count > most:
-            raise CapacityError(f"the rational root test would try more than "
-                                f"{MAX_ROOT_PAIRS} divisor pairs of the end "
-                                f"terms")
-
-    p = 2
-    top = min(isqrt(n), MAX_TRIAL_DIVISOR)
+    p, top = 2, min(isqrt(n), MAX_TRIAL_DIVISOR)
     while p <= top:
         if n % p == 0:
             k = 0
             while n % p == 0:
                 n //= p
                 k += 1
-            found(p, k)
+            out.append((p, k))
+            count *= k + 1
+            if count > most:
+                break
             top = min(isqrt(n), MAX_TRIAL_DIVISOR)
         p += 1 if p == 2 else 2
-    if p * p <= n:      # stopped at the cap, not at the square root
-        raise CapacityError(f"an end term has a cofactor {n} with no prime "
-                            f"factor up to the trial-division limit "
-                            f"{MAX_TRIAL_DIVISOR}")
-    if n > 1:
-        found(n, 1)
+    else:               # the division ran out of candidates, not of budget
+        if p * p <= n:  # stopped at the cap, not at the square root
+            raise CapacityError(f"an end term has a cofactor {n} with no prime "
+                                f"factor up to the trial-division limit "
+                                f"{MAX_TRIAL_DIVISOR}")
+        if n > 1:
+            out.append((n, 1))
+            count *= 2
+    if count > most:
+        raise CapacityError(f"the rational root test would try more than "
+                            f"{MAX_ROOT_PAIRS} divisor pairs of the end terms")
     return out, count
 
 
