@@ -563,10 +563,6 @@ class UniPoly:
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
-        if not other.ints:
-            return self
-        if not self.ints:
-            return other
         # scale_a A + scale_b B = (g / den) (na A + nb B)
         sa, sb = self.scale, other.scale
         den = lcm(sa.denominator, sb.denominator)
