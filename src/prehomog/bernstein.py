@@ -34,7 +34,7 @@ time, is the independent check of the walk itself.
 from fractions import Fraction
 
 from . import liealg, linalg
-from .errors import ClosureError, ContextError, DomainError
+from .errors import ContextError, DomainError
 from .polyring import (MultiPoly, Spectrum, UniPoly, _coerce, _exact, packed,
                        primitive, rational_root_spectrum, unpack)
 
@@ -404,10 +404,7 @@ def bfunction(g: liealg.GeneratorSet):
     fails or the dual determinant vanishes.  A non-special input fails
     without any derivation; a special one is walked at `_point(f)`.
     """
-    report = liealg.validate_algebra(g)
-    if not report.closed:
-        i, j = report.failing_pair
-        raise ClosureError(f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
+    liealg.check_closure(g)
     f = liealg.discriminant(g)
     if f.is_zero:
         raise DomainError("discriminant vanishes; not prehomogeneous")

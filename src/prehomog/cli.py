@@ -139,21 +139,21 @@ def _cmd_symmetry(job):
     return 0, _emit(job, record, lines)
 
 
-def _require_point(job, g):
+def _at_point(job):
+    """(GeneratorSet, display name, character, point context) of the
+    source at --point."""
+    g, _, name = _load_source(job)
     if job.point is None:
         raise ParseError("--point is required for this command")
     x0 = serialize.vector_from_text(job.point)
     if len(x0) != g.n:
         raise ParseError(f"point needs {g.n} coordinates, got {len(x0)}")
-    return x0
+    c = liealg.character(g, liealg.discriminant(g))
+    return g, name, c, geometry.point_context(g, x0)
 
 
 def _cmd_euler(job):
-    g, _, name = _load_source(job)
-    x0 = _require_point(job, g)
-    f = liealg.discriminant(g)
-    c = liealg.character(g, f)
-    ctx = geometry.point_context(g, x0)
+    g, name, c, ctx = _at_point(job)
     witness = geometry.euler_at_point(g, c, ctx)
     if witness is None:
         record = {"command": "euler", "source": name, "witness": None}
@@ -169,11 +169,7 @@ def _cmd_euler(job):
 
 
 def _cmd_microlocal(job):
-    g, _, name = _load_source(job)
-    x0 = _require_point(job, g)
-    f = liealg.discriminant(g)
-    c = liealg.character(g, f)
-    ctx = geometry.point_context(g, x0)
+    g, name, c, ctx = _at_point(job)
     y0 = None
     if job.covector is not None:
         y0 = serialize.vector_from_text(job.covector)

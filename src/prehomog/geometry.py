@@ -120,8 +120,6 @@ def normal_discriminant(ctx: PointContext, g: liealg.GeneratorSet) -> MultiPoly:
     if len(ctx.isotropy_coeffs) != q:
         raise DomainError(f"isotropy dimension {len(ctx.isotropy_coeffs)} "
                           f"!= normal dimension {q}")
-    if q == 0:
-        return MultiPoly.constant((), 1)
     names = tuple(g.variables[i] for i in ctx.normal_coords)
     return liealg.matrix_columns_determinant(
         normal_representation(ctx, g), names)

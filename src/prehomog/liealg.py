@@ -207,6 +207,16 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
     return StructureReport(True, constants, None)
 
 
+def check_closure(g: GeneratorSet):
+    """Raise ClosureError, naming the first failing bracket, unless the
+    generators close under the bracket."""
+    report = validate_algebra(g)
+    if not report.closed:
+        i, j = report.failing_pair
+        raise ClosureError(
+            f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
+
+
 def _echelon(forms, n):
     """(D, [(p_r, E_r)]) from `linalg.echelon` on the rows [M_k | e_k] of
     the integer forms, or None when the M_k are linearly dependent.
@@ -454,11 +464,7 @@ def dual_character_check(g: GeneratorSet) -> bool:
 
 def classify(g: GeneratorSet, trials: int = 8, seed: int = 0) -> Classification:
     """Saito-style classification of the discriminant divisor."""
-    report = validate_algebra(g)
-    if not report.closed:
-        i, j = report.failing_pair
-        raise ClosureError(
-            f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
+    check_closure(g)
     f = discriminant(g)
     if f.is_zero:
         return Classification("not-prehomogeneous", False, False, True, f)

@@ -34,8 +34,6 @@ def mat_scale(a, c):
 
 
 def transpose(a):
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 

@@ -4,9 +4,10 @@ MultiPoly is a sparse multivariate polynomial: a map from exponent
 tuples to Fraction coefficients, together with an ordered variable
 context.  UniPoly is dense univariate, lowest degree first, and is kept
 as its content-free integer form (ints, scale), the pair `primitive`
-returns, so b(s), the chain products, the symmetry check and the
-rational root search run on integers.  All arithmetic is exact; there is
-no floating point anywhere.
+returns, so b(s), the chain products, the symmetry check, division, the
+gcd and the rational root search run on integers: division and the gcd
+share one integer pseudo-division, `_pseudo_divmod`.  All arithmetic is
+exact; there is no floating point anywhere.
 
 The integer engines (the determinant and delta_A in liealg, the
 derivation walk in bernstein) share one exponent format: `packed` scales
@@ -145,7 +146,7 @@ class MultiPoly:
     Fraction coefficients.  Instances are treated as immutable.
     """
 
-    __slots__ = ("variables", "terms", "_degree")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
@@ -159,12 +160,9 @@ class MultiPoly:
                 raise ContextError("exponent tuple length does not match variables")
             if any(e < 0 for e in exps):
                 raise DomainError("negative exponent")
-            c = _coerce(c)
-            if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+            clean[exps] = clean.get(exps, Fraction(0)) + _coerce(c)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
-        object.__setattr__(self, "_degree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -207,10 +205,7 @@ class MultiPoly:
 
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
-        if self._degree is None:
-            d = NEG_INF if not self.terms else max(sum(e) for e in self.terms)
-            object.__setattr__(self, "_degree", d)
-        return self._degree
+        return max((sum(e) for e in self.terms), default=NEG_INF)
 
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -261,11 +256,7 @@ class MultiPoly:
         variables, a, b = self._unified(other)
         out = dict(a)
         for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, Fraction(0)) + c
         return MultiPoly(variables, out)
 
     __radd__ = __add__
@@ -284,8 +275,6 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _coerce(other)
-            if not c:
-                return MultiPoly.zero(self.variables)
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
         variables, a, b = self._unified(other)
         if a and b:
@@ -323,7 +312,13 @@ class MultiPoly:
         return a == b
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # only what == compares: a constant as its value, anything else
+        # with its monomials named by variable, not by position
+        if not any(map(any, self.terms)):
+            return hash(next(iter(self.terms.values()), 0))
+        return hash(frozenset(
+            (frozenset((v, k) for v, k in zip(self.variables, e) if k), c)
+            for e, c in self.terms.items()))
 
     # -- calculus and substitution ------------------------------------
 
@@ -463,20 +458,19 @@ class UniPoly:
     polynomial is ints () and scale 1).
 
     The form is canonical, so == compares (ints, scale), and the
-    arithmetic runs on the ints: a product of content-free forms is
-    content-free (Gauss's lemma), so only sums, derivatives and
-    substitutions divide the content out again.  `coeffs` gives the
-    Fraction coefficients.
+    arithmetic runs on the ints, division and the gcd included (an integer
+    pseudo-division): a product of content-free forms is content-free
+    (Gauss's lemma), so only sums, quotients, derivatives and
+    substitutions divide the content out again, in `_form`.  `coeffs`
+    gives the Fraction coefficients, for display and serialization.
     """
 
     __slots__ = ("ints", "scale")
 
     def __init__(self, coeffs):
-        ints, scale = primitive([_exact(c) for c in coeffs])
-        while ints and not ints[-1]:
-            ints.pop()
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "scale", scale)
+        p = UniPoly._form(*primitive([_exact(c) for c in coeffs]))
+        object.__setattr__(self, "ints", p.ints)
+        object.__setattr__(self, "scale", p.scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -555,10 +549,7 @@ class UniPoly:
     def monic(self):
         if not self.ints:
             raise DomainError("cannot normalize the zero polynomial")
-        lead = self.ints[-1]
-        if lead > 0:
-            return UniPoly._new(self.ints, Fraction(1, lead))
-        return UniPoly._new([-c for c in self.ints], Fraction(1, -lead))
+        return UniPoly._form(self.ints, Fraction(1, self.ints[-1]))
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
@@ -595,11 +586,7 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = _coerce(other)
-            if not c or not self.ints:
-                return _ZERO
-            if c > 0:
-                return UniPoly._new(self.ints, self.scale * c)
-            return UniPoly._new([-v for v in self.ints], self.scale * -c)
+            return UniPoly._form(self.ints, self.scale * c) if c else _ZERO
         if not self.ints or not other.ints:
             return _ZERO
         return UniPoly._new(_dense_mul(self.ints, other.ints),
@@ -636,21 +623,10 @@ class UniPoly:
             other = UniPoly.constant(other)
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.ints) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d) and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) < len(d):
-                break
-            f = rem[-1] / d[-1]
-            shift = len(rem) - len(d)
-            q[shift] = f
-            for i, c in enumerate(d):
-                rem[shift + i] -= f * c
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
+        # self = sa A, other = sb B and m A = q B + r over Z
+        q, r, m = _pseudo_divmod(self.ints, other.ints)
+        sa = self.scale
+        return UniPoly._form(q, sa / (other.scale * m)), UniPoly._form(r, sa / m)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -720,6 +696,28 @@ class UniPoly:
 _ZERO = UniPoly._new((), Fraction(1))
 
 
+def _pseudo_divmod(a, b):
+    """(q, r, m) with m*a = q*b + r over Z, for integer coefficient lists a
+    and b (lowest degree first, b[-1] != 0): deg r < deg b, r trimmed and
+    m a power of lc(b)."""
+    r, lead, m = list(a), b[-1], 1
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        top = r[-1]
+        if top:
+            shift = len(r) - len(b)
+            r = [c * lead for c in r]
+            q = [c * lead for c in q]
+            q[shift] = top
+            m *= lead
+            for i, c in enumerate(b):
+                r[shift + i] -= top * c
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return q, r, m
+
+
 class Spectrum:
     """Monic normalization, rational roots with multiplicity, monic residual."""
 
@@ -749,34 +747,15 @@ class Spectrum:
 
 
 def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd via a primitive remainder sequence (content stripped per step)."""
+    """Monic gcd via a primitive remainder sequence: each pseudo-remainder
+    of `_pseudo_divmod` with its integer content stripped."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd of two zero polynomials")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    p, q = list(a.ints), list(b.ints)
+    p, q = a.ints, b.ints
     if len(p) < len(q):
         p, q = q, p
     while q:
-        # pseudo-remainder of p by q, then strip integer content
-        r = list(p)
-        lead_q = q[-1]
-        while len(r) >= len(q) and any(r):
-            while r and not r[-1]:
-                r.pop()
-            if len(r) < len(q):
-                break
-            shift = len(r) - len(q)
-            top = r[-1]
-            r = [c * lead_q for c in r]
-            for i, c in enumerate(q):
-                r[shift + i] -= top * c
-            r.pop()
-        while r and not r[-1]:
-            r.pop()
-        p, q = q, primitive(r)[0]
+        p, q = q, primitive(_pseudo_divmod(p, q)[1])[0]
     return UniPoly._form(p, Fraction(1)).monic()
 
 
@@ -804,8 +783,7 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     if zeros:
         roots.append((Fraction(0), zeros))
         f = f[zeros:]
-    if len(f) > 1:
-        f = _integer_roots(f, roots)
+    f = _integer_roots(f, roots)
     roots.sort(key=lambda rm: rm[0])
     return Spectrum(monic, roots, UniPoly._form(f, Fraction(1)).monic())
 

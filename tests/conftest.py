@@ -276,6 +276,13 @@ def ref_divmod(a, d):
     return ref_trim(q), ref_trim(rem)
 
 
+def ref_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over Q; () for two zeros."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
 def ref_restrict_line(p, a, b):
     """p(a + t*b) for a MultiPoly p, one factor (a_i + t b_i) at a time."""
     a = [Fraction(x) for x in a]

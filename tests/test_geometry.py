@@ -110,6 +110,7 @@ class TestNormalDiscriminant:
         ctx = point_context(g, (1, 1, 1))
         fn = normal_discriminant(ctx, g)
         assert fn.degree() == 0 and not fn.is_zero
+        assert fn.variables == () and fn == 1
 
     def test_dimension_mismatch_guard(self):
         g = get_fixture("nc-1").generators()

@@ -17,6 +17,7 @@ class TestBasics:
     def test_transpose_trace(self):
         a = [[1, 2], [3, 4]]
         assert linalg.transpose(a) == [[1, 3], [2, 4]]
+        assert linalg.transpose([]) == []
         assert linalg.trace(a) == 5
 
     def test_entries_coerced_like_coefficients(self):

@@ -43,6 +43,32 @@ def test_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_no_unreferenced_definitions():
+    """Every function, class and method of src/prehomog, dunders aside, is
+    named somewhere in src, tests or benchmark: as a name, an attribute, an
+    imported name or an identifier string (the benchmark's span names), so a
+    definition nothing uses does not linger."""
+    root = Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "prehomog").glob("*.py"))
+    defined, named = [], set()
+    for path in src + sorted((root / "tests").glob("*.py")) + \
+            sorted((root / "benchmark").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    path in src and not node.name.startswith("__"):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    assert len(defined) > 100
+    assert [d for d in defined if d[1] not in named] == []
+
+
 def _conormal_order(y):
     g = get_fixture("nc-2").generators()
     c = character(g, discriminant(g))

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (ref_add, ref_compose_linear, ref_derivative, ref_divmod,
-                      ref_evaluate, ref_monic, ref_mul, ref_neg, ref_pow,
-                      ref_restrict_line, ref_trim)
+                      ref_evaluate, ref_gcd, ref_monic, ref_mul, ref_neg,
+                      ref_pow, ref_restrict_line, ref_trim)
 from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
@@ -70,6 +70,7 @@ class TestMultiPolyBasics:
         assert (x + 1) ** 2 == x * x + 2 * x + 1
         assert 2 * x - x == x
         assert 1 - x == -(x - 1)
+        assert (x * 0).is_zero and (x * 0).variables == XYZ
 
     def test_unification_by_name(self):
         a = MultiPoly(("x",), {(1,): 1})
@@ -83,6 +84,23 @@ class TestMultiPolyBasics:
         x = MultiPoly.gens(("x",))[0]
         with pytest.raises(CapacityError):
             x ** (10 ** 6 + 1)
+
+    def test_hash_agrees_with_eq(self):
+        # equal polynomials hash alike, whatever their variable contexts
+        p = MultiPoly(("x", "y"), {(1, 2): 3, (0, 0): Fraction(1, 2)})
+        pairs = [(MultiPoly.constant(("x", "y"), 5), 5),
+                 (MultiPoly.constant(XYZ, "-3/4"), Fraction(-3, 4)),
+                 (MultiPoly.zero(("x",)), 0),
+                 (MultiPoly.zero(()), MultiPoly.zero(XYZ)),
+                 (MultiPoly(("x",), {(1,): 1}),
+                  MultiPoly(("x", "y"), {(1, 0): 1})),
+                 (p, MultiPoly(("y", "x"), {(2, 1): 3, (0, 0): Fraction(1, 2)})),
+                 (p, MultiPoly(("z", "y", "x"), {(0, 2, 1): 3,
+                                                 (0, 0, 0): Fraction(1, 2)}))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert len({MultiPoly.constant(("x", "y"), 5), 5}) == 1
+        assert len({MultiPoly(("x",), {(1,): 1}), MultiPoly(("y",), {(1,): 1})}) == 2
 
     def test_immutability(self):
         x = MultiPoly.gens(XYZ)[0]
@@ -385,6 +403,8 @@ class TestUniPolyAgainstFraction:
                 want_q, want_r = ref_divmod(fa, fb)
                 self.check(q, want_q, seen)
                 self.check(r, want_r, seen)
+                self.check(a // b, want_q, seen)
+                self.check(a % b, want_r, seen)
         for _ in range(60):
             nv = rng.randint(1, 3)
             variables = tuple(f"v{i}" for i in range(nv))
@@ -494,6 +514,30 @@ class TestGcd:
         p = UniPoly.from_roots([2, 2, 5])
         g = univariate_gcd(p, p.derivative())
         assert g == UniPoly.from_roots([2])
+
+    def test_against_fraction_euclid(self):
+        # a = g u and b = g v for seeded g, u and v: the integer remainder
+        # sequence against Euclid's algorithm over Q
+        rng = random.Random(19)
+        seen = dict.fromkeys(("common_factor", "constant", "zero",
+                              "negative_leading", "rational"), 0)
+        for _ in range(300):
+            fg = ref_trim(random_unipoly(rng)) or (Fraction(1),)
+            fa, fb = (ref_mul(fg, ref_trim(random_unipoly(rng)))
+                      for _ in range(2))
+            if not fa and not fb:
+                with pytest.raises(DomainError):
+                    univariate_gcd(UniPoly(fa), UniPoly(fb))
+                continue
+            want = ref_gcd(fa, fb)
+            assert univariate_gcd(UniPoly(fa), UniPoly(fb)).coeffs == want
+            assert univariate_gcd(UniPoly(fb), UniPoly(fa)).coeffs == want
+            seen["common_factor"] += len(want) > 1
+            seen["constant"] += len(fa) == 1 or len(fb) == 1
+            seen["zero"] += not fa or not fb
+            seen["negative_leading"] += any(f and f[-1] < 0 for f in (fa, fb))
+            seen["rational"] += any(c.denominator > 1 for c in fa + fb)
+        assert min(seen.values()) >= 20, seen
 
 
 class TestSpectrum:
