@@ -399,10 +399,30 @@ def poly_runs():
     return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
 
 
+# a star quiver as an --input file, named relative to tests/ so that the
+# echoed source is the same in every checkout
+QUIVER_FILE = "data/star-quiver.json"
+
+
+def classify_runs():
+    """(golden file stem, argv) of `classify` on every fixture and of
+    `classify` and `bfunction` on QUIVER_FILE, as text and as --json."""
+    runs = []
+    for form, flag in (("txt", []), ("json", ["--json"])):
+        for name in fixture_names():
+            runs.append((f"classify/{name}.{form}",
+                         ["classify", "--fixture", name] + flag))
+        for command in ("classify", "bfunction"):
+            runs.append((f"{command}/star-quiver-file.{form}",
+                         [command, "--input", QUIVER_FILE] + flag))
+    return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
+
+
 class TestGoldenBytes:
     """`prehomog bfunction --fixture NAME --json`, the `euler` and
-    `microlocal` runs of `geometry_runs` and the `chain` and `symmetry`
-    runs of `poly_runs`, against recorded stdout."""
+    `microlocal` runs of `geometry_runs`, the `chain` and `symmetry` runs
+    of `poly_runs` and the `classify` runs of `classify_runs`, against
+    recorded stdout."""
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_bfunction_json(self, name, capsys):
@@ -419,6 +439,13 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("stem, argv", poly_runs())
     def test_poly_bytes(self, stem, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN / f"{stem}.out").read_bytes()
+
+    @pytest.mark.parametrize("stem, argv", classify_runs())
+    def test_classify_bytes(self, stem, argv, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent)
         assert main(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert out == (GOLDEN / f"{stem}.out").read_bytes()
