@@ -15,35 +15,14 @@ from .errors import MathFailure, ParseError, PrehomogError
 from .polyring import parse_factored, rational_root_spectrum
 
 
-class JobSpec:
-    """One command with its validated options."""
-
-    __slots__ = ("command", "fixture", "input_path", "seed", "trials",
-                 "point", "covector", "poly", "factors", "json_output")
-
-    def __init__(self, command, fixture=None, input_path=None, seed=0,
-                 trials=8, point=None, covector=None, poly=None,
-                 factors=None, json_output=False):
-        self.command = command
-        self.fixture = fixture
-        self.input_path = input_path
-        self.seed = seed
-        self.trials = trials
-        self.point = point
-        self.covector = covector
-        self.poly = poly
-        self.factors = factors or []
-        self.json_output = json_output
-
-
-def _load_source(job: JobSpec):
+def _load_source(job):
     """(GeneratorSet, reductive flag or None, display name)."""
-    if job.fixture and job.input_path:
+    if job.fixture is not None and job.input_path is not None:
         raise ParseError("give either --fixture or --input, not both")
-    if job.fixture:
+    if job.fixture is not None:
         fx = fixtures.get_fixture(job.fixture)
         return fx.generators(), fx.reductive, fx.name
-    if job.input_path:
+    if job.input_path is not None:
         try:
             with open(job.input_path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -119,7 +98,9 @@ def _cmd_bfunction(job):
 
 
 def _cmd_symmetry(job):
-    if job.poly:
+    if job.poly is not None:
+        if job.fixture is not None or job.input_path is not None:
+            raise ParseError("give either --poly or a source, not both")
         b = parse_factored(job.poly)
         source = "poly"
     else:
@@ -182,8 +163,6 @@ def _cmd_microlocal(job):
 
 
 def _cmd_chain(job):
-    if not job.factors:
-        raise ParseError("chain needs at least one factor")
     polys = [parse_factored(text) for text in job.factors]
     asm = geometry.chain_assemble(polys)
     sp = rational_root_spectrum(asm)
@@ -196,23 +175,12 @@ def _cmd_chain(job):
     return 0, _emit(job, record, lines)
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "bfunction": _cmd_bfunction,
-    "symmetry": _cmd_symmetry,
-    "euler": _cmd_euler,
-    "microlocal": _cmd_microlocal,
-    "chain": _cmd_chain,
-}
-
-
-def run(job: JobSpec):
-    """Execute one job; returns (exit code, report text)."""
-    handler = _DISPATCH.get(job.command)
-    if handler is None:
-        return 1, f"unknown command {job.command!r}"
+def run(argv):
+    """Parse argv and execute its command; returns (exit code, report
+    text).  A bad command line exits through argparse, with code 2."""
+    job = _build_parser().parse_args(argv)
     try:
-        return handler(job)
+        return job.handler(job)
     except MathFailure as exc:
         return 2, f"mathematical failure: {exc}"
     except PrehomogError as exc:
@@ -222,50 +190,49 @@ def run(job: JobSpec):
 @functools.cache
 def _build_parser():
     """The parser, built once per process: parse_args fills a new
-    namespace on every call, so nothing carries over between calls."""
+    namespace on every call, so nothing carries over between calls.  Each
+    subparser sets its handler as a default, and the namespace is the job
+    the handler reads."""
     parser = argparse.ArgumentParser(
         prog="prehomog",
         description="Exact b-functions of prehomogeneous determinants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, source=True):
+    def command(name, handler, summary, source=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if source:
             p.add_argument("--fixture", help="named fixture, e.g. star-2111")
             p.add_argument("--input", dest="input_path",
                            help="JSON file with generators or a quiver")
         p.add_argument("--json", dest="json_output", action="store_true",
                        help="machine readable output")
+        return p
 
-    p = sub.add_parser("classify", help="discriminant and its kind")
-    add_common(p)
+    p = command("classify", _cmd_classify, "discriminant and its kind")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the squarefree test (default 0)")
     p.add_argument("--trials", type=int, default=8,
                    help="lines for the squarefree test (default 8, at most 1000)")
-    add_common(sub.add_parser("bfunction",
-                              help="b-function via the dual functional equation"))
-    p = sub.add_parser("symmetry", help="check b(s) = (-1)^d b(-s-2)")
-    add_common(p)
+    command("bfunction", _cmd_bfunction,
+            "b-function via the dual functional equation")
+    p = command("symmetry", _cmd_symmetry, "check b(s) = (-1)^d b(-s-2)")
     p.add_argument("--poly", help='factored polynomial, e.g. "(s+1)^2(s+2)"')
-    p = sub.add_parser("euler", help="Euler homogeneity witness at a point")
-    add_common(p)
+    p = command("euler", _cmd_euler, "Euler homogeneity witness at a point")
     p.add_argument("--point", help="comma separated rational coordinates")
-    p = sub.add_parser("microlocal", help="conormal order at a point")
-    add_common(p)
+    p = command("microlocal", _cmd_microlocal, "conormal order at a point")
     p.add_argument("--point", help="comma separated rational coordinates")
     p.add_argument("--covector", help="comma separated rationals on the "
                    "normal coordinates")
-    p = sub.add_parser("chain", help="assemble b from chain edge factors")
-    add_common(p, source=False)
+    p = command("chain", _cmd_chain, "assemble b from chain edge factors",
+                source=False)
     p.add_argument("factors", nargs="+",
                    help='factored polynomials, e.g. "s+1" "(3s+2)(3s+3)"')
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    # every subparser's keys are JobSpec fields; JobSpec fills the rest
-    code, text = run(JobSpec(**vars(parser.parse_args(argv))))
+    code, text = run(argv)
     print(text)
     return code
 

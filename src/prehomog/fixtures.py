@@ -43,8 +43,10 @@ def _diag(*vals):
 
 def _nc(n):
     def build():
-        mats = [_diag(*[1 if i == k else 0 for i in range(n)]) for k in range(n)]
-        return GeneratorSet(mats)
+        # the integer form (rows, 1) of each coordinate scaling E_kk
+        return GeneratorSet._from_forms(
+            [(tuple(((i, 1),) if i == k else () for i in range(n)), Fraction(1))
+             for k in range(n)])
     return build
 
 

@@ -8,7 +8,10 @@ infinitesimal characters, annihilators, specialness, and the dual
 
 A GeneratorSet stores each generator once, as its content-free integer
 form A_k = scale_k * M_k from `_integer_form` (the one route from a
-matrix to integers); the dual set negates and transposes the integers.
+matrix to integers).  The generated families (quiver representations,
+`nc-N`) write their forms directly, without a dense matrix, and enter
+through `GeneratorSet._from_forms`; the dual set negates and transposes
+the integers.
 Everything reads the forms: the independence and closure checks
 (`_echelon` on the rows [M_k | e_k], via `linalg.echelon`), the
 determinant, the delta_A kernel `_delta`, the traces, and the images
@@ -50,10 +53,22 @@ class GeneratorSet:
 
     def __init__(self, generators, variables=None):
         generators = list(generators)
-        n = len(generators)
+        self._prove([_integer_form(m, len(generators)) for m in generators],
+                    variables)
+
+    @classmethod
+    def _from_forms(cls, forms, variables=None):
+        """The set of the canonical integer forms `forms`, as `_integer_form`
+        gives them, for builders that never write a dense matrix."""
+        g = cls.__new__(cls)
+        g._prove(forms, variables)
+        return g
+
+    def _prove(self, forms, variables):
+        """Check the names and the independence of the forms, then fill."""
+        n = len(forms)
         if n < 1:
             raise DomainError("need at least one generator")
-        forms = [_integer_form(m, n) for m in generators]
         if variables is None:
             variables = default_variables(n)
         variables = tuple(variables)

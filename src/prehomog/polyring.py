@@ -410,28 +410,31 @@ class MultiPoly:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         # sort by descending total degree then lexicographic exponent order
         keys = sorted(self.terms, key=lambda e: (-sum(e), e))
-        pieces = []
-        for e in keys:
-            c = self.terms[e]
-            mono = self._monomial_str(e)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _signed_sum((self.terms[e], self._monomial_str(e)) for e in keys)
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _signed_sum(terms):
+    """The text of a sum of (nonzero coefficient, monomial text) terms, in
+    the given order: a coefficient of absolute value 1 is left off a
+    monomial, the first term carries a bare "-", and no terms give "0"."""
+    pieces = []
+    for c, mono in terms:
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
 
 
 def _binomial_row(a, b, k):
@@ -670,24 +673,9 @@ class UniPoly:
         return UniPoly._form(acc, self.scale / dk)
 
     def __str__(self):
-        if not self.ints:
-            return "0"
         coeffs = self.coeffs
-        pieces = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                v = "s" if i == 1 else f"s^{i}"
-                body = v if abs(c) == 1 else f"{abs(c)}*{v}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _signed_sum((coeffs[i], "s" if i == 1 else f"s^{i}" if i else "")
+                           for i in reversed(range(len(coeffs))) if coeffs[i])
 
     def __repr__(self):
         return f"UniPoly({self})"
@@ -1042,16 +1030,14 @@ def parse_factored(text: str) -> UniPoly:
         return atom
 
     def parse_atom():
-        kind = peek()
+        kind, value = take()
         if kind == "(":
-            take()
             inner = parse_sum()
             take(")")
             return inner
         if kind == "num":
-            return UniPoly.constant(take()[1])
+            return UniPoly.constant(value)
         if kind == "s":
-            take()
             return UniPoly.variable()
         raise ParseError(f"unexpected token {kind!r} in polynomial string")
 

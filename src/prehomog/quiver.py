@@ -3,7 +3,9 @@
 A dimension vector with Tits form 1 makes Rep(Q, d) a prehomogeneous
 space for the product of general linear groups at the vertices, acting
 by phi |-> A_tgt phi - phi A_src on each arrow.  The center acts
-trivially, so one scalar generator is dropped to match dim Rep.
+trivially (phi |-> phi - phi on every arrow), so one scalar generator is
+dropped to match dim Rep.  Each generator is written straight as its
+integer form, one +-1 entry per row at most.
 """
 
 from fractions import Fraction
@@ -12,8 +14,9 @@ from . import liealg
 from .errors import CapacityError, ContextError, DomainError
 
 # variable cap of generated inputs (nc-N, atilde-N, quiver dimension
-# vectors): n variables take about n^3 dense matrix entries to build, and
-# 128 variables build in seconds
+# vectors).  Building the integer forms is cheap (atilde-125, at the cap,
+# in 0.01 s), but the bracket-closure check of classify grows faster than
+# n^3: 0.2 s at n = 63 and 2 s at the cap, on a 2-vCPU Xeon
 MAX_GENERATED_VARIABLES = 128
 
 
@@ -149,20 +152,22 @@ def rep_space(quiver: Quiver, d: DimensionVector):
     return tuple(names)
 
 
-def _vertex_elementary_action(quiver, d, layout, nv, vertex, r, c):
-    """Matrix on Rep of E_rc placed at one vertex (zero elsewhere)."""
-    M = [[Fraction(0)] * nv for _ in range(nv)]
-    for ei, (a, b) in enumerate(quiver.edges):
-        off, rows, cols = layout[ei]
+def _vertex_elementary_action(quiver, layout, nv, vertex, r, c):
+    """Canonical integer form (rows, 1) on Rep of E_rc placed at one vertex
+    (zero elsewhere): +1 rows from the arrows into the vertex, -1 rows from
+    the arrows out of it.  There are no loops, so each row has at most one
+    entry and the form is content-free with scale 1."""
+    rows = [()] * nv
+    for (a, b), (off, nrows, cols) in zip(quiver.edges, layout):
         if b == vertex:
             # left multiplication: (E_rc phi) has row r equal to row c of phi
             for j in range(cols):
-                M[off + r * cols + j][off + c * cols + j] += 1
+                rows[off + r * cols + j] = ((off + c * cols + j, 1),)
         if a == vertex:
             # right multiplication with a minus: (phi E_rc)_{i j} = phi_{i r} [j = c]
-            for i in range(rows):
-                M[off + i * cols + c][off + i * cols + r] -= 1
-    return M
+            for i in range(nrows):
+                rows[off + i * cols + c] = ((off + i * cols + r, -1),)
+    return tuple(rows), Fraction(1)
 
 
 def infinitesimal_generators(quiver: Quiver, d: DimensionVector) -> liealg.GeneratorSet:
@@ -171,7 +176,8 @@ def infinitesimal_generators(quiver: Quiver, d: DimensionVector) -> liealg.Gener
     Requires a connected quiver with Tits form 1, so the kernel of the
     action is exactly the one dimensional center and dropping the last
     diagonal elementary of the last declared vertex leaves a basis of
-    the image, of size dim Rep.
+    the image, of size dim Rep.  The generators are built as their
+    integer forms; no n x n matrix is written.
     """
     _check(quiver, d)
     if not quiver.is_connected():
@@ -185,25 +191,11 @@ def infinitesimal_generators(quiver: Quiver, d: DimensionVector) -> liealg.Gener
     if nv > MAX_GENERATED_VARIABLES:
         raise CapacityError(f"representation space has {nv} variables, more "
                             f"than the limit {MAX_GENERATED_VARIABLES}")
-
-    last_vertex = quiver.vertices[-1]
-    mats = []
-    center = [[Fraction(0)] * nv for _ in range(nv)]
-    for v in quiver.vertices:
-        dv = d[v]
-        for r in range(dv):
-            for c in range(dv):
-                M = _vertex_elementary_action(quiver, d, layout, nv, v, r, c)
-                if r == c:
-                    for i in range(nv):
-                        for j in range(nv):
-                            center[i][j] += M[i][j]
-                if v == last_vertex and r == dv - 1 and c == dv - 1:
-                    continue
-                mats.append(M)
-    if any(any(row) for row in center):
-        raise DomainError("center of the vertex groups does not act by zero")
-    return liealg.GeneratorSet(mats, variables=rep_space(quiver, d))
+    forms = [_vertex_elementary_action(quiver, layout, nv, v, r, c)
+             for v in quiver.vertices for r in range(d[v]) for c in range(d[v])]
+    # the center acts by zero, so the last form, E_dd of the last vertex,
+    # is dependent on the others: drop it
+    return liealg.GeneratorSet._from_forms(forms[:-1], rep_space(quiver, d))
 
 
 def quiver_discriminant(quiver: Quiver, d: DimensionVector, trials=8, seed=0):

@@ -1,8 +1,10 @@
 """Shared test plumbing: the acceptance summary lines, the Fraction
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
-Fraction matrix helpers, the dense pointwise geometry that checks the
-geometry on the stored integer forms, and the Fraction coefficient
-arithmetic that checks `UniPoly` on its integer form."""
+Fraction matrix helpers, the dense generators of a quiver that check the
+integer forms `quiver.infinitesimal_generators` writes directly, the dense
+pointwise geometry that checks the geometry on the stored integer forms,
+and the Fraction coefficient arithmetic that checks `UniPoly` on its
+integer form."""
 
 from fractions import Fraction
 
@@ -129,6 +131,38 @@ def combination(coeffs, mats):
         if a:
             out = mat_add(out, mat_scale(A, a))
     return out
+
+
+# -- dense generators of a quiver ----------------------------------------
+
+def ref_quiver_matrices(quiver, d):
+    """The generators of Rep(quiver, d) as dense Fraction matrices: E_rc at
+    each vertex acts by phi |-> E_rc phi on the arrows into the vertex and
+    by phi |-> -phi E_rc on the arrows out of it, arrow blocks row-major in
+    edge order.  Asserts that the center, the sum of the diagonal E_rr,
+    acts by zero, and drops the last diagonal E_rr of the last vertex."""
+    blocks, nv = [], 0
+    for a, b in quiver.edges:
+        blocks.append((nv, d[b], d[a]))
+        nv += d[b] * d[a]
+    mats = []
+    center = [[Fraction(0)] * nv for _ in range(nv)]
+    for v in quiver.vertices:
+        for r in range(d[v]):
+            for c in range(d[v]):
+                M = [[Fraction(0)] * nv for _ in range(nv)]
+                for (a, b), (off, rows, cols) in zip(quiver.edges, blocks):
+                    if b == v:
+                        for j in range(cols):
+                            M[off + r * cols + j][off + c * cols + j] += 1
+                    if a == v:
+                        for i in range(rows):
+                            M[off + i * cols + c][off + i * cols + r] -= 1
+                if r == c:
+                    center = mat_add(center, M)
+                mats.append(M)
+    assert not any(any(row) for row in center), "the center acts by zero"
+    return mats[:-1]
 
 
 # -- dense pointwise geometry --------------------------------------------

@@ -14,7 +14,7 @@ from conftest import record_criterion, ref_in_span
 from prehomog.bernstein import (BFailure, BResult, apply_operator, bfunction,
                                 extract_cofactor, fourier_check,
                                 symmetry_check)
-from prehomog.cli import JobSpec, run
+from prehomog.cli import run
 from prehomog.fixtures import (fixture_names, get_fixture,
                                reduced_discriminant_bfunctions, star_chain,
                                star_edge_factors, table_spectra)
@@ -271,7 +271,7 @@ def test_criterion_10():
         assert isinstance(r, BFailure)
         assert r.message() == "functional equation does not hold"
         assert r.special is False
-        code, text = run(JobSpec("bfunction", fixture="bilinear-cone-4"))
+        code, text = run(["bfunction", "--fixture", "bilinear-cone-4"])
         assert code == 2
         assert "functional equation does not hold" in text
         return True

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import prehomog
-from prehomog.cli import JobSpec, main, run
+from prehomog.cli import _build_parser, main, run
 from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.quiver import star_quiver
 from prehomog.serialize import generatorset_to_json, quiver_to_json
@@ -22,35 +23,36 @@ def write_json(tmp_path, name, obj):
 
 class TestSources:
     def test_missing_source(self):
-        code, text = run(JobSpec("classify"))
+        code, text = run(["classify"])
         assert code == 1
         assert "source is required" in text
 
     def test_both_sources(self, tmp_path):
         path = write_json(tmp_path, "g.json", {})
-        code, text = run(JobSpec("classify", fixture="nc-2", input_path=path))
+        code, text = run(["classify", "--fixture", "nc-2", "--input", path])
         assert code == 1
 
     def test_unknown_fixture(self):
-        code, text = run(JobSpec("classify", fixture="nope"))
+        code, text = run(["classify", "--fixture", "nope"])
         assert code == 1
         assert "error" in text
 
     def test_unknown_command(self):
-        code, text = run(JobSpec("transmogrify"))
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["transmogrify"])
+        assert exc.value.code == 2
 
     def test_generator_file(self, tmp_path):
         obj = generatorset_to_json(get_fixture("nc-2").generators())
         path = write_json(tmp_path, "g.json", obj)
-        code, text = run(JobSpec("bfunction", input_path=path))
+        code, text = run(["bfunction", "--input", path])
         assert code == 0
         assert "b(s)" in text
 
     def test_quiver_file(self, tmp_path):
         qv, d = star_quiver()
         path = write_json(tmp_path, "q.json", quiver_to_json(qv, d))
-        code, text = run(JobSpec("classify", input_path=path))
+        code, text = run(["classify", "--input", path])
         assert code == 0
         assert "linear-free-divisor" in text
 
@@ -58,7 +60,7 @@ class TestSources:
         obj = generatorset_to_json(get_fixture("nc-2").generators())
         obj["reductive"] = True
         path = write_json(tmp_path, "g.json", obj)
-        code, text = run(JobSpec("classify", input_path=path))
+        code, text = run(["classify", "--input", path])
         assert "reductive (asserted): yes" in text
 
     @pytest.mark.parametrize("flag", ["no", 0, 1, None, []])
@@ -66,7 +68,7 @@ class TestSources:
         obj = generatorset_to_json(get_fixture("nc-2").generators())
         obj["reductive"] = flag
         path = write_json(tmp_path, "g.json", obj)
-        code, text = run(JobSpec("classify", input_path=path))
+        code, text = run(["classify", "--input", path])
         assert code == 1
         assert text.startswith("error:") and "reductive" in text
 
@@ -78,109 +80,104 @@ class TestSources:
             else:
                 obj["reductive"] = flag
             path = write_json(tmp_path, "g.json", obj)
-            code, text = run(JobSpec("classify", input_path=path))
+            code, text = run(["classify", "--input", path])
             assert code == 0
             assert f"reductive (asserted): {shown}" in text
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        code, text = run(JobSpec("classify", input_path=str(path)))
+        code, text = run(["classify", "--input", str(path)])
         assert code == 1
 
     def test_wrong_shape(self, tmp_path):
         path = write_json(tmp_path, "bad.json", {"foo": 1})
-        code, text = run(JobSpec("classify", input_path=str(path)))
+        code, text = run(["classify", "--input", str(path)])
         assert code == 1
 
 
 class TestCommands:
     def test_classify_text(self):
-        code, text = run(JobSpec("classify", fixture="star-2111"))
+        code, text = run(["classify", "--fixture", "star-2111"])
         assert code == 0
         assert "kind: linear-free-divisor" in text
         assert "special: yes" in text
 
     def test_bfunction_text(self):
-        code, text = run(JobSpec("bfunction", fixture="nc-3"))
+        code, text = run(["bfunction", "--fixture", "nc-3"])
         assert code == 0
         assert "functional equation: held" in text
 
     def test_bfunction_failure_exit_code(self):
-        code, text = run(JobSpec("bfunction", fixture="bilinear-cone-4"))
+        code, text = run(["bfunction", "--fixture", "bilinear-cone-4"])
         assert code == 2
         assert "functional equation does not hold" in text
 
     def test_symmetry_poly(self):
-        code, text = run(JobSpec("symmetry", poly="(s+1)^2"))
+        code, text = run(["symmetry", "--poly", "(s+1)^2"])
         assert code == 0
         assert "symmetric about -1: yes" in text
 
     def test_symmetry_no_is_success(self):
-        code, text = run(JobSpec("symmetry", poly="(s+1)(s+2)"))
+        code, text = run(["symmetry", "--poly", "(s+1)(s+2)"])
         assert code == 0
         assert "symmetric about -1: no" in text
 
     def test_euler_witness(self):
-        code, text = run(JobSpec("euler", fixture="nc-3", point="1,0,0"))
+        code, text = run(["euler", "--fixture", "nc-3", "--point", "1,0,0"])
         assert code == 0
         assert "[0, 1, 0]" in text
 
     def test_euler_inconclusive(self):
-        code, text = run(JobSpec("euler", fixture="nc-3", point="1,1,1"))
+        code, text = run(["euler", "--fixture", "nc-3", "--point", "1,1,1"])
         assert code == 0
         assert "inconclusive" in text
 
     def test_euler_needs_point(self):
-        code, text = run(JobSpec("euler", fixture="nc-3"))
+        code, text = run(["euler", "--fixture", "nc-3"])
         assert code == 1
         assert "--point" in text
 
     def test_microlocal(self):
-        code, text = run(JobSpec("microlocal", fixture="nc-2",
-                                 point="1,0", covector="1"))
+        code, text = run(["microlocal", "--fixture", "nc-2",
+                          "--point", "1,0", "--covector", "1"])
         assert code == 0
         assert "ord f^s" in text
 
     def test_microlocal_bad_covector(self):
-        code, text = run(JobSpec("microlocal", fixture="nc-2",
-                                 point="0,0", covector="1,0"))
+        code, text = run(["microlocal", "--fixture", "nc-2",
+                          "--point", "0,0", "--covector", "1,0"])
         assert code == 2
         assert "mathematical failure" in text
 
     def test_chain(self):
-        code, text = run(JobSpec("chain",
-                                 factors=["s+1", "s+1", "(3s+2)(3s+3)(3s+4)",
-                                          "s+1"]))
+        code, text = run(["chain", "s+1", "s+1", "(3s+2)(3s+3)(3s+4)", "s+1"])
         assert code == 0
         assert "assembled monic polynomial" in text
 
     def test_chain_parse_error(self):
-        code, text = run(JobSpec("chain", factors=["s+%"]))
+        code, text = run(["chain", "s+%"])
         assert code == 1
 
 
 class TestJsonOutput:
     def test_round_trip_bytes(self):
-        code, text = run(JobSpec("bfunction", fixture="nc-2",
-                                 json_output=True))
+        code, text = run(["bfunction", "--fixture", "nc-2", "--json"])
         assert code == 0
         assert json.dumps(json.loads(text), indent=2) == text
 
     def test_reruns_identical(self):
-        job = JobSpec("classify", fixture="binary-cubic", json_output=True)
-        assert run(job) == run(job)
+        argv = ["classify", "--fixture", "binary-cubic", "--json"]
+        assert run(argv) == run(argv)
 
     def test_failure_record(self):
-        code, text = run(JobSpec("bfunction", fixture="bilinear-cone-4",
-                                 json_output=True))
+        code, text = run(["bfunction", "--fixture", "bilinear-cone-4", "--json"])
         assert code == 2
         obj = json.loads(text)
         assert obj["result"]["functional_equation_held"] is False
 
     def test_classify_record(self):
-        code, text = run(JobSpec("classify", fixture="det22-squared",
-                                 json_output=True))
+        code, text = run(["classify", "--fixture", "det22-squared", "--json"])
         obj = json.loads(text)
         assert obj["classification"]["reduced"] is False
         assert obj["discriminant"]["variables"] == ["x11", "x12", "x21", "x22"]
@@ -210,21 +207,18 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["chain", "--seed", "3", "s+1"])
 
-
-    def test_parser_state_does_not_leak(self, monkeypatch, capsys):
-        jobs = []
-        monkeypatch.setattr("prehomog.cli.run",
-                            lambda job: jobs.append(job) or (0, ""))
+    def test_parser_state_does_not_leak(self):
+        parse = _build_parser().parse_args
         argv = ["classify", "--fixture", "nc-2"]
-        main(argv + ["--seed", "3", "--trials", "2", "--json"])
-        main(argv)
+        jobs = [parse(argv + ["--seed", "3", "--trials", "2", "--json"]), parse(argv)]
         assert [(j.seed, j.trials, j.json_output) for j in jobs] == \
             [(3, 2, True), (0, 8, False)]
         with pytest.raises(SystemExit):
-            main(argv + ["--seed", "x"])
-        assert main(["chain", "s+1"]) == 0
-        assert (jobs[-1].command, jobs[-1].factors, jobs[-1].seed) == \
-            ("chain", ["s+1"], 0)
+            parse(argv + ["--seed", "x"])
+        job = parse(["chain", "s+1"])
+        assert (job.command, job.factors, job.handler.__name__) == \
+            ("chain", ["s+1"], "_cmd_chain")
+        assert "seed" not in vars(job)
 
 
 class TestBadInput:
@@ -242,6 +236,21 @@ class TestBadInput:
     ])
     def test_zero_denominator(self, argv, capsys):
         self.run_main(argv, capsys, "zero denominator")
+
+    @pytest.mark.parametrize("argv", [
+        ["symmetry", "--poly", ""], ["chain", "s+"], ["chain", "("], ["chain", "2*"],
+    ])
+    def test_unexpected_end(self, argv, capsys):
+        self.run_main(argv, capsys, "unexpected end of polynomial string")
+
+    @pytest.mark.parametrize("source", [["--fixture", "nc-2"], ["--input", "g.json"]])
+    def test_poly_with_a_source(self, source, capsys):
+        self.run_main(["symmetry", "--poly", "s+1"] + source, capsys, "not both")
+
+    @pytest.mark.parametrize("flag, reason", [("--fixture", "unknown fixture"),
+                                              ("--input", "cannot read")])
+    def test_empty_source_name(self, flag, reason, capsys):
+        self.run_main(["classify", flag, ""], capsys, reason)
 
     @pytest.mark.parametrize("argv", [
         ["symmetry", "--poly", "(" * 400 + "s+1" + ")" * 400],
@@ -416,6 +425,13 @@ def classify_runs():
             runs.append((f"{command}/star-quiver-file.{form}",
                          [command, "--input", QUIVER_FILE] + flag))
     return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
+
+
+def test_every_command_has_golden_bytes():
+    commands, = [a.choices for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    assert len(commands) == 6
+    assert [c for c in commands if not any((GOLDEN / c).glob("*.out"))] == []
 
 
 class TestGoldenBytes:

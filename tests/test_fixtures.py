@@ -4,10 +4,10 @@ import pytest
 
 from prehomog import fixtures, quiver
 from prehomog.errors import CapacityError, ContextError
-from prehomog.fixtures import (fixture_names, get_fixture,
+from prehomog.fixtures import (_diag, fixture_names, get_fixture,
                                reduced_discriminant_bfunctions, star_chain,
                                star_edge_factors, table_spectra)
-from prehomog.liealg import classify, validate_algebra
+from prehomog.liealg import GeneratorSet, classify, validate_algebra
 from prehomog.polyring import UniPoly, parse_factored
 
 
@@ -40,6 +40,11 @@ class TestRegistry:
                 get_fixture(name)
         assert get_fixture(f"nc-{cap}").name == f"nc-{cap}"
         assert get_fixture(f"atilde-{cap - 3}").name == f"atilde-{cap - 3}"
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nc_forms_equal_the_dense_build(self, n):
+        mats = [_diag(*[int(i == k) for i in range(n)]) for k in range(n)]
+        assert get_fixture(f"nc-{n}").generators() == GeneratorSet(mats)
 
     def test_generators_cached(self):
         fx = get_fixture("binary-cubic")

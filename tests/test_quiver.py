@@ -1,8 +1,9 @@
 import pytest
 
+from conftest import ref_quiver_matrices
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
-from prehomog.liealg import discriminant
+from prehomog.liealg import GeneratorSet, discriminant
 from prehomog.polyring import MultiPoly
 from prehomog.quiver import (DimensionVector, Quiver, atilde_quiver,
                              dtilde3_quiver, infinitesimal_generators,
@@ -119,7 +120,7 @@ class TestGenerators:
 
     def test_size_cap(self):
         # the Kronecker quiver at (1001, 1000) has Tits form 1 and about two
-        # million variables: refused before the first matrix is built
+        # million variables: refused before the first generator is built
         qv = Quiver(["a", "b"], [("a", "b"), ("a", "b")])
         d = DimensionVector({"a": 1001, "b": 1000})
         assert tits_form(qv, d) == 1
@@ -167,3 +168,24 @@ class TestFamilies:
     def test_atilde_needs_positive_length(self):
         with pytest.raises(DomainError):
             atilde_quiver(0)
+
+
+def reference_inputs():
+    """The quivers whose generators are checked against the dense
+    reference: the three families, the 3x4 star and the Kronecker quiver."""
+    sources = ["s1", "s2", "s3", "s4"]
+    out = {"star-2111": star_quiver(), "dtilde3-22111": dtilde3_quiver()}
+    out.update((f"atilde-{n}", atilde_quiver(n)) for n in range(1, 9))
+    out["star-31111"] = (Quiver(["c"] + sources, [(s, "c") for s in sources]),
+                         DimensionVector({"c": 3, **dict.fromkeys(sources, 1)}))
+    out["kronecker-2-1"] = (Quiver(["a", "b"], [("a", "b"), ("a", "b")]),
+                            DimensionVector({"a": 2, "b": 1}))
+    return out
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("name, qv, d", [
+        pytest.param(name, qv, d, id=name) for name, (qv, d) in reference_inputs().items()])
+    def test_forms_equal_the_dense_build(self, name, qv, d):
+        expected = GeneratorSet(ref_quiver_matrices(qv, d), rep_space(qv, d))
+        assert infinitesimal_generators(qv, d) == expected
