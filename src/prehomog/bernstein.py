@@ -35,8 +35,9 @@ from fractions import Fraction
 
 from . import liealg, linalg
 from .errors import ContextError, DomainError
-from .polyring import (MultiPoly, Spectrum, UniPoly, _coerce, _exact, packed,
-                       primitive, rational_root_spectrum, unpack)
+from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _coerce,
+                       _exact, packed, primitive, rational_root_spectrum,
+                       unpack)
 
 
 class SPowerExpression:
@@ -191,20 +192,6 @@ def _slot_width(monomials, f_packed, B):
                 k += 1
         bound += abs(c) * N
     return bound.bit_length() + 2
-
-
-def _balanced_digits(V, W):
-    """Coefficients of the s-polynomial whose value at s = 2^W is V."""
-    full = 1 << W
-    half = full >> 1
-    digits = []
-    while V:
-        d = V & (full - 1)
-        if d >= half:
-            d -= full
-        digits.append(d)
-        V = (V - d) >> W
-    return digits
 
 
 def _substitute(terms, shift, a, mask):

@@ -51,9 +51,11 @@ def _flag(v):
 
 
 def _emit(job, record, lines):
+    """The report: the JSON record under --json, else the text lines, which
+    `lines()` builds only then."""
     if job.json_output:
         return json.dumps(record, indent=2)
-    return "\n".join(lines)
+    return "\n".join(lines())
 
 
 def _cmd_classify(job):
@@ -66,7 +68,7 @@ def _cmd_classify(job):
         "discriminant": serialize.multipoly_to_json(cls.discriminant),
         "reductive": reductive,
     }
-    lines = [
+    return 0, _emit(job, record, lambda: [
         f"f = {cls.discriminant}",
         f"degree: {g.n}",
         f"kind: {cls.kind}",
@@ -74,8 +76,7 @@ def _cmd_classify(job):
         f"special: {_flag(cls.special)}",
         f"closed under bracket: {_flag(cls.closed_under_bracket)}",
         f"reductive (asserted): {_flag(reductive)}",
-    ]
-    return 0, _emit(job, record, lines)
+    ])
 
 
 def _cmd_bfunction(job):
@@ -84,17 +85,16 @@ def _cmd_bfunction(job):
     record = {"command": "bfunction", "source": name,
               "result": serialize.bresult_to_json(res)}
     if not res.functional_equation_held:
-        lines = [res.message(), f"reason: {res.reason}"]
-        return 2, _emit(job, record, lines)
-    lines = [
+        return 2, _emit(job, record,
+                        lambda: [res.message(), f"reason: {res.reason}"])
+    return 0, _emit(job, record, lambda: [
         f"b(s) = {res.b}",
         f"spectrum: {res.spectrum}",
         f"raw leading coefficient: {serialize.rational_to_json(res.raw_leading)}",
         f"special: {_flag(res.special)}",
         f"symmetric about -1: {_flag(res.symmetric)}",
         "functional equation: held",
-    ]
-    return 0, _emit(job, record, lines)
+    ])
 
 
 def _cmd_symmetry(job):
@@ -109,15 +109,14 @@ def _cmd_symmetry(job):
         if not res.functional_equation_held:
             record = {"command": "symmetry", "source": source,
                       "result": serialize.bresult_to_json(res)}
-            return 2, _emit(job, record, [res.message()])
+            return 2, _emit(job, record, lambda: [res.message()])
         b = res.b
     verdict = bernstein.symmetry_check(b)
     record = {"command": "symmetry", "source": source,
               "monic_coefficients": serialize.unipoly_to_json(b.monic()),
               "symmetric_about_minus_one": verdict}
-    lines = [f"b(s) = {b.monic()}",
-             f"symmetric about -1: {_flag(verdict)}"]
-    return 0, _emit(job, record, lines)
+    return 0, _emit(job, record, lambda: [f"b(s) = {b.monic()}",
+                                          f"symmetric about -1: {_flag(verdict)}"])
 
 
 def _at_point(job):
@@ -136,17 +135,15 @@ def _at_point(job):
 def _cmd_euler(job):
     g, name, c, ctx = _at_point(job)
     witness = geometry.euler_at_point(g, c, ctx)
-    if witness is None:
-        record = {"command": "euler", "source": name, "witness": None}
-        lines = ["inconclusive: the character vanishes on the isotropy algebra"]
-    else:
-        record = {"command": "euler", "source": name,
-                  "witness": [[serialize.rational_to_json(v) for v in row]
-                              for row in witness]}
-        lines = ["witness (matrix with character value 1, vanishing at the point):"]
-        lines += ["  [" + ", ".join(serialize.rational_to_json(v) for v in row) + "]"
-                  for row in witness]
-    return 0, _emit(job, record, lines)
+    rows = None if witness is None else [
+        [serialize.rational_to_json(v) for v in row] for row in witness]
+    record = {"command": "euler", "source": name, "witness": rows}
+    if rows is None:
+        return 0, _emit(job, record, lambda: [
+            "inconclusive: the character vanishes on the isotropy algebra"])
+    return 0, _emit(job, record, lambda: [
+        "witness (matrix with character value 1, vanishing at the point):"]
+        + ["  [" + ", ".join(row) + "]" for row in rows])
 
 
 def _cmd_microlocal(job):
@@ -157,9 +154,8 @@ def _cmd_microlocal(job):
     order = geometry.conormal_order(g, c, ctx, y0)
     record = {"command": "microlocal", "source": name,
               "order": serialize.orderform_to_json(order)}
-    lines = [f"ord f^s = {order}",
-             f"normal space dimension: {len(ctx.normal_coords)}"]
-    return 0, _emit(job, record, lines)
+    return 0, _emit(job, record, lambda: [
+        f"ord f^s = {order}", f"normal space dimension: {len(ctx.normal_coords)}"])
 
 
 def _cmd_chain(job):
@@ -170,9 +166,8 @@ def _cmd_chain(job):
               "monic_coefficients": serialize.unipoly_to_json(asm),
               "roots": serialize.spectrum_roots_to_json(sp),
               "residual": serialize.unipoly_to_json(sp.residual)}
-    lines = [f"assembled monic polynomial: {asm}",
-             f"spectrum: {sp}"]
-    return 0, _emit(job, record, lines)
+    return 0, _emit(job, record, lambda: [f"assembled monic polynomial: {asm}",
+                                          f"spectrum: {sp}"])
 
 
 def run(argv):

@@ -12,14 +12,15 @@ matrix to integers).  The generated families (quiver representations,
 `nc-N`) write their forms directly, without a dense matrix, and enter
 through `GeneratorSet._from_forms`; the dual set negates and transposes
 the integers.
-Everything reads the forms: the independence and closure checks
-(`_echelon` on the rows [M_k | e_k], via `linalg.echelon`), the
-determinant, the delta_A kernel `_delta`, the traces, and the images
-A_k x and combinations sum c_k A_k of the annihilator and the pointwise
-geometry; ad-hoc matrices are converted per call.  The determinant and
-delta_A use the packed exponents of `polyring.packed` and restore the
-scales once at the end; the character checks delta_A f = lam f by exact
-cross-multiplication without building lam f.
+Everything reads the forms: the independence check and the closure
+check, which builds only its verdict (`_echelon` on the rows
+[M_k | e_k], via `linalg.echelon`), the determinant, the delta_A kernel
+`_delta`, the traces, and the images A_k x and combinations sum c_k A_k
+of the annihilator and the pointwise geometry; ad-hoc matrices are
+converted per call.  The determinant and delta_A use the packed
+exponents of `polyring.packed` and restore the scales once at the end;
+the character checks delta_A f = lam f by exact cross-multiplication
+without building lam f.
 """
 
 from fractions import Fraction
@@ -128,17 +129,6 @@ class GeneratorSet:
         return f"GeneratorSet(n={self.n}, variables={self.variables})"
 
 
-class StructureReport:
-    """Outcome of the bracket-closure check."""
-
-    __slots__ = ("closed", "structure_constants", "failing_pair")
-
-    def __init__(self, closed, structure_constants=None, failing_pair=None):
-        self.closed = closed
-        self.structure_constants = structure_constants
-        self.failing_pair = failing_pair
-
-
 class CharacterData:
     """Values of the infinitesimal character and of the trace on each generator."""
 
@@ -164,36 +154,28 @@ class Classification:
                 f"special={self.special}, closed_under_bracket={self.closed_under_bracket})")
 
 
-def validate_algebra(g: GeneratorSet) -> StructureReport:
-    """Solve every bracket [A_i, A_j] in the generator span.
+def validate_algebra(g: GeneratorSet):
+    """The first pair (i, j), i < j in row-major order, whose bracket
+    [A_i, A_j] leaves the generator span, or None when the generators
+    close under the bracket; no structure constants are built.
 
-    Returns the structure constants c^k_ij on success, or the first
-    failing pair (in row-major order) when some bracket leaves the span.
-
-    One integer echelon serves every bracket.  `_echelon` reduces the
-    rows [M_k | e_k] of the stored integer forms A_k = s_k M_k with
-    `linalg.echelon`, the one row-reduction routine, to rows E_r =
-    sum_k T_rk M_k with E_r[p_s] = D delta_rs; the generators are
-    independent, so there are n pivots p_r, all in the flat block, and
-    the coefficients are unique.  The integer bracket b = [M_i, M_j] is in
-    the span iff D b - sum_r b[p_r] E_r vanishes, and then y = sum_r
-    b[p_r] T_r gives c^k_ij = s_i s_j y_k / (D s_k), since [A_i, A_j] =
-    s_i s_j b.  Everything but the last division runs on ints.  Brackets
-    are antisymmetric, so only i < j is reduced: c_ji = -c_ij, c_ii = 0,
-    and the first failing pair in row-major order has i < j.
+    `_echelon` reduces the stored integer forms A_k = s_k M_k to rows E_r
+    with E_r[p_s] = D delta_rs on the flat block, n pivots p_r as the M_k
+    are independent.  [A_i, A_j] is in the span iff b = [M_i, M_j] is,
+    iff D b - sum_r b[p_r] E_r vanishes: it does at the pivots, so only
+    the other flat columns are reduced.  Brackets are antisymmetric, so
+    only i < j is tried.
     """
     n = g.n
     size = n * n
-    zero = Fraction(0)
     D, basis = _echelon(g.forms, n)
-    scales = [(s.numerator, s.denominator) for _, s in g.forms]
+    pivots = {p for p, _ in basis}
+    basis = [(p, [(c, v) for c, v in E.items() if c < size and c not in pivots])
+             for p, E in basis]
     # nonzero entries (i, k, M_ik) of each integer form
     entries = [[(i, k, a) for i, row in enumerate(form[0]) for k, a in row]
                for form in g.forms]
-
-    constants = [[None] * n for _ in range(n)]
     for i in range(n):
-        constants[i][i] = (zero,) * n
         for j in range(i + 1, n):
             br = {}
             for a, b, sign in ((i, j, 1), (j, i, -1)):
@@ -202,32 +184,23 @@ def validate_algebra(g: GeneratorSet) -> StructureReport:
                     for c, w in by_row[k]:
                         idx = r * n + c
                         br[idx] = br.get(idx, 0) + sign * v * w
-            # res = D b - sum_r b[p_r] E_r: zero on the flat block iff b is
-            # in the span, and -y on the columns size + k
-            res = {c: D * v for c, v in br.items()}
+            res = {c: D * v for c, v in br.items() if c not in pivots}
             for p, E in basis:
                 x = br.get(p)
                 if x:
-                    for c, v in E.items():
+                    for c, v in E:
                         res[c] = res.get(c, 0) - x * v
-            if any(v for c, v in res.items() if c < size):
-                return StructureReport(False, None, (i, j))
-            num = scales[i][0] * scales[j][0]
-            den = scales[i][1] * scales[j][1] * D
-            cij = tuple(Fraction(-num * res[size + k] * sd, den * sn)
-                        if res.get(size + k) else zero
-                        for k, (sn, sd) in enumerate(scales))
-            constants[i][j] = cij
-            constants[j][i] = tuple(-v for v in cij)
-    return StructureReport(True, constants, None)
+            if any(res.values()):
+                return i, j
+    return None
 
 
 def check_closure(g: GeneratorSet):
     """Raise ClosureError, naming the first failing bracket, unless the
     generators close under the bracket."""
-    report = validate_algebra(g)
-    if not report.closed:
-        i, j = report.failing_pair
+    pair = validate_algebra(g)
+    if pair is not None:
+        i, j = pair
         raise ClosureError(
             f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
 

@@ -10,8 +10,8 @@ from fractions import Fraction
 from .errors import ContextError, ParseError
 from .geometry import OrderForm
 from .liealg import Classification, GeneratorSet
-from .polyring import (MultiPoly, Spectrum, UniPoly, format_rational,
-                       parse_rational)
+from .polyring import (MultiPoly, Spectrum, UniPoly, _parse_exact,
+                       format_rational, parse_rational)
 from .quiver import DimensionVector, Quiver
 
 
@@ -74,8 +74,10 @@ def generatorset_from_json(obj) -> GeneratorSet:
                 isinstance(variables, list)
                 and all(isinstance(v, str) for v in variables)):
             raise TypeError('"variables" must be a list of names')
-        mats = [[[parse_rational(str(v)) for v in row] for row in m]
-                for m in obj["generators"]]
+        # integer entries, as JSON numbers or as "p" text, reach the
+        # integer form as ints
+        mats = [[[v if type(v) is int else _parse_exact(str(v)) for v in row]
+                 for row in m] for m in obj["generators"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed generator record: {exc}") from None
     g = GeneratorSet(mats, variables=variables)

@@ -1,7 +1,8 @@
 """Shared test plumbing: the acceptance summary lines, the Fraction
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
-Fraction matrix helpers, the dense generators of a quiver that check the
-integer forms `quiver.infinitesimal_generators` writes directly, the dense
+Fraction matrix helpers, the structure constants of a Lie algebra, the
+dense generators of a quiver that check the integer forms
+`quiver.infinitesimal_generators` writes directly, the dense
 pointwise geometry that checks the geometry on the stored integer forms,
 and the Fraction coefficient arithmetic that checks `UniPoly` on its
 integer form."""
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 from prehomog.errors import DomainError
 from prehomog.geometry import PointContext
-from prehomog.liealg import matrix_columns_determinant
+from prehomog.liealg import _echelon, matrix_columns_determinant
 from prehomog.linalg import frac_matrix, frac_vector, mat_scale, transpose
 
 _acceptance_lines = []
@@ -131,6 +132,44 @@ def combination(coeffs, mats):
         if a:
             out = mat_add(out, mat_scale(A, a))
     return out
+
+
+def int_product(a, b):
+    """The product of two dense integer matrices, in ints."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def ref_structure_constants(g):
+    """c[i][j] = (c^k_ij for each k), Fractions with [A_i, A_j] =
+    sum_k c^k_ij A_k, or None when some bracket leaves the span.
+
+    Read off the integer echelon of `liealg._echelon`: its rows E_r =
+    sum_k T_rk M_k of the integer forms A_k = s_k M_k have E_r[p_s] =
+    D delta_rs and T_rk = E_r[n*n + k].  The integer bracket b = [M_i, M_j]
+    is in the span iff D b = sum_r b[p_r] E_r on the flat block, and then
+    c^k_ij = s_i s_j y_k / (D s_k) with y = sum_r b[p_r] T_r."""
+    n, size = g.n, g.n * g.n
+    D, basis = _echelon(g.forms, n)
+    ints = []
+    for rows, _ in g.forms:
+        M = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, a in row:
+                M[i][j] = a
+        ints.append(M)
+    c = [[(Fraction(0),) * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab, ba = int_product(ints[i], ints[j]), int_product(ints[j], ints[i])
+            b = [x - y for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
+            if any(D * b[col] != sum(b[p] * E.get(col, 0) for p, E in basis)
+                   for col in range(size)):
+                return None
+            sij = g.forms[i][1] * g.forms[j][1]
+            c[i][j] = tuple(sij * sum(b[p] * E.get(size + k, 0) for p, E in basis)
+                            / (D * s) for k, (_, s) in enumerate(g.forms))
+            c[j][i] = tuple(-v for v in c[i][j])
+    return c
 
 
 # -- dense generators of a quiver ----------------------------------------

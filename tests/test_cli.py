@@ -11,6 +11,8 @@ import pytest
 import prehomog
 from prehomog.cli import _build_parser, main, run
 from prehomog.fixtures import fixture_names, get_fixture, star_chain
+from prehomog.geometry import OrderForm
+from prehomog.polyring import MultiPoly, Spectrum, UniPoly
 from prehomog.quiver import star_quiver
 from prehomog.serialize import generatorset_to_json, quiver_to_json
 
@@ -181,6 +183,20 @@ class TestJsonOutput:
         obj = json.loads(text)
         assert obj["classification"]["reduced"] is False
         assert obj["discriminant"]["variables"] == ["x11", "x12", "x21", "x22"]
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--fixture", "star-2111"], ["bfunction", "--fixture", "star-2111"],
+        ["bfunction", "--fixture", "bilinear-cone-4"], ["symmetry", "--poly", "(s+1)^2"],
+        ["symmetry", "--fixture", "bilinear-cone-4"], ["chain", "s+1", "(2s+3)"],
+        ["euler", "--fixture", "star-2111", "--point", "1,0,0,1,1,1"]])
+    def test_no_text_under_json(self, argv, monkeypatch):
+        # the text lines, str(f) among them, are built only for text output
+        def no_text(self):
+            raise AssertionError("text built under --json")
+
+        for cls in (MultiPoly, UniPoly, Spectrum, OrderForm):
+            monkeypatch.setattr(cls, "__str__", no_text)
+        assert json.loads(run(argv + ["--json"])[1])["command"] == argv[0]
 
 
 class TestMain:

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from conftest import (bracket, combination, identity, mat_add, mat_vec,
-                      ref_in_span)
+                      ref_in_span, ref_structure_constants)
 
 from prehomog import liealg, linalg, quiver
 from prehomog.errors import (ClosureError, ContextError,
@@ -187,36 +187,31 @@ class TestIntegerForm:
 
 class TestStructure:
     def test_diagonal_algebra_closed(self):
-        rep = validate_algebra(diag_gens(3))
-        assert rep.closed
-        assert rep.failing_pair is None
+        assert validate_algebra(diag_gens(3)) is None
         # abelian: all structure constants vanish
         assert all(all(v == 0 for v in cs)
-                   for row in rep.structure_constants for cs in row)
+                   for row in ref_structure_constants(diag_gens(3)) for cs in row)
 
     def test_open_bracket_detected(self):
         g = GeneratorSet([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
-        rep = validate_algebra(g)
-        assert not rep.closed
-        assert rep.failing_pair == (0, 1)
+        assert validate_algebra(g) == (0, 1)
 
     def test_binary_cubic_closed(self):
-        rep = validate_algebra(get_fixture("binary-cubic").generators())
-        assert rep.closed
+        assert validate_algebra(get_fixture("binary-cubic").generators()) is None
 
     def test_first_failing_pair_after_closed_pairs(self):
         # [E11, E22] = 0 closes; [E11, E12 + E21] = E12 - E21 does not
         g = GeneratorSet([unit(0, 0), unit(1, 1), mat_add(unit(0, 1), unit(1, 0))])
-        assert validate_algebra(g).failing_pair == (0, 2)
+        assert validate_algebra(g) == (0, 2)
         # the identity commutes with everything; [E12, E21] = E11 - E22 escapes
         g = GeneratorSet([identity(3), unit(0, 1), unit(1, 0)])
-        rep = validate_algebra(g)
-        assert not rep.closed and rep.structure_constants is None
-        assert rep.failing_pair == (1, 2)
+        assert validate_algebra(g) == (1, 2)
+        assert ref_structure_constants(g) is None
 
     def test_structure_constants_antisymmetric(self):
         g = get_fixture("star-2111").generators()
-        c = validate_algebra(g).structure_constants
+        assert validate_algebra(g) is None
+        c = ref_structure_constants(g)
         assert any(v for row in c for cs in row for v in cs)   # not abelian
         for i in range(g.n):
             assert c[i][i] == (0,) * g.n
@@ -238,7 +233,7 @@ class TestStructure:
             raise AssertionError("linalg.rref called")
 
         monkeypatch.setattr(linalg, "rref", no_rref)
-        assert validate_algebra(g).closed
+        assert validate_algebra(g) is None
         assert GeneratorSet(mats, g.variables) == g
 
 
@@ -300,16 +295,17 @@ def rescaled(g, rng):
 
 
 class TestClosureAgainstPerBracketSolves:
-    """validate_algebra against the per-bracket in_span loop it replaced."""
+    """validate_algebra, and the structure constants read off its integer
+    echelon, against the per-bracket in_span loop it replaced."""
 
     @staticmethod
     def same(g):
-        rep = validate_algebra(g)
-        got = (rep.closed, rep.structure_constants, rep.failing_pair)
-        assert got == bracket_by_bracket(g)
-        assert all(type(v) is Fraction for row in rep.structure_constants or ()
+        pair = validate_algebra(g)
+        constants = ref_structure_constants(g)
+        assert (pair is None, constants, pair) == bracket_by_bracket(g)
+        assert all(type(v) is Fraction for row in constants or ()
                    for cs in row for v in cs)
-        return rep.closed
+        return pair is None
 
     @pytest.mark.parametrize("name", fixture_names() + [
         "atilde-4", "atilde-5", "atilde-6", "nc-5", "nc-6", "nc-7", "nc-8"])
@@ -614,6 +610,12 @@ class TestClassify:
         g = GeneratorSet([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
         with pytest.raises(ClosureError):
             classify(g)
+
+    @pytest.mark.parametrize("name, reduced", [("nc-48", True), ("atilde-29", False)])
+    def test_large_degree_verdicts(self, name, reduced):
+        # degree 48 and 32: each squarefree line's gcd ran on integers that
+        # grow with the degree, for seconds; packed into ints, milliseconds
+        assert classify(get_fixture(name).generators()).reduced is reduced
 
     def test_not_prehomogeneous(self):
         # both image columns live in the first coordinate axis

@@ -184,7 +184,8 @@ class TestExpansionsAgainstFraction:
     def test_random_lines_and_points(self):
         rng = random.Random(4107)
         seen = dict.fromkeys(("zero", "fraction_coeffs", "int_coeffs",
-                              "rational_line", "int_line"), 0)
+                              "rational_line", "int_line", "non_homogeneous",
+                              "negative_coeffs"), 0)
         for _ in range(320):
             nv = rng.randint(1, 4)
             variables = tuple(f"v{i}" for i in range(nv))
@@ -201,7 +202,30 @@ class TestExpansionsAgainstFraction:
                 c.denominator == 1 for c in p.terms.values())
             seen["rational_line"] += not integral
             seen["int_line"] += integral
+            seen["non_homogeneous"] += not p.is_homogeneous()
+            seen["negative_coeffs"] += any(c < 0 for c in p.terms.values())
         assert min(seen.values()) >= 20, seen
+
+    def test_degree_dropping_lines(self):
+        # p = l*q + r with l(b) = 0 and deg r < deg l*q: the top component
+        # l*top(q) of p vanishes at b, so u = p(a + t*b) loses degree
+        rng = random.Random(4108)
+        for trial in range(80):
+            variables = tuple(f"v{i}" for i in range(rng.randint(2, 4)))
+            integral = trial % 2 == 0
+            a = [random_coordinate(rng, integral) for _ in variables]
+            b = [Fraction(random_coordinate(rng, integral)) for _ in variables]
+            i, j = rng.sample(range(len(variables)), 2)
+            b[i] = b[i] or Fraction(rng.choice((1, -3)))
+            xs = MultiPoly.gens(variables)
+            q = random_expansion_input(rng, variables)
+            p = (b[j] * xs[i] - b[i] * xs[j]) * (q + 1 if q.is_zero else q)
+            r = random_expansion_input(rng, variables)
+            p += MultiPoly(variables, {e: c for e, c in r.terms.items()
+                                       if sum(e) < p.degree()})
+            u = p.restrict_line(a, b)
+            assert u.coeffs == ref_restrict_line(p, a, b)
+            assert u.degree() < p.degree()
 
     def test_integer_line_stays_in_integers(self, monkeypatch):
         # the only Fraction products are of the scales, none per coefficient
@@ -515,9 +539,20 @@ class TestGcd:
         g = univariate_gcd(p, p.derivative())
         assert g == UniPoly.from_roots([2])
 
+    def test_first_width_retried(self):
+        # found by a seeded search over products g*x, g*y: at the first
+        # W = 4 (2^4 > 2*5 + 2) the digits of gcd(u(16), v(16)) = 3168 give
+        # s^3 - 4s^2 + 6s, which divides neither, so W doubles
+        u, v = UniPoly([0, 2, 5, 2]), UniPoly([0, 14, -9, -8])
+        W = (2 * 5 + 2).bit_length()
+        h = math.gcd(*(sum(c << W * i for i, c in enumerate(p.ints)) for p in (u, v)))
+        first = UniPoly._form(polyring._balanced_digits(h, W), Fraction(1))
+        assert first.degree() == 3 and not (u % first).is_zero
+        assert univariate_gcd(u, v).coeffs == ref_gcd(u.coeffs, v.coeffs) == (0, 2, 1)
+
     def test_against_fraction_euclid(self):
-        # a = g u and b = g v for seeded g, u and v: the integer remainder
-        # sequence against Euclid's algorithm over Q
+        # a = g u and b = g v for seeded g, u and v: the heuristic
+        # gcd against Euclid's algorithm over Q
         rng = random.Random(19)
         seen = dict.fromkeys(("common_factor", "constant", "zero",
                               "negative_leading", "rational"), 0)

@@ -7,7 +7,7 @@ from prehomog.bernstein import BFailure, bfunction
 from prehomog.errors import ContextError, ParseError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm
-from prehomog.liealg import classify
+from prehomog.liealg import GeneratorSet, classify
 from prehomog.polyring import MultiPoly, UniPoly
 from prehomog.quiver import star_quiver
 from prehomog.serialize import (bresult_to_json, classification_to_json,
@@ -80,6 +80,16 @@ class TestGeneratorSets:
     def test_malformed(self):
         with pytest.raises(ParseError):
             generatorset_from_json({"variables": ["x"]})
+
+    def test_entries(self):
+        # JSON ints, "p" text and "p/q" text read alike; anything else is
+        # still refused
+        want = GeneratorSet([[[F(1, 2), 0], [0, 0]], [[0, 0], [0, -3]]])
+        obj = {"generators": [[["1/2", 0], ["0", 0]], [[0, "0"], ["+0", "-6/2"]]]}
+        assert generatorset_from_json(obj) == want
+        for bad in (True, 1.5, "1_0", None, "x", "1/0"):
+            with pytest.raises(ParseError):
+                generatorset_from_json({"generators": [[[bad]]]})
 
 
 class TestQuivers:
