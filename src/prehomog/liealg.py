@@ -117,8 +117,9 @@ class GeneratorSet:
     def images(self, x):
         """[A_k x for each k] as Fraction lists, for x of ints and Fractions."""
         X, q = primitive(x)
-        return [[scale * q * sum(a * X[j] for j, a in row) for row in rows]
-                for rows, scale in self.forms]
+        zero = Fraction(0)
+        return [[sq * v if v else zero for v in [sum(a * X[j] for j, a in row) for row in rows]]
+                for rows, sq in [(rows, scale * q) for rows, scale in self.forms]]
 
     def __eq__(self, other):
         if not isinstance(other, GeneratorSet):

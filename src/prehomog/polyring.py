@@ -6,8 +6,9 @@ context.  UniPoly is dense univariate, lowest degree first, and is kept
 as its content-free integer form (ints, scale), the pair `primitive`
 returns, so b(s), the chain products, the symmetry check, division, the
 gcd and the rational root search run on integers: division and the
-gcd's division test share one integer pseudo-division, `_pseudo_divmod`.
-The squarefree test packs a polynomial into one int, its value at 2^W,
+gcd's division test share one integer pseudo-division, `_pseudo_divmod`,
+and `parse_factored` builds that form from its text with no Fraction
+until the end.  The squarefree test packs a polynomial into one int, its value at 2^W,
 and `_balanced_digits` reads it back: `restrict_line` evaluates p on the
 line at t = 2^W, and the heuristic gcd `univariate_gcd` takes the gcd of
 two such ints.  All arithmetic is exact; there is no floating point.
@@ -22,6 +23,8 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import total_ordering
+from itertools import accumulate, zip_longest
 from math import comb, gcd, isqrt, lcm, prod
 
 from .errors import CapacityError, ContextError, DomainError, ParseError
@@ -43,11 +46,12 @@ MAX_TRIAL_DIVISOR = 10**6
 MAX_ROOT_PAIRS = 2 * 10**6
 # line cap of is_squarefree: each line costs about a millisecond at n = 10
 MAX_SQUAREFREE_TRIALS = 1000
-# parenthesis depth cap of parse_factored: each level takes four stack
+# parenthesis depth cap of parse_factored: each level takes two stack
 # frames of the recursive descent, far below Python's recursion limit
 MAX_PARSED_DEPTH = 100
 
 
+@total_ordering
 class _NegInf:
     """Degree of the zero polynomial; compares below every number."""
 
@@ -55,15 +59,6 @@ class _NegInf:
 
     def __lt__(self, other):
         return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
 
     def __neg__(self):
         return self
@@ -127,13 +122,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _parse_exact(text: str):
-    """The rational literal text, kept exact: "p" gives an int and "p/q" a
-    Fraction."""
+    """The rational literal text, kept exact: an integer value gives an int
+    and any other a Fraction."""
     text = text.strip()
     m = _RATIONAL.fullmatch(text)
     if not m:
         raise ParseError(f"bad rational literal {text!r}")
-    num, den = m.groups()
+    num, den = _literal(*m.groups(), text)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _literal(num, den, text):
+    """The reduced int pair of the digit strings num and den (None for 1)
+    of the rational literal text."""
     try:
         num, den = int(num), int(den or 1)
     except ValueError:  # more digits than Python converts to an int
@@ -141,7 +142,8 @@ def _parse_exact(text: str):
                             "too long") from None
     if not den:
         raise ParseError(f"zero denominator in {text!r}")
-    return num if den == 1 else Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def format_rational(c: Fraction) -> str:
@@ -192,19 +194,8 @@ class MultiPoly:
         """The coordinate polynomials, one per variable."""
         variables = tuple(variables)
         n = len(variables)
-        out = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            out.append(cls(variables, {tuple(e): Fraction(1)}))
-        return tuple(out)
-
-    @classmethod
-    def variable(cls, variables, name):
-        variables = tuple(variables)
-        if name not in variables:
-            raise ContextError(f"unknown variable {name!r}")
-        return cls.gens(variables)[variables.index(name)]
+        return tuple(cls(variables, {tuple(int(i == j) for j in range(n)): Fraction(1)})
+                     for i in range(n))
 
     # -- basic queries -----------------------------------------------
 
@@ -216,9 +207,6 @@ class MultiPoly:
         """Total degree; NEG_INF for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=NEG_INF)
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def homogeneous_components(self):
         """Map total degree -> homogeneous part."""
         parts = {}
@@ -227,8 +215,7 @@ class MultiPoly:
         return {d: MultiPoly(self.variables, t) for d, t in sorted(parts.items())}
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     # -- variable context handling -----------------------------------
 
@@ -249,13 +236,6 @@ class MultiPoly:
             return out
 
         return merged, remap(self), remap(other)
-
-    def with_variables(self, variables):
-        """Same coefficients on renamed variables (positional)."""
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise ContextError("variable count mismatch")
-        return MultiPoly(variables, self.terms)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -335,25 +315,16 @@ class MultiPoly:
         if v not in self.variables:
             raise ContextError(f"unknown variable {v!r}")
         i = self.variables.index(v)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return MultiPoly(self.variables, out)
+        return MultiPoly(self.variables, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                          for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, point):
         point = [_exact(x) for x in point]
         if len(point) != len(self.variables):
             raise ContextError("point dimension mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            m = 1   # the monomial stays in Z at an integer point
-            for x, k in zip(point, e):
-                if k:
-                    m *= x ** k
-            total += c * m
-        return total
+        # each monomial stays in Z at an integer point
+        return sum((c * prod(x ** k for x, k in zip(point, e) if k)
+                    for e, c in self.terms.items()), Fraction(0))
 
     def shift(self, point):
         """p(point + x), same variable context."""
@@ -405,7 +376,7 @@ class MultiPoly:
         norms = [abs(x) + abs(y) for x, y in zip(A, B)]
         W = sum(abs(c) * prod(map(pow, norms, e)) for e, c in terms).bit_length() + 1
         X = [x + (y << W) for x, y in zip(A, B)]
-        V = sum(c * prod(map(pow, X, e)) for e, c in terms)
+        V = sum(c * _tree_prod(list(map(pow, X, e))) for e, c in terms)
         return UniPoly._form(_balanced_digits(V, W), scale / L ** d)
 
     # -- display -------------------------------------------------------
@@ -454,6 +425,14 @@ def _binomial_row(a, b, k):
     return [comb(k, j) * a ** (k - j) * b ** j for j in range(k + 1)]
 
 
+def _tree_prod(xs):
+    """prod(xs); above eight factors, the product of the products of its
+    two halves, so that equal sizes are multiplied."""
+    if len(xs) <= 8:
+        return prod(xs)
+    return _tree_prod(xs[:len(xs) // 2]) * _tree_prod(xs[len(xs) // 2:])
+
+
 def _balanced_digits(V, W):
     """Coefficients of the polynomial whose value at 2^W is V, each in
     [-2^(W-1), 2^(W-1)), lowest degree first."""
@@ -476,6 +455,36 @@ def _dense_mul(a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
+    return out
+
+
+def _sum(x, y, sign=1):
+    """x + sign*y for forms (ints, num, den) = num/den * sum ints[i] s^i,
+    ints trimmed and den > 0: on a common denominator, with the content of
+    the ints divided out."""
+    (a, na, da), (b, nb, db) = x, y
+    if not a or not b:
+        return x if a else (b, sign * nb, db)
+    den = lcm(da, db)
+    na, nb = na * (den // da), sign * nb * (den // db)
+    out = [na * u + nb * v for u, v in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    g = gcd(*out)
+    return ([v // g for v in out], g, den) if g else _NIL
+
+
+_NIL = ((), 1, 1)   # the zero form
+
+
+def _int_power(a, k):
+    """a^k for integer coefficients a: one binomial row for an affine or
+    constant a, else k products."""
+    if len(a) <= 2:
+        return _binomial_row(*[*a, 0, 0][:2], k)
+    out = [1]
+    for _ in range(k):
+        out = _dense_mul(out, a)
     return out
 
 
@@ -541,13 +550,7 @@ class UniPoly:
     @classmethod
     def constant(cls, c):
         c = _coerce(c)
-        if not c:
-            return _ZERO
-        return cls._new((1,), c) if c > 0 else cls._new((-1,), -c)
-
-    @classmethod
-    def variable(cls):
-        return cls._new((0, 1), Fraction(1))
+        return cls._form((1,), c) if c else _ZERO
 
     @classmethod
     def from_roots(cls, roots):
@@ -582,20 +585,9 @@ class UniPoly:
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
-        # scale_a A + scale_b B = (g / den) (na A + nb B)
         sa, sb = self.scale, other.scale
-        den = lcm(sa.denominator, sb.denominator)
-        na = sa.numerator * (den // sa.denominator)
-        nb = sb.numerator * (den // sb.denominator)
-        g = gcd(na, nb)
-        na //= g
-        nb //= g
-        a, b = self.ints, other.ints
-        if len(a) < len(b):
-            a, b, na, nb = b, a, nb, na
-        out = [na * c for c in a]
-        for i, c in enumerate(b):
-            out[i] += nb * c
+        out, g, den = _sum((self.ints, sa.numerator, sa.denominator),
+                           (other.ints, sb.numerator, sb.denominator))
         return UniPoly._form(out, Fraction(g, den))
 
     __radd__ = __add__
@@ -625,13 +617,7 @@ class UniPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a nonnegative integer")
-        if len(self.ints) <= 2:   # affine, constant or zero: one expansion
-            a, b = (self.ints + (0, 0))[:2]
-            return UniPoly._form(_binomial_row(a, b, k), self.scale ** k)
-        result = UniPoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return UniPoly._form(_int_power(self.ints, k), self.scale ** k)
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -690,11 +676,8 @@ class UniPoly:
         acc, dk = [self.ints[-1]], 1
         for c in reversed(self.ints[:-1]):
             dk *= D
-            nxt = [v * B for v in acc] + [0]
-            for j, v in enumerate(acc):
-                nxt[j + 1] += v * A
-            nxt[0] += c * dk
-            acc = nxt
+            acc = _dense_mul(acc, [B, A])
+            acc[0] += c * dk
         return UniPoly._form(acc, self.scale / dk)
 
     def __str__(self):
@@ -754,7 +737,7 @@ class Spectrum:
             body = "no rational roots"
         else:
             body = ", ".join(f"{r}" + (f" (x{m})" if m > 1 else "") for r, m in self.roots)
-        if self.residual.degree() is NEG_INF or self.residual.degree() == 0:
+        if len(self.residual.ints) <= 1:
             return body
         return f"{body}; residual {self.residual}"
 
@@ -982,20 +965,21 @@ def is_squarefree(p: MultiPoly, trials: int, seed: int) -> bool:
 
 # -- factored polynomial string parsing ---------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([s()^*+-]))")
+_TOKEN = re.compile(r"\s*(?:((\d+)(?:/(\d+))?)|([s()^*+-]))")
 
 
 def _tokenize(text):
-    pos = 0
-    out = []
+    """The tokens of text, each starting where the last one ended: a number
+    as its reduced int pair (p, q), a symbol as its character, then None."""
+    out, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             raise ParseError(f"bad character in polynomial at position {pos}: {text[pos:]!r}")
-        num, sym = m.groups()
-        out.append(("num", parse_rational(num)) if num is not None else (sym, None))
+        lit, num, den, sym = m.groups()
+        out.append(sym or _literal(num, den, lit))
         pos = m.end()
-    return out
+    return out + [None]
 
 
 def _capped(degree):
@@ -1004,83 +988,86 @@ def _capped(degree):
                             f"{MAX_PARSED_DEGREE} of parsed polynomials")
 
 
+def _product(x, y):
+    (a, na, da), (b, nb, db) = x, y
+    _capped(max(len(a) - 1, 0) + max(len(b) - 1, 0))
+    return (_dense_mul(a, b), na * nb, da * db) if a and b else _NIL
+
+
+def _unexpected(tok, want=None):
+    """The ParseError of the symbol or end tok where want, or any atom,
+    should be."""
+    return ParseError("unexpected end of polynomial string" if tok is None
+                      else f"expected {want!r}, found {tok!r}" if want
+                      else f"unexpected token {tok!r} in polynomial string")
+
+
 def parse_factored(text: str) -> UniPoly:
     """Parse products of factored polynomial strings in s, e.g.
     "(s+2/3)(s+1)^5(s+4/3)(s+2)" or "3s+2" or "(2s+1)(s+1)^2(2s+3)".
 
+    One token scan, then a recursive descent on the integer forms of
+    `_sum`: the one Fraction is built at the end, by `UniPoly._form`.
     Every product and power is checked against MAX_PARSED_DEGREE before it
     is expanded, and so is every exponent, even of a constant: a larger
     one raises CapacityError.  Parentheses nested deeper than
     MAX_PARSED_DEPTH raise ParseError.
     """
     tokens = _tokenize(text)
-    depth = 0
-    for kind, _ in tokens:
-        depth += (kind == "(") - (kind == ")")
-        if depth > MAX_PARSED_DEPTH:
-            raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH}")
+    if text.count("(") > MAX_PARSED_DEPTH and max(accumulate(
+            (tok == "(") - (tok == ")") for tok in tokens)) > MAX_PARSED_DEPTH:
+        raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH}")
     pos = 0
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(kind=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of polynomial string")
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}")
-        pos += 1
-        return tok
-
     def parse_sum():
-        negate = peek() in ("+", "-") and take()[0] == "-"
-        acc = parse_product()
-        if negate:
-            acc = -acc
-        while peek() in ("+", "-"):
-            op = take()[0]
-            term = parse_product()
-            acc = acc + (term if op == "+" else -term)
-        return acc
+        nonlocal pos
+        acc, op = _NIL, tokens[pos]
+        pos += op in ("+", "-")
+        while True:
+            acc = _sum(acc, parse_product(), -1 if op == "-" else 1)
+            op = tokens[pos]
+            if op not in ("+", "-"):
+                return acc
+            pos += 1
 
     def parse_product():
-        acc = parse_factor()
+        """Atoms, juxtaposed or joined by "*", each with an optional "^"
+        and integer exponent."""
+        nonlocal pos
+        acc = None
         while True:
-            if peek() == "*":
-                take()
-            elif peek() not in ("num", "s", "("):
+            tok = tokens[pos]
+            pos += 1
+            if tok == "(":
+                atom = parse_sum()
+                if tokens[pos] != ")":
+                    raise _unexpected(tokens[pos], ")")
+                pos += 1
+            elif tok == "s":
+                atom = ((0, 1), 1, 1)
+            elif type(tok) is tuple:
+                atom = ((1,), *tok) if tok[0] else _NIL
+            else:
+                raise _unexpected(tok)
+            if tokens[pos] == "^":
+                k = tokens[pos + 1]
+                if type(k) is not tuple:
+                    raise _unexpected(k, "num")
+                if k[1] != 1:
+                    raise ParseError("exponent must be a nonnegative integer")
+                pos += 2
+                a, num, den = atom
+                _capped(k[0] * max(len(a) - 1, 1))
+                a = _int_power(a, k[0])
+                atom = (a, num ** k[0], den ** k[0]) if a[-1] else _NIL
+            acc = atom if acc is None else _product(acc, atom)
+            tok = tokens[pos]
+            if tok == "*":
+                pos += 1
+            elif tok not in ("s", "(") and type(tok) is not tuple:
                 return acc
-            factor = parse_factor()
-            _capped(max(acc.degree(), 0) + max(factor.degree(), 0))
-            acc = acc * factor
 
-    def parse_factor():
-        atom = parse_atom()
-        if peek() == "^":
-            take()
-            tok = take("num")
-            k = tok[1]
-            if k.denominator != 1 or k < 0:
-                raise ParseError("exponent must be a nonnegative integer")
-            _capped(int(k) * max(atom.degree(), 1))
-            atom = atom ** int(k)
-        return atom
-
-    def parse_atom():
-        kind, value = take()
-        if kind == "(":
-            inner = parse_sum()
-            take(")")
-            return inner
-        if kind == "num":
-            return UniPoly.constant(value)
-        if kind == "s":
-            return UniPoly.variable()
-        raise ParseError(f"unexpected token {kind!r} in polynomial string")
-
-    result = parse_sum()
-    if pos != len(tokens):
-        raise ParseError(f"trailing input in polynomial string: {tokens[pos:]}")
-    return result
+    ints, num, den = parse_sum()
+    if tokens[pos] is not None:
+        raise ParseError(f"trailing input in polynomial string: {tokens[pos:-1]}")
+    return UniPoly._form(ints, Fraction(num, den))

@@ -4,15 +4,19 @@ Fraction matrix helpers, the structure constants of a Lie algebra, the
 dense generators of a quiver that check the integer forms
 `quiver.infinitesimal_generators` writes directly, the dense
 pointwise geometry that checks the geometry on the stored integer forms,
-and the Fraction coefficient arithmetic that checks `UniPoly` on its
-integer form."""
+the Fraction coefficient arithmetic that checks `UniPoly` on its
+integer form, and the Fraction recursive descent that checks
+`parse_factored`."""
 
+import re
 from fractions import Fraction
 
-from prehomog.errors import DomainError
+from prehomog import polyring
+from prehomog.errors import CapacityError, DomainError, ParseError
 from prehomog.geometry import PointContext
 from prehomog.liealg import _echelon, matrix_columns_determinant
 from prehomog.linalg import frac_matrix, frac_vector, mat_scale, transpose
+from prehomog.polyring import UniPoly, parse_rational
 
 _acceptance_lines = []
 
@@ -374,3 +378,94 @@ def ref_restrict_line(p, a, b):
         for j, v in enumerate(term):
             acc[j] += v
     return ref_trim(acc)
+
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([s()^*+-]))")
+
+
+def ref_parse_factored(text):
+    """The Fraction recursive descent that `parse_factored` replaced: a
+    (kind, Fraction) token list, then a Fraction coefficient tuple for
+    every atom, sum, product and power, with the same degree and depth
+    caps; the UniPoly of the result."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"bad character in polynomial at position {pos}: {text[pos:]!r}")
+        num, sym = m.groups()
+        tokens.append(("num", parse_rational(num)) if num is not None else (sym, None))
+        pos = m.end()
+    depth = 0
+    for kind, _ in tokens:
+        depth += (kind == "(") - (kind == ")")
+        if depth > polyring.MAX_PARSED_DEPTH:
+            raise ParseError("parentheses nested deeper than the limit")
+    pos = 0
+
+    def capped(degree):
+        if degree > polyring.MAX_PARSED_DEGREE:
+            raise CapacityError(f"degree or exponent {degree} exceeds the limit")
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take(kind=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of polynomial string")
+        tok = tokens[pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}")
+        pos += 1
+        return tok
+
+    def parse_sum():
+        negate = peek() in ("+", "-") and take()[0] == "-"
+        acc = parse_product()
+        if negate:
+            acc = ref_neg(acc)
+        while peek() in ("+", "-"):
+            op = take()[0]
+            term = parse_product()
+            acc = ref_add(acc, term if op == "+" else ref_neg(term))
+        return acc
+
+    def parse_product():
+        acc = parse_factor()
+        while True:
+            if peek() == "*":
+                take()
+            elif peek() not in ("num", "s", "("):
+                return acc
+            factor = parse_factor()
+            capped(max(len(acc) - 1, 0) + max(len(factor) - 1, 0))
+            acc = ref_mul(acc, factor)
+
+    def parse_factor():
+        atom = parse_atom()
+        if peek() == "^":
+            take()
+            k = take("num")[1]
+            if k.denominator != 1:
+                raise ParseError("exponent must be a nonnegative integer")
+            capped(int(k) * max(len(atom) - 1, 1))
+            atom = ref_pow(atom, int(k))
+        return atom
+
+    def parse_atom():
+        kind, value = take()
+        if kind == "(":
+            inner = parse_sum()
+            take(")")
+            return inner
+        if kind == "num":
+            return ref_trim([value])
+        if kind == "s":
+            return (Fraction(0), Fraction(1))
+        raise ParseError(f"unexpected token {kind!r} in polynomial string")
+
+    result = parse_sum()
+    if pos != len(tokens):
+        raise ParseError(f"trailing input in polynomial string: {tokens[pos:]}")
+    return UniPoly(result)

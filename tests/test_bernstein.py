@@ -144,7 +144,7 @@ class TestApplyOperator:
         for name in ("nc-3", "binary-cubic", "det22-squared"):
             g = get_fixture(name).generators()
             f = discriminant(g)
-            fstar = discriminant(dual_generators(g)).with_variables(f.variables)
+            fstar = MultiPoly(f.variables, discriminant(dual_generators(g)).terms)
             q = apply_operator(fstar, f)
             n = f.degree()
             for m in (n, n + 1):
@@ -159,7 +159,7 @@ class TestApplyOperator:
     def test_linear_in_operator(self):
         g = get_fixture("binary-cubic").generators()
         f = discriminant(g)
-        fstar = discriminant(dual_generators(g)).with_variables(f.variables)
+        fstar = MultiPoly(f.variables, discriminant(dual_generators(g)).terms)
         items = sorted(fstar.terms.items())
         half = len(items) // 2
         a = MultiPoly(f.variables, dict(items[:half]))
@@ -386,7 +386,7 @@ class TestPackedEngine:
 
 def full_state_route(g):
     f = discriminant(g)
-    fstar = discriminant(dual_generators(g)).with_variables(f.variables)
+    fstar = MultiPoly(f.variables, discriminant(dual_generators(g)).terms)
     return extract_cofactor(apply_operator(fstar, f), f)
 
 

@@ -285,6 +285,22 @@ class TestBadInput:
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "trial-division limit" in done.stdout
 
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 40 + "x", 40),
+        ("12 3456 7/89  " * 7143 + "%", 7143 * 14 - 2),
+        ("1" + " " * 100000 + "%", 1),
+    ], ids=["digit-run", "digits-and-spaces", "space-run"])
+    def test_tokenizer_fails_fast(self, text, position):
+        # the token scan is linear: a long run of digits or spaces before a
+        # bad character fails at once, at the end of the last token
+        env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "prehomog.cli", "symmetry", "--poly", text],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == 1
+        assert done.stdout.startswith(f"error: bad character in polynomial at "
+                                      f"position {position}:")
+
     def test_divisor_pairs_fail_fast(self):
         # every prime factor of 7...7 (60 digits) is squared: its divisor
         # list would triple per prime, so the root search refuses it by the

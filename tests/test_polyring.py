@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (ref_add, ref_compose_linear, ref_derivative, ref_divmod,
                       ref_evaluate, ref_gcd, ref_monic, ref_mul, ref_neg,
-                      ref_pow, ref_restrict_line, ref_trim)
+                      ref_parse_factored, ref_pow, ref_restrict_line,
+                      ref_trim)
 from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
@@ -43,7 +44,7 @@ class TestMultiPolyBasics:
 
     def test_constant_and_coercion(self):
         c = MultiPoly.constant(XYZ, "3/4")
-        assert c.coefficient((0, 0, 0)) == Fraction(3, 4)
+        assert c.terms == {(0, 0, 0): Fraction(3, 4)}
         assert c == Fraction(3, 4)
         assert c + Fraction(1, 4) == 1
 
@@ -890,7 +891,7 @@ class TestParsing:
 
     def test_linear_and_plain(self):
         assert parse_factored("3s+2") == UniPoly([2, 3])
-        assert parse_factored("s") == UniPoly.variable()
+        assert parse_factored("s") == UniPoly([0, 1])
         assert parse_factored("-2s+4") == UniPoly([4, -2])
         assert parse_factored("s^2-1") == UniPoly([-1, 0, 1])
 
@@ -921,25 +922,133 @@ class TestParsing:
             parse_factored("")
 
     def test_degree_cap(self, monkeypatch):
-        # the guard fires before any expansion: an expansion past the cap
-        # would fail this assertion instead of running for days
-        pow_, mul = UniPoly.__pow__, UniPoly.__mul__
+        # the guard fires before any expansion: the parser expands only
+        # with these two integer kernels, and an expansion past the cap
+        # would fail their assertion instead of running for days
+        dense_mul, binomial_row = polyring._dense_mul, polyring._binomial_row
         cap = polyring.MAX_PARSED_DEGREE
+        seen = []
 
-        def guarded_pow(p, k):
-            assert k * max(p.degree(), 1) <= cap
-            return pow_(p, k)
+        def guarded_mul(a, b):
+            assert len(a) + len(b) - 2 <= cap
+            seen.append(len(a) + len(b) - 2)
+            return dense_mul(a, b)
 
-        def guarded_mul(p, q):
-            if isinstance(q, UniPoly):
-                assert max(p.degree(), 0) + max(q.degree(), 0) <= cap
-            return mul(p, q)
+        def guarded_row(a, b, k):
+            assert k <= cap
+            seen.append(k)
+            return binomial_row(a, b, k)
 
-        monkeypatch.setattr(UniPoly, "__pow__", guarded_pow)
-        monkeypatch.setattr(UniPoly, "__mul__", guarded_mul)
+        monkeypatch.setattr(polyring, "_dense_mul", guarded_mul)
+        monkeypatch.setattr(polyring, "_binomial_row", guarded_row)
         for text in ("(s+1/3)^1000000", "2^1000000", f"s^{cap}(s+2)",
-                     f"s^{cap // 2 + 1}(s^{cap // 2 + 1})", f"(s^{cap})^2"):
+                     f"s^{cap // 2 + 1}(s^{cap // 2 + 1})", f"(s^{cap})^2",
+                     f"(s^2+1)^{cap // 2 + 1}", f"(s^3+s)^{cap // 3}(s+1)"):
             with pytest.raises(CapacityError):
                 parse_factored(text)
         assert parse_factored(f"s^{cap - 1}(s+2)").degree() == cap
+        assert parse_factored(f"(s^2+1)^{cap // 2}").degree() == cap
         assert parse_factored(f"(s-s)^{cap}(s+1)") == UniPoly([])
+        # the legal texts reached both kernels at the cap itself
+        assert seen.count(cap) >= 3
+
+
+def random_factored_text(rng, depth=0):
+    """A seeded sum of products in s: juxtaposed and "*"-joined factors,
+    leading signs, nested parentheses, exponents from 0 up, unreduced
+    fractions, zero factors and random spaces."""
+    def space():
+        return rng.choice(["", "", "", " ", "  ", "\t"])
+
+    def number():
+        p = rng.choice([0, 1, 1, 2, 3, 7, 12])
+        if rng.random() < 0.4:
+            k = rng.randint(1, 4)
+            return f"{p * k}/{rng.randint(1, 9) * k}"
+        return str(p)
+
+    def atom():
+        r = rng.random()
+        if depth < 2 and r < 0.25:
+            return "(" + space() + random_factored_text(rng, depth + 1) + space() + ")"
+        if r < 0.4:
+            return rng.choice(["(s-s)", "0(s+1)", "(s - s)"])
+        return "s" if r < 0.75 else number()
+
+    def factor():
+        a = atom()
+        if rng.random() < 0.3:
+            a += space() + "^" + space() + str(rng.choice([0, 0, 1, 2, 3, 5]))
+        return a
+
+    def product():
+        out = factor()
+        for _ in range(rng.randint(0, 2)):
+            nxt, sep = factor(), rng.choice(["", "", " ", "*", " * "])
+            if not sep and out[-1].isdigit() and nxt[0].isdigit():
+                sep = " "   # juxtaposed digits would read as one number
+            out += sep + nxt
+        return out
+
+    text = rng.choice(["", "", "-", "+", "- "]) + product()
+    for _ in range(rng.randint(0, 2)):
+        text += space() + rng.choice("+-") + space() + product()
+    return text
+
+
+def parse_outcome(parse, text):
+    """(the polynomial's (ints, scale), or the class of its error)."""
+    try:
+        p = parse(text)
+    except (ParseError, CapacityError) as exc:
+        return type(exc)
+    return p.ints, p.scale
+
+
+class TestParserAgainstFraction:
+    """`parse_factored` on its integer forms against the Fraction descent
+    it replaced: equal ints and scale on every legal text, and the same
+    error class on every malformed one."""
+
+    def test_seeded_texts(self):
+        rng = random.Random(2024)
+        legal = 0
+        for _ in range(600):
+            text = random_factored_text(rng)
+            want = parse_outcome(ref_parse_factored, text)
+            assert parse_outcome(parse_factored, text) == want, text
+            legal += isinstance(want, tuple)
+        assert legal >= 500
+
+    def test_juxtaposed_forms(self):
+        for text in ("2(s+1)", "(s+1)2", "s s", "2 3", "2s", "s2", "3s^2 s",
+                     "(s+1)(s-1)", "(s+1)*(s-1)", "2/4s+6/8", "-(2s+1)(s+1/2)",
+                     " ( s + 1 ) ^ 2 * 3", "(s^2+s+1)^4 - (s+1)^8", "0^0",
+                     "(s-s)^0", "s^0", "7/7", "0/5", "s*0", "+s", "-s", "s-s",
+                     "0(s+1)", "((((s))))^3", "(3s+2)(3s+3)(3s+4)", "s^4/2",
+                     "(s+1)^6/3", "(s^2-2s+3)^3(s+1/2)"):
+            assert parse_factored(text) == ref_parse_factored(text), text
+            assert parse_factored(text).ints == ref_parse_factored(text).ints
+
+    def test_malformed_texts(self):
+        cap = polyring.MAX_PARSED_DEGREE
+        deep = polyring.MAX_PARSED_DEPTH + 1
+        texts = ["", " ", "(", ")", "s+", "s^", "s^s", "s^(2)", "s^1/2", "s^-1",
+                 "(s+1", "s+1)", "x", "s 1.5", "s+1 ", " s", "2/0", "s^2^3",
+                 "--s", "+-s", "s**2", "(s^2^3)", "s*", "*s", "s(", "()", "s/2",
+                 "1" * 5000, "1/" + "1" * 5000, "(" * deep + "s" + ")" * deep,
+                 f"s^{cap + 1}", "(s+1)^1000000", "2^1000000", "s+%", "s\n"]
+        rng = random.Random(7)
+        for _ in range(400):
+            text = random_factored_text(rng)
+            i = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                texts.append(text[:i] + rng.choice("s()^*+-/ 0123456789x%") + text[i:])
+            else:
+                texts.append(text[:i] + text[i + 1:])
+        failed = 0
+        for text in texts:
+            want = parse_outcome(ref_parse_factored, text)
+            assert parse_outcome(parse_factored, text) == want, text
+            failed += not isinstance(want, tuple)
+        assert failed >= 150
