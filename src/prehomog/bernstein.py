@@ -33,11 +33,10 @@ time, is the independent check of the walk itself.
 
 from fractions import Fraction
 
-from . import liealg, linalg
+from . import liealg
 from .errors import ContextError, DomainError
-from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _coerce,
-                       _exact, packed, primitive, rational_root_spectrum,
-                       unpack)
+from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _exact,
+                       packed, primitive, rational_root_spectrum, unpack)
 
 
 class SPowerExpression:
@@ -421,70 +420,3 @@ def symmetry_check(b: UniPoly) -> bool:
     d = monic.degree()
     reflected = monic.compose_linear(-1, -2) * ((-1) ** d)
     return monic == reflected
-
-
-def annihilator_identity_check(A, g: liealg.GeneratorSet) -> bool:
-    """Does Q_A = delta_A - s tr(A) annihilate f^s?  Equivalent to
-    delta_A(f) = tr(A) f, i.e. dchi(A) = tr(A)."""
-    f = liealg.discriminant(g)
-    if f.is_zero:
-        raise DomainError("discriminant vanishes")
-    A = linalg.frac_matrix(A)
-    lam = liealg.character_value(A, f)
-    return lam is not None and lam == linalg.trace(A)
-
-
-# ---------------------------------------------------------------------
-# normal-ordered first-order operators and the Fourier identity
-
-class FirstOrderOperator:
-    """sum_{i,j} C[i][j] x_i d_j + c0 + c1*s, normal ordered (x before d)."""
-
-    __slots__ = ("C", "c0", "c1")
-
-    def __init__(self, C, c0=0, c1=0):
-        self.C = linalg.frac_matrix(C)
-        self.c0 = _coerce(c0)
-        self.c1 = _coerce(c1)
-
-    def __eq__(self, other):
-        if not isinstance(other, FirstOrderOperator):
-            return NotImplemented
-        return (self.C, self.c0, self.c1) == (other.C, other.c0, other.c1)
-
-    def __repr__(self):
-        return f"FirstOrderOperator(C={self.C}, c0={self.c0}, c1={self.c1})"
-
-
-def q_operator(A, s_trace) -> FirstOrderOperator:
-    """Q_A(s) = delta_A - s_trace * s; delta_A = sum A[i][j] x_j d_i."""
-    return FirstOrderOperator(linalg.transpose(linalg.frac_matrix(A)),
-                              0, -_coerce(s_trace))
-
-
-def q_dual_operator(A, s_trace) -> FirstOrderOperator:
-    """Q*_A(s) = delta*_A + s_trace * s on the dual side."""
-    return FirstOrderOperator(linalg.mat_scale(linalg.frac_matrix(A), -1),
-                              0, _coerce(s_trace))
-
-
-def fourier_transform(op: FirstOrderOperator) -> FirstOrderOperator:
-    """x -> -d, d -> y, then normal order.  Reordering d_i y_i = y_i d_i + 1
-    produces the trace shift in the constant term."""
-    newC = linalg.mat_scale(linalg.transpose(op.C), -1)
-    return FirstOrderOperator(newC, op.c0 - linalg.trace(op.C), op.c1)
-
-
-def substitute_s(op: FirstOrderOperator, a, b) -> FirstOrderOperator:
-    """s -> a*s + b in the scalar part."""
-    a, b = _coerce(a), _coerce(b)
-    return FirstOrderOperator(op.C, op.c0 + op.c1 * b, op.c1 * a)
-
-
-def fourier_check(A, s_trace=None) -> bool:
-    """Is F(Q_A(s)) = Q*_A(-s-1)?  Holds exactly when s_trace = tr(A)."""
-    A = linalg.frac_matrix(A)
-    t = linalg.trace(A) if s_trace is None else _coerce(s_trace)
-    lhs = fourier_transform(q_operator(A, t))
-    rhs = substitute_s(q_dual_operator(A, t), -1, -1)
-    return lhs == rhs

@@ -34,21 +34,9 @@ class NotInvariantError(PrehomogError):
     """delta_A(f) is not a scalar multiple of f; f is not a relative invariant."""
 
 
-class DegenerateCharacterError(PrehomogError):
-    """The infinitesimal character vanishes identically on the span."""
-
-
-class DegenerateDualError(PrehomogError):
-    """The dual determinant vanishes identically (dual divisor is everything)."""
-
-
 class MathFailure(Exception):
     """Base class for negative mathematical verdicts."""
 
 
 class InadmissibleCovectorError(MathFailure):
     """No isotropy element satisfies the conormal eigencondition for this covector."""
-
-
-class NotTransversalError(MathFailure):
-    """Order difference along a crossing is not the degree-1 form the caller asserted."""

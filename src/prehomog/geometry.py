@@ -1,6 +1,6 @@
 """Pointwise geometry of a discriminant: isotropy, normal representation,
-localization, Euler homogeneity at a point, conormal orders, and chain
-assembly of b-function factors along an orbit chain.
+an Euler witness at a point, conormal orders, and chain assembly of
+b-function factors along an orbit chain.
 
 The orbit tangent at x0 is spanned by the images A_k x0 (`GeneratorSet.images`)
 and the isotropy by the combinations sum c_k A_k with sum c_k A_k x0 = 0,
@@ -11,9 +11,8 @@ where one is needed.  Caller numbers are made exact once, on entry.
 from fractions import Fraction
 
 from . import liealg, linalg
-from .errors import (ContextError, DomainError, InadmissibleCovectorError,
-                     NotTransversalError)
-from .polyring import MultiPoly, UniPoly, _coerce
+from .errors import ContextError, DomainError, InadmissibleCovectorError
+from .polyring import UniPoly, _coerce
 
 
 class PointContext:
@@ -104,46 +103,6 @@ def normal_representation(ctx: PointContext, g: liealg.GeneratorSet):
             for B in map(g.combination, ctx.isotropy_coeffs)]
 
 
-def localization(f: MultiPoly, x0):
-    """(k, f_loc): lowest degree part of f(x0 + x), the local model of f."""
-    if f.is_zero:
-        raise DomainError("f must be nonzero")
-    shifted = f.shift(x0)
-    parts = shifted.homogeneous_components()
-    k = min(parts)
-    return k, parts[k]
-
-
-def normal_discriminant(ctx: PointContext, g: liealg.GeneratorSet) -> MultiPoly:
-    """Discriminant of the induced isotropy action on the normal space."""
-    q = len(ctx.normal_coords)
-    if len(ctx.isotropy_coeffs) != q:
-        raise DomainError(f"isotropy dimension {len(ctx.isotropy_coeffs)} "
-                          f"!= normal dimension {q}")
-    names = tuple(g.variables[i] for i in ctx.normal_coords)
-    return liealg.matrix_columns_determinant(
-        normal_representation(ctx, g), names)
-
-
-def lemma46_check(f: MultiPoly, ctx: PointContext, g: liealg.GeneratorSet) -> bool:
-    """Does the localized divisor agree with the normal discriminant?
-
-    Compares f_loc, restricted to the normal coordinates, with the
-    discriminant of the normal representation, up to a nonzero scalar.
-    """
-    fn = normal_discriminant(ctx, g)
-    if fn.is_zero:
-        raise DomainError("normal discriminant vanishes; check not applicable")
-    _, floc = localization(f, ctx.x0)
-    restricted = floc.restrict(ctx.normal_coords)
-    if restricted.is_zero:
-        return False
-    if set(restricted.terms) != set(fn.terms):
-        return False
-    ratios = {restricted.terms[e] / fn.terms[e] for e in fn.terms}
-    return len(ratios) == 1
-
-
 def euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
                    ctx: PointContext):
     """A matrix B with B x0 = 0 and dchi(B) = 1, if the character does
@@ -153,19 +112,6 @@ def euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
         if val:
             return tuple(map(tuple, g.combination([v / val for v in cs])))
     return None
-
-
-def strong_euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
-                          ctx: PointContext) -> bool:
-    """With A1 the Euler generator, is A1 x0 in the span of the
-    annihilator images {B x0 : dchi(B) = 0}?"""
-    if c.values[0] != 1:
-        raise DomainError("first generator must have character value 1")
-    images = g.images(ctx.x0)
-    # B x0 = sum c_k A_k x0 for each B = sum c_k A_k of `annihilator_basis`
-    ann = [[sum(ck * v[i] for ck, v in zip(cs, images)) for i in range(g.n)]
-           for cs in linalg.nullspace([list(c.values)])]
-    return linalg.in_span(ann, images[0]) is not None
 
 
 def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,
@@ -213,17 +159,6 @@ def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,
     m = -dchi(t0)
     half_mu = conormal_trace(t0) - Fraction(q, 2)
     return OrderForm(m, half_mu)
-
-
-def codim1_ratio(upper: OrderForm, lower: OrderForm) -> UniPoly:
-    """(ord_upper - ord_lower) + 1/2 across a smooth transversal
-    codimension one crossing; must come out affine of degree one."""
-    poly = upper.to_polynomial() - lower.to_polynomial() + \
-        UniPoly([Fraction(1, 2)])
-    if poly.degree() != 1:
-        raise NotTransversalError(
-            f"ratio {poly} is not of degree 1; crossing assumption violated")
-    return poly
 
 
 def chain_assemble(ratios) -> UniPoly:

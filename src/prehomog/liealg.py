@@ -3,8 +3,8 @@
 A GeneratorSet holds n independent n x n matrices A_1, ..., A_n.  The
 matrix A acts as the vector field delta_A = <Ax, d/dx>; the discriminant
 is f(x) = det(A_1 x | ... | A_n x).  This module computes discriminants,
-infinitesimal characters, annihilators, specialness, and the dual
-(negative transpose) generator set.
+infinitesimal characters, specialness, and the dual (negative transpose)
+generator set.
 
 A GeneratorSet stores each generator once, as its content-free integer
 form A_k = scale_k * M_k from `_integer_form` (the one route from a
@@ -16,8 +16,7 @@ Everything reads the forms: the independence check and the closure
 check, which builds only its verdict (`_echelon` on the rows
 [M_k | e_k], via `linalg.echelon`), the determinant, the delta_A kernel
 `_delta`, the traces, and the images A_k x and combinations sum c_k A_k
-of the annihilator and the pointwise geometry; ad-hoc matrices are
-converted per call.  The determinant and delta_A use the packed
+of the pointwise geometry.  The determinant and delta_A use the packed
 exponents of `polyring.packed` and restore the scales once at the end;
 the character checks delta_A f = lam f by exact cross-multiplication
 without building lam f.
@@ -27,8 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import (ClosureError, ContextError, DegenerateCharacterError,
-                     DegenerateDualError, DomainError, NotInvariantError)
+from .errors import ClosureError, ContextError, DomainError, NotInvariantError
 from .polyring import (MultiPoly, _coerce, is_squarefree, packed, primitive,
                        unpack)
 
@@ -268,36 +266,16 @@ def _delta(form, terms, B):
     return {e: v for e, v in out.items() if v}, scale
 
 
-def infinitesimal_apply(A, p: MultiPoly) -> MultiPoly:
-    """delta_A(p) = sum_i (Ax)_i * dp/dx_i."""
-    n = len(p.variables)
-    B = _degree_bits(p)
-    terms, p_scale = packed(p, B)
-    d, a_scale = _delta(_integer_form(A, n), terms, B)
-    scale = a_scale * p_scale
-    return MultiPoly(p.variables, {unpack(e, B, n): scale * v for e, v in d.items()})
-
-
-def matrix_columns_determinant(mats, variables) -> MultiPoly:
-    """det(A_1 x, ..., A_k x) for any list of k square matrices on k
-    variables; no independence requirement, so the result may be zero.
-
-    Each A_k is scaled once to its content-free integer form, the
-    determinant of those is expanded by minors with memoisation over
-    column subsets (row r is expanded when r + 1 columns have been
-    consumed) and the product of the scales is restored once at the end.
-    An r-minor has degree r <= n, so bit_length(n) bits per variable hold
-    every packed exponent.
-    """
-    variables = tuple(variables)
-    n = len(variables)
-    if len(mats) != n:
-        raise ContextError("need one matrix per variable")
-    return _determinant([_integer_form(A, n) for A in mats], variables)
-
-
 def _determinant(forms, variables):
-    """det(A_1 x, ..., A_n x) from the integer forms of the A_k."""
+    """det(A_1 x, ..., A_n x) from the integer forms of the A_k; no
+    independence requirement, so the result may be zero.
+
+    The determinant of the integer matrices is expanded by minors with
+    memoisation over column subsets (row r is expanded when r + 1 columns
+    have been consumed) and the product of the scales is restored once at
+    the end.  An r-minor has degree r <= n, so bit_length(n) bits per
+    variable hold every packed exponent.
+    """
     n = len(variables)
     B = max(1, n.bit_length())
     scale = Fraction(1)
@@ -362,13 +340,6 @@ def _packed_form(f: MultiPoly):
     return terms, {e for e, _ in terms}, B
 
 
-def character_value(A, f: MultiPoly):
-    """lam with delta_A(f) = lam * f, or None when f is not a semi-invariant
-    of A."""
-    form = _integer_form(A, len(f.variables))
-    return _eigenvalue(form, *_packed_form(f))
-
-
 def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
     """Extract dchi(A_k) from delta_{A_k}(f) = dchi(A_k) * f, plus traces;
     f is packed once for all generators."""
@@ -393,13 +364,6 @@ def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
 def character_of_combination(c: CharacterData, coeffs):
     """dchi is linear; evaluate it on sum coeffs_k * A_k."""
     return sum((_coerce(a) * v for a, v in zip(coeffs, c.values)), Fraction(0))
-
-
-def annihilator_basis(g: GeneratorSet, c: CharacterData):
-    """Deterministic (n-1)-element basis of ker(dchi) inside the span."""
-    if not any(c.values):
-        raise DegenerateCharacterError("dchi vanishes on every generator")
-    return [g.combination(cs) for cs in linalg.nullspace([list(c.values)])]
 
 
 def is_special(c: CharacterData) -> bool:
@@ -427,28 +391,6 @@ def dual_generators(g: GeneratorSet) -> GeneratorSet:
     dual = GeneratorSet.__new__(GeneratorSet)
     dual._fill(dual_variables(g.variables), forms)
     return dual
-
-
-def dual_character_check(g: GeneratorSet) -> bool:
-    """Verify dchi_f(A) - dchi_f*(A) = 2 tr(A) on every generator, and
-    dchi_f* = -dchi_f when the divisor is special."""
-    f = discriminant(g)
-    if f.is_zero:
-        raise DomainError("discriminant vanishes; no character to compare")
-    dual = dual_generators(g)
-    fstar = discriminant(dual)
-    if fstar.is_zero:
-        raise DegenerateDualError("dual determinant vanishes identically")
-    cf = character(g, f)
-    cfs = character(dual, fstar)
-    for k in range(g.n):
-        if cf.values[k] - cfs.values[k] != 2 * cf.trace_values[k]:
-            return False
-    if is_special(cf):
-        for k in range(g.n):
-            if cfs.values[k] != -cf.values[k]:
-                return False
-    return True
 
 
 def classify(g: GeneratorSet, trials: int = 8, seed: int = 0) -> Classification:

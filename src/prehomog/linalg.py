@@ -28,11 +28,6 @@ def frac_vector(v):
     return [x if type(x) is Fraction else _coerce(x) for x in v]
 
 
-def mat_scale(a, c):
-    c = _coerce(c)
-    return [[c * x for x in row] for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -103,12 +98,6 @@ def nullspace(a):
     return solve_affine(a, [0] * len(a))[1]
 
 
-def solve(a, b):
-    """One exact solution of a x = b, or None if inconsistent."""
-    sol = solve_affine(a, b)
-    return None if sol is None else sol[0]
-
-
 def solve_affine(a, b):
     """(particular solution, kernel basis) of a x = b, or None if
     inconsistent, both read from the one RREF of [a | b]: the kernel has
@@ -129,11 +118,3 @@ def solve_affine(a, b):
         for v, fc in zip(kernel, free):
             v[pc] = -m[r][fc]
     return x, kernel
-
-
-def in_span(vectors, target):
-    """Coefficients c with sum c_i * vectors[i] = target, or None."""
-    if not vectors:
-        return None if any(target) else []
-    a = transpose([frac_vector(v) for v in vectors])
-    return solve(a, frac_vector(target))

@@ -207,13 +207,6 @@ class MultiPoly:
         """Total degree; NEG_INF for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=NEG_INF)
 
-    def homogeneous_components(self):
-        """Map total degree -> homogeneous part."""
-        parts = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {d: MultiPoly(self.variables, t) for d, t in sorted(parts.items())}
-
     def is_homogeneous(self):
         return len({sum(e) for e in self.terms}) <= 1
 
@@ -325,37 +318,6 @@ class MultiPoly:
         # each monomial stays in Z at an integer point
         return sum((c * prod(x ** k for x, k in zip(point, e) if k)
                     for e, c in self.terms.items()), Fraction(0))
-
-    def shift(self, point):
-        """p(point + x), same variable context."""
-        point = [_exact(x) for x in point]
-        if len(point) != len(self.variables):
-            raise ContextError("point dimension mismatch")
-        ints, scale = primitive(self.terms.values())
-        out = {}
-        for e, c in zip(self.terms, ints):
-            # (point_i + x_i)^k = sum_j row[j] x_i^j, one variable at a time
-            part = {(): c}
-            for x, k in zip(point, e):
-                row = _binomial_row(x, 1, k)
-                part = {pe + (j,): pc * r for pe, pc in part.items()
-                        for j, r in enumerate(row) if r}
-            for pe, pc in part.items():
-                out[pe] = out.get(pe, 0) + pc
-        return MultiPoly(self.variables, {e: scale * c for e, c in out.items()})
-
-    def restrict(self, keep_indices):
-        """Set all variables outside keep_indices to zero; project onto the kept ones."""
-        keep = list(keep_indices)
-        if any(i < 0 or i >= len(self.variables) for i in keep):
-            raise ContextError("restrict index out of range")
-        out = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in range(len(e)) if i not in keep):
-                continue
-            ne = tuple(e[i] for i in keep)
-            out[ne] = c
-        return MultiPoly(tuple(self.variables[i] for i in keep), out)
 
     def restrict_line(self, a, b):
         """Univariate restriction t -> p(a + t*b).  With the line cleared to
@@ -970,9 +932,10 @@ _TOKEN = re.compile(r"\s*(?:((\d+)(?:/(\d+))?)|([s()^*+-]))")
 
 def _tokenize(text):
     """The tokens of text, each starting where the last one ended: a number
-    as its reduced int pair (p, q), a symbol as its character, then None."""
-    out, pos = [], 0
-    while pos < len(text):
+    as its reduced int pair (p, q), a symbol as its character, then None.
+    Whitespace before a token and at the end is skipped."""
+    out, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"bad character in polynomial at position {pos}: {text[pos:]!r}")

@@ -198,13 +198,6 @@ def infinitesimal_generators(quiver: Quiver, d: DimensionVector) -> liealg.Gener
     return liealg.GeneratorSet._from_forms(forms[:-1], rep_space(quiver, d))
 
 
-def quiver_discriminant(quiver: Quiver, d: DimensionVector, trials=8, seed=0):
-    """(discriminant of Rep(Q, d), classification of the generator set)."""
-    g = infinitesimal_generators(quiver, d)
-    cls = liealg.classify(g, trials=trials, seed=seed)
-    return cls.discriminant, cls
-
-
 # ---------------------------------------------------------------------
 # the three families used throughout
 

@@ -35,36 +35,13 @@ def multipoly_to_json(p: MultiPoly) -> dict:
     }
 
 
-def multipoly_from_json(obj) -> MultiPoly:
-    try:
-        variables = tuple(obj["variables"])
-        terms = {tuple(t["exponents"]): parse_rational(t["coefficient"])
-                 for t in obj["terms"]}
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed polynomial record: {exc}") from None
-    return MultiPoly(variables, terms)
-
-
 def unipoly_to_json(p: UniPoly):
     """Coefficients, lowest degree first."""
     return [format_rational(c) for c in p.coeffs]
 
 
-def unipoly_from_json(obj) -> UniPoly:
-    return UniPoly([parse_rational(c) for c in obj])
-
-
 def spectrum_roots_to_json(sp: Spectrum):
     return [[format_rational(r), m] for r, m in sp.roots]
-
-
-def generatorset_to_json(g: GeneratorSet) -> dict:
-    return {
-        "n": g.n,
-        "variables": list(g.variables),
-        "generators": [[[format_rational(v) for v in row] for row in m]
-                       for m in g.matrices()],
-    }
 
 
 def generatorset_from_json(obj) -> GeneratorSet:
@@ -74,6 +51,8 @@ def generatorset_from_json(obj) -> GeneratorSet:
                 isinstance(variables, list)
                 and all(isinstance(v, str) for v in variables)):
             raise TypeError('"variables" must be a list of names')
+        if type(obj.get("n", 0)) is not int:  # no bool or float count
+            raise TypeError(f'"n" must be an integer, got {obj["n"]!r}')
         # integer entries, as JSON numbers or as "p" text, reach the
         # integer form as ints
         mats = [[[v if type(v) is int else _parse_exact(str(v)) for v in row]
@@ -84,14 +63,6 @@ def generatorset_from_json(obj) -> GeneratorSet:
     if "n" in obj and obj["n"] != g.n:
         raise ContextError(f"declared n = {obj['n']} but found {g.n} generators")
     return g
-
-
-def quiver_to_json(qv: Quiver, d: DimensionVector) -> dict:
-    return {
-        "vertices": list(qv.vertices),
-        "edges": [[a, b] for a, b in qv.edges],
-        "dimensions": {v: d[v] for v in qv.vertices},
-    }
 
 
 def quiver_from_json(obj):

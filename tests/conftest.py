@@ -1,12 +1,15 @@
 """Shared test plumbing: the acceptance summary lines, the Fraction
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
-Fraction matrix helpers, the structure constants of a Lie algebra, the
-dense generators of a quiver that check the integer forms
-`quiver.infinitesimal_generators` writes directly, the dense
-pointwise geometry that checks the geometry on the stored integer forms,
-the Fraction coefficient arithmetic that checks `UniPoly` on its
-integer form, and the Fraction recursive descent that checks
-`parse_factored`."""
+Fraction matrix helpers, the determinant and delta_A kernels of `liealg`
+on ad-hoc matrices, the structure constants of a Lie algebra, the
+character difference of a set and its dual, the Fourier identity of
+normal-ordered first-order operators, the dense generators of a quiver
+that check the integer forms `quiver.infinitesimal_generators` writes
+directly, the dense pointwise geometry that checks the geometry on the
+stored integer forms and carries the paper's local checks (the normal
+discriminant of Lemma 4.6, strong Euler homogeneity), the Fraction
+coefficient arithmetic that checks `UniPoly` on its integer form, and the
+Fraction recursive descent that checks `parse_factored`."""
 
 import re
 from fractions import Fraction
@@ -14,9 +17,11 @@ from fractions import Fraction
 from prehomog import polyring
 from prehomog.errors import CapacityError, DomainError, ParseError
 from prehomog.geometry import PointContext
-from prehomog.liealg import _echelon, matrix_columns_determinant
-from prehomog.linalg import frac_matrix, frac_vector, mat_scale, transpose
-from prehomog.polyring import UniPoly, parse_rational
+from prehomog.liealg import (_determinant, _echelon, _eigenvalue,
+                             _integer_form, _packed_form, character,
+                             discriminant, dual_generators, is_special)
+from prehomog.linalg import frac_matrix, frac_vector, trace, transpose
+from prehomog.polyring import MultiPoly, UniPoly, parse_rational
 
 _acceptance_lines = []
 
@@ -110,6 +115,10 @@ def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -143,6 +152,32 @@ def int_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def columns_determinant(mats, variables):
+    """det(A_1 x, ..., A_k x) of k square matrices on k variables, by
+    `liealg._determinant` on their integer forms; zero when the columns
+    are dependent."""
+    return _determinant([_integer_form(A, len(variables)) for A in mats],
+                        tuple(variables))
+
+
+def eigenvalue(A, f):
+    """lam with delta_A f = lam f, by `liealg._eigenvalue` on the integer
+    form of A, or None when f is not a semi-invariant of A."""
+    return _eigenvalue(_integer_form(A, len(f.variables)), *_packed_form(f))
+
+
+def dual_characters_agree(g):
+    """dchi_f(A) - dchi_f*(A) = 2 tr(A) on every generator, where f* is the
+    discriminant of the dual set {-A^t}, and dchi_f* = -dchi_f when the
+    divisor is special."""
+    dual = dual_generators(g)
+    cf = character(g, discriminant(g))
+    cfs = character(dual, discriminant(dual))
+    return all(a - b == 2 * t for a, b, t in
+               zip(cf.values, cfs.values, cf.trace_values)) and \
+        (not is_special(cf) or cfs.values == tuple(-v for v in cf.values))
+
+
 def ref_structure_constants(g):
     """c[i][j] = (c^k_ij for each k), Fractions with [A_i, A_j] =
     sum_k c^k_ij A_k, or None when some bracket leaves the span.
@@ -174,6 +209,39 @@ def ref_structure_constants(g):
                             / (D * s) for k, (_, s) in enumerate(g.forms))
             c[j][i] = tuple(-v for v in c[i][j])
     return c
+
+
+# -- normal-ordered first-order operators and the Fourier identity -------
+# An operator sum_{i,j} C[i][j] x_i d_j + c0 + c1 s is the triple (C, c0, c1).
+
+def q_operator(A, t):
+    """Q_A(s) = delta_A - t s, with delta_A = sum A[i][j] x_j d_i."""
+    return transpose(frac_matrix(A)), 0, -Fraction(t)
+
+
+def q_dual_operator(A, t):
+    """Q*_A(s) = delta*_A + t s on the dual side."""
+    return mat_scale(frac_matrix(A), -1), 0, Fraction(t)
+
+
+def fourier_transform(op):
+    """x -> -d, d -> y, then normal order: reordering d_i y_i = y_i d_i + 1
+    shifts the constant term by the trace."""
+    C, c0, c1 = op
+    return mat_scale(transpose(C), -1), c0 - trace(C), c1
+
+
+def substitute_s(op, a, b):
+    """s -> a s + b in the scalar part."""
+    C, c0, c1 = op
+    return C, c0 + c1 * b, c1 * a
+
+
+def fourier_holds(A, t=None):
+    """Is F(Q_A(s)) = Q*_A(-s-1)?  Exactly when t = tr A, the default."""
+    t = trace(frac_matrix(A)) if t is None else t
+    return fourier_transform(q_operator(A, t)) == \
+        substitute_s(q_dual_operator(A, t), -1, -1)
 
 
 # -- dense generators of a quiver ----------------------------------------
@@ -242,7 +310,7 @@ def ref_normal_discriminant(g, ctx):
     """Determinant of `ref_normal_representation`; the determinant itself
     is checked against the Leibniz sum in test_liealg."""
     names = tuple(g.variables[i] for i in ctx.normal_coords)
-    return matrix_columns_determinant(ref_normal_representation(g, ctx), names)
+    return columns_determinant(ref_normal_representation(g, ctx), names)
 
 
 def ref_annihilator_basis(g, c):
@@ -265,6 +333,25 @@ def ref_strong_euler(g, c, x0):
     x0 = [Fraction(v) for v in x0]
     images = [mat_vec(B, x0) for B in ref_annihilator_basis(g, c)]
     return ref_in_span(images, mat_vec(g.matrix(0), x0)) is not None
+
+
+def fraction_shift(p, point):
+    """p(point + x) by MultiPoly products."""
+    xs = MultiPoly.gens(p.variables)
+    result = MultiPoly.zero(p.variables)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(p.variables, c)
+        for i, k in enumerate(e):
+            term = term * (xs[i] + Fraction(point[i])) ** k
+        result = result + term
+    return result
+
+
+def restrict(p, keep):
+    """p with the variables outside `keep` set to zero, on the kept ones."""
+    return MultiPoly(tuple(p.variables[i] for i in keep),
+                     {tuple(e[i] for i in keep): c for e, c in p.terms.items()
+                      if not any(v for i, v in enumerate(e) if i not in keep)})
 
 
 # -- univariate polynomials as Fraction coefficient lists -----------------
@@ -388,8 +475,8 @@ def ref_parse_factored(text):
     (kind, Fraction) token list, then a Fraction coefficient tuple for
     every atom, sum, product and power, with the same degree and depth
     caps; the UniPoly of the result."""
-    tokens, pos = [], 0
-    while pos < len(text):
+    tokens, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         m = _REF_TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"bad character in polynomial at position {pos}: {text[pos:]!r}")

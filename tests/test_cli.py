@@ -13,8 +13,12 @@ from prehomog.cli import _build_parser, main, run
 from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import OrderForm
 from prehomog.polyring import MultiPoly, Spectrum, UniPoly
-from prehomog.quiver import star_quiver
-from prehomog.serialize import generatorset_to_json, quiver_to_json
+
+
+def nc2_record():
+    """The generator file of the fixture nc-2."""
+    return {"n": 2, "variables": ["x1", "x2"],
+            "generators": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
 
 
 def write_json(tmp_path, name, obj):
@@ -45,21 +49,19 @@ class TestSources:
         assert exc.value.code == 2
 
     def test_generator_file(self, tmp_path):
-        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj = nc2_record()
         path = write_json(tmp_path, "g.json", obj)
         code, text = run(["bfunction", "--input", path])
         assert code == 0
         assert "b(s)" in text
 
-    def test_quiver_file(self, tmp_path):
-        qv, d = star_quiver()
-        path = write_json(tmp_path, "q.json", quiver_to_json(qv, d))
-        code, text = run(["classify", "--input", path])
+    def test_quiver_file(self):
+        code, text = run(["classify", "--input", str(Path(__file__).parent / QUIVER_FILE)])
         assert code == 0
         assert "linear-free-divisor" in text
 
     def test_reductive_passthrough(self, tmp_path):
-        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj = nc2_record()
         obj["reductive"] = True
         path = write_json(tmp_path, "g.json", obj)
         code, text = run(["classify", "--input", path])
@@ -67,7 +69,7 @@ class TestSources:
 
     @pytest.mark.parametrize("flag", ["no", 0, 1, None, []])
     def test_reductive_must_be_a_boolean(self, flag, tmp_path):
-        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj = nc2_record()
         obj["reductive"] = flag
         path = write_json(tmp_path, "g.json", obj)
         code, text = run(["classify", "--input", path])
@@ -75,7 +77,7 @@ class TestSources:
         assert text.startswith("error:") and "reductive" in text
 
     def test_reductive_false_and_absent(self, tmp_path):
-        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj = nc2_record()
         for flag, shown in ((False, "no"), (None, "unknown")):
             if flag is None:
                 obj.pop("reductive")
@@ -160,6 +162,17 @@ class TestCommands:
     def test_chain_parse_error(self):
         code, text = run(["chain", "s+%"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "s+1 "], ["chain", "s+1", "(3s+2)(3s+3)\t"],
+        ["symmetry", "--poly", "(s+1)^2 \n"], ["symmetry", "--poly", " s+2 \t\n", "--json"],
+    ])
+    def test_trailing_whitespace(self, argv, capsys):
+        # the output is byte-identical to that of the text without it
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main([a.rstrip() for a in argv]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestJsonOutput:
@@ -369,9 +382,20 @@ class TestBadInput:
         path = write_json(tmp_path, "q.json", obj)
         self.run_main(["classify", "--input", path], capsys, "pair")
 
+    @pytest.mark.parametrize("n", [True, 1.0])
+    def test_declared_n_not_an_integer(self, n, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {"n": n, "generators": [[[1]]]})
+        self.run_main(["classify", "--input", path], capsys,
+                      f'"n" must be an integer, got {n!r}')
+
+    def test_declared_n_integer(self, tmp_path):
+        path = write_json(tmp_path, "g.json", {"n": 1, "generators": [[[1]]]})
+        code, text = run(["classify", "--input", path])
+        assert code == 0 and "kind: linear-free-divisor" in text
+
     @pytest.mark.parametrize("variables", [5, "xy", [1, 2], {"x": 1}])
     def test_bad_variables(self, variables, tmp_path, capsys):
-        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj = nc2_record()
         obj["variables"] = variables
         path = write_json(tmp_path, "g.json", obj)
         self.run_main(["classify", "--input", path], capsys, "variables")

@@ -1,6 +1,7 @@
 """The package's public surface and its imports."""
 
 import ast
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,15 +9,12 @@ from pathlib import Path
 import pytest
 
 import prehomog
-from prehomog.bernstein import (FirstOrderOperator, SPowerExpression,
-                                fourier_check, q_dual_operator, q_operator,
-                                substitute_s)
+from prehomog.bernstein import SPowerExpression
 from prehomog.errors import ContextError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm, conormal_order, point_context
 from prehomog.liealg import (CharacterData, character,
                              character_of_combination, discriminant)
-from prehomog.linalg import mat_scale
 
 
 def test_every_public_name_resolves():
@@ -43,21 +41,24 @@ def test_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_no_unreferenced_definitions():
-    """Every function, class and method of src/prehomog, dunders aside, is
-    named somewhere in src, tests or benchmark: as a name, an attribute, an
-    imported name or an identifier string (the benchmark's span names), so a
-    definition nothing uses does not linger."""
-    root = Path(__file__).resolve().parents[1]
-    src = sorted((root / "src" / "prehomog").glob("*.py"))
-    defined, named = [], set()
-    for path in src + sorted((root / "tests").glob("*.py")) + \
-            sorted((root / "benchmark").glob("*.py")):
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _definitions(paths):
+    """(file name, name) of every function, class and method, dunders aside."""
+    return [(path.name, node.name) for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__")]
+
+
+def _named(paths):
+    """Every name, attribute, imported name and identifier string (the
+    benchmark's span names) in the files `paths`."""
+    named = set()
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    path in src and not node.name.startswith("__"):
-                defined.append((path.name, node.name))
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
@@ -65,6 +66,31 @@ def test_no_unreferenced_definitions():
                 named.add(node.name.split(".")[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
+    return named
+
+
+def test_no_unreferenced_definitions():
+    """Every function, class and method of src/prehomog, dunders aside, is
+    named somewhere in src, tests or benchmark, so a definition nothing uses
+    does not linger."""
+    src = sorted((ROOT / "src" / "prehomog").glob("*.py"))
+    named = _named(src + sorted((ROOT / "tests").glob("*.py")) +
+                   sorted((ROOT / "benchmark").glob("*.py")))
+    defined = _definitions(src)
+    assert len(defined) > 100
+    assert [d for d in defined if d[1] not in named] == []
+
+
+def test_no_test_only_definitions():
+    """Every function, class and method of src/prehomog outside `fixtures`
+    (test and bench data), dunders aside, is named by the product: in a src
+    module other than the re-exports of __init__.py, in benchmark/*.py or
+    in README.md.  A name only tests reach belongs in the tests."""
+    src = sorted((ROOT / "src" / "prehomog").glob("*.py"))
+    named = _named([p for p in src if p.name != "__init__.py"] +
+                   sorted((ROOT / "benchmark").glob("*.py")))
+    named.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    defined = _definitions(p for p in src if p.stem != "fixtures")
     assert len(defined) > 100
     assert [d for d in defined if d[1] not in named] == []
 
@@ -76,15 +102,9 @@ def _conormal_order(y):
 
 
 CALLER_NUMBERS = {
-    "FirstOrderOperator": lambda x: FirstOrderOperator([[1]], x, x),
-    "q_operator": lambda x: q_operator([[1]], x),
-    "q_dual_operator": lambda x: q_dual_operator([[1]], x),
-    "substitute_s": lambda x: substitute_s(FirstOrderOperator([[1]], 1, 1), x, x),
-    "fourier_check": lambda x: fourier_check([[1]], x),
     "SPowerExpression": lambda x: SPowerExpression(("x",), 1, {(0,): (1, x)}),
     "character_of_combination": lambda x: character_of_combination(
         CharacterData([1, 2], [1, 1]), (x, 1)),
-    "mat_scale": lambda x: mat_scale([[1, 2]], x),
     "conormal_order": _conormal_order,
     "OrderForm": lambda x: OrderForm(x, x),
 }

