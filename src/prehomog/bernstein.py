@@ -36,7 +36,8 @@ from fractions import Fraction
 from . import liealg
 from .errors import ContextError, DomainError
 from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _exact,
-                       packed, primitive, rational_root_spectrum, unpack)
+                       exponent_bits, packed, primitive, rational_root_spectrum,
+                       unpack)
 
 
 class SPowerExpression:
@@ -132,11 +133,6 @@ class BFailure:
 # ---------------------------------------------------------------------
 # the derivation engine: packed exponents and Kronecker-packed s-polynomials
 
-def _exponent_bits(n):
-    """Bits per variable of a packed exponent: deg f^(n-1) = n(n-1) fits."""
-    return max(1, (n * (n - 1)).bit_length())
-
-
 def _derivative(terms, shift, mask):
     """d/dv of packed pairs, v at bit `shift`: each term with e_v > 0
     becomes (e - x_v, c e_v), and none collide."""
@@ -226,7 +222,7 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
     R^(n(n-1)), R = max |x0_v| over the set variables.
     """
     n = f.degree()
-    B = _exponent_bits(n)
+    B = exponent_bits(n * (n - 1))
     mask = (1 << B) - 1
     f_packed, f_scale = packed(f, B)
     fs_coeffs, fs_scale = primitive(fstar.terms.values())
@@ -271,7 +267,7 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     the scale exactly at the end: it is `_walk` with no variable set.
 
     A state term is one pair of Python ints.  The exponent vector is packed
-    with B = bit_length(n(n-1)) bits per variable (n = deg f): a state at
+    with B = exponent_bits(n(n-1)) bits per variable (n = deg f): a state at
     offset k has total degree k(n-1) <= n(n-1), so no slot ever carries,
     adding monomials is one int add and d/dx_i subtracts 1 << B*i.  The
     s-polynomial P is stored as its value P(2^W) (Kronecker substitution),
@@ -293,7 +289,7 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
     total, W, mult = _walk(fstar, f, [None] * nvars)
     if mult.denominator == 1:
         mult = mult.numerator   # integer state: no Fraction per coefficient
-    B = _exponent_bits(n)
+    B = exponent_bits(n * (n - 1))
     terms = {unpack(e, B, nvars): [mult * v for v in _balanced_digits(V, W)]
              for e, V in total.items()}
     return SPowerExpression(f.variables, n, terms)
@@ -354,7 +350,7 @@ def _point(f: MultiPoly):
     Nullstellensatz) and the search always succeeds.
     """
     n = f.degree()
-    B = _exponent_bits(n)
+    B = exponent_bits(n * (n - 1))
     mask = (1 << B) - 1
     terms = packed(f, B)[0]
     x0 = []

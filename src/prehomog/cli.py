@@ -90,7 +90,7 @@ def _cmd_bfunction(job):
     return 0, _emit(job, record, lambda: [
         f"b(s) = {res.b}",
         f"spectrum: {res.spectrum}",
-        f"raw leading coefficient: {serialize.rational_to_json(res.raw_leading)}",
+        f"raw leading coefficient: {res.raw_leading}",
         f"special: {_flag(res.special)}",
         f"symmetric about -1: {_flag(res.symmetric)}",
         "functional equation: held",
@@ -102,7 +102,7 @@ def _cmd_symmetry(job):
         if job.fixture is not None or job.input_path is not None:
             raise ParseError("give either --poly or a source, not both")
         b = parse_factored(job.poly)
-        source = "poly"
+        source, verdict = "poly", bernstein.symmetry_check(b)
     else:
         g, _, source = _load_source(job)
         res = bernstein.bfunction(g)
@@ -110,8 +110,7 @@ def _cmd_symmetry(job):
             record = {"command": "symmetry", "source": source,
                       "result": serialize.bresult_to_json(res)}
             return 2, _emit(job, record, lambda: [res.message()])
-        b = res.b
-    verdict = bernstein.symmetry_check(b)
+        b, verdict = res.b, res.symmetric
     record = {"command": "symmetry", "source": source,
               "monic_coefficients": serialize.unipoly_to_json(b.monic()),
               "symmetric_about_minus_one": verdict}
@@ -135,8 +134,7 @@ def _at_point(job):
 def _cmd_euler(job):
     g, name, c, ctx = _at_point(job)
     witness = geometry.euler_at_point(g, c, ctx)
-    rows = None if witness is None else [
-        [serialize.rational_to_json(v) for v in row] for row in witness]
+    rows = None if witness is None else [list(map(str, row)) for row in witness]
     record = {"command": "euler", "source": name, "witness": rows}
     if rows is None:
         return 0, _emit(job, record, lambda: [
@@ -173,7 +171,12 @@ def _cmd_chain(job):
 def run(argv):
     """Parse argv and execute its command; returns (exit code, report
     text).  A bad command line exits through argparse, with code 2."""
-    job = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    job = parser.parse_args(argv)
+    for dest, value in vars(job).items():
+        if value == []:  # argparse reads an option written --NAME=-- as []
+            flag = "--" + dest.removesuffix("_path")
+            parser.error(f"argument {flag}: expected one argument")
     try:
         return job.handler(job)
     except MathFailure as exc:

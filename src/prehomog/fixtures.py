@@ -163,7 +163,7 @@ def get_fixture(name: str) -> Fixture:
 
 
 def _family(name):
-    m = re.fullmatch(r"(nc|atilde)-(\d+)", name)
+    m = re.fullmatch(r"(nc|atilde)-(0|[1-9][0-9]*)", name)  # one spelling per N
     if not m:
         raise ContextError(f"unknown fixture {name!r}")
     kind, n = m.group(1), int(parse_rational(m.group(2)))

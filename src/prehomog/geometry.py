@@ -74,8 +74,8 @@ def point_context(g: liealg.GeneratorSet, x0) -> PointContext:
         raise ContextError(f"point has {len(x0)} coordinates, expected {g.n}")
     images = g.images(x0)
     # the columns map a coefficient vector c to sum c_k A_k x0
-    iso_coeffs = linalg.nullspace(linalg.transpose(images))
-    tangent, pivots = linalg.row_space_basis(images)
+    iso_coeffs = linalg.solve_affine(linalg.transpose(images), [0] * g.n)[1]
+    tangent, pivots = linalg.rref(images)
     normal = sorted(set(range(g.n)).difference(pivots))
     return PointContext(x0, iso_coeffs, tangent, pivots, normal)
 

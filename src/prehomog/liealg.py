@@ -27,8 +27,8 @@ from math import lcm
 
 from . import linalg
 from .errors import ClosureError, ContextError, DomainError, NotInvariantError
-from .polyring import (MultiPoly, _coerce, is_squarefree, packed, primitive,
-                       unpack)
+from .polyring import (MultiPoly, _coerce, exponent_bits, is_squarefree, packed,
+                       primitive, unpack)
 
 
 def default_variables(n):
@@ -139,13 +139,16 @@ class CharacterData:
 
 
 class Classification:
-    __slots__ = ("kind", "reduced", "special", "closed_under_bracket", "discriminant")
+    """The verdicts of `classify`, which raises ClosureError before it
+    builds one for generators that do not close under the bracket."""
 
-    def __init__(self, kind, reduced, special, closed_under_bracket, discriminant):
+    __slots__ = ("kind", "reduced", "special", "discriminant")
+    closed_under_bracket = True
+
+    def __init__(self, kind, reduced, special, discriminant):
         self.kind = kind
         self.reduced = reduced
         self.special = special
-        self.closed_under_bracket = closed_under_bracket
         self.discriminant = discriminant
 
     def __repr__(self):
@@ -237,12 +240,6 @@ def _integer_form(A, n):
     return tuple(map(tuple, rows)), scale
 
 
-def _degree_bits(p: MultiPoly):
-    """Bits per variable for packed exponents of p and of delta_A p: delta_A
-    keeps the total degree, so every exponent stays <= deg p."""
-    return max(1, max(map(sum, p.terms), default=0).bit_length())
-
-
 def _delta(form, terms, B):
     """(d, scale): delta_A of the packed pairs `terms` is scale * d, with
     d = {packed e: int} and no zero values.
@@ -273,11 +270,10 @@ def _determinant(forms, variables):
     The determinant of the integer matrices is expanded by minors with
     memoisation over column subsets (row r is expanded when r + 1 columns
     have been consumed) and the product of the scales is restored once at
-    the end.  An r-minor has degree r <= n, so bit_length(n) bits per
-    variable hold every packed exponent.
+    the end.  An r-minor has degree r <= n, so no exponent passes n.
     """
     n = len(variables)
-    B = max(1, n.bit_length())
+    B = exponent_bits(n)
     scale = Fraction(1)
     cols = []   # cols[k][i]: the linear form (A_k x)_i as packed pairs
     for rows, s in forms:
@@ -332,10 +328,11 @@ def _eigenvalue(form, terms, support, B):
 
 def _packed_form(f: MultiPoly):
     """(terms, support, B) of nonzero f for `_eigenvalue`; the content of f
-    cancels from lam and is dropped."""
+    cancels from lam and is dropped.  delta_A keeps the total degree, so
+    no exponent of f or of delta_A f passes deg f."""
     if f.is_zero:
         raise DomainError("zero polynomial has no character")
-    B = _degree_bits(f)
+    B = exponent_bits(f.degree())
     terms = packed(f, B)[0]
     return terms, {e for e, _ in terms}, B
 
@@ -398,9 +395,9 @@ def classify(g: GeneratorSet, trials: int = 8, seed: int = 0) -> Classification:
     check_closure(g)
     f = discriminant(g)
     if f.is_zero:
-        return Classification("not-prehomogeneous", False, False, True, f)
+        return Classification("not-prehomogeneous", False, False, f)
     c = character(g, f)
     special = is_special(c)
     reduced = is_squarefree(f, trials, seed)
     kind = "linear-free-divisor" if reduced else "prehomogeneous-determinant"
-    return Classification(kind, reduced, special, True, f)
+    return Classification(kind, reduced, special, f)

@@ -72,8 +72,8 @@ def _eliminate(row, E, p):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (R, pivot_columns): R has the
-    rows of the input, the zero rows last, and the pivots ascend."""
+    """Reduced row echelon form.  Returns (R, pivot_columns): R has one
+    row per pivot, and the pivots ascend."""
     m = frac_matrix(rows)
     if not m:
         return [], []
@@ -83,19 +83,7 @@ def rref(rows):
     zero = Fraction(0)
     R = [[Fraction(E[c], E[p]) if c in E else zero for c in range(ncols)]
          for p, E in basis]
-    R += [[zero] * ncols for _ in range(len(m) - len(basis))]
     return R, [p for p, _ in basis]
-
-
-def row_space_basis(rows):
-    """RREF basis of the span of the given row vectors, with pivot columns."""
-    m, pivots = rref(rows)
-    return m[:len(pivots)], pivots
-
-
-def nullspace(a):
-    """Deterministic basis of the right kernel of a (rows x cols)."""
-    return solve_affine(a, [0] * len(a))[1]
 
 
 def solve_affine(a, b):

@@ -14,9 +14,10 @@ line at t = 2^W, and the heuristic gcd `univariate_gcd` takes the gcd of
 two such ints.  All arithmetic is exact; there is no floating point.
 
 The integer engines (the determinant and delta_A in liealg, the
-derivation walk in bernstein) share one exponent format: `packed` scales
-a MultiPoly to its content-free integer form and packs each exponent
-tuple into one int, `unpack` reads a tuple back.
+derivation walk in bernstein) share one exponent format: `exponent_bits`
+sizes a slot from the largest exponent, `packed` scales a MultiPoly to
+its content-free integer form and packs each exponent tuple into one
+int, `unpack` reads a tuple back.
 """
 
 import random
@@ -82,12 +83,19 @@ def primitive(values):
     return ints, Fraction(g or 1, den)
 
 
+def exponent_bits(d):
+    """B, the bits per variable of a packed exponent whose entries are at
+    most d."""
+    return max(1, d.bit_length())
+
+
 def packed(p, B):
     """(terms, scale): p = scale * sum c x^e over the content-free integer
     terms [(packed e, c)], variable i in bits [B*i, B*i + B) of packed e.
 
-    The caller picks B so that every exponent it reaches fits in B bits;
-    then adding monomials is one int add and no slot ever carries."""
+    The caller sizes B by `exponent_bits` from the largest exponent it
+    reaches; then adding monomials is one int add and no slot ever
+    carries."""
     coeffs, scale = primitive(p.terms.values())
     return [(sum(x << B * i for i, x in enumerate(e)), c)
             for e, c in zip(p.terms, coeffs)], scale
@@ -146,15 +154,13 @@ def _literal(num, den, text):
     return num // g, den // g
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)
-
-
 class MultiPoly:
     """Sparse multivariate polynomial over Q.
 
     terms maps exponent tuples (one entry per variable) to nonzero
-    Fraction coefficients.  Instances are treated as immutable.
+    Fraction coefficients.  Instances are treated as immutable.  The
+    arithmetic needs one variable context: +, - and * across two contexts
+    raise ContextError, and == across them is False.
     """
 
     __slots__ = ("variables", "terms")
@@ -210,36 +216,21 @@ class MultiPoly:
     def is_homogeneous(self):
         return len({sum(e) for e in self.terms}) <= 1
 
-    # -- variable context handling -----------------------------------
-
-    def _unified(self, other):
-        if self.variables == other.variables:
-            return self.variables, self.terms, other.terms
-        merged = list(self.variables) + [v for v in other.variables if v not in self.variables]
-        merged = tuple(merged)
-
-        def remap(poly):
-            idx = [merged.index(v) for v in poly.variables]
-            out = {}
-            for e, c in poly.terms.items():
-                ne = [0] * len(merged)
-                for pos, exp in zip(idx, e):
-                    ne[pos] = exp
-                out[tuple(ne)] = c
-            return out
-
-        return merged, remap(self), remap(other)
+    def _same_context(self, other):
+        if self.variables != other.variables:
+            raise ContextError(f"variable contexts differ: {self.variables} "
+                               f"and {other.variables}")
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.variables, other)
-        variables, a, b = self._unified(other)
-        out = dict(a)
-        for e, c in b.items():
+        self._same_context(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(variables, out)
+        return MultiPoly(self.variables, out)
 
     __radd__ = __add__
 
@@ -258,7 +249,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             c = _coerce(other)
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        variables, a, b = self._unified(other)
+        self._same_context(other)
+        a, b = self.terms, other.terms
         if a and b:
             da = max(sum(e) for e in a)
             db = max(sum(e) for e in b)
@@ -270,7 +262,7 @@ class MultiPoly:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 s = out.get(e)
                 out[e] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly(variables, out)
+        return MultiPoly(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -290,17 +282,13 @@ class MultiPoly:
             if isinstance(other, (int, Fraction)):
                 return self == MultiPoly.constant(self.variables, other)
             return NotImplemented
-        variables, a, b = self._unified(other)
-        return a == b
+        return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        # only what == compares: a constant as its value, anything else
-        # with its monomials named by variable, not by position
+        # a constant as its value, which it equals
         if not any(map(any, self.terms)):
             return hash(next(iter(self.terms.values()), 0))
-        return hash(frozenset(
-            (frozenset((v, k) for v, k in zip(self.variables, e) if k), c)
-            for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- calculus and substitution ------------------------------------
 

@@ -227,10 +227,7 @@ def atilde_quiver(n: int):
     verts = ["top"] + [f"v{i}" for i in range(1, n + 1)]
     edges = [("top", "v1")]
     edges += [(f"v{i}", f"v{i + 1}") for i in range(1, n)]
-    if n > 1:
-        edges.append(("top", f"v{n}"))
-    else:
-        edges.append(("top", "v1"))
+    edges.append(("top", f"v{n}"))
     qv = Quiver(verts, edges)
     d = DimensionVector({"top": 2, **{f"v{i}": 1 for i in range(1, n + 1)}})
     return qv, d

@@ -5,18 +5,11 @@ precision is lost; polynomial term lists are emitted in sorted exponent
 order so output bytes are stable run to run.
 """
 
-from fractions import Fraction
-
 from .errors import ContextError, ParseError
 from .geometry import OrderForm
 from .liealg import Classification, GeneratorSet
-from .polyring import (MultiPoly, Spectrum, UniPoly, _parse_exact,
-                       format_rational, parse_rational)
+from .polyring import MultiPoly, Spectrum, UniPoly, _parse_exact, parse_rational
 from .quiver import DimensionVector, Quiver
-
-
-def rational_to_json(c) -> str:
-    return format_rational(Fraction(c))
 
 
 def vector_from_text(text: str):
@@ -30,18 +23,18 @@ def vector_from_text(text: str):
 def multipoly_to_json(p: MultiPoly) -> dict:
     return {
         "variables": list(p.variables),
-        "terms": [{"exponents": list(e), "coefficient": format_rational(c)}
+        "terms": [{"exponents": list(e), "coefficient": str(c)}
                   for e, c in sorted(p.terms.items())],
     }
 
 
 def unipoly_to_json(p: UniPoly):
     """Coefficients, lowest degree first."""
-    return [format_rational(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def spectrum_roots_to_json(sp: Spectrum):
-    return [[format_rational(r), m] for r, m in sp.roots]
+    return [[str(r), m] for r, m in sp.roots]
 
 
 def generatorset_from_json(obj) -> GeneratorSet:
@@ -90,7 +83,7 @@ def bresult_to_json(res) -> dict:
     if res.functional_equation_held:
         return {
             "monic_coefficients": unipoly_to_json(res.b),
-            "raw_leading": format_rational(res.raw_leading),
+            "raw_leading": str(res.raw_leading),
             "roots": spectrum_roots_to_json(res.spectrum),
             "residual": unipoly_to_json(res.spectrum.residual),
             "symmetric_about_minus_one": bool(res.symmetric),
@@ -105,4 +98,4 @@ def bresult_to_json(res) -> dict:
 
 
 def orderform_to_json(o: OrderForm) -> dict:
-    return {"m": format_rational(o.m), "half_mu": format_rational(o.half_mu)}
+    return {"m": str(o.m), "half_mu": str(o.half_mu)}

@@ -236,6 +236,25 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["chain", "--seed", "3", "s+1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["symmetry", "--poly=--"],
+        ["classify", "--fixture=--"],
+        ["classify", "--input=--"],
+        ["classify", "--fixture", "nc-2", "--trials=--"],
+        ["classify", "--fixture", "nc-2", "--seed=--"],
+        ["euler", "--fixture", "nc-2", "--point=--"],
+        ["microlocal", "--fixture", "nc-2", "--point", "1,1", "--covector=--"],
+    ])
+    def test_dash_dash_value_is_a_usage_error(self, argv, capsys):
+        # argparse reads --NAME=-- as an empty list, not as a value
+        flag = next(a for a in argv if a.endswith("=--")).removesuffix("=--")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected one argument" in err
+        assert "Traceback" not in err
+
     def test_parser_state_does_not_leak(self):
         parse = _build_parser().parse_args
         argv = ["classify", "--fixture", "nc-2"]
@@ -422,14 +441,17 @@ def coords(v):
 
 def geometry_runs():
     """(golden file stem, argv) of the recorded `euler` and `microlocal`
-    runs, with the stem as test id: the star chain, each microlocal run
-    with its covector, and the origin and e_1 of three more fixtures."""
+    runs, with the stem as test id: the star chain as --json and as text
+    (stem suffix .txt), each microlocal run with its covector, and the
+    origin and e_1 of three more fixtures."""
     runs = []
     for p in star_chain():
-        at = ["--fixture", "star-2111", "--point", coords(p.x0), "--json"]
-        runs.append((f"euler/star-2111-{p.label}", ["euler"] + at))
+        at = ["--fixture", "star-2111", "--point", coords(p.x0)]
         cov = [] if p.y0 is None else ["--covector", coords(p.y0)]
-        runs.append((f"microlocal/star-2111-{p.label}", ["microlocal"] + at + cov))
+        for suffix, flag in (("", ["--json"]), (".txt", [])):
+            runs.append((f"euler/star-2111-{p.label}{suffix}", ["euler"] + at + flag))
+            runs.append((f"microlocal/star-2111-{p.label}{suffix}",
+                         ["microlocal"] + at + flag + cov))
     for name in ("dtilde3-22111", "binary-cubic", "det22-squared"):
         n = get_fixture(name).generators().n
         for label, x0 in (("origin", [0] * n), ("e1", [1] + [0] * (n - 1))):
@@ -493,8 +515,8 @@ def test_every_command_has_golden_bytes():
 class TestGoldenBytes:
     """`prehomog bfunction --fixture NAME --json`, the `euler` and
     `microlocal` runs of `geometry_runs`, the `chain` and `symmetry` runs
-    of `poly_runs` and the `classify` runs of `classify_runs`, against
-    recorded stdout."""
+    of `poly_runs`, `symmetry` on two fixtures and the `classify` runs of
+    `classify_runs`, against recorded stdout."""
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_bfunction_json(self, name, capsys):
@@ -514,6 +536,14 @@ class TestGoldenBytes:
         assert main(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert out == (GOLDEN / f"{stem}.out").read_bytes()
+
+    @pytest.mark.parametrize("name", ["star-2111", "bilinear-cone-4"])
+    @pytest.mark.parametrize("form, flag", [("txt", []), ("json", ["--json"])])
+    def test_symmetry_source_bytes(self, name, form, flag, capsys):
+        code = main(["symmetry", "--fixture", name] + flag)
+        assert code == (2 if name in FAILING else 0)
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN / "symmetry" / f"{name}.{form}.out").read_bytes()
 
     @pytest.mark.parametrize("stem, argv", classify_runs())
     def test_classify_bytes(self, stem, argv, capsys, monkeypatch):

@@ -24,12 +24,21 @@ class TestRegistry:
             get_fixture("moduli-of-dreams")
 
     def test_family_patterns(self):
+        assert get_fixture("nc-1").generators().n == 1
         assert get_fixture("nc-4").generators().n == 4
         assert get_fixture("atilde-3").generators().n == 6
-        with pytest.raises(ContextError):
+        assert get_fixture("atilde-10").generators().n == 13
+        with pytest.raises(ContextError, match="nc-N needs N >= 1"):
             get_fixture("nc-0")
-        with pytest.raises(ContextError):
+        with pytest.raises(ContextError, match="atilde-N needs N >= 1"):
             get_fixture("atilde-0")
+
+    @pytest.mark.parametrize("name", ["nc-01", "atilde-007", "nc-00", "nc-\u0661"])
+    def test_family_names_are_canonical(self, name):
+        # one spelling, so one cached Fixture, per member: no leading
+        # zero, ASCII digits only
+        with pytest.raises(ContextError, match="unknown fixture"):
+            get_fixture(name)
 
     def test_family_size_cap(self):
         # refused when the name resolves, before any matrix is built;

@@ -30,7 +30,7 @@ def delta(A, p):
     """delta_A(p) = sum_i (Ax)_i dp/dx_i by the kernel `liealg._delta` on
     the integer form of A and the packed terms of p."""
     n = len(p.variables)
-    B = liealg._degree_bits(p)
+    B = polyring.exponent_bits(max(map(sum, p.terms), default=0))
     terms, p_scale = polyring.packed(p, B)
     d, a_scale = liealg._delta(liealg._integer_form(A, n), terms, B)
     return MultiPoly(p.variables, {polyring.unpack(e, B, n): a_scale * p_scale * v

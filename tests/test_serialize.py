@@ -13,7 +13,7 @@ from prehomog.quiver import star_quiver
 from prehomog.serialize import (bresult_to_json, classification_to_json,
                                 generatorset_from_json, multipoly_to_json,
                                 orderform_to_json, quiver_from_json,
-                                rational_to_json, unipoly_to_json,
+                                unipoly_to_json,
                                 vector_from_text)
 
 F = Fraction
@@ -26,15 +26,16 @@ def read_multipoly(obj):
 
 def write_generators(g):
     return {"n": g.n, "variables": list(g.variables),
-            "generators": [[[rational_to_json(v) for v in row] for row in m]
+            "generators": [[[str(v) for v in row] for row in m]
                            for m in g.matrices()]}
 
 
 class TestScalars:
     def test_rational(self):
-        assert rational_to_json(F(3, 4)) == "3/4"
-        assert rational_to_json(F(-2)) == "-2"
-        assert rational_to_json(5) == "5"
+        # "p/q", and "p" when the denominator is 1
+        assert orderform_to_json(OrderForm(F(-2), F(3, 4))) == \
+            {"m": "-2", "half_mu": "3/4"}
+        assert unipoly_to_json(UniPoly([5, F(-1, 3)])) == ["5", "-1/3"]
 
     def test_vector_from_text(self):
         assert vector_from_text("1, -2/3, 0") == [F(1), F(-2, 3), F(0)]
