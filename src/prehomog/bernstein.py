@@ -94,7 +94,7 @@ class SPowerExpression:
 class BResult:
     """Successful functional equation: b monic, with diagnostics."""
 
-    __slots__ = ("b", "raw_leading", "spectrum", "degree", "special", "symmetric")
+    __slots__ = ("b", "raw_leading", "spectrum", "special", "symmetric")
     functional_equation_held = True
 
     def __init__(self, b: UniPoly, raw_leading: Fraction, spectrum: Spectrum,
@@ -102,7 +102,6 @@ class BResult:
         self.b = b
         self.raw_leading = raw_leading
         self.spectrum = spectrum
-        self.degree = b.degree()
         self.special = special
         self.symmetric = symmetric
 

@@ -60,7 +60,7 @@ def _emit(job, record, lines):
 
 def _cmd_classify(job):
     g, reductive, name = _load_source(job)
-    cls = liealg.classify(g, trials=job.trials, seed=job.seed)
+    cls = liealg.classify(g)
     record = {
         "command": "classify",
         "source": name,
@@ -149,6 +149,9 @@ def _cmd_microlocal(job):
     y0 = None
     if job.covector is not None:
         y0 = serialize.vector_from_text(job.covector)
+    elif ctx.normal_coords:
+        raise ParseError(f"--covector is required here: the normal space has "
+                         f"dimension {len(ctx.normal_coords)}")
     order = geometry.conormal_order(g, c, ctx, y0)
     record = {"command": "microlocal", "source": name,
               "order": serialize.orderform_to_json(order)}
@@ -207,11 +210,7 @@ def _build_parser():
                        help="machine readable output")
         return p
 
-    p = command("classify", _cmd_classify, "discriminant and its kind")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the squarefree test (default 0)")
-    p.add_argument("--trials", type=int, default=8,
-                   help="lines for the squarefree test (default 8, at most 1000)")
+    command("classify", _cmd_classify, "discriminant and its kind")
     command("bfunction", _cmd_bfunction,
             "b-function via the dual functional equation")
     p = command("symmetry", _cmd_symmetry, "check b(s) = (-1)^d b(-s-2)")

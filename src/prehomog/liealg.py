@@ -390,14 +390,16 @@ def dual_generators(g: GeneratorSet) -> GeneratorSet:
     return dual
 
 
-def classify(g: GeneratorSet, trials: int = 8, seed: int = 0) -> Classification:
-    """Saito-style classification of the discriminant divisor."""
+def classify(g: GeneratorSet) -> Classification:
+    """Saito-style classification of the discriminant divisor.  `reduced`,
+    and with it the kind, comes from `is_squarefree`: True is certified,
+    False is probabilistic."""
     check_closure(g)
     f = discriminant(g)
     if f.is_zero:
         return Classification("not-prehomogeneous", False, False, f)
     c = character(g, f)
     special = is_special(c)
-    reduced = is_squarefree(f, trials, seed)
+    reduced = is_squarefree(f)
     kind = "linear-free-divisor" if reduced else "prehomogeneous-determinant"
     return Classification(kind, reduced, special, f)

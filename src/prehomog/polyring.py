@@ -45,8 +45,8 @@ MAX_TRIAL_DIVISOR = 10**6
 # (a | f(0), q | lc f) than this raise CapacityError before any divisor is
 # listed; the tests and the benchmark inputs reach 100800 pairs
 MAX_ROOT_PAIRS = 2 * 10**6
-# line cap of is_squarefree: each line costs about a millisecond at n = 10
-MAX_SQUAREFREE_TRIALS = 1000
+# degree-preserving lines is_squarefree tries before it answers False
+SQUAREFREE_LINES = 8
 # parenthesis depth cap of parse_factored: each level takes two stack
 # frames of the recursive descent, far below Python's recursion limit
 MAX_PARSED_DEPTH = 100
@@ -722,7 +722,8 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     inside it.  A root a/q in lowest terms (q > 0) has a | f(0) and
     q | lc(f), and by Gauss's lemma q*s - a divides f in Z[s], so
     (q - a) | f(1) and (q + a) | f(-1).  Only coprime divisor pairs are
-    tried, only inside the Fujiwara bounds on |root| and on 1/|root|, and
+    tried, only inside Fujiwara's bounds on |root| and on 1/|root|, each
+    rounded up to a power of two (`_fujiwara_bound`), and
     only of a sign that Descartes' rule of signs leaves possible; a pair
     passing the divisibility tests is tested by exact integer division by
     q*s - a, repeated for the multiplicity.
@@ -805,24 +806,14 @@ def _sign_changes(f):
 
 
 def _fujiwara_bound(f):
-    """An integer h with |root| <= h for every root of f (f[-1] != 0):
-    Fujiwara's bound 2 max_i |f[d-i] / f[d]|^(1/i), with f[0] halved."""
-    d, lead = len(f) - 1, abs(f[-1])
-    k = 1
-    for i in range(1, d + 1):
-        c, scale = abs(f[d - i]), lead * (2 if i == d else 1)
-        # least integer t with t^i * scale >= c, by doubling then bisection
-        lo, hi = 0, 1
-        while hi ** i * scale < c:
-            lo, hi = hi, 2 * hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** i * scale >= c:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = max(k, hi)
-    return 2 * k
+    """A power of two h >= |root| for every root of f (f[-1] != 0):
+    Fujiwara's bound 2 max_i |f[d-i] / f[d]|^(1/i), f[0] halved, rounded
+    up on bit lengths, as |c / lead| < 2^(len c - len lead + 1)."""
+    d, t = len(f) - 1, abs(f[-1]).bit_length() - 1
+    # ceil((len f[d-i] - t - [i = d]) / i), as minus a floor division
+    k = max(-((t + (i == d) - abs(f[d - i]).bit_length()) // i)
+            for i in range(1, d + 1))
+    return 2 << max(0, k)
 
 
 def _prime_powers(n, most):
@@ -866,44 +857,37 @@ def _divisors(powers):
     return sorted(out)
 
 
-def is_squarefree(p: MultiPoly, trials: int, seed: int) -> bool:
+def is_squarefree(p: MultiPoly) -> bool:
     """Squarefreeness via random line restrictions.
 
-    Restricts p to t -> p(a + t*b) for random integer a, b, resampling
-    whenever the restriction degree drops below deg p, then tests
-    gcd(u, u') for a nontrivial common factor.  On a degree-preserving
-    line every factor of p keeps its degree, so p = g^2 h with deg g > 0
-    always shows the repeated factor g(a + t*b).  One clean line therefore
-    proves p squarefree: True is certified.  False comes only after
-    `trials` lines that all show a repeated factor, and is probabilistic.
-    For squarefree p of degree d, u has a repeated root only where its
-    discriminant in t, a nonzero polynomial of degree <= d(2d - 2) in
-    (a, b), vanishes; drawn from [-10^4, 10^4], a line is bad with
-    probability <= d(2d - 2)/(2*10^4 + 1) (Schwartz-Zippel), about 0.009
-    at d = 10.  From d of about 100 the bound is 1: it says nothing.
+    Restricts p to t -> p(a + t*b) for integer a, b drawn from
+    random.Random(0), resampling whenever the restriction degree drops
+    below deg p, then tests gcd(u, u') for a nontrivial common factor.
+    On a degree-preserving line every factor of p keeps its degree, so
+    p = g^2 h with deg g > 0 always shows the repeated factor g(a + t*b).
+    One clean line therefore proves p squarefree: True is certified.
+    False comes only after SQUAREFREE_LINES (8) lines that all show a
+    repeated factor, and is probabilistic.  For squarefree p of degree d,
+    u has a repeated root only where its discriminant in t, a nonzero
+    polynomial of degree <= d(2d - 2) in (a, b), vanishes; drawn from
+    [-10^4, 10^4], a line is bad with probability <= d(2d - 2)/(2*10^4 + 1)
+    (Schwartz-Zippel), about 0.009 at d = 10.  From d of about 100 the
+    bound is 1: it says nothing.
     """
     if p.is_zero:
         raise DomainError("squarefreeness of the zero polynomial is undefined")
-    if trials < 1:
-        raise DomainError("trials must be positive")
-    if trials > MAX_SQUAREFREE_TRIALS:
-        raise CapacityError(f"trials {trials} exceeds the limit {MAX_SQUAREFREE_TRIALS}")
     deg = p.degree()
-    if deg == 0:
-        return True
-    rng = random.Random(seed)
+    rng = random.Random(0)
     nv = len(p.variables)
     bound = 10**4
     done = 0
     attempts = 0
-    while done < trials:
+    while done < SQUAREFREE_LINES:
         attempts += 1
-        if attempts > 200 * trials:
+        if attempts > 200 * SQUAREFREE_LINES:
             raise DomainError("could not sample a degree-preserving line")
         a = [rng.randint(-bound, bound) for _ in range(nv)]
         b = [rng.randint(-bound, bound) for _ in range(nv)]
-        if not any(b):
-            continue
         u = p.restrict_line(a, b)
         if u.degree() != deg:
             continue  # degree dropped; bad line, resample

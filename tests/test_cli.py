@@ -148,6 +148,16 @@ class TestCommands:
         assert code == 0
         assert "ord f^s" in text
 
+    def test_microlocal_needs_covector(self):
+        code, text = run(["microlocal", "--fixture", "nc-2", "--point", "0,0"])
+        assert code == 1
+        assert text == ("error: --covector is required here: the normal space "
+                        "has dimension 2")
+        # an open orbit has a zero normal space, so no covector is needed
+        code, text = run(["microlocal", "--fixture", "nc-2", "--point", "1,1"])
+        assert code == 0
+        assert "normal space dimension: 0" in text
+
     def test_microlocal_bad_covector(self):
         code, text = run(["microlocal", "--fixture", "nc-2",
                           "--point", "0,0", "--covector", "1,0"])
@@ -225,23 +235,22 @@ class TestMain:
         assert main(["chain", "s+1", "s+1"]) == 0
         assert "spectrum" in capsys.readouterr().out
 
-    def test_seed_and_trials_only_on_classify(self, capsys):
-        argv = ["--fixture", "binary-cubic", "--json"]
-        assert main(["classify", "--seed", "3", "--trials", "2"] + argv) == 0
-        for command in ("bfunction", "symmetry", "euler", "microlocal"):
-            for flag in ("--seed", "--trials"):
+    def test_no_command_takes_seed_or_trials(self, capsys):
+        # the squarefree test has no knobs, so no command has these options
+        for command in ("classify", "bfunction", "symmetry", "euler",
+                        "microlocal", "chain"):
+            argv = ["s+1"] if command == "chain" else ["--fixture", "binary-cubic"]
+            for flag in (["--seed", "3"], ["--trials", "2"]):
                 with pytest.raises(SystemExit) as exc:
-                    main([command, flag, "3"] + argv)
+                    main([command] + argv + flag)
                 assert exc.value.code == 2
-        with pytest.raises(SystemExit):
-            main(["chain", "--seed", "3", "s+1"])
+                assert f"unrecognized arguments: {' '.join(flag)}" in \
+                    capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["symmetry", "--poly=--"],
         ["classify", "--fixture=--"],
         ["classify", "--input=--"],
-        ["classify", "--fixture", "nc-2", "--trials=--"],
-        ["classify", "--fixture", "nc-2", "--seed=--"],
         ["euler", "--fixture", "nc-2", "--point=--"],
         ["microlocal", "--fixture", "nc-2", "--point", "1,1", "--covector=--"],
     ])
@@ -258,15 +267,15 @@ class TestMain:
     def test_parser_state_does_not_leak(self):
         parse = _build_parser().parse_args
         argv = ["classify", "--fixture", "nc-2"]
-        jobs = [parse(argv + ["--seed", "3", "--trials", "2", "--json"]), parse(argv)]
-        assert [(j.seed, j.trials, j.json_output) for j in jobs] == \
-            [(3, 2, True), (0, 8, False)]
+        jobs = [parse(argv + ["--json"]), parse(["classify"])]
+        assert [(j.fixture, j.json_output) for j in jobs] == \
+            [("nc-2", True), (None, False)]
         with pytest.raises(SystemExit):
-            parse(argv + ["--seed", "x"])
+            parse(argv + ["--json=x"])
         job = parse(["chain", "s+1"])
         assert (job.command, job.factors, job.handler.__name__) == \
             ("chain", ["s+1"], "_cmd_chain")
-        assert "seed" not in vars(job)
+        assert "fixture" not in vars(job)
 
 
 class TestBadInput:
@@ -346,21 +355,6 @@ class TestBadInput:
                                                   (1 << 30, 1 << 30)))
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "divisor pairs" in done.stdout
-
-    def test_squarefree_trials_capped(self):
-        # a squarefree line costs about a millisecond on dtilde3-22111, so an
-        # unbounded --trials could run for hours; the line count is capped
-        env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
-
-        def classify(fixture, trials):
-            return subprocess.run(
-                [sys.executable, "-m", "prehomog.cli", "classify", "--fixture", fixture,
-                 "--trials", str(trials)], capture_output=True, text=True, env=env, timeout=10)
-
-        done = classify("dtilde3-22111", 1001)
-        assert done.returncode == 1
-        assert done.stdout.startswith("error:") and "exceeds the limit 1000" in done.stdout
-        assert classify("nc-1", 1000).returncode == 0
 
     # past Python's limit of 4300 digits for int() on a string
     BIG = "7" * 5000

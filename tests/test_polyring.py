@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -667,6 +668,7 @@ class TestSpectrumAgainstTrialDivision:
             b = random_spectrum_input(rng)
             sp = rational_root_spectrum(b)
             assert sp == trial_division_spectrum(b)
+            assert_inside_root_bounds(b, sp)
             seen["positive"] += any(r > 0 for r, _ in sp.roots)
             seen["zero"] += any(r == 0 for r, _ in sp.roots)
             seen["repeated"] += any(m > 1 for _, m in sp.roots)
@@ -683,6 +685,17 @@ class TestSpectrumAgainstTrialDivision:
             sp = rational_root_spectrum(b)
             assert sp == trial_division_spectrum(b)
             assert sp.residual == UniPoly.one()
+            assert_inside_root_bounds(b, sp)
+        # roots at exactly +-2^k and +-1/2^k, the values the power-of-two
+        # bounds take
+        for k in (0, 1, 7, 64):
+            for r in (Fraction(2**k), Fraction(-2**k), Fraction(1, 2**k),
+                      Fraction(-1, 2**k)):
+                for roots in ([r], [r] * 3 + [1 / r] * 2):
+                    b = UniPoly.from_roots(roots)
+                    sp = rational_root_spectrum(b)
+                    assert list(sp.roots) == sorted(Counter(roots).items())
+                    assert_inside_root_bounds(b, sp)
 
     def test_search_is_bounded(self, monkeypatch):
         calls = [0]
@@ -700,7 +713,19 @@ class TestSpectrumAgainstTrialDivision:
         monkeypatch.setattr(UniPoly, "evaluate", no_evaluate)
         sp = rational_root_spectrum(b)
         assert sum(m for _, m in sp.roots) == 10
+        assert_inside_root_bounds(b, sp)
         assert calls[0] <= 78   # 39 exact divisions measured; 9400 evaluations before
+
+
+def assert_inside_root_bounds(b, sp):
+    """Every nonzero root r of b has |r| <= the Fujiwara bound h of the
+    search's integer form f and 1/|r| <= that of f reversed."""
+    sizes = [abs(r) for r, _ in sp.roots if r]
+    if sizes:
+        f = list(b.ints)
+        f = f[next(i for i, c in enumerate(f) if c):]     # zero roots stripped
+        assert max(sizes) <= polyring._fujiwara_bound(f), b
+        assert 1 / min(sizes) <= polyring._fujiwara_bound(f[::-1]), b
 
 
 def _trial_divisors(n):
@@ -806,28 +831,28 @@ def _count_lines(monkeypatch):
 class TestSquarefree:
     def test_squarefree_product_of_coordinates(self):
         x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree(x * y * z, trials=8, seed=0) is True
+        assert is_squarefree(x * y * z) is True
 
     def test_square_detected(self):
         x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree((x + y) ** 2 * z, trials=8, seed=0) is False
+        assert is_squarefree((x + y) ** 2 * z) is False
 
-    def test_deterministic_for_seed(self):
+    def test_deterministic(self):
         x, y, z = MultiPoly.gens(XYZ)
         p = (x + 2 * y - z) ** 2 * (x - y)
-        runs = [is_squarefree(p, trials=4, seed=11) for _ in range(3)]
+        runs = [is_squarefree(p) for _ in range(3)]
         assert runs == [False, False, False]
 
     def test_one_clean_line_certifies(self, monkeypatch):
         lines = _count_lines(monkeypatch)
         x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree(x * y * z, trials=8, seed=0) is True
+        assert is_squarefree(x * y * z) is True
         assert lines[0] == 1
 
     def test_false_after_every_trial(self, monkeypatch):
         lines = _count_lines(monkeypatch)
         x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree((x + y) ** 2 * z, trials=8, seed=0) is False
+        assert is_squarefree((x + y) ** 2 * z) is False
         assert lines[0] == 8
 
     def test_classify_verdicts_unchanged(self):
@@ -837,16 +862,9 @@ class TestSquarefree:
             assert cls.reduced is (name not in nonreduced), name
 
     def test_degree_zero_and_errors(self):
-        assert is_squarefree(MultiPoly.constant(XYZ, 5), trials=2, seed=0)
+        assert is_squarefree(MultiPoly.constant(XYZ, 5))
         with pytest.raises(DomainError):
-            is_squarefree(MultiPoly.zero(XYZ), trials=2, seed=0)
-        x = MultiPoly.gens(XYZ)[0]
-        with pytest.raises(DomainError):
-            is_squarefree(x, trials=0, seed=0)
-        limit = polyring.MAX_SQUAREFREE_TRIALS
-        assert is_squarefree(x, trials=limit, seed=0)
-        with pytest.raises(CapacityError):
-            is_squarefree(x, trials=limit + 1, seed=0)
+            is_squarefree(MultiPoly.zero(XYZ))
 
 
 class TestParsing:
