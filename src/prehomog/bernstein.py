@@ -333,8 +333,8 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
                             f"residual nonzero at monomial {e}")
 
     b_raw = UniPoly([v / c_beta for v in q_beta])
-    spectrum = rational_root_spectrum(b_raw)
-    return BResult(b_raw.monic(), b_raw.leading(), spectrum)
+    b = b_raw.monic()
+    return BResult(b, b_raw.leading(), rational_root_spectrum(b))
 
 
 # ---------------------------------------------------------------------
@@ -403,7 +403,7 @@ def bfunction(g: liealg.GeneratorSet):
         return BFailure("functional-equation", "operator annihilated f^{s+1}",
                         special=special)
     b = b_raw.monic()
-    return BResult(b, b_raw.leading(), rational_root_spectrum(b_raw), special,
+    return BResult(b, b_raw.leading(), rational_root_spectrum(b), special,
                    symmetry_check(b))
 
 

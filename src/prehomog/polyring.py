@@ -4,9 +4,9 @@ MultiPoly is a sparse multivariate polynomial: a map from exponent
 tuples to Fraction coefficients, together with an ordered variable
 context.  UniPoly is dense univariate, lowest degree first, and is kept
 as its content-free integer form (ints, scale), the pair `primitive`
-returns, so b(s), the chain products, the symmetry check, division, the
-gcd and the rational root search run on integers: division and the
-gcd's division test share one integer pseudo-division, `_pseudo_divmod`,
+returns, so b(s), the chain products, the symmetry check, the gcd and
+the rational root search run on integers: there is no division, the
+gcd's division test is a remainder-only pseudo-division, `_pseudo_rem`,
 and `parse_factored` builds that form from its text with no Fraction
 until the end.  The squarefree test packs a polynomial into one int, its value at 2^W,
 and `_balanced_digits` reads it back: `restrict_line` evaluates p on the
@@ -24,7 +24,6 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import total_ordering
 from itertools import accumulate, zip_longest
 from math import comb, gcd, isqrt, lcm, prod
 
@@ -50,25 +49,6 @@ SQUAREFREE_LINES = 8
 # parenthesis depth cap of parse_factored: each level takes two stack
 # frames of the recursive descent, far below Python's recursion limit
 MAX_PARSED_DEPTH = 100
-
-
-@total_ordering
-class _NegInf:
-    """Degree of the zero polynomial; compares below every number."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __neg__(self):
-        return self
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
 
 
 def primitive(values):
@@ -210,8 +190,8 @@ class MultiPoly:
         return not self.terms
 
     def degree(self):
-        """Total degree; NEG_INF for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=NEG_INF)
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(e) for e in self.terms), default=-1)
 
     def is_homogeneous(self):
         return len({sum(e) for e in self.terms}) <= 1
@@ -269,8 +249,7 @@ class MultiPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a nonnegative integer")
-        d = self.degree()
-        if d is not NEG_INF and d * k > MAX_TOTAL_DEGREE:
+        if self.degree() * k > MAX_TOTAL_DEGREE:
             raise CapacityError("power degree exceeds supported range")
         result = MultiPoly.constant(self.variables, 1)
         for _ in range(k):
@@ -411,7 +390,7 @@ def _dense_mul(a, b):
 def _sum(x, y, sign=1):
     """x + sign*y for forms (ints, num, den) = num/den * sum ints[i] s^i,
     ints trimmed and den > 0: on a common denominator, with the content of
-    the ints divided out."""
+    the ints divided out.  `parse_factored` is the one caller."""
     (a, na, da), (b, nb, db) = x, y
     if not a or not b:
         return x if a else (b, sign * nb, db)
@@ -429,7 +408,7 @@ _NIL = ((), 1, 1)   # the zero form
 
 def _int_power(a, k):
     """a^k for integer coefficients a: one binomial row for an affine or
-    constant a, else k products."""
+    constant a, else k products.  `parse_factored` is the one caller."""
     if len(a) <= 2:
         return _binomial_row(*[*a, 0, 0][:2], k)
     out = [1]
@@ -445,11 +424,14 @@ class UniPoly:
     polynomial is ints () and scale 1).
 
     The form is canonical, so == compares (ints, scale), and the
-    arithmetic runs on the ints, division and the gcd included (an integer
-    pseudo-division): a product of content-free forms is content-free
-    (Gauss's lemma), so only sums, quotients, derivatives and
-    substitutions divide the content out again, in `_form`.  `coeffs`
-    gives the Fraction coefficients, for display and serialization.
+    operations b(s) needs run on the ints: products, `monic`, `leading`,
+    `derivative`, `compose_linear` and `evaluate`.  There is no sum or
+    division; `univariate_gcd` tests divisibility by a remainder-only
+    pseudo-division.  A product of content-free forms is content-free
+    (Gauss's lemma), so only derivatives and substitutions divide the
+    content out again, in `_form`.  The zero polynomial has degree -1.
+    `coeffs` gives the Fraction coefficients, for display and
+    serialization.
     """
 
     __slots__ = ("ints", "scale")
@@ -490,10 +472,6 @@ class UniPoly:
         return cls._new(ints, scale)
 
     @classmethod
-    def zero(cls):
-        return _ZERO
-
-    @classmethod
     def one(cls):
         return cls._new((1,), Fraction(1))
 
@@ -520,7 +498,7 @@ class UniPoly:
         return not self.ints
 
     def degree(self):
-        return len(self.ints) - 1 if self.ints else NEG_INF
+        return len(self.ints) - 1
 
     def leading(self) -> Fraction:
         if not self.ints:
@@ -532,27 +510,6 @@ class UniPoly:
             raise DomainError("cannot normalize the zero polynomial")
         return UniPoly._form(self.ints, Fraction(1, self.ints[-1]))
 
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other)
-        sa, sb = self.scale, other.scale
-        out, g, den = _sum((self.ints, sa.numerator, sa.denominator),
-                           (other.ints, sb.numerator, sb.denominator))
-        return UniPoly._form(out, Fraction(g, den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly._new([-c for c in self.ints], self.scale)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = _coerce(other)
@@ -563,11 +520,6 @@ class UniPoly:
                             self.scale * other.scale)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise DomainError("exponent must be a nonnegative integer")
-        return UniPoly._form(_int_power(self.ints, k), self.scale ** k)
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -581,22 +533,6 @@ class UniPoly:
         if len(self.ints) < 2:
             return hash(self.leading() if self.ints else 0)
         return hash((self.ints, self.scale))
-
-    def __divmod__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other)
-        if other.is_zero:
-            raise DomainError("division by the zero polynomial")
-        # self = sa A, other = sb B and m A = q B + r over Z
-        q, r, m = _pseudo_divmod(self.ints, other.ints)
-        sa = self.scale
-        return UniPoly._form(q, sa / (other.scale * m)), UniPoly._form(r, sa / m)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def evaluate(self, x) -> Fraction:
         """p(x) by Horner on the ints: at x = n/d, p(x) = scale *
@@ -642,35 +578,30 @@ class UniPoly:
 _ZERO = UniPoly._new((), Fraction(1))
 
 
-def _pseudo_divmod(a, b):
-    """(q, r, m) with m*a = q*b + r over Z, for integer coefficient lists a
-    and b (lowest degree first, b[-1] != 0): deg r < deg b, r trimmed and
-    m a power of lc(b)."""
-    r, lead, m = list(a), b[-1], 1
-    q = [0] * max(len(r) - len(b) + 1, 0)
+def _pseudo_rem(a, b):
+    """r with m*a = q*b + r over Z for some q and a power m of lc(b), for
+    integer coefficient lists a and b (lowest degree first, b[-1] != 0):
+    deg r < deg b and r trimmed, so b divides a over Q iff r is empty."""
+    r, lead = list(a), b[-1]
     while len(r) >= len(b):
         top = r[-1]
         if top:
             shift = len(r) - len(b)
             r = [c * lead for c in r]
-            q = [c * lead for c in q]
-            q[shift] = top
-            m *= lead
             for i, c in enumerate(b):
                 r[shift + i] -= top * c
         r.pop()
     while r and not r[-1]:
         r.pop()
-    return q, r, m
+    return r
 
 
 class Spectrum:
-    """Monic normalization, rational roots with multiplicity, monic residual."""
+    """Rational roots with multiplicity, and the monic residual."""
 
-    __slots__ = ("monic", "roots", "residual")
+    __slots__ = ("roots", "residual")
 
-    def __init__(self, monic, roots, residual):
-        object.__setattr__(self, "monic", monic)
+    def __init__(self, roots, residual):
         object.__setattr__(self, "roots", tuple(roots))
         object.__setattr__(self, "residual", residual)
 
@@ -680,7 +611,7 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return (self.monic, self.roots, self.residual) == (other.monic, other.roots, other.residual)
+        return (self.roots, self.residual) == (other.roots, other.residual)
 
     def __str__(self):
         if not self.roots:
@@ -708,8 +639,8 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         h = gcd(*(sum(c << W * i for i, c in enumerate(p)) for p in (u, v)))
         g = UniPoly._form(_balanced_digits(h, W), Fraction(1))
         # a constant divides everything
-        if len(g.ints) == 1 or not (_pseudo_divmod(u, g.ints)[1]
-                                    or _pseudo_divmod(v, g.ints)[1]):
+        if len(g.ints) == 1 or not (_pseudo_rem(u, g.ints)
+                                    or _pseudo_rem(v, g.ints)):
             return g.monic()
         W *= 2
 
@@ -718,8 +649,9 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     """All rational roots of b with multiplicities, roots in ascending
     order; the residual carries any remaining non-rational factor, monic.
 
-    The search runs on the primitive integer form f, with no Fraction
-    inside it.  A root a/q in lowest terms (q > 0) has a | f(0) and
+    The search runs on the content-free integer form f = b.ints, with no
+    Fraction inside it; the scale and sign of b do not change the result.
+    A root a/q in lowest terms (q > 0) has a | f(0) and
     q | lc(f), and by Gauss's lemma q*s - a divides f in Z[s], so
     (q - a) | f(1) and (q + a) | f(-1).  Only coprime divisor pairs are
     tried, only inside Fujiwara's bounds on |root| and on 1/|root|, each
@@ -730,8 +662,7 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     """
     if b.is_zero:
         raise DomainError("zero polynomial has no spectrum")
-    monic = b.monic()
-    f = list(monic.ints)
+    f = list(b.ints)
     roots = []
     zeros = 0
     while not f[zeros]:
@@ -741,7 +672,7 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
         f = f[zeros:]
     f = _integer_roots(f, roots)
     roots.sort(key=lambda rm: rm[0])
-    return Spectrum(monic, roots, UniPoly._form(f, Fraction(1)).monic())
+    return Spectrum(roots, UniPoly._form(f, Fraction(1)).monic())
 
 
 def _integer_roots(f, roots):

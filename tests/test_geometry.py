@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (eigenvalue, fraction_shift, ref_annihilator_basis,
-                      ref_euler_witness, ref_normal_discriminant,
+from conftest import (eigenvalue, fraction_shift, ref_add,
+                      ref_annihilator_basis, ref_euler_witness, ref_neg,
+                      ref_normal_discriminant,
                       ref_normal_representation, ref_point_context,
                       ref_strong_euler, restrict)
 
@@ -42,7 +43,9 @@ def lemma46(f, ctx, g):
 def codim1_ratio(upper, lower):
     """(ord_upper - ord_lower) + 1/2 across a codimension one crossing;
     affine of degree one when the crossing is smooth and transversal."""
-    return upper.to_polynomial() - lower.to_polynomial() + UniPoly([F(1, 2)])
+    diff = ref_add(upper.to_polynomial().coeffs,
+                   ref_neg(lower.to_polynomial().coeffs))
+    return UniPoly(ref_add(diff, (F(1, 2),)))
 
 
 class TestPointContext:

@@ -7,16 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fraction_shift, ref_add, ref_compose_linear,
-                      ref_derivative, ref_divmod, ref_evaluate, ref_gcd,
-                      ref_monic, ref_mul, ref_neg, ref_parse_factored, ref_pow,
-                      ref_restrict_line, ref_trim, restrict)
+from conftest import (fraction_shift, ref_compose_linear, ref_derivative,
+                      ref_divmod, ref_evaluate, ref_gcd, ref_monic, ref_mul,
+                      ref_parse_factored, ref_restrict_line, ref_trim,
+                      restrict)
 from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import classify
-from prehomog.polyring import (NEG_INF, MultiPoly, Spectrum, UniPoly,
+from prehomog.polyring import (MultiPoly, Spectrum, UniPoly,
                                is_squarefree, parse_factored,
                                parse_rational, primitive,
                                rational_root_spectrum, univariate_gcd)
@@ -40,9 +40,7 @@ class TestMultiPolyBasics:
     def test_zero_and_degree(self):
         z = MultiPoly.zero(XYZ)
         assert z.is_zero
-        assert z.degree() is NEG_INF
-        assert z.degree() < 0
-        assert not (z.degree() > 5)
+        assert z.degree() == -1
 
     def test_constant_and_coercion(self):
         c = MultiPoly.constant(XYZ, "3/4")
@@ -279,18 +277,9 @@ class TestUniPoly:
         assert p.degree() == 2
         assert p.leading() == 4
         assert p.monic() == UniPoly([Fraction(1, 2), 0, 1])
-        assert UniPoly.zero().degree() is NEG_INF
+        assert UniPoly([]).degree() == -1
         with pytest.raises(DomainError):
-            UniPoly.zero().monic()
-
-    def test_divmod_exact(self):
-        a = UniPoly.from_roots([1, 2, 3])
-        b = UniPoly.from_roots([2])
-        q, r = divmod(a, b)
-        assert r.is_zero
-        assert q == UniPoly.from_roots([1, 3])
-        q2, r2 = divmod(a + 5, b)
-        assert q2 * b + r2 == a + 5
+            UniPoly([]).monic()
 
     def test_compose_linear(self):
         p = UniPoly([1, 2, 1])  # (s+1)^2
@@ -304,18 +293,23 @@ class TestUniPoly:
         assert p.evaluate(Fraction(-1, 2)) == 0
 
     def test_affine_power_against_repeated_products(self):
-        # degree <= 1 expands through one binomial row; the oracle is the
-        # product of k copies.  Two affine bases, two constants and zero are
-        # compared at 40 seeded exponents in 0..300 and at 0, 1 and 300;
-        # 30 more affine bases at every exponent up to 20.
+        # the parser expands a power of degree <= 1 through one binomial
+        # row; the oracle is the product of k copies.  Two affine bases, two
+        # constants and zero are compared at 40 seeded exponents in 0..300
+        # and at 0, 1 and 300; 30 more affine bases at every exponent up
+        # to 20.
         rng = random.Random(20261018)
 
         def rat():
             return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
+        def power(p, k):
+            c0, c1 = (p.coeffs + (0, 0))[:2]
+            return parse_factored(f"(({c1})s+({c0}))^{k}")
+
         bases = [UniPoly([rng.randint(-9, 9), rng.randint(1, 9)]),
                  UniPoly([rat(), rat() or 7]),
-                 UniPoly([rat() or 1]), UniPoly([-1]), UniPoly.zero()]
+                 UniPoly([rat() or 1]), UniPoly([-1]), UniPoly([])]
         checked = {0, 1, 300} | set(rng.sample(range(2, 300), 40))
         extra = [UniPoly([rat(), rat() or 1]) for _ in range(30)]
         for p, top, ks in ([(p, 300, checked) for p in bases]
@@ -323,16 +317,16 @@ class TestUniPoly:
             want = UniPoly.one()
             for k in range(top + 1):
                 if k in ks:
-                    assert p ** k == want, (p, k)
+                    assert power(p, k) == want, (p, k)
                 want = want * p
         # higher degrees keep the product loop
         q = UniPoly([1, -2, 3])
-        assert q ** 3 == q * q * q
+        assert parse_factored("(3s^2-2s+1)^3") == q * q * q
 
     def test_str(self):
         assert str(UniPoly([1, 1])) == "s + 1"
         assert str(UniPoly([Fraction(-1, 2), 0, 1])) == "s^2 - 1/2"
-        assert str(UniPoly.zero()) == "0"
+        assert str(UniPoly([])) == "0"
 
 
 def random_unipoly(rng):
@@ -392,16 +386,9 @@ class TestUniPolyAgainstFraction:
             if rng.random() < 0.2:
                 x = 0
             seen["compose_a_zero"] += x == 0
-            self.check(a + b, ref_add(fa, fb), seen)
-            self.check(a - b, ref_add(fa, ref_neg(fb)), seen)
-            self.check(a + c, ref_add(fa, (Fraction(c),)), seen)
-            self.check(c - a, ref_add((Fraction(c),), ref_neg(fa)), seen)
-            self.check(-a, ref_neg(fa), seen)
             self.check(a * c, ref_mul(fa, c), seen)
             self.check(c * a, ref_mul(fa, c), seen)
             self.check(a * b, ref_mul(fa, fb), seen)
-            k = rng.randint(0, 5)
-            self.check(a ** k, ref_pow(fa, k), seen)
             self.check(a.compose_linear(x, y), ref_compose_linear(fa, x, y), seen)
             self.check(a.derivative(), ref_derivative(fa), seen)
             assert a.evaluate(x) == ref_evaluate(fa, x)
@@ -409,13 +396,6 @@ class TestUniPolyAgainstFraction:
             if fa:
                 self.check(a.monic(), ref_monic(fa), seen)
                 assert a.leading() == fa[-1]
-            if fb:
-                q, r = divmod(a, b)
-                want_q, want_r = ref_divmod(fa, fb)
-                self.check(q, want_q, seen)
-                self.check(r, want_r, seen)
-                self.check(a // b, want_q, seen)
-                self.check(a % b, want_r, seen)
         for _ in range(60):
             nv = rng.randint(1, 3)
             variables = tuple(f"v{i}" for i in range(nv))
@@ -428,11 +408,11 @@ class TestUniPolyAgainstFraction:
 
     def test_constant_hashes_as_its_value(self):
         assert UniPoly([5]) == 5 and hash(UniPoly([5])) == hash(5)
-        assert UniPoly.zero() == 0 and hash(UniPoly.zero()) == hash(0)
+        assert UniPoly([]) == 0 and hash(UniPoly([])) == hash(0)
         assert UniPoly([Fraction(-2, 3)]) == Fraction(-2, 3)
         assert hash(UniPoly([Fraction(-2, 3)])) == hash(Fraction(-2, 3))
         assert len({UniPoly([5]), 5}) == 1
-        assert len({UniPoly.zero(), 0, Fraction(0)}) == 1
+        assert len({UniPoly([]), 0, Fraction(0)}) == 1
 
     def test_no_fraction_per_term(self, monkeypatch):
         # on a degree-60 input the integer form builds a bounded number of
@@ -443,7 +423,6 @@ class TestUniPolyAgainstFraction:
                      for _ in range(60)] + [Fraction(7, 3)])
         b = UniPoly([Fraction(rng.randint(-99, 99), rng.randint(1, 30))
                      for _ in range(60)] + [Fraction(-1, 2)])
-        lin = UniPoly([Fraction(5, 3), Fraction(-7, 2)])
         made = [0]
         new = Fraction.__new__
 
@@ -452,8 +431,8 @@ class TestUniPolyAgainstFraction:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counted)
-        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
-                   lambda: a * Fraction(-3, 4), lambda: lin ** 60,
+        for op in (lambda: a * b, lambda: a * Fraction(-3, 4),
+                   lambda: parse_factored("((-7/2)s+(5/3))^60"),
                    lambda: a.compose_linear(Fraction(-1, 3), Fraction(2, 5)),
                    lambda: a.monic(), lambda: a.derivative()):
             made[0] = 0
@@ -512,9 +491,9 @@ class TestGcd:
 
     def test_with_zero(self):
         a = UniPoly.from_roots([5]) * 3
-        assert univariate_gcd(a, UniPoly.zero()) == a.monic()
+        assert univariate_gcd(a, UniPoly([])) == a.monic()
         with pytest.raises(DomainError):
-            univariate_gcd(UniPoly.zero(), UniPoly.zero())
+            univariate_gcd(UniPoly([]), UniPoly([]))
 
     def test_rational_coefficients(self):
         a = UniPoly.from_roots([Fraction(2, 3)]) * Fraction(9, 7)
@@ -534,7 +513,7 @@ class TestGcd:
         W = (2 * 5 + 2).bit_length()
         h = math.gcd(*(sum(c << W * i for i, c in enumerate(p.ints)) for p in (u, v)))
         first = UniPoly._form(polyring._balanced_digits(h, W), Fraction(1))
-        assert first.degree() == 3 and not (u % first).is_zero
+        assert first.degree() == 3 and ref_divmod(u.coeffs, first.coeffs)[1]
         assert univariate_gcd(u, v).coeffs == ref_gcd(u.coeffs, v.coeffs) == (0, 2, 1)
 
     def test_against_fraction_euclid(self):
@@ -568,7 +547,8 @@ class TestSpectrum:
         sp = rational_root_spectrum(b)
         assert sp.roots == ((Fraction(-7, 6), 1), (-1, 2), (Fraction(-5, 6), 1))
         assert sp.residual == UniPoly.one()
-        assert sp.monic == b.monic()
+        assert UniPoly.from_roots([r for r, m in sp.roots
+                                   for _ in range(m)]) == b.monic()
 
     def test_residual_kept(self):
         b = UniPoly.from_roots([-1]) * UniPoly([1, 0, 1])  # (s+1)(s^2+1)
@@ -588,7 +568,7 @@ class TestSpectrum:
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            rational_root_spectrum(UniPoly.zero())
+            rational_root_spectrum(UniPoly([]))
 
     def test_positive_roots_found(self):
         b = UniPoly.from_roots([Fraction(3, 2), 1, -1, -4])
@@ -597,7 +577,7 @@ class TestSpectrum:
 
     def test_constants_and_pure_powers(self):
         assert rational_root_spectrum(UniPoly([Fraction(-5, 3)])) == \
-            Spectrum(UniPoly.one(), (), UniPoly.one())
+            Spectrum((), UniPoly.one())
         sp = rational_root_spectrum(UniPoly([0, 0, 0, 7]))
         assert sp.roots == ((0, 3),) and sp.residual == UniPoly.one()
 
@@ -743,32 +723,30 @@ def _trial_divisors(n):
 
 def trial_division_spectrum(b):
     """The former search, kept as the oracle: every divisor pair of the
-    constant and leading terms, both signs, by Fraction evaluation."""
-    monic = b.monic()
-    work = monic
+    constant and leading terms, both signs, by Fraction evaluation and
+    deflation on coefficient lists."""
+    work = ref_monic(b.coeffs)
     roots = []
     zero_mult = 0
-    while not work.is_zero and work.degree() > 0 and not work.coeffs[0]:
-        work = divmod(work, UniPoly([0, 1]))[0]
+    while len(work) > 1 and not work[0]:
+        work = ref_divmod(work, (0, 1))[0]
         zero_mult += 1
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
-    if work.degree() is not NEG_INF and work.degree() > 0:
-        ints, _ = primitive(work.coeffs)
+    if len(work) > 1:
+        ints, _ = primitive(work)
         c0, cd = abs(ints[0]), abs(ints[-1])
         for num in sorted(_trial_divisors(c0)):
             for den in sorted(_trial_divisors(cd)):
                 for cand in (Fraction(-num, den), Fraction(num, den)):
                     mult = 0
-                    while work.degree() is not NEG_INF and work.degree() > 0 \
-                            and not work.evaluate(cand):
-                        work = divmod(work, UniPoly([-cand, 1]))[0]
+                    while len(work) > 1 and not ref_evaluate(work, cand):
+                        work = ref_divmod(work, (-cand, 1))[0]
                         mult += 1
                     if mult:
                         roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
-    residual = work.monic() if not work.is_zero else UniPoly.one()
-    return Spectrum(monic, roots, residual)
+    return Spectrum(roots, UniPoly(work).monic())
 
 
 def random_spectrum_input(rng):
