@@ -12,10 +12,9 @@ from .errors import (CapacityError, ClosureError, ContextError, DomainError,
                      ParseError, PrehomogError)
 from .geometry import (OrderForm, PointContext, chain_assemble, conormal_order,
                        euler_at_point, normal_representation, point_context)
-from .liealg import (CharacterData, Classification, GeneratorSet, character,
-                     classify, discriminant, dual_generators, is_special,
-                     validate_algebra)
-from .polyring import (MultiPoly, Rational, Spectrum, UniPoly, is_squarefree,
+from .liealg import (Classification, GeneratorSet, character, classify,
+                     discriminant, dual_generators, is_special, validate_algebra)
+from .polyring import (MultiPoly, Spectrum, UniPoly, is_squarefree,
                        parse_factored, rational_root_spectrum, univariate_gcd)
 from .quiver import (DimensionVector, Quiver, atilde_quiver, dtilde3_quiver,
                      infinitesimal_generators, rep_space, star_quiver,
@@ -24,11 +23,11 @@ from .quiver import (DimensionVector, Quiver, atilde_quiver, dtilde3_quiver,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFailure", "BResult", "CapacityError", "CharacterData", "Classification",
+    "BFailure", "BResult", "CapacityError", "Classification",
     "ClosureError", "ContextError", "DimensionVector", "DomainError",
     "GeneratorSet", "InadmissibleCovectorError", "MathFailure", "MultiPoly",
     "NotInvariantError", "OrderForm", "ParseError", "PointContext",
-    "PrehomogError", "Quiver", "Rational", "Spectrum", "SPowerExpression",
+    "PrehomogError", "Quiver", "Spectrum", "SPowerExpression",
     "UniPoly", "apply_operator", "atilde_quiver", "bfunction",
     "chain_assemble", "character", "classify", "conormal_order",
     "discriminant", "dtilde3_quiver", "dual_generators", "euler_at_point",

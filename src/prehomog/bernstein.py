@@ -166,26 +166,21 @@ def _slot_width(monomials, f_packed, B):
 
     N bounds the l1 norm of P_k over x and s together:
     ||(s+1-k) f_v P + f dP/dv|| <= ((1+|1-k|) ||f_v|| + deg_v(P) ||f||) ||P||,
-    and deg_v(P_k) <= k deg_v(f) - (derivations in v so far).  The sum of
-    |c_alpha| N_alpha bounds every coefficient of the merged state.  The
-    terms of f_v are those of f with e_v > 0, so ||f_v|| = sum |c| e_v.
+    and deg_v(P_k) <= k deg_v(f).  The terms of f_v are those of f with
+    e_v > 0, so ||f_v|| = sum |c| e_v.  With ||f_v|| and deg_v f bounded
+    by their maxima over v, step k has one factor for every monomial of
+    f*, so the merged state sum c_alpha P_alpha is bounded by ||f*||_1
+    times one product over k = 0..n-1.
     """
-    nvars = len(monomials[0][0])
-    f_int = [(unpack(e, B, nvars), abs(c)) for e, c in f_packed]
+    alpha = monomials[0][0]
+    f_int = [(unpack(e, B, len(alpha)), abs(c)) for e, c in f_packed]
     norm_f = sum(c for _, c in f_int)
-    norm_fv = [sum(e[vi] * c for e, c in f_int) for vi in range(nvars)]
-    deg_f = [max(e[vi] for e, _ in f_int) for vi in range(nvars)]
-    bound = 0
-    for alpha, c in monomials:
-        N = 1
-        k = 0
-        for vi, times in enumerate(alpha):
-            for j in range(times):
-                deg_v = max(0, k * deg_f[vi] - j)
-                N *= (1 + abs(1 - k)) * norm_fv[vi] + deg_v * norm_f
-                k += 1
-        bound += abs(c) * N
-    return bound.bit_length() + 2
+    norm_fv = max(sum(e[vi] * c for e, c in f_int) for vi in range(len(alpha)))
+    deg_f = max(max(e) for e, _ in f_int)
+    N = sum(abs(c) for _, c in monomials)
+    for k in range(sum(alpha)):
+        N *= (1 + abs(1 - k)) * norm_fv + k * deg_f * norm_f
+    return N.bit_length() + 2
 
 
 def _substitute(terms, shift, a, mask):
@@ -389,8 +384,7 @@ def bfunction(g: liealg.GeneratorSet):
     f = liealg.discriminant(g)
     if f.is_zero:
         raise DomainError("discriminant vanishes; not prehomogeneous")
-    c = liealg.character(g, f)
-    special = liealg.is_special(c)
+    special = liealg.is_special(g, liealg.character(g, f))
     fstar = liealg.discriminant(liealg.dual_generators(g))
     if fstar.is_zero:
         return BFailure("dual-degenerate", "f* = 0", special=special)

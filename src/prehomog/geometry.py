@@ -103,10 +103,9 @@ def normal_representation(ctx: PointContext, g: liealg.GeneratorSet):
             for B in map(g.combination, ctx.isotropy_coeffs)]
 
 
-def euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
-                   ctx: PointContext):
-    """A matrix B with B x0 = 0 and dchi(B) = 1, if the character does
-    not vanish on the isotropy; None means inconclusive, not a disproof."""
+def euler_at_point(g: liealg.GeneratorSet, c, ctx: PointContext):
+    """A matrix B with B x0 = 0 and dchi(B) = 1, if the character values c
+    do not vanish on the isotropy; None means inconclusive, not a disproof."""
     for cs in ctx.isotropy_coeffs:
         val = liealg.character_of_combination(c, cs)
         if val:
@@ -114,8 +113,8 @@ def euler_at_point(g: liealg.GeneratorSet, c: liealg.CharacterData,
     return None
 
 
-def conormal_order(g: liealg.GeneratorSet, c: liealg.CharacterData,
-                   ctx: PointContext, y0=None) -> OrderForm:
+def conormal_order(g: liealg.GeneratorSet, c, ctx: PointContext,
+                   y0=None) -> OrderForm:
     """Order of f^s along the conormal of the orbit through x0, at the
     covector y0 on the normal coordinates.
 

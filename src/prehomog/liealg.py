@@ -13,10 +13,10 @@ matrix to integers).  The generated families (quiver representations,
 through `GeneratorSet._from_forms`; the dual set negates and transposes
 the integers.
 Everything reads the forms: the independence check and the closure
-check, which builds only its verdict (`_echelon` on the rows
-[M_k | e_k], via `linalg.echelon`), the determinant, the delta_A kernel
-`_delta`, the traces, and the images A_k x and combinations sum c_k A_k
-of the pointwise geometry.  The determinant and delta_A use the packed
+check, which builds only its verdict (`_rows`, `linalg.echelon` on the
+flattened M_k), the determinant, the delta_A kernel `_delta`, the traces
+of `is_special`, and the images A_k x and combinations sum c_k A_k of the
+pointwise geometry.  The determinant and delta_A use the packed
 exponents of `polyring.packed` and restore the scales once at the end;
 the character checks delta_A f = lam f by exact cross-multiplication
 without building lam f.
@@ -73,7 +73,7 @@ class GeneratorSet:
         variables = tuple(variables)
         if len(variables) != n:
             raise ContextError("need one variable per generator")
-        if _echelon(forms, n) is None:
+        if len(_rows(forms, n)) != n:
             raise DomainError("generators are linearly dependent")
         self._fill(variables, forms)
 
@@ -128,16 +128,6 @@ class GeneratorSet:
         return f"GeneratorSet(n={self.n}, variables={self.variables})"
 
 
-class CharacterData:
-    """Values of the infinitesimal character and of the trace on each generator."""
-
-    __slots__ = ("values", "trace_values")
-
-    def __init__(self, values, trace_values):
-        self.values = tuple(values)
-        self.trace_values = tuple(trace_values)
-
-
 class Classification:
     """The verdicts of `classify`, which raises ClosureError before it
     builds one for generators that do not close under the bracket."""
@@ -161,19 +151,19 @@ def validate_algebra(g: GeneratorSet):
     [A_i, A_j] leaves the generator span, or None when the generators
     close under the bracket; no structure constants are built.
 
-    `_echelon` reduces the stored integer forms A_k = s_k M_k to rows E_r
-    with E_r[p_s] = D delta_rs on the flat block, n pivots p_r as the M_k
-    are independent.  [A_i, A_j] is in the span iff b = [M_i, M_j] is,
-    iff D b - sum_r b[p_r] E_r vanishes: it does at the pivots, so only
-    the other flat columns are reduced.  Brackets are antisymmetric, so
-    only i < j is tried.
+    `_rows` reduces the integer forms A_k = s_k M_k to n rows with pivots
+    p_r, as the M_k are independent; scaled to the common pivot value D
+    they are rows E_r with E_r[p_s] = D delta_rs.  [A_i, A_j] is in the
+    span iff b = [M_i, M_j] is, iff D b - sum_r b[p_r] E_r vanishes: it
+    does at the pivots, so only the other columns are kept.  Brackets are
+    antisymmetric, so only i < j is tried.
     """
     n = g.n
-    size = n * n
-    D, basis = _echelon(g.forms, n)
-    pivots = {p for p, _ in basis}
-    basis = [(p, [(c, v) for c, v in E.items() if c < size and c not in pivots])
-             for p, E in basis]
+    rows = _rows(g.forms, n)
+    D = lcm(*(E[p] for p, E in rows))
+    pivots = {p for p, _ in rows}
+    basis = [(p, [(c, v * (D // E[p])) for c, v in E.items() if c not in pivots])
+             for p, E in rows]
     # nonzero entries (i, k, M_ik) of each integer form
     entries = [[(i, k, a) for i, row in enumerate(form[0]) for k, a in row]
                for form in g.forms]
@@ -207,22 +197,12 @@ def check_closure(g: GeneratorSet):
             f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
 
 
-def _echelon(forms, n):
-    """(D, [(p_r, E_r)]) from `linalg.echelon` on the rows [M_k | e_k] of
-    the integer forms, or None when the M_k are linearly dependent.
-
-    Column i*n + j holds M_ij and n*n + k holds e_k, so no row cancels and
-    a pivot lands in the e-block exactly when the M_k are dependent.  Each
-    row is then scaled to the common pivot value D > 0: E_r[p_s] =
-    D delta_rs and E_r = sum_k T_rk M_k with T_rk = E_r[n*n + k].
-    """
-    size = n * n
-    rows = linalg.echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
-                          | {size + k: 1} for k, (form, _) in enumerate(forms))
-    if any(p >= size for p, _ in rows):
-        return None
-    D = lcm(*(E[p] for p, E in rows))
-    return D, [(p, {c: v * (D // E[p]) for c, v in E.items()}) for p, E in rows]
+def _rows(forms, n):
+    """[(p_r, E_r)] from `linalg.echelon` on the integer forms M_k, each
+    flattened to {i*n + j: M_ij}: one row per independent form, since a
+    dependent row cancels."""
+    return linalg.echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
+                          for form, _ in forms)
 
 
 def _integer_form(A, n):
@@ -337,35 +317,35 @@ def _packed_form(f: MultiPoly):
     return terms, {e for e, _ in terms}, B
 
 
-def character(g: GeneratorSet, f: MultiPoly) -> CharacterData:
-    """Extract dchi(A_k) from delta_{A_k}(f) = dchi(A_k) * f, plus traces;
-    f is packed once for all generators."""
+def character(g: GeneratorSet, f: MultiPoly):
+    """The tuple of dchi(A_k), from delta_{A_k}(f) = dchi(A_k) * f for
+    each generator; f is packed once for all generators."""
     if f.is_zero:
         raise DomainError("character requires a nonzero discriminant")
     if len(f.variables) != g.n:
         raise ContextError("matrix size does not match the variable context")
     form = _packed_form(f)
     values = []
-    traces = []
-    for k, (rows, scale) in enumerate(g.forms):
-        lam = _eigenvalue((rows, scale), *form)
+    for k, A in enumerate(g.forms):
+        lam = _eigenvalue(A, *form)
         if lam is None:
             raise NotInvariantError(
                 f"delta_A(f) is not proportional to f for generator {k + 1}")
         values.append(lam)
-        traces.append(scale * sum(a for i, row in enumerate(rows)
-                                  for j, a in row if i == j))
-    return CharacterData(values, traces)
+    return tuple(values)
 
 
-def character_of_combination(c: CharacterData, coeffs):
-    """dchi is linear; evaluate it on sum coeffs_k * A_k."""
-    return sum((_coerce(a) * v for a, v in zip(coeffs, c.values)), Fraction(0))
+def character_of_combination(c, coeffs):
+    """dchi is linear; evaluate the character values c on sum coeffs_k * A_k."""
+    return sum((_coerce(a) * v for a, v in zip(coeffs, c)), Fraction(0))
 
 
-def is_special(c: CharacterData) -> bool:
-    """True iff dchi(A_k) = tr(A_k) for every generator."""
-    return all(v == t for v, t in zip(c.values, c.trace_values))
+def is_special(g: GeneratorSet, c) -> bool:
+    """True iff dchi(A_k) = tr(A_k) for every generator, with c the
+    character values and each trace read off the diagonal of the integer
+    form (rows, scale) of A_k."""
+    return all(v == scale * sum(dict(row).get(i, 0) for i, row in enumerate(rows))
+               for v, (rows, scale) in zip(c, g.forms))
 
 
 def dual_variables(variables):
@@ -398,8 +378,7 @@ def classify(g: GeneratorSet) -> Classification:
     f = discriminant(g)
     if f.is_zero:
         return Classification("not-prehomogeneous", False, False, f)
-    c = character(g, f)
-    special = is_special(c)
+    special = is_special(g, character(g, f))
     reduced = is_squarefree(f)
     kind = "linear-free-divisor" if reduced else "prehomogeneous-determinant"
     return Classification(kind, reduced, special, f)

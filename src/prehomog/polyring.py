@@ -29,9 +29,6 @@ from math import comb, gcd, isqrt, lcm, prod
 
 from .errors import CapacityError, ContextError, DomainError, ParseError
 
-# Rationals are stdlib Fractions: lowest terms, positive denominator, exact.
-Rational = Fraction
-
 # total-degree cap; beyond this we refuse rather than grind forever
 MAX_TOTAL_DEGREE = 10**6
 # degree cap of parse_factored

@@ -13,14 +13,15 @@ Fraction recursive descent that checks `parse_factored`."""
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from prehomog import polyring
 from prehomog.errors import CapacityError, DomainError, ParseError
 from prehomog.geometry import PointContext
-from prehomog.liealg import (_determinant, _echelon, _eigenvalue,
-                             _integer_form, _packed_form, character,
-                             discriminant, dual_generators, is_special)
-from prehomog.linalg import frac_matrix, frac_vector, trace, transpose
+from prehomog.liealg import (_determinant, _eigenvalue, _integer_form,
+                             _packed_form, character, discriminant,
+                             dual_generators, is_special)
+from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
 from prehomog.polyring import MultiPoly, UniPoly, parse_rational
 
 _acceptance_lines = []
@@ -169,26 +170,31 @@ def eigenvalue(A, f):
 def dual_characters_agree(g):
     """dchi_f(A) - dchi_f*(A) = 2 tr(A) on every generator, where f* is the
     discriminant of the dual set {-A^t}, and dchi_f* = -dchi_f when the
-    divisor is special."""
+    divisor is special; the traces come from the dense `g.matrices()`."""
     dual = dual_generators(g)
     cf = character(g, discriminant(g))
     cfs = character(dual, discriminant(dual))
     return all(a - b == 2 * t for a, b, t in
-               zip(cf.values, cfs.values, cf.trace_values)) and \
-        (not is_special(cf) or cfs.values == tuple(-v for v in cf.values))
+               zip(cf, cfs, map(trace, g.matrices()))) and \
+        (not is_special(g, cf) or cfs == tuple(-v for v in cf))
 
 
 def ref_structure_constants(g):
     """c[i][j] = (c^k_ij for each k), Fractions with [A_i, A_j] =
     sum_k c^k_ij A_k, or None when some bracket leaves the span.
 
-    Read off the integer echelon of `liealg._echelon`: its rows E_r =
-    sum_k T_rk M_k of the integer forms A_k = s_k M_k have E_r[p_s] =
-    D delta_rs and T_rk = E_r[n*n + k].  The integer bracket b = [M_i, M_j]
-    is in the span iff D b = sum_r b[p_r] E_r on the flat block, and then
-    c^k_ij = s_i s_j y_k / (D s_k) with y = sum_r b[p_r] T_r."""
+    `linalg.echelon` reduces the rows [M_k | e_k] of the integer forms
+    A_k = s_k M_k, column i*n + j holding M_ij and n*n + k holding e_k.
+    Scaled to the common pivot value D, its rows E_r = sum_k T_rk M_k have
+    E_r[p_s] = D delta_rs and T_rk = E_r[n*n + k].  The integer bracket
+    b = [M_i, M_j] is in the span iff D b = sum_r b[p_r] E_r on the flat
+    block, and then c^k_ij = s_i s_j y_k / (D s_k) with
+    y = sum_r b[p_r] T_r."""
     n, size = g.n, g.n * g.n
-    D, basis = _echelon(g.forms, n)
+    rows = echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
+                   | {size + k: 1} for k, (form, _) in enumerate(g.forms))
+    D = lcm(*(E[p] for p, E in rows))
+    basis = [(p, {c: v * (D // E[p]) for c, v in E.items()}) for p, E in rows]
     ints = []
     for rows, _ in g.forms:
         M = [[0] * n for _ in range(n)]
@@ -314,13 +320,13 @@ def ref_normal_discriminant(g, ctx):
 
 
 def ref_annihilator_basis(g, c):
-    return [combination(cs, g.matrices()) for cs in ref_nullspace([list(c.values)])]
+    return [combination(cs, g.matrices()) for cs in ref_nullspace([list(c)])]
 
 
 def ref_euler_witness(g, c, ctx):
     """B / dchi(B) for the first isotropy element B with dchi(B) != 0."""
     for cs, B in zip(ctx.isotropy_coeffs, ref_isotropy(g, ctx)):
-        val = sum(a * v for a, v in zip(cs, c.values))
+        val = sum(a * v for a, v in zip(cs, c))
         if val:
             return tuple(tuple(v / val for v in row) for row in B)
     return None
@@ -328,7 +334,7 @@ def ref_euler_witness(g, c, ctx):
 
 def ref_strong_euler(g, c, x0):
     """Is A_1 x0 in the span of {B x0} over the dense annihilator basis?"""
-    if c.values[0] != 1:
+    if c[0] != 1:
         raise DomainError("first generator must have character value 1")
     x0 = [Fraction(v) for v in x0]
     images = [mat_vec(B, x0) for B in ref_annihilator_basis(g, c)]

@@ -17,7 +17,7 @@ from prehomog.errors import ClosureError, ContextError, DomainError
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import (GeneratorSet, character, discriminant,
                              dual_generators, is_special)
-from prehomog.polyring import MultiPoly, UniPoly
+from prehomog.polyring import MultiPoly, UniPoly, exponent_bits, packed, primitive
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -409,6 +409,25 @@ def direct_sum(g1, g2):
 ROUTE_INPUTS = ([n for n in fixture_names() if n != "dtilde3-22111"]
                 + [f"atilde-{k}" for k in (4, 5, 6)]
                 + [f"nc-{k}" for k in (5, 6, 7, 8)])
+NON_SPECIAL = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4",
+               "cubic-chain-4"}
+SPECIAL_INPUTS = ([n for n in fixture_names() if n not in NON_SPECIAL]
+                  + ["atilde-8", "nc-8"])
+
+
+def star_31111():
+    """The center-3 star with four 1-dimensional sources: n = 12, 415 terms
+    in f and f*."""
+    sources = ["s1", "s2", "s3", "s4"]
+    qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
+    d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
+    return quiver.infinitesimal_generators(qv, d)
+
+
+def widen_slots(monkeypatch):
+    """Make `_walk` take 64 bits per s-slot more than `_slot_width` proves."""
+    width = bernstein._slot_width
+    monkeypatch.setattr(bernstein, "_slot_width", lambda *args: width(*args) + 64)
 
 
 def count_steps(monkeypatch):
@@ -441,14 +460,16 @@ class TestPointwise:
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_certificate_is_specialness(self, name):
-        # chi* = -tr - tr ad and chi = tr - tr ad, so chi + chi* = 2 (chi - tr)
+        # chi* = -tr - tr ad and chi = tr - tr ad, so chi + chi* = 2 (chi - tr);
+        # the traces come from the dense matrices
         g = get_fixture(name).generators()
         dual = dual_generators(g)
         chi = character(g, discriminant(g))
         chi_star = character(dual, discriminant(dual))
-        sums = [a + b for a, b in zip(chi.values, chi_star.values)]
-        assert sums == [2 * (a - t) for a, t in zip(chi.values, chi.trace_values)]
-        assert (not any(sums)) == is_special(chi)
+        sums = [a + b for a, b in zip(chi, chi_star)]
+        traces = map(linalg.trace, g.matrices())
+        assert sums == [2 * (a - t) for a, t in zip(chi, traces)]
+        assert (not any(sums)) == is_special(g, chi)
 
     @pytest.mark.parametrize("name, x0", [
         ("nc-2", (2, -1)),
@@ -457,12 +478,35 @@ class TestPointwise:
         ("det22-squared", (3, 2, -1, 3)),
         ("star-2111", (2, -1, 3, 2, -1, 3)),
     ])
-    def test_forced_points(self, name, x0):
+    def test_forced_points(self, name, x0, monkeypatch):
         # entries beyond {0, 1}: the slot width takes the powers of max |x0_v|
         f, fstar = f_and_fstar(name)
         assert f.evaluate(x0)
         want = full_state_route(get_fixture(name).generators())
         assert bernstein._pointwise_b(fstar, f, list(x0)) == want.b * want.raw_leading
+        widen_slots(monkeypatch)
+        assert bernstein._pointwise_b(fstar, f, list(x0)) == want.b * want.raw_leading
+
+    @pytest.mark.parametrize("name", SPECIAL_INPUTS)
+    def test_wider_slots(self, name, monkeypatch):
+        # a proved slot width holds every digit: 64 more bits decode the same b
+        f, fstar = f_and_fstar(name)
+        x0 = bernstein._point(f)
+        want = bernstein._pointwise_b(fstar, f, x0)
+        widen_slots(monkeypatch)
+        assert bernstein._pointwise_b(fstar, f, x0) == want
+
+    @pytest.mark.parametrize("g, width", [
+        pytest.param(get_fixture("dtilde3-22111").generators(), 87, id="dtilde3-22111"),
+        pytest.param(star_31111(), 175, id="star-31111")])
+    def test_slot_width(self, g, width, monkeypatch):
+        # from the two discriminants alone: ||f*||_1 times one product over k
+        monkeypatch.setattr(bernstein, "_walk", None)
+        f, fstar = discriminant(g), discriminant(dual_generators(g))
+        n = f.degree()
+        B = exponent_bits(n * (n - 1))
+        monomials = list(zip(fstar.terms, primitive(fstar.terms.values())[0]))
+        assert bernstein._slot_width(monomials, packed(f, B)[0], B) == width
 
     def test_zero_coordinates_first(self, monkeypatch):
         # the derivation order sets the cost, not the result: on dtilde3 the
@@ -476,11 +520,8 @@ class TestPointwise:
     def test_star_31111(self, monkeypatch):
         # n = 12, 415 terms in f and f*: the prefix-shared walk takes 3044
         # steps where one walk per monomial took 4980
-        sources = ["s1", "s2", "s3", "s4"]
-        qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
-        d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
         sizes = count_steps(monkeypatch)
-        res = bfunction(quiver.infinitesimal_generators(qv, d))
+        res = bfunction(star_31111())
         assert len(sizes) == 3044
         roots = [Fraction(-3, 2)] + [Fraction(-5, 4)] * 2 + [-1] * 6 + \
             [Fraction(-3, 4)] * 2 + [Fraction(-1, 2)]
@@ -523,8 +564,6 @@ class TestPointwise:
 # metamorphic properties: the same divisor in other generators or coordinates
 
 METAMORPHIC_INPUTS = ["binary-cubic", "star-2111", "atilde-3", "dtilde3-22111"]
-NON_SPECIAL = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4",
-               "cubic-chain-4"}
 
 
 def elementary_product(rng, n, count):

@@ -13,8 +13,7 @@ from prehomog.bernstein import SPowerExpression
 from prehomog.errors import ContextError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm, conormal_order, point_context
-from prehomog.liealg import (CharacterData, character,
-                             character_of_combination, discriminant)
+from prehomog.liealg import character, character_of_combination, discriminant
 
 
 def test_every_public_name_resolves():
@@ -69,6 +68,25 @@ def _named(paths):
     return named
 
 
+def _assignments(paths):
+    """(file name, name) of every module-level assignment to a name,
+    dunders aside."""
+    return [(path.name, t.id) for path in paths
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def _read(paths):
+    """Every name and attribute read (an ast.Load) in the files `paths`."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_unreferenced_definitions():
     """Every function, class and method of src/prehomog, dunders aside, is
     named somewhere in src, tests or benchmark, so a definition nothing uses
@@ -85,14 +103,21 @@ def test_no_test_only_definitions():
     """Every function, class and method of src/prehomog outside `fixtures`
     (test and bench data), dunders aside, is named by the product: in a src
     module other than the re-exports of __init__.py, in benchmark/*.py or
-    in README.md.  A name only tests reach belongs in the tests."""
+    in README.md.  A name only tests reach belongs in the tests.  Each
+    module-level assignment there is read (an ast.Load) by the same
+    product files or named in README.md: a re-export alone is no use."""
     src = sorted((ROOT / "src" / "prehomog").glob("*.py"))
-    named = _named([p for p in src if p.name != "__init__.py"] +
-                   sorted((ROOT / "benchmark").glob("*.py")))
-    named.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    product = [p for p in src if p.name != "__init__.py"] + \
+        sorted((ROOT / "benchmark").glob("*.py"))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    named = _named(product) | readme
     defined = _definitions(p for p in src if p.stem != "fixtures")
     assert len(defined) > 100
     assert [d for d in defined if d[1] not in named] == []
+    read = _read(product) | readme
+    assigned = _assignments(p for p in src if p.stem not in ("fixtures", "__init__"))
+    assert len(assigned) > 10
+    assert [a for a in assigned if a[1] not in read] == []
 
 
 def _conormal_order(y):
@@ -103,8 +128,7 @@ def _conormal_order(y):
 
 CALLER_NUMBERS = {
     "SPowerExpression": lambda x: SPowerExpression(("x",), 1, {(0,): (1, x)}),
-    "character_of_combination": lambda x: character_of_combination(
-        CharacterData([1, 2], [1, 1]), (x, 1)),
+    "character_of_combination": lambda x: character_of_combination((1, 2), (x, 1)),
     "conormal_order": _conormal_order,
     "OrderForm": lambda x: OrderForm(x, x),
 }

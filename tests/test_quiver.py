@@ -1,9 +1,12 @@
+from itertools import combinations_with_replacement, permutations, product
+
 import pytest
 
 from conftest import ref_quiver_matrices
+from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
-from prehomog.liealg import GeneratorSet, classify, discriminant
+from prehomog.liealg import GeneratorSet, classify, discriminant, dual_generators
 from prehomog.polyring import MultiPoly
 from prehomog.quiver import (DimensionVector, Quiver, atilde_quiver,
                              dtilde3_quiver, infinitesimal_generators,
@@ -191,3 +194,58 @@ class TestAgainstDenseReference:
     def test_forms_equal_the_dense_build(self, name, qv, d):
         expected = GeneratorSet(ref_quiver_matrices(qv, d), rep_space(qv, d))
         assert infinitesimal_generators(qv, d) == expected
+
+
+def generated_quivers():
+    """One pytest.param(quiver, dimension vector) per isomorphism class of the
+    connected quivers with 2-4 vertices, at most 4 arrows and no loops,
+    with dimensions 1-3, n = dim Rep <= 8, Tits form 1 and f != 0.  The
+    class key is the least (dims, sorted arrows) over vertex relabellings."""
+    classes = set()
+    for nv in range(2, 5):
+        pairs = [(a, b) for a in range(nv) for b in range(nv) if a != b]
+        perms = list(permutations(range(nv)))
+        for m in range(nv - 1, 5):
+            for edges in combinations_with_replacement(pairs, m):
+                if not Quiver(range(nv), edges).is_connected():
+                    continue
+                for dims in product(range(1, 4), repeat=nv):
+                    n = sum(dims[a] * dims[b] for a, b in edges)
+                    if n > 8 or sum(x * x for x in dims) - n != 1:
+                        continue
+                    classes.add(min((tuple(dims[p.index(i)] for i in range(nv)),
+                                     tuple(sorted((p[a], p[b]) for a, b in edges)))
+                                    for p in perms))
+    out = []
+    for dims, edges in sorted(classes):
+        names = [f"v{i}" for i in range(len(dims))]
+        qv = Quiver(names, [(names[a], names[b]) for a, b in edges])
+        d = DimensionVector(dict(zip(names, dims)))
+        if not discriminant(infinitesimal_generators(qv, d)).is_zero:
+            arrows = ",".join(f"{a}{b}" for a, b in edges)
+            out.append(pytest.param(qv, d, id=f"{arrows}-{''.join(map(str, dims))}"))
+    return out
+
+
+GENERATED = generated_quivers()
+
+
+class TestGeneratedQuivers:
+    """The paper's theorem on every generated quiver: b is symmetric about
+    -1, and -1 is its only integer root (negativity is Kashiwara's)."""
+
+    def test_class_count(self):
+        assert len(GENERATED) == 61
+
+    @pytest.mark.parametrize("qv, d", GENERATED)
+    def test_symmetric_b(self, qv, d):
+        g = infinitesimal_generators(qv, d)
+        assert g == GeneratorSet(ref_quiver_matrices(qv, d), rep_space(qv, d))
+        res = bfunction(g)
+        assert isinstance(res, BResult) and res.symmetric
+        roots = [r for r, m in res.spectrum.roots for _ in range(m)]
+        assert sorted(-2 - r for r in roots) == sorted(roots)
+        assert max(roots) < 0
+        assert [r for r, _ in res.spectrum.roots if r.denominator == 1] == [-1]
+        dual = bfunction(dual_generators(g))
+        assert (dual.b, dual.raw_leading) == (res.b, res.raw_leading)
