@@ -36,8 +36,7 @@ from fractions import Fraction
 from . import liealg
 from .errors import ContextError, DomainError
 from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _exact,
-                       exponent_bits, packed, primitive, rational_root_spectrum,
-                       unpack)
+                       exponent_bits, packed, rational_root_spectrum, unpack)
 
 
 class SPowerExpression:
@@ -219,8 +218,7 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
     B = exponent_bits(n * (n - 1))
     mask = (1 << B) - 1
     f_packed, f_scale = packed(f, B)
-    fs_coeffs, fs_scale = primitive(fstar.terms.values())
-    monomials = list(zip(fstar.terms, fs_coeffs))
+    monomials = list(fstar.ints.items())
     R = max((abs(a) for a in x0 if a is not None), default=0)
     W = _slot_width(monomials, f_packed, B) + (R ** (n * (n - 1))).bit_length()
 
@@ -250,7 +248,7 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
                         k, f_set)
 
     descend(0, monomials, {0: 1}, 0, f_packed)
-    return total, W, fs_scale * f_scale ** n
+    return total, W, fstar.scale * f_scale ** n
 
 
 def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:

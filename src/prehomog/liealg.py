@@ -27,8 +27,8 @@ from math import lcm
 
 from . import linalg
 from .errors import ClosureError, ContextError, DomainError, NotInvariantError
-from .polyring import (MultiPoly, _coerce, exponent_bits, is_squarefree, packed,
-                       primitive, unpack)
+from .polyring import (MultiPoly, _coerce, _exact, exponent_bits, is_squarefree,
+                       packed, primitive, unpack)
 
 
 def default_variables(n):
@@ -209,7 +209,7 @@ def _integer_form(A, n):
     """(rows, scale) of the n x n matrix A of ints, Fractions and "p/q"
     strings: A = scale * M with M a content-free integer matrix, scale > 0
     and rows[i] = ((j, M_ij), ...) over the nonzero entries of row i."""
-    A = [[v if type(v) is int else _coerce(v) for v in row] for row in A]
+    A = [[_exact(v) for v in row] for row in A]
     if len(A) != n or any(len(row) != n for row in A):
         raise ContextError(f"matrices must be {n}x{n}")
     nonzero = [(i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v]
@@ -249,8 +249,9 @@ def _determinant(forms, variables):
 
     The determinant of the integer matrices is expanded by minors with
     memoisation over column subsets (row r is expanded when r + 1 columns
-    have been consumed) and the product of the scales is restored once at
-    the end.  An r-minor has degree r <= n, so no exponent passes n.
+    have been consumed); the integer determinant and the product of the
+    scales go to `MultiPoly._form`, which divides the content out.  An
+    r-minor has degree r <= n, so no exponent passes n.
     """
     n = len(variables)
     B = exponent_bits(n)
@@ -285,7 +286,8 @@ def _determinant(forms, variables):
         return got
 
     det = minor((1 << n) - 1)
-    return MultiPoly(variables, {unpack(e, B, n): scale * c for e, c in det.items()})
+    return MultiPoly._form(variables, {unpack(e, B, n): c for e, c in det.items()},
+                           scale)
 
 
 def discriminant(g: GeneratorSet) -> MultiPoly:

@@ -1,10 +1,10 @@
 """Exact sparse polynomial arithmetic over rationals.
 
-MultiPoly is a sparse multivariate polynomial: a map from exponent
-tuples to Fraction coefficients, together with an ordered variable
-context.  UniPoly is dense univariate, lowest degree first, and is kept
-as its content-free integer form (ints, scale), the pair `primitive`
-returns, so b(s), the chain products, the symmetry check, the gcd and
+Both polynomial types are kept as their content-free integer form
+(ints, scale), the pair `primitive` returns.  MultiPoly is sparse
+multivariate, ints a map from exponent tuples to ints in an ordered
+variable context.  UniPoly is dense univariate, lowest degree first,
+so b(s), the chain products, the symmetry check, the gcd and
 the rational root search run on integers: there is no division, the
 gcd's division test is a remainder-only pseudo-division, `_pseudo_rem`,
 and `parse_factored` builds that form from its text with no Fraction
@@ -15,9 +15,9 @@ two such ints.  All arithmetic is exact; there is no floating point.
 
 The integer engines (the determinant and delta_A in liealg, the
 derivation walk in bernstein) share one exponent format: `exponent_bits`
-sizes a slot from the largest exponent, `packed` scales a MultiPoly to
-its content-free integer form and packs each exponent tuple into one
-int, `unpack` reads a tuple back.
+sizes a slot from the largest exponent, `packed` packs each exponent
+tuple of a MultiPoly's integer form into one int, `unpack` reads a tuple
+back.
 """
 
 import random
@@ -67,15 +67,14 @@ def exponent_bits(d):
 
 
 def packed(p, B):
-    """(terms, scale): p = scale * sum c x^e over the content-free integer
-    terms [(packed e, c)], variable i in bits [B*i, B*i + B) of packed e.
+    """(terms, scale): p = scale * sum c x^e over the terms [(packed e, c)]
+    of p.ints, variable i in bits [B*i, B*i + B) of packed e.
 
     The caller sizes B by `exponent_bits` from the largest exponent it
     reaches; then adding monomials is one int add and no slot ever
     carries."""
-    coeffs, scale = primitive(p.terms.values())
     return [(sum(x << B * i for i, x in enumerate(e)), c)
-            for e, c in zip(p.terms, coeffs)], scale
+            for e, c in p.ints.items()], p.scale
 
 
 def unpack(e, B, nvars):
@@ -132,15 +131,18 @@ def _literal(num, den, text):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over Q.
+    """Sparse multivariate polynomial over Q, kept as its content-free
+    integer form: p = scale * sum ints[e] x^e, with ints a map from
+    exponent tuples (one int per variable) to nonzero ints of gcd 1 and
+    scale > 0 a Fraction (the zero polynomial is ints {} and scale 1).
 
-    terms maps exponent tuples (one entry per variable) to nonzero
-    Fraction coefficients.  Instances are treated as immutable.  The
-    arithmetic needs one variable context: +, - and * across two contexts
-    raise ContextError, and == across them is False.
+    The form is canonical, so == compares it, and the integer engines
+    read it directly; `terms` gives the Fraction coefficients, for display
+    and serialization.  Instances are treated as immutable.  * needs one
+    variable context and raises ContextError across two; == is False.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "ints", "scale")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
@@ -149,85 +151,70 @@ class MultiPoly:
         clean = {}
         nv = len(variables)
         for exps, c in terms.items():
-            exps = tuple(exps)
+            # tuple keys only: a dict cannot hold two equal ones
+            if type(exps) is not tuple or any(type(e) is not int for e in exps):
+                raise ContextError(f"exponents must be a tuple of ints, got {exps!r}")
             if len(exps) != nv:
                 raise ContextError("exponent tuple length does not match variables")
             if any(e < 0 for e in exps):
                 raise DomainError("negative exponent")
-            clean[exps] = clean.get(exps, Fraction(0)) + _coerce(c)
+            c = _exact(c)
+            if c:
+                clean[exps] = c
+        ints, scale = primitive(list(clean.values()))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        object.__setattr__(self, "ints", dict(zip(clean, ints)))
+        object.__setattr__(self, "scale", scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
-    # -- constructors ------------------------------------------------
-
     @classmethod
-    def zero(cls, variables):
-        return cls(variables, {})
+    def _form(cls, variables, ints, scale):
+        """scale * sum ints[e] x^e for a dict ints of nonzero ints and a
+        Fraction scale: moves the sign of scale into the ints and divides
+        the content out."""
+        g = gcd(*ints.values()) if scale else 0
+        if scale < 0:
+            g = -g
+        if g not in (0, 1):
+            ints = {e: c // g for e, c in ints.items()}
+            scale *= g
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "ints", ints if g else {})
+        object.__setattr__(p, "scale", scale if g else Fraction(1))
+        return p
 
-    @classmethod
-    def constant(cls, variables, c):
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _coerce(c)})
-
-    @classmethod
-    def gens(cls, variables):
-        """The coordinate polynomials, one per variable."""
-        variables = tuple(variables)
-        n = len(variables)
-        return tuple(cls(variables, {tuple(int(i == j) for j in range(n)): Fraction(1)})
-                     for i in range(n))
+    @property
+    def terms(self):
+        """The Fraction coefficients, {exponent tuple: scale * int}."""
+        scale = self.scale
+        return {e: scale * c for e, c in self.ints.items()}
 
     # -- basic queries -----------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.ints), default=-1)
 
     def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
-
-    def _same_context(self, other):
-        if self.variables != other.variables:
-            raise ContextError(f"variable contexts differ: {self.variables} "
-                               f"and {other.variables}")
+        return len({sum(e) for e in self.ints}) <= 1
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.variables, other)
-        self._same_context(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _coerce(other)
-            return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        self._same_context(other)
-        a, b = self.terms, other.terms
+            return MultiPoly._form(self.variables, self.ints,
+                                   self.scale * _coerce(other))
+        if self.variables != other.variables:
+            raise ContextError(f"variable contexts differ: {self.variables} "
+                               f"and {other.variables}")
+        a, b = self.ints, other.ints
         if a and b:
             da = max(sum(e) for e in a)
             db = max(sum(e) for e in b)
@@ -239,53 +226,42 @@ class MultiPoly:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 s = out.get(e)
                 out[e] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly(self.variables, out)
-
-    __rmul__ = __mul__
+        return MultiPoly._form(self.variables, {e: c for e, c in out.items() if c},
+                               self.scale * other.scale)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise DomainError("exponent must be a nonnegative integer")
         if self.degree() * k > MAX_TOTAL_DEGREE:
             raise CapacityError("power degree exceeds supported range")
-        result = MultiPoly.constant(self.variables, 1)
+        result = MultiPoly._form(self.variables, {(0,) * len(self.variables): 1},
+                                 Fraction(1))
         for _ in range(k):
             result = result * self
         return result
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction)):
-                return self == MultiPoly.constant(self.variables, other)
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables, self.ints, self.scale) == \
+            (other.variables, other.ints, other.scale)
 
     def __hash__(self):
-        # a constant as its value, which it equals
-        if not any(map(any, self.terms)):
-            return hash(next(iter(self.terms.values()), 0))
-        return hash(frozenset(self.terms.items()))
+        return hash((self.variables, frozenset(self.ints.items()), self.scale))
 
-    # -- calculus and substitution ------------------------------------
-
-    def derivative(self, v):
-        if v not in self.variables:
-            raise ContextError(f"unknown variable {v!r}")
-        i = self.variables.index(v)
-        return MultiPoly(self.variables, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                                          for e, c in self.terms.items() if e[i]})
+    # -- substitution -------------------------------------------------
 
     def evaluate(self, point):
         point = [_exact(x) for x in point]
         if len(point) != len(self.variables):
             raise ContextError("point dimension mismatch")
         # each monomial stays in Z at an integer point
-        return sum((c * prod(x ** k for x, k in zip(point, e) if k)
-                    for e, c in self.terms.items()), Fraction(0))
+        return self.scale * sum(c * prod(x ** k for x, k in zip(point, e) if k)
+                                for e, c in self.ints.items())
 
     def restrict_line(self, a, b):
         """Univariate restriction t -> p(a + t*b).  With the line cleared to
-        integers, L*(a + t*b) = A + t*B, and P = sum c x^e the primitive form
+        integers, L*(a + t*b) = A + t*B, and P = sum c x^e the integer form
         of p, of degree d, the int sum c L^(d-|e|) prod (A_i + 2^W B_i)^e_i
         has the coefficients of L^d P(a + t*b) as its balanced base-2^W
         digits, W sized from sum |c| L^(d-|e|) prod (|A_i| + |B_i|)^e_i."""
@@ -296,14 +272,13 @@ class MultiPoly:
         L = lcm(*(x.denominator for x in a + b))
         A = [x.numerator * (L // x.denominator) for x in a]
         B = [x.numerator * (L // x.denominator) for x in b]
-        ints, scale = primitive(self.terms.values())
-        d = max(map(sum, self.terms), default=0)
-        terms = [(e, c * L ** (d - sum(e))) for e, c in zip(self.terms, ints)]
+        d = max(map(sum, self.ints), default=0)
+        terms = [(e, c * L ** (d - sum(e))) for e, c in self.ints.items()]
         norms = [abs(x) + abs(y) for x, y in zip(A, B)]
         W = sum(abs(c) * prod(map(pow, norms, e)) for e, c in terms).bit_length() + 1
         X = [x + (y << W) for x, y in zip(A, B)]
         V = sum(c * _tree_prod(list(map(pow, X, e))) for e, c in terms)
-        return UniPoly._form(_balanced_digits(V, W), scale / L ** d)
+        return UniPoly._form(_balanced_digits(V, W), self.scale / L ** d)
 
     # -- display -------------------------------------------------------
 
@@ -318,8 +293,9 @@ class MultiPoly:
 
     def __str__(self):
         # sort by descending total degree then lexicographic exponent order
-        keys = sorted(self.terms, key=lambda e: (-sum(e), e))
-        return _signed_sum((self.terms[e], self._monomial_str(e)) for e in keys)
+        terms = self.terms
+        keys = sorted(terms, key=lambda e: (-sum(e), e))
+        return _signed_sum((terms[e], self._monomial_str(e)) for e in keys)
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -22,7 +22,7 @@ from prehomog.liealg import (_determinant, _eigenvalue, _integer_form,
                              _packed_form, character, discriminant,
                              dual_generators, is_special)
 from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
-from prehomog.polyring import MultiPoly, UniPoly, parse_rational
+from prehomog.polyring import MultiPoly, UniPoly, parse_rational, primitive
 
 _acceptance_lines = []
 
@@ -342,15 +342,8 @@ def ref_strong_euler(g, c, x0):
 
 
 def fraction_shift(p, point):
-    """p(point + x) by MultiPoly products."""
-    xs = MultiPoly.gens(p.variables)
-    result = MultiPoly.zero(p.variables)
-    for e, c in p.terms.items():
-        term = MultiPoly.constant(p.variables, c)
-        for i, k in enumerate(e):
-            term = term * (xs[i] + Fraction(point[i])) ** k
-        result = result + term
-    return result
+    """p(point + x) by `ref_poly_shift` on the Fraction terms of p."""
+    return MultiPoly(p.variables, ref_poly_shift(p.terms, point))
 
 
 def restrict(p, keep):
@@ -358,6 +351,66 @@ def restrict(p, keep):
     return MultiPoly(tuple(p.variables[i] for i in keep),
                      {tuple(e[i] for i in keep): c for e, c in p.terms.items()
                       if not any(v for i, v in enumerate(e) if i not in keep)})
+
+
+def ref_packed(p, B):
+    """`polyring.packed` as it was before MultiPoly kept its integer form:
+    `primitive` over the Fraction terms, each exponent tuple packed."""
+    coeffs, scale = primitive(list(p.terms.values()))
+    return [(sum(x << B * i for i, x in enumerate(e)), c)
+            for e, c in zip(p.terms, coeffs)], scale
+
+
+# -- multivariate polynomials as {exponent tuple: Fraction} dicts ---------
+# Each takes and returns such a dict, with no zero value: the arithmetic
+# MultiPoly ran on before it kept its content-free integer form.
+
+def ref_poly_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_poly_mul(a, b):
+    """a times the dict b, or times the scalar b."""
+    if not isinstance(b, dict):
+        return {e: Fraction(b) * c for e, c in a.items() if b}
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_poly_derivative(a, i):
+    """d/dx_i of a."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def ref_poly_linear(coeffs, const=0):
+    """sum coeffs_i x_i + const."""
+    n = len(coeffs)
+    out = {tuple(int(i == j) for j in range(n)): Fraction(c)
+           for i, c in enumerate(coeffs)}
+    out[(0,) * n] = Fraction(const)
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_poly_shift(a, point):
+    """a(point + x), one factor x_i + point_i at a time."""
+    n = len(point)
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * n: Fraction(c)}
+        for i, k in enumerate(e):
+            lin = ref_poly_linear([int(i == j) for j in range(n)], point[i])
+            for _ in range(k):
+                term = ref_poly_mul(term, lin)
+        out = ref_poly_add(out, term)
+    return out
 
 
 # -- univariate polynomials as Fraction coefficient lists -----------------

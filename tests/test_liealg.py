@@ -9,7 +9,8 @@ import pytest
 from conftest import (bracket, columns_determinant, combination,
                       dual_characters_agree, eigenvalue, identity, mat_add,
                       mat_scale, mat_vec, ref_annihilator_basis, ref_in_span,
-                      ref_structure_constants)
+                      ref_poly_add, ref_poly_derivative, ref_poly_linear,
+                      ref_poly_mul, ref_structure_constants)
 
 from prehomog import liealg, linalg, polyring, quiver
 from prehomog.errors import (ClosureError, ContextError, DomainError,
@@ -20,6 +21,8 @@ from prehomog.liealg import (GeneratorSet, character,
                              discriminant, dual_generators, is_special,
                              validate_algebra)
 from prehomog.polyring import MultiPoly
+
+XY = ("x", "y")
 
 
 def unit(i, j, n=3):
@@ -350,25 +353,24 @@ class TestInfinitesimalAction:
         assert delta(a, p) == p
 
     def test_shear(self):
-        x, y = MultiPoly.gens(("x", "y"))
         a = [[0, 1], [0, 0]]  # field y d/dx
-        assert delta(a, x * x) == 2 * x * y
+        assert delta(a, MultiPoly(XY, {(2, 0): 1})) == MultiPoly(XY, {(1, 1): 2})
 
     def test_linearity(self):
-        x, y = MultiPoly.gens(("x", "y"))
-        p = x ** 2 * y + 3 * y
+        p = MultiPoly(XY, {(2, 1): 1, (0, 1): 3})   # x^2 y + 3y
         a = [[1, 2], [0, 1]]
         b = [[0, 0], [5, 0]]
         lhs = delta([[1, 2], [5, 1]], p)
-        assert lhs == delta(a, p) + delta(b, p)
+        assert lhs.terms == ref_poly_add(delta(a, p).terms, delta(b, p).terms)
 
     def test_size_mismatch(self):
         with pytest.raises(ContextError):
-            delta([[1]], MultiPoly.gens(("x", "y"))[0])
+            delta([[1]], MultiPoly(XY, {(1, 0): 1}))
 
     def test_against_derivatives(self):
-        """Seeded oracle: sum_i (Ax)_i dp/dx_i in MultiPoly arithmetic, on
-        rational A and p that are not homogeneous, with exponents up to 9."""
+        """Seeded oracle: sum_i (Ax)_i dp/dx_i in the Fraction dict
+        arithmetic of conftest, on rational A and p that are not
+        homogeneous, with exponents up to 9."""
         rng = random.Random(2718)
         for trial in range(60):
             n = rng.randint(1, 4)
@@ -379,13 +381,12 @@ class TestInfinitesimalAction:
                 for _ in range(rng.randint(0, 6))})
             A = [[rng.choice((0, 0, 1, -2, Fraction(3, 4), Fraction(-5, 6)))
                   for _ in range(n)] for _ in range(n)]
-            xs = MultiPoly.gens(names)
-            want = MultiPoly.zero(names)
-            for i, v in enumerate(names):
-                form = sum((a * x for a, x in zip(A[i], xs)), MultiPoly.zero(names))
-                want = want + form * p.derivative(v)
+            want = {}
+            for i in range(n):
+                want = ref_poly_add(want, ref_poly_mul(
+                    ref_poly_linear(A[i]), ref_poly_derivative(p.terms, i)))
             got = delta(A, p)
-            assert got.terms == want.terms, (A, p)
+            assert got.terms == want, (A, p)
 
 
 class TestDiscriminant:
@@ -412,8 +413,9 @@ class TestDiscriminant:
         assert f2.is_zero
 
     def test_against_leibniz(self):
-        """Seeded oracle: the Leibniz sum over permutations in MultiPoly
-        arithmetic, on rational matrices with zero and dependent columns."""
+        """Seeded oracle: the Leibniz sum over permutations in the Fraction
+        dict arithmetic of conftest, on rational matrices with zero and
+        dependent columns."""
         rng = random.Random(1618)
         entries = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
         for trial in range(32):
@@ -426,21 +428,17 @@ class TestDiscriminant:
             if n > 1 and trial % 4 == 2:
                 i, j = rng.sample(range(n), 2)
                 mats[j] = mat_scale(mats[i], Fraction(-2, 3))
-            xs = MultiPoly.gens(names)
-            cols = [[sum((a * x for a, x in zip(row, xs)), MultiPoly.zero(names))
-                     for row in A] for A in mats]
-            acc = {}
+            cols = [[ref_poly_linear(row) for row in A] for A in mats]
+            want = {}
             for perm in permutations(range(n)):
                 sign = (-1) ** sum(perm[a] > perm[b] for a in range(n)
                                    for b in range(a + 1, n))
-                term = MultiPoly.constant(names, sign)
+                term = {(0,) * n: Fraction(sign)}
                 for k in range(n):
-                    term = term * cols[k][perm[k]]
-                for e, c in term.terms.items():
-                    acc[e] = acc.get(e, 0) + c
-            want = MultiPoly(names, acc)
+                    term = ref_poly_mul(term, cols[k][perm[k]])
+                want = ref_poly_add(want, term)
             got = columns_determinant(mats, names)
-            assert got.terms == want.terms, mats
+            assert got.terms == want, mats
             if n > 1 and trial % 4 in (1, 2):
                 assert got.is_zero
 
@@ -484,25 +482,22 @@ class TestCharacter:
 
     def test_not_invariant_detected(self):
         g = diag_gens(2)
-        x, y = MultiPoly.gens(g.variables)
         with pytest.raises(NotInvariantError):
-            character(g, x + y)
+            character(g, MultiPoly(g.variables, {(1, 0): 1, (0, 1): 1}))
 
     def test_term_outside_support(self):
         # delta of the field y d/dx on x^2 is 2xy, a monomial f lacks
         g = GeneratorSet([[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
-        x, y = MultiPoly.gens(g.variables)
-        assert eigenvalue(g.matrix(0), x * x) is None
+        assert eigenvalue(g.matrix(0), MultiPoly(g.variables, {(2, 0): 1})) is None
         with pytest.raises(NotInvariantError, match="generator 1"):
-            character(g, 3 * x * x)
+            character(g, MultiPoly(g.variables, {(2, 0): 3}))
 
     def test_same_support_not_proportional(self):
         # delta of x d/dx + 2y d/dy on x + y is x + 2y: same support
         g = GeneratorSet([[[1, 0], [0, 0]], [[1, 0], [0, 2]]])
-        x, y = MultiPoly.gens(g.variables)
-        f = Fraction(2, 3) * (x + y)
+        f = MultiPoly(g.variables, {(1, 0): Fraction(2, 3), (0, 1): Fraction(2, 3)})
         assert eigenvalue(g.matrix(1), f) is None
-        assert eigenvalue(g.matrix(0), x * x) == 2
+        assert eigenvalue(g.matrix(0), MultiPoly(g.variables, {(2, 0): 1})) == 2
         with pytest.raises(NotInvariantError, match="generator 1"):
             character(g, f)
 
@@ -527,7 +522,7 @@ class TestCharacter:
     def test_zero_discriminant_rejected(self):
         g = diag_gens(2)
         with pytest.raises(DomainError):
-            character(g, MultiPoly.zero(g.variables))
+            character(g, MultiPoly(g.variables, {}))
 
     def test_nonspecial_fixture(self):
         g = get_fixture("quadric-cone-3").generators()

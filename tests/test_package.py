@@ -68,6 +68,32 @@ def _named(paths):
     return named
 
 
+def _methods(paths):
+    """(file name, class name, name) of every method, dunders aside."""
+    return [(path.name, cls.name, node.name) for path in paths
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
+
+
+def _attributes(paths):
+    """Every attribute and string constant in the files `paths`: the ways
+    a caller outside a class names one of its methods."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Constant) and isinstance(node.value, str))}
+
+
+def _readme_code():
+    """Every word of a code span or code block of README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return set(re.findall(r"\w+", " ".join(
+        re.findall(r"```.*?```|`[^`\n]+`", text, re.S))))
+
+
 def _assignments(paths):
     """(file name, name) of every module-level assignment to a name,
     dunders aside."""
@@ -103,9 +129,12 @@ def test_no_test_only_definitions():
     """Every function, class and method of src/prehomog outside `fixtures`
     (test and bench data), dunders aside, is named by the product: in a src
     module other than the re-exports of __init__.py, in benchmark/*.py or
-    in README.md.  A name only tests reach belongs in the tests.  Each
-    module-level assignment there is read (an ast.Load) by the same
-    product files or named in README.md: a re-export alone is no use."""
+    in README.md.  A name only tests reach belongs in the tests.  A
+    method counts as named only as an attribute or a string of those
+    product files or in a README code span: a local variable of the same
+    name does not reach it.  Each module-level assignment there is read
+    (an ast.Load) by the same product files or named in README.md: a
+    re-export alone is no use."""
     src = sorted((ROOT / "src" / "prehomog").glob("*.py"))
     product = [p for p in src if p.name != "__init__.py"] + \
         sorted((ROOT / "benchmark").glob("*.py"))
@@ -114,6 +143,10 @@ def test_no_test_only_definitions():
     defined = _definitions(p for p in src if p.stem != "fixtures")
     assert len(defined) > 100
     assert [d for d in defined if d[1] not in named] == []
+    reached = _attributes(product) | _readme_code()
+    methods = _methods(p for p in src if p.stem != "fixtures")
+    assert len(methods) > 25
+    assert [m for m in methods if m[2] not in reached] == []
     read = _read(product) | readme
     assigned = _assignments(p for p in src if p.stem not in ("fixtures", "__init__"))
     assert len(assigned) > 10

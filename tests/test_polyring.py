@@ -1,5 +1,4 @@
 import math
-import operator
 import random
 import time
 from collections import Counter
@@ -7,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fraction_shift, ref_compose_linear, ref_derivative,
-                      ref_divmod, ref_evaluate, ref_gcd, ref_monic, ref_mul,
-                      ref_parse_factored, ref_restrict_line, ref_trim,
-                      restrict)
+from conftest import (fraction_shift, ref_add, ref_compose_linear,
+                      ref_derivative, ref_divmod, ref_evaluate, ref_gcd,
+                      ref_monic, ref_mul, ref_parse_factored, ref_poly_add,
+                      ref_poly_derivative, ref_poly_linear, ref_poly_mul,
+                      ref_restrict_line, ref_trim, restrict)
 from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
@@ -28,6 +28,14 @@ def mp(terms, variables=XYZ):
     return MultiPoly(variables, terms)
 
 
+def lin(*coeffs, const=0):
+    """The MultiPoly sum coeffs_i x_i + const on as many variables."""
+    return MultiPoly(XYZ[:len(coeffs)], ref_poly_linear(coeffs, const))
+
+
+X, Y, Z = lin(1, 0, 0), lin(0, 1, 0), lin(0, 0, 1)
+
+
 def random_poly(rng, variables=XYZ, max_terms=5, max_exp=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -38,19 +46,26 @@ def random_poly(rng, variables=XYZ, max_terms=5, max_exp=3):
 
 class TestMultiPolyBasics:
     def test_zero_and_degree(self):
-        z = MultiPoly.zero(XYZ)
+        z = MultiPoly(XYZ, {})
         assert z.is_zero
         assert z.degree() == -1
+        assert (z.ints, z.scale) == ({}, 1)
 
     def test_constant_and_coercion(self):
-        c = MultiPoly.constant(XYZ, "3/4")
+        c = mp({(0, 0, 0): "3/4"})
         assert c.terms == {(0, 0, 0): Fraction(3, 4)}
-        assert c == Fraction(3, 4)
-        assert c + Fraction(1, 4) == 1
+        assert (c.ints, c.scale) == ({(0, 0, 0): 1}, Fraction(3, 4))
+        assert c == mp({(0, 0, 0): Fraction(3, 4)})
+        # no equality with a number
+        assert c != Fraction(3, 4)
+        with pytest.raises(ContextError):
+            mp({(0, 0, 0): 0.75})
 
     def test_terms_merge_and_drop_zero(self):
-        p = mp({(1, 0, 0): 2}) + mp({(1, 0, 0): -2})
-        assert p.is_zero
+        assert mp({(1, 0, 0): 2, (0, 1, 0): 0}).terms == {(1, 0, 0): 2}
+        assert mp({(1, 0, 0): 0}).is_zero
+        # (x + y)(x - y): the two xy terms merge and cancel
+        assert (lin(1, 1, 0) * lin(1, -1, 0)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
@@ -60,82 +75,105 @@ class TestMultiPolyBasics:
         with pytest.raises(ContextError):
             mp({(1, 0): 1})
 
+    def test_exponents_must_be_ints(self):
+        # a float, bool or str exponent is refused like a float coefficient
+        for key in ((1.5, 0), (0, True), (1.0, 0), ("a", 0)):
+            with pytest.raises(ContextError, match="exponents must be a tuple of ints"):
+                MultiPoly(("x", "y"), {key: 1})
+        with pytest.raises(ContextError):
+            MultiPoly(("x", "y"), {(1.5, 0): 1, (0, True): 2})
+        with pytest.raises(ContextError):
+            MultiPoly(("a",), {("a",): 1})
+        # a range equals no tuple key, but would stand for (1,) as a tuple
+        with pytest.raises(ContextError, match="tuple of ints"):
+            MultiPoly(("x",), {(1,): 1, range(1, 2): 2})
+        with pytest.raises(DomainError):
+            MultiPoly(("x", "y"), {(1, -2): 1})
+
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ContextError):
             MultiPoly(("x", "x"), {})
 
     def test_arithmetic(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = (x + y) * (x - y)
-        assert p == x * x - y * y
-        assert (x + 1) ** 2 == x * x + 2 * x + 1
-        assert 2 * x - x == x
-        assert 1 - x == -(x - 1)
-        assert (x * 0).is_zero and (x * 0).variables == XYZ
+        # * and ** against the Fraction dict arithmetic of conftest
+        rng = random.Random(67)
+        for _ in range(60):
+            p, q = random_poly(rng), random_poly(rng)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            assert (p * q).terms == ref_poly_mul(p.terms, q.terms)
+            assert (p * c).terms == ref_poly_mul(p.terms, c)
+            assert (p ** 2).terms == ref_poly_mul(p.terms, p.terms)
+        assert (lin(1, 0, 0, const=1) ** 2).terms == {(2, 0, 0): 1, (1, 0, 0): 2,
+                                                       (0, 0, 0): 1}
+        assert (X ** 0).terms == {(0, 0, 0): 1}
+        assert (X * 0).is_zero and (X * 0).variables == XYZ
 
     def test_arithmetic_needs_one_context(self):
         a = MultiPoly(("x",), {(1,): 1})
         b = MultiPoly(("y",), {(1,): 1})
-        for op in (operator.add, operator.sub, operator.mul):
-            with pytest.raises(ContextError, match="variable contexts differ"):
-                op(a, b)
+        with pytest.raises(ContextError, match="variable contexts differ"):
+            a * b
         assert a != b and a != MultiPoly(("x", "y"), {(1, 0): 1})
-        assert MultiPoly.constant(("x",), 2) != MultiPoly.constant(("y",), 2)
+        assert MultiPoly(("x",), {(0,): 2}) != MultiPoly(("y",), {(0,): 2})
 
     def test_capacity_guard(self):
-        x = MultiPoly.gens(("x",))[0]
+        x = MultiPoly(("x",), {(1,): 1})
         with pytest.raises(CapacityError):
             x ** (10 ** 6 + 1)
 
     def test_hash_agrees_with_eq(self):
-        # equal polynomials hash alike, and a constant hashes as its value
-        x, y, _ = MultiPoly.gens(XYZ)
-        pairs = [(MultiPoly.constant(("x", "y"), 5), 5),
-                 (MultiPoly.constant(XYZ, "-3/4"), Fraction(-3, 4)),
-                 (MultiPoly.zero(("x",)), 0),
-                 (MultiPoly.zero(XYZ), x - x),
-                 ((x + y) * (x - y), x * x - y * y),
-                 (MultiPoly(XYZ, {(1, 2, 0): 3, (0, 0, 0): Fraction(1, 2)}),
-                  3 * x * y * y + Fraction(1, 2))]
+        # polynomials built different ways are equal and hash alike
+        pairs = [(mp({(0, 0, 0): 5}), mp({(0, 0, 0): "5"})),
+                 (mp({(0, 0, 0): "-3/4"}), mp({(0, 0, 0): 3}) * Fraction(-1, 4)),
+                 (MultiPoly(("x",), {}), MultiPoly(("x",), {(1,): 0})),
+                 (MultiPoly(XYZ, {}), X * 0),
+                 (lin(1, 1, 0) * lin(1, -1, 0), mp({(0, 2, 0): -1, (2, 0, 0): 1})),
+                 (mp({(1, 2, 0): 3, (0, 0, 0): Fraction(1, 2)}),
+                  mp({(1, 2, 0): 6, (0, 0, 0): 1}) * Fraction(1, 2))]
         for a, b in pairs:
             assert a == b and hash(a) == hash(b), (a, b)
-        assert len({MultiPoly.constant(("x", "y"), 5), 5}) == 1
         assert len({MultiPoly(("x",), {(1,): 1}), MultiPoly(("y",), {(1,): 1})}) == 2
+        assert len({mp({(1, 0, 0): 2}), mp({(1, 0, 0): 1})}) == 2
 
     def test_immutability(self):
-        x = MultiPoly.gens(XYZ)[0]
-        with pytest.raises(AttributeError):
-            x.terms = {}
+        for name in ("terms", "ints", "scale", "variables"):
+            with pytest.raises(AttributeError):
+                setattr(X, name, {})
 
     def test_homogeneous_components(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = x * y + z + 1
+        p = mp({(1, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
         assert p.is_homogeneous() is False
-        assert (x * y).is_homogeneous() is True
+        assert (X * Y).is_homogeneous() is True
 
 
 class TestCalculusAndSubstitution:
     def test_derivative(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = x ** 2 * y + 3 * z
-        assert p.derivative("x") == 2 * x * y
-        assert p.derivative("y") == x ** 2
-        assert p.derivative("z") == 3
-        with pytest.raises(ContextError):
-            p.derivative("w")
+        # the reference derivative, and the chain rule on a line against
+        # restrict_line and UniPoly.derivative
+        p = mp({(2, 1, 0): 1, (0, 0, 1): 3})
+        assert ref_poly_derivative(p.terms, 0) == {(1, 1, 0): 2}
+        assert ref_poly_derivative(p.terms, 1) == {(2, 0, 0): 1}
+        assert ref_poly_derivative(p.terms, 2) == {(0, 0, 0): 3}
+        a, b = [2, -1, 3], [1, 4, -2]
+        want = ()
+        for i, bi in enumerate(b):
+            part = ref_restrict_line(mp(ref_poly_derivative(p.terms, i)), a, b)
+            want = ref_add(want, ref_mul(part, bi))
+        assert p.restrict_line(a, b).derivative().coeffs == want
 
     def test_product_rule_random(self):
+        # d(pq) = dp q + p dq, with pq from MultiPoly's product
         rng = random.Random(7)
         for _ in range(40):
             p, q = random_poly(rng), random_poly(rng)
-            v = rng.choice(XYZ)
-            lhs = (p * q).derivative(v)
-            rhs = p.derivative(v) * q + p * q.derivative(v)
+            i = XYZ.index(rng.choice(XYZ))
+            lhs = ref_poly_derivative((p * q).terms, i)
+            rhs = ref_poly_add(ref_poly_mul(ref_poly_derivative(p.terms, i), q.terms),
+                               ref_poly_mul(p.terms, ref_poly_derivative(q.terms, i)))
             assert lhs == rhs
 
     def test_evaluate(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = x * y - z ** 2
+        p = mp({(1, 1, 0): 1, (0, 0, 2): -1})
         assert p.evaluate([2, 3, 1]) == 5
         assert p.evaluate([Fraction(1, 2), 4, 0]) == 2
         # integer, Fraction and string coordinates give the same Fraction
@@ -151,16 +189,14 @@ class TestCalculusAndSubstitution:
                 assert got == want and type(got) is Fraction
 
     def test_shift(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = x * y * z
+        p = mp({(1, 1, 1): 1})
         s = fraction_shift(p, [1, 0, 0])
         # (1+x) y z
-        assert s == x * y * z + y * z
+        assert s == mp({(1, 1, 1): 1, (0, 1, 1): 1})
         assert fraction_shift(p, [0, 0, 0]) == p
 
     def test_restrict(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = x * y + y * z + y ** 2
+        p = mp({(1, 1, 0): 1, (0, 1, 1): 1, (0, 2, 0): 1})
         r = restrict(p, [1])
         assert r.variables == ("y",)
         assert r == MultiPoly(("y",), {(2,): 1})
@@ -214,20 +250,21 @@ class TestExpansionsAgainstFraction:
             b = [Fraction(random_coordinate(rng, integral)) for _ in variables]
             i, j = rng.sample(range(len(variables)), 2)
             b[i] = b[i] or Fraction(rng.choice((1, -3)))
-            xs = MultiPoly.gens(variables)
+            l_ij = ref_poly_linear([b[j] if k == i else -b[i] if k == j else 0
+                                    for k in range(len(variables))])
             q = random_expansion_input(rng, variables)
-            p = (b[j] * xs[i] - b[i] * xs[j]) * (q + 1 if q.is_zero else q)
+            top = ref_poly_mul(l_ij, q.terms or {(0,) * len(variables): 1})
             r = random_expansion_input(rng, variables)
-            p += MultiPoly(variables, {e: c for e, c in r.terms.items()
-                                       if sum(e) < p.degree()})
+            p = MultiPoly(variables, ref_poly_add(top, {
+                e: c for e, c in r.terms.items() if sum(e) < max(map(sum, top))}))
             u = p.restrict_line(a, b)
             assert u.coeffs == ref_restrict_line(p, a, b)
             assert u.degree() < p.degree()
 
     def test_integer_line_stays_in_integers(self, monkeypatch):
         # the only Fraction products are of the scales, none per coefficient
-        x, y, z = MultiPoly.gens(XYZ)
-        p = (x + 2 * y - z) ** 4 * Fraction(1, 3) + x * y * z
+        p = mp(ref_poly_add((lin(1, 2, -1) ** 4 * Fraction(1, 3)).terms,
+                            {(1, 1, 1): 1}))
         expected = ref_restrict_line(p, [3, -1, 2], [1, 5, -4])
         products = [0]
         mul = Fraction.__mul__
@@ -254,7 +291,7 @@ def random_expansion_input(rng, variables):
     """Sparse polynomials of degree <= 5 per variable, about one in twelve
     zero, half of the rest with integer coefficients."""
     if rng.random() < 1 / 12:
-        return MultiPoly.zero(variables)
+        return MultiPoly(variables, {})
     integral = rng.random() < 0.5
     terms = {}
     for _ in range(rng.randint(1, 6)):
@@ -808,29 +845,24 @@ def _count_lines(monkeypatch):
 
 class TestSquarefree:
     def test_squarefree_product_of_coordinates(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree(x * y * z) is True
+        assert is_squarefree(X * Y * Z) is True
 
     def test_square_detected(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree((x + y) ** 2 * z) is False
+        assert is_squarefree(lin(1, 1, 0) ** 2 * Z) is False
 
     def test_deterministic(self):
-        x, y, z = MultiPoly.gens(XYZ)
-        p = (x + 2 * y - z) ** 2 * (x - y)
+        p = lin(1, 2, -1) ** 2 * lin(1, -1, 0)
         runs = [is_squarefree(p) for _ in range(3)]
         assert runs == [False, False, False]
 
     def test_one_clean_line_certifies(self, monkeypatch):
         lines = _count_lines(monkeypatch)
-        x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree(x * y * z) is True
+        assert is_squarefree(X * Y * Z) is True
         assert lines[0] == 1
 
     def test_false_after_every_trial(self, monkeypatch):
         lines = _count_lines(monkeypatch)
-        x, y, z = MultiPoly.gens(XYZ)
-        assert is_squarefree((x + y) ** 2 * z) is False
+        assert is_squarefree(lin(1, 1, 0) ** 2 * Z) is False
         assert lines[0] == 8
 
     def test_classify_verdicts_unchanged(self):
@@ -840,9 +872,9 @@ class TestSquarefree:
             assert cls.reduced is (name not in nonreduced), name
 
     def test_degree_zero_and_errors(self):
-        assert is_squarefree(MultiPoly.constant(XYZ, 5))
+        assert is_squarefree(mp({(0, 0, 0): 5}))
         with pytest.raises(DomainError):
-            is_squarefree(MultiPoly.zero(XYZ))
+            is_squarefree(MultiPoly(XYZ, {}))
 
 
 class TestParsing:

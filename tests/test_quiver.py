@@ -140,10 +140,15 @@ class TestFamilies:
         assert cls.reduced and cls.special
         assert f.degree() == 6
         # product of the three 2x2 minors of the assembled 2x3 matrix
-        xs = MultiPoly.gens(rep_space(qv, d))
+        names = rep_space(qv, d)
+
+        def mono(i, j):
+            return tuple(int(k in (i, j)) for k in range(len(names)))
 
         def minor(a, b):
-            return xs[2 * a] * xs[2 * b + 1] - xs[2 * a + 1] * xs[2 * b]
+            """x_2a x_2b+1 - x_2a+1 x_2b"""
+            return MultiPoly(names, {mono(2 * a, 2 * b + 1): 1,
+                                     mono(2 * a + 1, 2 * b): -1})
 
         assert f == minor(0, 1) * minor(0, 2) * minor(1, 2)
 
@@ -154,9 +159,9 @@ class TestFamilies:
         assert cls.kind == "prehomogeneous-determinant"
         assert not cls.reduced
         assert cls.special
-        a, b, c, e = MultiPoly.gens(rep_space(qv, d))
-        m = a * e - b * c
-        assert f == m * m or f == -(m * m)
+        # m = ae - bc on the coordinates a, b, c, e
+        m = MultiPoly(rep_space(qv, d), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+        assert f == m * m or f == m * m * -1
 
     def test_atilde_matches_fixture(self):
         g = get_fixture("atilde-2").generators()
