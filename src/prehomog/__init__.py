@@ -8,8 +8,8 @@ symmetry and specialness checks, and microlocal conormal orders.
 from .bernstein import (BFailure, BResult, SPowerExpression, apply_operator,
                         bfunction, extract_cofactor, symmetry_check)
 from .errors import (CapacityError, ClosureError, ContextError, DomainError,
-                     InadmissibleCovectorError, MathFailure, NotInvariantError,
-                     ParseError, PrehomogError)
+                     InadmissibleCovectorError, MathFailure, ParseError,
+                     PrehomogError)
 from .geometry import (OrderForm, PointContext, chain_assemble, conormal_order,
                        euler_at_point, normal_representation, point_context)
 from .liealg import (Classification, GeneratorSet, character, classify,
@@ -26,7 +26,7 @@ __all__ = [
     "BFailure", "BResult", "CapacityError", "Classification",
     "ClosureError", "ContextError", "DimensionVector", "DomainError",
     "GeneratorSet", "InadmissibleCovectorError", "MathFailure", "MultiPoly",
-    "NotInvariantError", "OrderForm", "ParseError", "PointContext",
+    "OrderForm", "ParseError", "PointContext",
     "PrehomogError", "Quiver", "Spectrum", "SPowerExpression",
     "UniPoly", "apply_operator", "atilde_quiver", "bfunction",
     "chain_assemble", "character", "classify", "conormal_order",

@@ -372,17 +372,17 @@ def _pointwise_b(fstar: MultiPoly, f: MultiPoly, x0):
 
 
 def bfunction(g: liealg.GeneratorSet):
-    """Full pipeline: closure, discriminant, character, dual, then b(s).
+    """Full pipeline: closure and character, discriminant, dual, then b(s).
 
     Returns BResult on success, BFailure when the functional equation
     fails or the dual determinant vanishes.  A non-special input fails
     without any derivation; a special one is walked at `_point(f)`.
     """
-    liealg.check_closure(g)
+    c = liealg.character(g)
     f = liealg.discriminant(g)
     if f.is_zero:
         raise DomainError("discriminant vanishes; not prehomogeneous")
-    special = liealg.is_special(g, liealg.character(g, f))
+    special = liealg.is_special(g, c)
     fstar = liealg.discriminant(liealg.dual_generators(g))
     if fstar.is_zero:
         return BFailure("dual-degenerate", "f* = 0", special=special)

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import bernstein, fixtures, geometry, liealg, quiver, serialize
-from .errors import MathFailure, ParseError, PrehomogError
+from .errors import DomainError, MathFailure, ParseError, PrehomogError
 from .polyring import parse_factored, rational_root_spectrum
 
 
@@ -127,7 +127,9 @@ def _at_point(job):
     x0 = serialize.vector_from_text(job.point)
     if len(x0) != g.n:
         raise ParseError(f"point needs {g.n} coordinates, got {len(x0)}")
-    c = liealg.character(g, liealg.discriminant(g))
+    c = liealg.character(g)
+    if liealg.discriminant(g).is_zero:
+        raise DomainError("character requires a nonzero discriminant")
     return g, name, c, geometry.point_context(g, x0)
 
 

@@ -2,7 +2,10 @@
 
 Two families: PrehomogError covers malformed or out-of-domain input
 (CLI exit code 1), MathFailure covers well-posed computations whose
-mathematical verdict is negative (CLI exit code 2).
+mathematical verdict is negative (CLI exit code 2).  A generator set
+that is not closed under the bracket raises ClosureError before any
+character is read: the character comes from the Lie algebra, so there
+is no separate failure for an f that is not a relative invariant.
 """
 
 
@@ -28,10 +31,6 @@ class ParseError(PrehomogError):
 
 class ClosureError(PrehomogError):
     """Generator span is not closed under the bracket; not a Lie algebra."""
-
-
-class NotInvariantError(PrehomogError):
-    """delta_A(f) is not a scalar multiple of f; f is not a relative invariant."""
 
 
 class MathFailure(Exception):

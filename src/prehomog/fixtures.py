@@ -1,9 +1,9 @@
-"""Named generator sets, published b-function data, and chain data.
+"""Named generator sets and chain data.
 
-Fixtures are inputs: generator matrices for known divisors, the
-catalogued spectra used by the symmetry checks, and the star quiver's
-orbit chain points with admissible covectors.  Expected outputs of the
-pipeline live in the tests, not here.
+Fixtures are inputs: generator matrices for known divisors and the star
+quiver's orbit chain points with admissible covectors.  Expected outputs
+of the pipeline, the published b-function catalogue among them, live in
+the tests, not here.
 
 The reductive flag is caller-asserted metadata (it implies specialness
 and a working functional equation); nothing here verifies it.
@@ -15,7 +15,7 @@ import re
 from . import quiver
 from .errors import CapacityError, ContextError
 from .liealg import GeneratorSet
-from .polyring import UniPoly, parse_factored, parse_rational
+from .polyring import parse_rational
 
 
 class Fixture:
@@ -211,46 +211,3 @@ def star_chain():
         ChainPoint("rank-one", (1, 0, 1, 0, 0, 0), (1, 1, 1)),
         ChainPoint("origin", (0, 0, 0, 0, 0, 0), (1, 0, 0, 1, 1, -1)),
     ]
-
-
-def star_edge_factors():
-    """b-function factors along the chain.  The degree-3 factor at the
-    codimension-3 drop is catalogue data, not a codim-1 ratio."""
-    return [
-        parse_factored("s+1"),
-        parse_factored("s+1"),
-        parse_factored("(3s+2)(3s+3)(3s+4)"),
-        parse_factored("s+1"),
-    ]
-
-
-# ---------------------------------------------------------------------
-# published b-function catalogue (dimension <= 4, plus the two reduced
-# discriminant families); inputs for the symmetry checks.
-
-def table_spectra():
-    """The nine catalogued monic b-functions in dimension up to 4."""
-    rows = [
-        ("x", ["-1"]),
-        ("xy", ["-1", "-1"]),
-        ("xyz", ["-1", "-1", "-1"]),
-        ("(y^2+xz)z", ["-5/4", "-1", "-1", "-3/4"]),
-        ("xyzw", ["-1", "-1", "-1", "-1"]),
-        ("(y^2+xz)zw", ["-5/4", "-1", "-1", "-1", "-3/4"]),
-        ("(yz+xw)zw", ["-4/3", "-1", "-1", "-1", "-2/3"]),
-        ("x(y^3-3xyz+3x^2w)",
-         ["-7/5", "-4/3", "-6/5", "-1", "-1", "-1", "-4/5", "-2/3", "-3/5"]),
-        ("binary-cubic-discriminant", ["-7/6", "-1", "-1", "-5/6"]),
-    ]
-    return [(label, UniPoly.from_roots([Fraction(r) for r in roots]))
-            for label, roots in rows]
-
-
-def reduced_discriminant_bfunctions():
-    """b-functions of the reduced discriminants of the nonreduced
-    quiver families; these are the catalogued non-symmetric examples."""
-    out = [("dtilde3-reduced", parse_factored("(s+2/3)(s+1)^5(s+4/3)(s+2)"))]
-    for n in (2, 3, 4):
-        out.append((f"atilde-{n}-reduced",
-                    parse_factored(f"(s+1)^{n}(s+2)")))
-    return out

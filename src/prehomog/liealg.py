@@ -14,21 +14,21 @@ through `GeneratorSet._from_forms`; the dual set negates and transposes
 the integers.
 Everything reads the forms: the independence check and the closure
 check, which builds only its verdict (`_rows`, `linalg.echelon` on the
-flattened M_k), the determinant, the delta_A kernel `_delta`, the traces
-of `is_special`, and the images A_k x and combinations sum c_k A_k of the
-pointwise geometry.  The determinant and delta_A use the packed
-exponents of `polyring.packed` and restore the scales once at the end;
-the character checks delta_A f = lam f by exact cross-multiplication
-without building lam f.
+flattened M_k), the determinant, the character, the traces of
+`is_special`, and the images A_k x and combinations sum c_k A_k of the
+pointwise geometry.  The determinant works on packed exponents and
+restores the scales once at the end.  The character comes from the Lie
+algebra alone, dchi(A) = tr A - tr ad A on the closure rows, so it never
+differentiates f.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import ClosureError, ContextError, DomainError, NotInvariantError
+from .errors import ClosureError, ContextError, DomainError
 from .polyring import (MultiPoly, _coerce, _exact, exponent_bits, is_squarefree,
-                       packed, primitive, unpack)
+                       primitive, unpack)
 
 
 def default_variables(n):
@@ -220,29 +220,6 @@ def _integer_form(A, n):
     return tuple(map(tuple, rows)), scale
 
 
-def _delta(form, terms, B):
-    """(d, scale): delta_A of the packed pairs `terms` is scale * d, with
-    d = {packed e: int} and no zero values.
-
-    form = (rows, scale) is the integer form of A.  x_j d/dx_i moves e to
-    e - x_i + x_j: one int add on the packed exponent."""
-    rows, scale = form
-    mask = (1 << B) - 1
-    rows = [(B * i, [((1 << B * j) - (1 << B * i), a) for j, a in row])
-            for i, row in enumerate(rows) if row]
-    out = {}
-    get = out.get
-    for e, c in terms:
-        for shift, moves in rows:
-            m = (e >> shift) & mask
-            if m:
-                base = c * m
-                for step, a in moves:
-                    ne = e + step
-                    out[ne] = get(ne, 0) + base * a
-    return {e: v for e, v in out.items() if v}, scale
-
-
 def _determinant(forms, variables):
     """det(A_1 x, ..., A_n x) from the integer forms of the A_k; no
     independence requirement, so the result may be zero.
@@ -295,46 +272,35 @@ def discriminant(g: GeneratorSet) -> MultiPoly:
     return _determinant(g.forms, g.variables)
 
 
-def _eigenvalue(form, terms, support, B):
-    """lam with delta_A f = lam * f for f the packed pairs `terms` with the
-    key set `support`, or None.  Exact by cross-multiplication against the
-    first term (e0, c0): d_e c0 = d_e0 c_e on supp f, and d has no term
-    outside supp f."""
-    d, scale = _delta(form, terms, B)
-    e0, c0 = terms[0]
-    d0 = d.get(e0, 0)
-    if not d.keys() <= support or any(d.get(e, 0) * c0 != d0 * c for e, c in terms):
-        return None
-    return scale * Fraction(d0, c0)
+def character(g: GeneratorSet):
+    """The tuple of dchi(A_k) = tr A_k - tr ad A_k, the character of
+    f = det(A_1 x | ... | A_n x), after `check_closure`; no f is built.
 
-
-def _packed_form(f: MultiPoly):
-    """(terms, support, B) of nonzero f for `_eigenvalue`; the content of f
-    cancels from lam and is dropped.  delta_A keeps the total degree, so
-    no exponent of f or of delta_A f passes deg f."""
-    if f.is_zero:
-        raise DomainError("zero polynomial has no character")
-    B = exponent_bits(f.degree())
-    terms = packed(f, B)[0]
-    return terms, {e for e, _ in terms}, B
-
-
-def character(g: GeneratorSet, f: MultiPoly):
-    """The tuple of dchi(A_k), from delta_{A_k}(f) = dchi(A_k) * f for
-    each generator; f is packed once for all generators."""
-    if f.is_zero:
-        raise DomainError("character requires a nonzero discriminant")
-    if len(f.variables) != g.n:
-        raise ContextError("matrix size does not match the variable context")
-    form = _packed_form(f)
-    values = []
-    for k, A in enumerate(g.forms):
-        lam = _eigenvalue(A, *form)
-        if lam is None:
-            raise NotInvariantError(
-                f"delta_A(f) is not proportional to f for generator {k + 1}")
-        values.append(lam)
-    return tuple(values)
+    When the A_k close, f(hx) = det h (det Ad h)^-1 f(x) (Kimura, ch. 2).
+    tr ad is read on the closure rows (p_r, E_r) of `_rows`: X in the span
+    has coordinate X[p_r] / E_r[p_r] on E_r, so tr ad M = sum_r
+    [M, E_r][p_r] / E_r[p_r], with [M, E]_ij = sum_l M_il E_lj - E_il M_lj.
+    Both traces are linear in M, so D dchi(M) = sum_ab M_ab L_ab for one
+    integer matrix L, D the lcm of the pivot values.  L is built from each
+    entry of each E_r once; each A_k = s_k M_k then costs one pass over
+    its nonzero entries."""
+    check_closure(g)
+    n = g.n
+    rows = _rows(g.forms, n)
+    D = lcm(*(E[p] for p, E in rows))
+    L = {a * (n + 1): D for a in range(n)}
+    for p, E in rows:
+        i, j = divmod(p, n)
+        w = D // E[p]
+        for c, v in E.items():
+            l, m = divmod(c, n)
+            if m == j:      # E_lj meets M_il
+                L[i * n + l] = L.get(i * n + l, 0) - w * v
+            if l == i:      # E_im meets M_mj
+                L[m * n + j] = L.get(m * n + j, 0) + w * v
+    return tuple(scale * Fraction(sum(a * L.get(i * n + j, 0)
+                                      for i, row in enumerate(M) for j, a in row), D)
+                 for M, scale in g.forms)
 
 
 def character_of_combination(c, coeffs):
@@ -376,11 +342,11 @@ def classify(g: GeneratorSet) -> Classification:
     """Saito-style classification of the discriminant divisor.  `reduced`,
     and with it the kind, comes from `is_squarefree`: True is certified,
     False is probabilistic."""
-    check_closure(g)
+    c = character(g)
     f = discriminant(g)
     if f.is_zero:
         return Classification("not-prehomogeneous", False, False, f)
-    special = is_special(g, character(g, f))
+    special = is_special(g, c)
     reduced = is_squarefree(f)
     kind = "linear-free-divisor" if reduced else "prehomogeneous-determinant"
     return Classification(kind, reduced, special, f)

@@ -13,8 +13,8 @@ and `_balanced_digits` reads it back: `restrict_line` evaluates p on the
 line at t = 2^W, and the heuristic gcd `univariate_gcd` takes the gcd of
 two such ints.  All arithmetic is exact; there is no floating point.
 
-The integer engines (the determinant and delta_A in liealg, the
-derivation walk in bernstein) share one exponent format: `exponent_bits`
+The integer engines (the determinant in liealg, the derivation walk in
+bernstein) share one exponent format: `exponent_bits`
 sizes a slot from the largest exponent, `packed` packs each exponent
 tuple of a MultiPoly's integer form into one int, `unpack` reads a tuple
 back.
@@ -452,13 +452,6 @@ class UniPoly:
     def constant(cls, c):
         c = _coerce(c)
         return cls._form((1,), c) if c else _ZERO
-
-    @classmethod
-    def from_roots(cls, roots):
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-_coerce(r), 1))
-        return p
 
     @property
     def coeffs(self):

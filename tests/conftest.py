@@ -1,15 +1,16 @@
 """Shared test plumbing: the acceptance summary lines, the Fraction
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
-Fraction matrix helpers, the determinant and delta_A kernels of `liealg`
-on ad-hoc matrices, the structure constants of a Lie algebra, the
-character difference of a set and its dual, the Fourier identity of
-normal-ordered first-order operators, the dense generators of a quiver
-that check the integer forms `quiver.infinitesimal_generators` writes
-directly, the dense pointwise geometry that checks the geometry on the
-stored integer forms and carries the paper's local checks (the normal
-discriminant of Lemma 4.6, strong Euler homogeneity), the Fraction
-coefficient arithmetic that checks `UniPoly` on its integer form, and the
-Fraction recursive descent that checks `parse_factored`."""
+Fraction matrix helpers, the determinant kernel of `liealg` on ad-hoc
+matrices, the delta_A oracle that checks `liealg.character` on f itself,
+the structure constants of a Lie algebra, the character difference of a
+set and its dual, the Fourier identity of normal-ordered first-order
+operators, the dense generators of a quiver that check the integer forms
+`quiver.infinitesimal_generators` writes directly, the dense pointwise
+geometry that checks the geometry on the stored integer forms and carries
+the paper's local checks (the normal discriminant of Lemma 4.6, strong
+Euler homogeneity), the Fraction coefficient arithmetic that checks
+`UniPoly` on its integer form, the Fraction recursive descent that checks
+`parse_factored`, and the published b-function catalogue."""
 
 import re
 from fractions import Fraction
@@ -18,11 +19,11 @@ from math import lcm
 from prehomog import polyring
 from prehomog.errors import CapacityError, DomainError, ParseError
 from prehomog.geometry import PointContext
-from prehomog.liealg import (_determinant, _eigenvalue, _integer_form,
-                             _packed_form, character, discriminant,
-                             dual_generators, is_special)
+from prehomog.liealg import (_determinant, _integer_form, character,
+                             discriminant, dual_generators, is_special)
 from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
-from prehomog.polyring import MultiPoly, UniPoly, parse_rational, primitive
+from prehomog.polyring import (MultiPoly, UniPoly, parse_factored,
+                               parse_rational, primitive)
 
 _acceptance_lines = []
 
@@ -161,21 +162,78 @@ def columns_determinant(mats, variables):
                         tuple(variables))
 
 
+def delta_packed(form, terms, B):
+    """(d, scale): delta_A of the packed pairs `terms` is scale * d, with
+    d = {packed e: int} and no zero values.
+
+    form = (rows, scale) is the integer form of A.  x_j d/dx_i moves e to
+    e - x_i + x_j: one int add on the packed exponent."""
+    rows, scale = form
+    mask = (1 << B) - 1
+    rows = [(B * i, [((1 << B * j) - (1 << B * i), a) for j, a in row])
+            for i, row in enumerate(rows) if row]
+    out = {}
+    get = out.get
+    for e, c in terms:
+        for shift, moves in rows:
+            m = (e >> shift) & mask
+            if m:
+                base = c * m
+                for step, a in moves:
+                    ne = e + step
+                    out[ne] = get(ne, 0) + base * a
+    return {e: v for e, v in out.items() if v}, scale
+
+
+def _packed_eigenvalue(form, terms, support, B):
+    """lam with delta_A f = lam * f for f the packed pairs `terms` with the
+    key set `support`, or None.  Exact by cross-multiplication against the
+    first term (e0, c0): d_e c0 = d_e0 c_e on supp f, and d has no term
+    outside supp f."""
+    d, scale = delta_packed(form, terms, B)
+    e0, c0 = terms[0]
+    d0 = d.get(e0, 0)
+    if not d.keys() <= support or any(d.get(e, 0) * c0 != d0 * c for e, c in terms):
+        return None
+    return scale * Fraction(d0, c0)
+
+
+def _packed_form(f):
+    """(terms, support, B) of nonzero f for `_packed_eigenvalue`; the
+    content of f cancels from lam and is dropped.  delta_A keeps the total
+    degree, so no exponent of f or of delta_A f passes deg f."""
+    if f.is_zero:
+        raise DomainError("zero polynomial has no character")
+    B = polyring.exponent_bits(f.degree())
+    terms = polyring.packed(f, B)[0]
+    return terms, {e for e, _ in terms}, B
+
+
 def eigenvalue(A, f):
-    """lam with delta_A f = lam f, by `liealg._eigenvalue` on the integer
-    form of A, or None when f is not a semi-invariant of A."""
-    return _eigenvalue(_integer_form(A, len(f.variables)), *_packed_form(f))
+    """lam with delta_A f = lam f on the integer form of A, or None when f
+    is not a semi-invariant of A."""
+    return _packed_eigenvalue(_integer_form(A, len(f.variables)), *_packed_form(f))
+
+
+def delta_character(g, f):
+    """The delta_A oracle of `liealg.character`: the tuple of lam_k with
+    delta_{A_k} f = lam_k f, from f itself, or None when some A_k has no
+    such lam_k.  f is packed once for all generators."""
+    form = _packed_form(f)
+    values = tuple(_packed_eigenvalue(A, *form) for A in g.forms)
+    return None if None in values else values
 
 
 def dual_characters_agree(g):
     """dchi_f(A) - dchi_f*(A) = 2 tr(A) on every generator, where f* is the
     discriminant of the dual set {-A^t}, and dchi_f* = -dchi_f when the
-    divisor is special; the traces come from the dense `g.matrices()`."""
+    divisor is special.  Both characters come from the delta_A oracle and
+    must equal `character`; the traces come from the dense `g.matrices()`."""
     dual = dual_generators(g)
-    cf = character(g, discriminant(g))
-    cfs = character(dual, discriminant(dual))
-    return all(a - b == 2 * t for a, b, t in
-               zip(cf, cfs, map(trace, g.matrices()))) and \
+    cf = delta_character(g, discriminant(g))
+    cfs = delta_character(dual, discriminant(dual))
+    return (cf, cfs) == (character(g), character(dual)) and \
+        all(a - b == 2 * t for a, b, t in zip(cf, cfs, map(trace, g.matrices()))) and \
         (not is_special(g, cf) or cfs == tuple(-v for v in cf))
 
 
@@ -615,3 +673,54 @@ def ref_parse_factored(text):
     if pos != len(tokens):
         raise ParseError(f"trailing input in polynomial string: {tokens[pos:]}")
     return UniPoly(result)
+
+
+# ---------------------------------------------------------------------
+# published b-function data: the star chain's edge factors and the
+# catalogue (dimension <= 4, plus the reduced discriminant families)
+# that the symmetry checks read.
+
+def from_roots(roots):
+    """The monic product of (s - r) over the roots, as a UniPoly."""
+    p = UniPoly.one()
+    for r in roots:
+        p = p * UniPoly((-Fraction(r), 1))
+    return p
+
+
+def star_edge_factors():
+    """b-function factors along the star chain.  The degree-3 factor at
+    the codimension-3 drop is catalogue data, not a codim-1 ratio."""
+    return [
+        parse_factored("s+1"),
+        parse_factored("s+1"),
+        parse_factored("(3s+2)(3s+3)(3s+4)"),
+        parse_factored("s+1"),
+    ]
+
+
+def table_spectra():
+    """The nine catalogued monic b-functions in dimension up to 4."""
+    rows = [
+        ("x", ["-1"]),
+        ("xy", ["-1", "-1"]),
+        ("xyz", ["-1", "-1", "-1"]),
+        ("(y^2+xz)z", ["-5/4", "-1", "-1", "-3/4"]),
+        ("xyzw", ["-1", "-1", "-1", "-1"]),
+        ("(y^2+xz)zw", ["-5/4", "-1", "-1", "-1", "-3/4"]),
+        ("(yz+xw)zw", ["-4/3", "-1", "-1", "-1", "-2/3"]),
+        ("x(y^3-3xyz+3x^2w)",
+         ["-7/5", "-4/3", "-6/5", "-1", "-1", "-1", "-4/5", "-2/3", "-3/5"]),
+        ("binary-cubic-discriminant", ["-7/6", "-1", "-1", "-5/6"]),
+    ]
+    return [(label, from_roots(roots)) for label, roots in rows]
+
+
+def reduced_discriminant_bfunctions():
+    """b-functions of the reduced discriminants of the nonreduced
+    quiver families; these are the catalogued non-symmetric examples."""
+    out = [("dtilde3-reduced", parse_factored("(s+2/3)(s+1)^5(s+4/3)(s+2)"))]
+    for n in (2, 3, 4):
+        out.append((f"atilde-{n}-reduced",
+                    parse_factored(f"(s+1)^{n}(s+2)")))
+    return out

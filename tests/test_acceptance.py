@@ -10,14 +10,13 @@ import time
 from fractions import Fraction
 
 from conftest import (dual_characters_agree, fourier_holds, record_criterion,
-                      ref_add, ref_in_span)
+                      reduced_discriminant_bfunctions, ref_add, ref_in_span,
+                      star_edge_factors, table_spectra)
 
 from prehomog.bernstein import (BFailure, BResult, apply_operator, bfunction,
                                 extract_cofactor, symmetry_check)
 from prehomog.cli import run
-from prehomog.fixtures import (fixture_names, get_fixture,
-                               reduced_discriminant_bfunctions, star_chain,
-                               star_edge_factors, table_spectra)
+from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import OrderForm, chain_assemble, conormal_order, \
     point_context
 from prehomog.liealg import (character, character_of_combination, classify,
@@ -145,7 +144,7 @@ def test_criterion_06():
 def test_criterion_07():
     def check():
         g = get_fixture("star-2111").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         expect = [OrderForm(0, 0), OrderForm(1, F(1, 2)), OrderForm(2, 1),
                   OrderForm(5, F(5, 2)), OrderForm(6, 3)]
         for pt, want in zip(star_chain(), expect):
@@ -246,7 +245,7 @@ def test_criterion_09():
             if coeffs is None:
                 missing.add(name)
                 continue
-            c = character(g, discriminant(g))
+            c = character(g)
             assert character_of_combination(c, coeffs) == g.n, name
         # the two-cycle fixtures genuinely lack the Euler field in the span
         assert missing == {"atilde-2", "atilde-3"}

@@ -5,10 +5,11 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import (eigenvalue, fourier_holds, fourier_transform,
-                      identity, mat_mul, mat_scale, q_dual_operator,
-                      q_operator, ref_packed, ref_poly_add,
-                      ref_poly_derivative, ref_poly_mul, substitute_s)
+from conftest import (delta_character, eigenvalue, fourier_holds,
+                      fourier_transform, from_roots, identity, mat_mul,
+                      mat_scale, q_dual_operator, q_operator, ref_packed,
+                      ref_poly_add, ref_poly_derivative, ref_poly_mul,
+                      substitute_s)
 
 from prehomog import bernstein, linalg, quiver
 from prehomog.bernstein import (BFailure, BResult, SPowerExpression,
@@ -462,11 +463,13 @@ class TestPointwise:
     @pytest.mark.parametrize("name", fixture_names())
     def test_certificate_is_specialness(self, name):
         # chi* = -tr - tr ad and chi = tr - tr ad, so chi + chi* = 2 (chi - tr);
-        # the traces come from the dense matrices
+        # both characters come from the delta_A oracle on f and f*, and the
+        # traces from the dense matrices
         g = get_fixture(name).generators()
         dual = dual_generators(g)
-        chi = character(g, discriminant(g))
-        chi_star = character(dual, discriminant(dual))
+        chi = delta_character(g, discriminant(g))
+        chi_star = delta_character(dual, discriminant(dual))
+        assert (chi, chi_star) == (character(g), character(dual))
         sums = [a + b for a, b in zip(chi, chi_star)]
         traces = map(linalg.trace, g.matrices())
         assert sums == [2 * (a - t) for a, t in zip(chi, traces)]
@@ -526,7 +529,7 @@ class TestPointwise:
         assert len(sizes) == 3044
         roots = [Fraction(-3, 2)] + [Fraction(-5, 4)] * 2 + [-1] * 6 + \
             [Fraction(-3, 4)] * 2 + [Fraction(-1, 2)]
-        assert res.b == UniPoly.from_roots(roots)
+        assert res.b == from_roots(roots)
         assert res.raw_leading == -65536
         assert res.symmetric
 

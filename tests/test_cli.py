@@ -356,6 +356,30 @@ class TestBadInput:
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "divisor pairs" in done.stdout
 
+    # [A1, A2] leaves the span of A1, A2, A3, though f is a semi-invariant
+    # of each A_k (not a squarefree one, as Saito's criterion requires)
+    NOT_CLOSED = {"n": 3, "generators": [[[0, 1, 0], [0, 0, 0], [0, 0, 1]],
+                                         [[2, 0, 1], [0, -1, 0], [0, 0, 0]],
+                                         [[0, 2, 0], [0, 0, 0], [0, 0, 0]]]}
+    # E11 and E12 close, but both images lie on the first axis: f = 0
+    ZERO_F = {"n": 2, "generators": [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]}
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["bfunction"], ["euler", "--point=1,0,0"],
+        ["microlocal", "--point=1,0,0"],
+    ], ids=["classify", "bfunction", "euler", "microlocal"])
+    def test_span_not_closed(self, argv, tmp_path, capsys):
+        # every command that reads the character checks closure first
+        path = write_json(tmp_path, "g.json", self.NOT_CLOSED)
+        self.run_main(argv + ["--input", path], capsys,
+                      "bracket [A1, A2] is outside the generator span")
+
+    @pytest.mark.parametrize("command", ["euler", "microlocal"])
+    def test_zero_discriminant(self, command, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", self.ZERO_F)
+        self.run_main([command, "--input", path, "--point=1,0"], capsys,
+                      "character requires a nonzero discriminant")
+
     # past Python's limit of 4300 digits for int() on a string
     BIG = "7" * 5000
 

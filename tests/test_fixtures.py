@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reduced_discriminant_bfunctions, star_edge_factors, table_spectra
+
 from prehomog import fixtures, quiver
 from prehomog.errors import CapacityError, ContextError
-from prehomog.fixtures import (_diag, fixture_names, get_fixture,
-                               reduced_discriminant_bfunctions, star_chain,
-                               star_edge_factors, table_spectra)
+from prehomog.fixtures import _diag, fixture_names, get_fixture, star_chain
 from prehomog.liealg import GeneratorSet, classify, validate_algebra
 from prehomog.polyring import UniPoly, parse_factored
 

@@ -156,19 +156,19 @@ class TestLemma46:
 class TestEuler:
     def test_witness_on_divisor(self):
         g = nc3()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (1, 0, 0))
         w = euler_at_point(g, c, ctx)
         assert w == ((0, 0, 0), (0, 1, 0), (0, 0, 0))
 
     def test_inconclusive_off_divisor(self):
         g = nc3()
-        c = character(g, discriminant(g))
+        c = character(g)
         assert euler_at_point(g, c, point_context(g, (1, 1, 1))) is None
 
     def test_strong_euler(self):
         g = nc3()
-        c = character(g, discriminant(g))
+        c = character(g)
         assert ref_strong_euler(g, c, (1, 0, 0))
         assert ref_strong_euler(g, c, (1, 1, 0))
         # off the divisor the Euler field leaves the annihilator span
@@ -176,7 +176,7 @@ class TestEuler:
 
     def test_strong_euler_needs_unit_character(self):
         g = get_fixture("star-2111").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         with pytest.raises(DomainError):
             ref_strong_euler(g, c, (0,) * 6)
 
@@ -184,25 +184,25 @@ class TestEuler:
 class TestConormalOrder:
     def test_codim_one(self):
         g = get_fixture("nc-2").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (1, 0))
         assert conormal_order(g, c, ctx, (1,)) == OrderForm(1, F(1, 2))
 
     def test_origin(self):
         g = get_fixture("nc-2").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (0, 0))
         assert conormal_order(g, c, ctx, (1, 1)) == OrderForm(2, 1)
 
     def test_open_orbit(self):
         g = get_fixture("nc-2").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (1, 1))
         assert conormal_order(g, c, ctx) == OrderForm(0, 0)
 
     def test_rescaling_invariance(self):
         g = get_fixture("star-2111").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         pt = star_chain()[3]
         ctx = point_context(g, pt.x0)
         a = conormal_order(g, c, ctx, pt.y0)
@@ -211,21 +211,21 @@ class TestConormalOrder:
 
     def test_nongeneric_covector(self):
         g = get_fixture("nc-2").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (0, 0))
         with pytest.raises(InadmissibleCovectorError):
             conormal_order(g, c, ctx, (1, 0))
 
     def test_zero_covector(self):
         g = get_fixture("nc-2").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (1, 0))
         with pytest.raises(DomainError):
             conormal_order(g, c, ctx, (0,))
 
     def test_covector_length(self):
         g = get_fixture("nc-2").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         ctx = point_context(g, (1, 0))
         with pytest.raises(ContextError):
             conormal_order(g, c, ctx, (1, 1))
@@ -313,11 +313,11 @@ class TestAgainstDenseReference:
         mats = g.matrices()
         mats[0] = [[v / c[0] for v in row] for row in mats[0]]
         h = GeneratorSet(mats, g.variables)
-        return h, character(h, discriminant(h))
+        return h, character(h)
 
     def test_star_chain(self):
         g = get_fixture("star-2111").generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         for pt in star_chain():
             self.check(g, c, pt.x0)
             self.check(*self.with_unit_character(g, c), pt.x0)
@@ -325,7 +325,7 @@ class TestAgainstDenseReference:
     @pytest.mark.parametrize("name", fixture_names())
     def test_fixtures(self, name):
         g = get_fixture(name).generators()
-        c = character(g, discriminant(g))
+        c = character(g)
         f = discriminant(g)
         assert all(eigenvalue(B, f) == 0 for B in ref_annihilator_basis(g, c))
         traces = [sum((A[i][i] for i in range(g.n)), F(0)) for A in g.matrices()]

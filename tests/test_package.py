@@ -13,7 +13,7 @@ from prehomog.bernstein import SPowerExpression
 from prehomog.errors import ContextError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm, conormal_order, point_context
-from prehomog.liealg import character, character_of_combination, discriminant
+from prehomog.liealg import character, character_of_combination
 
 
 def test_every_public_name_resolves():
@@ -155,7 +155,7 @@ def test_no_test_only_definitions():
 
 def _conormal_order(y):
     g = get_fixture("nc-2").generators()
-    c = character(g, discriminant(g))
+    c = character(g)
     return conormal_order(g, c, point_context(g, (1, 0)), (y,))
 
 

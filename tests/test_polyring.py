@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fraction_shift, ref_add, ref_compose_linear,
+from conftest import (fraction_shift, from_roots, ref_add, ref_compose_linear,
                       ref_derivative, ref_divmod, ref_evaluate, ref_gcd,
                       ref_monic, ref_mul, ref_parse_factored, ref_poly_add,
                       ref_poly_derivative, ref_poly_linear, ref_poly_mul,
@@ -326,7 +326,7 @@ class TestUniPoly:
         assert r == UniPoly([5, 3])
 
     def test_from_roots(self):
-        p = UniPoly.from_roots([Fraction(-1, 2), -1])
+        p = from_roots([Fraction(-1, 2), -1])
         assert p.evaluate(Fraction(-1, 2)) == 0
 
     def test_affine_power_against_repeated_products(self):
@@ -517,30 +517,30 @@ class TestPrimitive:
 
 class TestGcd:
     def test_common_factor(self):
-        a = UniPoly.from_roots([1, -1])
-        b = UniPoly.from_roots([1, 2])
-        assert univariate_gcd(a, b) == UniPoly.from_roots([1])
+        a = from_roots([1, -1])
+        b = from_roots([1, 2])
+        assert univariate_gcd(a, b) == from_roots([1])
 
     def test_coprime(self):
-        a = UniPoly.from_roots([-1])
-        b = UniPoly.from_roots([-2])
+        a = from_roots([-1])
+        b = from_roots([-2])
         assert univariate_gcd(a, b) == UniPoly.one()
 
     def test_with_zero(self):
-        a = UniPoly.from_roots([5]) * 3
+        a = from_roots([5]) * 3
         assert univariate_gcd(a, UniPoly([])) == a.monic()
         with pytest.raises(DomainError):
             univariate_gcd(UniPoly([]), UniPoly([]))
 
     def test_rational_coefficients(self):
-        a = UniPoly.from_roots([Fraction(2, 3)]) * Fraction(9, 7)
-        b = UniPoly.from_roots([Fraction(2, 3), 4])
-        assert univariate_gcd(a, b) == UniPoly.from_roots([Fraction(2, 3)])
+        a = from_roots([Fraction(2, 3)]) * Fraction(9, 7)
+        b = from_roots([Fraction(2, 3), 4])
+        assert univariate_gcd(a, b) == from_roots([Fraction(2, 3)])
 
     def test_repeated_factor_with_derivative(self):
-        p = UniPoly.from_roots([2, 2, 5])
+        p = from_roots([2, 2, 5])
         g = univariate_gcd(p, p.derivative())
-        assert g == UniPoly.from_roots([2])
+        assert g == from_roots([2])
 
     def test_first_width_retried(self):
         # found by a seeded search over products g*x, g*y: at the first
@@ -580,15 +580,15 @@ class TestGcd:
 
 class TestSpectrum:
     def test_all_rational(self):
-        b = UniPoly.from_roots([Fraction(-7, 6), -1, -1, Fraction(-5, 6)]) * 4
+        b = from_roots([Fraction(-7, 6), -1, -1, Fraction(-5, 6)]) * 4
         sp = rational_root_spectrum(b)
         assert sp.roots == ((Fraction(-7, 6), 1), (-1, 2), (Fraction(-5, 6), 1))
         assert sp.residual == UniPoly.one()
-        assert UniPoly.from_roots([r for r, m in sp.roots
+        assert from_roots([r for r, m in sp.roots
                                    for _ in range(m)]) == b.monic()
 
     def test_residual_kept(self):
-        b = UniPoly.from_roots([-1]) * UniPoly([1, 0, 1])  # (s+1)(s^2+1)
+        b = from_roots([-1]) * UniPoly([1, 0, 1])  # (s+1)(s^2+1)
         sp = rational_root_spectrum(b)
         assert sp.roots == ((-1, 1),)
         assert sp.residual == UniPoly([1, 0, 1])
@@ -599,7 +599,7 @@ class TestSpectrum:
         assert sp.roots == ((-1, 1), (0, 2))
 
     def test_ascending_order(self):
-        b = UniPoly.from_roots([Fraction(-2, 3), Fraction(-4, 3), -1])
+        b = from_roots([Fraction(-2, 3), Fraction(-4, 3), -1])
         sp = rational_root_spectrum(b)
         assert [r for r, _ in sp.roots] == [Fraction(-4, 3), -1, Fraction(-2, 3)]
 
@@ -608,7 +608,7 @@ class TestSpectrum:
             rational_root_spectrum(UniPoly([]))
 
     def test_positive_roots_found(self):
-        b = UniPoly.from_roots([Fraction(3, 2), 1, -1, -4])
+        b = from_roots([Fraction(3, 2), 1, -1, -4])
         sp = rational_root_spectrum(b)
         assert sp.roots == ((-4, 1), (-1, 1), (1, 1), (Fraction(3, 2), 1))
 
@@ -647,7 +647,7 @@ class TestSpectrum:
     def test_large_smooth_end_terms(self):
         # c0 has 72 bits: beyond trial division up to its square root
         r = Fraction(2**70, 3)
-        b = UniPoly.from_roots([r, r, -5]) * UniPoly([2, 0, 1])
+        b = from_roots([r, r, -5]) * UniPoly([2, 0, 1])
         sp = rational_root_spectrum(b)
         assert sp.roots == ((-5, 1), (r, 2))
         assert sp.residual == UniPoly([2, 0, 1])
@@ -709,7 +709,7 @@ class TestSpectrumAgainstTrialDivision:
             for r in (Fraction(2**k), Fraction(-2**k), Fraction(1, 2**k),
                       Fraction(-1, 2**k)):
                 for roots in ([r], [r] * 3 + [1 / r] * 2):
-                    b = UniPoly.from_roots(roots)
+                    b = from_roots(roots)
                     sp = rational_root_spectrum(b)
                     assert list(sp.roots) == sorted(Counter(roots).items())
                     assert_inside_root_bounds(b, sp)
@@ -793,7 +793,7 @@ def random_spectrum_input(rng):
              for _ in range(rng.randint(0, 4))]
     if roots and rng.random() < 0.3:
         roots += [rng.choice(roots)] * rng.randint(1, 2)
-    p = UniPoly.from_roots(roots)
+    p = from_roots(roots)
     kind = rng.randrange(4)
     if kind == 1:       # s^2 + m s + 1, m >= 3: irrational roots, m > 2^64
         p = p * UniPoly([1, 2**70 + rng.randint(0, 99), 1])
@@ -898,7 +898,7 @@ class TestParsing:
 
     def test_factored_products(self):
         p = parse_factored("(s+2/3)(s+1)^5(s+4/3)(s+2)")
-        exp = UniPoly.from_roots(
+        exp = from_roots(
             [Fraction(-2, 3)] + [-1] * 5 + [Fraction(-4, 3), -2])
         assert p == exp
 

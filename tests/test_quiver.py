@@ -2,11 +2,12 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import ref_quiver_matrices
+from conftest import delta_character, ref_quiver_matrices
 from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
-from prehomog.liealg import GeneratorSet, classify, discriminant, dual_generators
+from prehomog.liealg import (GeneratorSet, character, classify, discriminant,
+                             dual_generators)
 from prehomog.polyring import MultiPoly
 from prehomog.quiver import (DimensionVector, Quiver, atilde_quiver,
                              dtilde3_quiver, infinitesimal_generators,
@@ -246,6 +247,7 @@ class TestGeneratedQuivers:
     def test_symmetric_b(self, qv, d):
         g = infinitesimal_generators(qv, d)
         assert g == GeneratorSet(ref_quiver_matrices(qv, d), rep_space(qv, d))
+        assert delta_character(g, discriminant(g)) == character(g)
         res = bfunction(g)
         assert isinstance(res, BResult) and res.symmetric
         roots = [r for r, m in res.spectrum.roots for _ in range(m)]
