@@ -19,12 +19,22 @@ A special input has Q = b(s) f^{n-1}, so b(s) = Q(x0) / f(x0)^{n-1} at any
 x0 with f(x0) != 0.  A non-special input fails the equation; that is a
 first-class result, not an exception.
 
-There is one walk, `_walk`: derivations commute, so it walks the
-monomials of f* as a trie over the variables, on packed integers.  Each
-prefix of derivations shared by several monomials is done once, and each
-variable that has a value in x0 is set as soon as its last derivation is
-done.  `bfunction` gives every variable a value.  `apply_operator` gives
-none, so it builds the whole k = n state, and
+When f = lam prod_b f_b and f* = mu prod_b f*_b over the same disjoint
+blocks of variables, with deg f_b = deg f*_b, the equation splits too:
+f*(d) f^{s+1} / f^s = lam mu prod_b f*_b(d_b) f_b^{s+1} / f_b^s.  The
+left side is the constant b(s) and each quotient on the right depends on
+its own block of variables, so each is a constant b_b(s) (or one of them
+is 0) and b = lam mu prod_b b_b: the b-function of several relative
+invariants (M. Sato, Nagoya Math. J. 120, 1990).  `_blocks` proposes the
+finest such blocks from supp f alone; `_split` proves the product on the
+integer forms of f and f*, exactly, and any failed check leaves one block.
+
+There is one walk, `_walk`, run once per block: derivations commute, so
+it walks the monomials of f*_b as a trie over the variables, on packed
+integers.  Each prefix of derivations shared by several monomials is done
+once, and each variable that has a value in x0 is set as soon as its last
+derivation is done.  `bfunction` gives every variable a value.
+`apply_operator` gives none, so it builds the whole k = n state, and
 `extract_cofactor` divides that by f^{n-1}: the full-state route, kept
 public as the reference the pointwise route is compared with.  The
 Fraction engine in tests/test_bernstein.py, one literal derivation at a
@@ -32,6 +42,7 @@ time, is the independent check of the walk itself.
 """
 
 from fractions import Fraction
+from math import prod
 
 from . import liealg
 from .errors import ContextError, DomainError
@@ -371,12 +382,117 @@ def _pointwise_b(fstar: MultiPoly, f: MultiPoly, x0):
     return UniPoly._form(_balanced_digits(total[0], W), scale)
 
 
+def _blocks(ints):
+    """The proposed blocks of variables over which supp f is a product,
+    each a sorted index list, or None when fewer than two blocks are
+    multi-term.
+
+    A union-find over the variables, from the base monomial m0 = min(supp):
+    the monomials are visited by how many variables they differ from m0
+    in, and one whose deviation is not made of in-support deviations on
+    the current blocks merges the blocks it touches.  The variables that
+    never deviate carry a single-monomial factor, which multiplies no trie
+    paths, so they join the first multi-term block.  The blocks are only
+    a proposal: `_split` proves them.
+    """
+    m0 = min(ints)
+    nv = len(m0)
+    root = list(range(nv))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    moves = sorted((([v for v in range(nv) if e[v] != m0[v]], e) for e in ints),
+                   key=lambda m: len(m[0]))
+    varying = set()
+    for dev, e in moves:
+        varying.update(dev)
+        touched = {}
+        for v in dev:
+            touched.setdefault(find(v), []).append(v)
+        if len(touched) < 2:
+            continue
+        for part in touched.values():
+            d = list(m0)
+            for v in part:
+                d[v] = e[v]
+            if tuple(d) not in ints:
+                r, *rest = touched
+                for t in rest:
+                    root[t] = r
+                break
+    blocks = {}
+    for v in range(nv):
+        blocks.setdefault(find(v), []).append(v)
+    multi = [b for b in blocks.values() if varying.intersection(b)]
+    if len(multi) < 2:
+        return None
+    multi[0] = sorted(multi[0] + [v for v in range(nv) if v not in varying])
+    return multi
+
+
+def _split(p: MultiPoly, blocks):
+    """(lam, [p_b]) with p = lam * prod_b p_b and p_b in the variables of
+    block b alone, or None unless that identity holds exactly.
+
+    With m0 = min(supp p), m blocks and alpha^(b) the monomial m0 with
+    block b replaced by alpha's entries, p_b = sum_beta c_(m0 | beta) x_b^beta
+    over the projection of supp p on b.  The split holds iff supp p is the
+    product of its projections, |supp p| = prod_b |pi_b(supp p)|, and
+    c_alpha c_m0^(m-1) = prod_b c_(alpha^(b)) for every alpha; then
+    lam = p.scale / c_m0^(m-1)."""
+    ints = p.ints
+    m0 = min(ints)
+    c0 = ints[m0] ** (len(blocks) - 1)
+    proj = [{} for _ in blocks]
+    for e, c in ints.items():
+        rhs = 1
+        for idx, P in zip(blocks, proj):
+            beta = tuple([e[i] for i in idx])
+            cb = P.get(beta)
+            if cb is None:
+                d = list(m0)
+                for i in idx:
+                    d[i] = e[i]
+                cb = P[beta] = ints.get(tuple(d))
+                if cb is None:
+                    return None
+            rhs *= cb
+        if c * c0 != rhs:
+            return None
+    if prod(map(len, proj)) != len(ints):
+        return None
+    return p.scale / c0, [
+        MultiPoly._form(tuple(p.variables[i] for i in idx), P, Fraction(1))
+        for idx, P in zip(blocks, proj)]
+
+
+def _factors(f: MultiPoly, fstar: MultiPoly):
+    """(lam mu, [(indices, f_b, f*_b)]): f = lam prod f_b and
+    f* = mu prod f*_b over the same variable-disjoint blocks, with
+    deg f_b = deg f*_b; (1, [(all, f, f*)]) when nothing splits."""
+    blocks = _blocks(f.ints)
+    if blocks is not None:
+        split, split_star = _split(f, blocks), _split(fstar, blocks)
+        if split and split_star and all(
+                a.degree() == b.degree() for a, b in zip(split[1], split_star[1])):
+            return split[0] * split_star[0], list(zip(blocks, split[1], split_star[1]))
+    return 1, [(range(len(f.variables)), f, fstar)]
+
+
 def bfunction(g: liealg.GeneratorSet):
     """Full pipeline: closure and character, discriminant, dual, then b(s).
 
     Returns BResult on success, BFailure when the functional equation
     fails or the dual determinant vanishes.  A non-special input fails
-    without any derivation; a special one is walked at `_point(f)`.
+    without any derivation.  A special one is split by `_factors` into
+    f = lam prod f_b and f* = mu prod f*_b over variable-disjoint blocks
+    (one block when the exact checks refuse a split), each block is walked
+    at `_point(f)` restricted to it, and b = lam mu prod b_b.  Specialness
+    makes f*(d) f^{s+1} / f^s constant, so each block's quotient, which
+    depends on that block's variables alone, is constant too.
     """
     c = liealg.character(g)
     f = liealg.discriminant(g)
@@ -390,10 +506,15 @@ def bfunction(g: liealg.GeneratorSet):
         return BFailure("functional-equation",
                         "chi + chi* != 0, so f*(d) f^{s+1} / f^s is not constant",
                         special=special)
-    b_raw = _pointwise_b(fstar, f, _point(f))
-    if b_raw is None:
-        return BFailure("functional-equation", "operator annihilated f^{s+1}",
-                        special=special)
+    x0 = _point(f)
+    lam, factors = _factors(f, fstar)
+    b_raw = UniPoly.constant(lam)
+    for idx, f_b, fstar_b in factors:
+        b_b = _pointwise_b(fstar_b, f_b, [x0[i] for i in idx])
+        if b_b is None:
+            return BFailure("functional-equation", "operator annihilated f^{s+1}",
+                            special=special)
+        b_raw *= b_b
     b = b_raw.monic()
     return BResult(b, b_raw.leading(), rational_root_spectrum(b), special,
                    symmetry_check(b))

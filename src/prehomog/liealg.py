@@ -149,7 +149,12 @@ class Classification:
 def validate_algebra(g: GeneratorSet):
     """The first pair (i, j), i < j in row-major order, whose bracket
     [A_i, A_j] leaves the generator span, or None when the generators
-    close under the bracket; no structure constants are built.
+    close under the bracket; no structure constants are built."""
+    return _open_bracket(g, _rows(g.forms, g.n))
+
+
+def _open_bracket(g, rows):
+    """`validate_algebra` on the closure rows of g.
 
     `_rows` reduces the integer forms A_k = s_k M_k to n rows with pivots
     p_r, as the M_k are independent; scaled to the common pivot value D
@@ -159,7 +164,6 @@ def validate_algebra(g: GeneratorSet):
     antisymmetric, so only i < j is tried.
     """
     n = g.n
-    rows = _rows(g.forms, n)
     D = lcm(*(E[p] for p, E in rows))
     pivots = {p for p, _ in rows}
     basis = [(p, [(c, v * (D // E[p])) for c, v in E.items() if c not in pivots])
@@ -185,16 +189,6 @@ def validate_algebra(g: GeneratorSet):
             if any(res.values()):
                 return i, j
     return None
-
-
-def check_closure(g: GeneratorSet):
-    """Raise ClosureError, naming the first failing bracket, unless the
-    generators close under the bracket."""
-    pair = validate_algebra(g)
-    if pair is not None:
-        i, j = pair
-        raise ClosureError(
-            f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
 
 
 def _rows(forms, n):
@@ -274,7 +268,9 @@ def discriminant(g: GeneratorSet) -> MultiPoly:
 
 def character(g: GeneratorSet):
     """The tuple of dchi(A_k) = tr A_k - tr ad A_k, the character of
-    f = det(A_1 x | ... | A_n x), after `check_closure`; no f is built.
+    f = det(A_1 x | ... | A_n x); no f is built.  It raises ClosureError,
+    naming the first failing bracket, unless the generators close under
+    the bracket: the closure test and the character read the same rows.
 
     When the A_k close, f(hx) = det h (det Ad h)^-1 f(x) (Kimura, ch. 2).
     tr ad is read on the closure rows (p_r, E_r) of `_rows`: X in the span
@@ -284,9 +280,13 @@ def character(g: GeneratorSet):
     integer matrix L, D the lcm of the pivot values.  L is built from each
     entry of each E_r once; each A_k = s_k M_k then costs one pass over
     its nonzero entries."""
-    check_closure(g)
     n = g.n
     rows = _rows(g.forms, n)
+    pair = _open_bracket(g, rows)
+    if pair is not None:
+        i, j = pair
+        raise ClosureError(
+            f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
     D = lcm(*(E[p] for p, E in rows))
     L = {a * (n + 1): D for a in range(n)}
     for p, E in rows:

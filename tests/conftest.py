@@ -2,8 +2,9 @@
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
 Fraction matrix helpers, the determinant kernel of `liealg` on ad-hoc
 matrices, the delta_A oracle that checks `liealg.character` on f itself,
-the structure constants of a Lie algebra, the character difference of a
-set and its dual, the Fourier identity of normal-ordered first-order
+the one-walk b that checks `bfunction`'s split into factors, the
+structure constants of a Lie algebra, the character difference of a set
+and its dual, the Fourier identity of normal-ordered first-order
 operators, the dense generators of a quiver that check the integer forms
 `quiver.infinitesimal_generators` writes directly, the dense pointwise
 geometry that checks the geometry on the stored integer forms and carries
@@ -16,7 +17,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from prehomog import polyring
+from prehomog import bernstein, polyring
 from prehomog.errors import CapacityError, DomainError, ParseError
 from prehomog.geometry import PointContext
 from prehomog.liealg import (_determinant, _integer_form, character,
@@ -222,6 +223,14 @@ def delta_character(g, f):
     form = _packed_form(f)
     values = tuple(_packed_eigenvalue(A, *form) for A in g.forms)
     return None if None in values else values
+
+
+def one_walk_b(g):
+    """(monic b, raw leading) from one walk of all of f* at `_point(f)`:
+    the oracle of `bfunction`'s split into variable-disjoint factors."""
+    f, fstar = discriminant(g), discriminant(dual_generators(g))
+    b_raw = bernstein._pointwise_b(fstar, f, bernstein._point(f))
+    return b_raw.monic(), b_raw.leading()
 
 
 def dual_characters_agree(g):

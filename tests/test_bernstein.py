@@ -7,9 +7,9 @@ import pytest
 
 from conftest import (delta_character, eigenvalue, fourier_holds,
                       fourier_transform, from_roots, identity, mat_mul,
-                      mat_scale, q_dual_operator, q_operator, ref_packed,
-                      ref_poly_add, ref_poly_derivative, ref_poly_mul,
-                      substitute_s)
+                      mat_scale, one_walk_b, q_dual_operator, q_operator,
+                      ref_packed, ref_poly_add, ref_poly_derivative,
+                      ref_poly_mul, substitute_s)
 
 from prehomog import bernstein, linalg, quiver
 from prehomog.bernstein import (BFailure, BResult, SPowerExpression,
@@ -514,7 +514,9 @@ class TestPointwise:
 
     def test_zero_coordinates_first(self, monkeypatch):
         # the derivation order sets the cost, not the result: on dtilde3 the
-        # natural order walks 1331 state terms and "x0_v != 0 first" 95944
+        # natural order walks 1331 state terms and "x0_v != 0 first" 95944;
+        # this is the one-walk pin, as it calls `_pointwise_b` on all of f*
+        # (`bfunction` splits dtilde3 first, see TestFactors)
         sizes = count_steps(monkeypatch)
         f, fstar = f_and_fstar("dtilde3-22111")
         assert bernstein._pointwise_b(fstar, f, bernstein._point(f)) is not None
@@ -562,6 +564,99 @@ class TestPointwise:
         assert two.b == one.b * one.b
         assert two.raw_leading == one.raw_leading ** 2
         assert two.special and two.symmetric
+
+
+# ---------------------------------------------------------------------
+# the split of f and f* into variable-disjoint factors, one walk per factor
+
+X2Y2 = ("x1", "x2", "y1", "y2")
+
+
+def dtilde3_variants():
+    g = get_fixture("dtilde3-22111").generators()
+    scaled = [mat_scale(g.matrix(0), Fraction(-3, 2))] + \
+        [g.matrix(k) for k in range(1, g.n)]
+    return [pytest.param(GeneratorSet(scaled), id="rescaled"),
+            pytest.param(GeneratorSet(g.matrices()[::-1]), id="permuted")]
+
+
+class TestFactors:
+    @pytest.mark.parametrize("name", SPECIAL_INPUTS)
+    def test_one_walk(self, name):
+        g = get_fixture(name).generators()
+        res = bfunction(g)
+        assert (res.b, res.raw_leading) == one_walk_b(g)
+
+    @pytest.mark.parametrize("one, two", [("star-2111", "binary-cubic"),
+                                          ("det22-squared", "star-2111")])
+    def test_direct_sum(self, one, two):
+        g = direct_sum(get_fixture(one).generators(), get_fixture(two).generators())
+        f, fstar = discriminant(g), discriminant(dual_generators(g))
+        n1 = get_fixture(one).generators().n
+        _, factors = bernstein._factors(f, fstar)
+        assert [list(idx) for idx, _, _ in factors] == \
+            [list(range(n1)), list(range(n1, g.n))]
+        res = bfunction(g)
+        assert (res.b, res.raw_leading) == one_walk_b(g)
+
+    @pytest.mark.parametrize("g", dtilde3_variants())
+    def test_dtilde3_generators(self, g):
+        # a generator rescaled by -3/2 scales f, f* and the raw leading
+        res = bfunction(g)
+        assert len(bernstein._factors(discriminant(g),
+                                      discriminant(dual_generators(g)))[1]) == 2
+        assert (res.b, res.raw_leading) == one_walk_b(g)
+
+    def test_dtilde3_steps(self, monkeypatch):
+        # (x1x4 - x2x3)^2 and a 6-term form in x5..x10, with f* the same
+        # shape: 42 steps where the one walk takes 134 (test_zero_coordinates_first)
+        sizes = count_steps(monkeypatch)
+        f, fstar = f_and_fstar("dtilde3-22111")
+        _, factors = bernstein._factors(f, fstar)
+        assert [list(idx) for idx, _, _ in factors] == [[0, 1, 2, 3], list(range(4, 10))]
+        assert f.ints[min(f.ints)] == -1    # so lam = -f.scale
+        res = bfunction(get_fixture("dtilde3-22111").generators())
+        assert res.raw_leading == 432
+        assert len(sizes) == 42
+        assert max(sizes) <= 12 and sum(sizes) <= 71
+
+    @pytest.mark.parametrize("f, fstar", [
+        # a product support whose coefficient matrix [[1, 1], [1, -1]] has rank 2
+        pytest.param(MultiPoly(X2Y2, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1,
+                                      (0, 1, 1, 0): 1, (0, 1, 0, 1): -1}),
+                     MultiPoly(X2Y2, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1}),
+                     id="rank-2"),
+        # f = (x1 + x2)(y1 + y2) splits, f* = x1 y1 + x2 y2 does not
+        pytest.param(MultiPoly(X2Y2, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1,
+                                      (0, 1, 1, 0): 1, (0, 1, 0, 1): 1}),
+                     MultiPoly(X2Y2, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1}),
+                     id="fstar-not-a-product"),
+        # (x1 + x2)(y1^2 + y2^2) against (x1^2 + x2^2)(y1 + y2)
+        pytest.param(MultiPoly(X2Y2, {(1, 0, 2, 0): 1, (1, 0, 0, 2): 1,
+                                      (0, 1, 2, 0): 1, (0, 1, 0, 2): 1}),
+                     MultiPoly(X2Y2, {(2, 0, 1, 0): 1, (2, 0, 0, 1): 1,
+                                      (0, 2, 1, 0): 1, (0, 2, 0, 1): 1}),
+                     id="block-degrees"),
+    ])
+    def test_refused(self, f, fstar):
+        # the proposal splits each f; the exact checks refuse the split
+        assert bernstein._blocks(f.ints) == [[0, 1], [2, 3]]
+        lam, ((idx, f_b, fstar_b),) = bernstein._factors(f, fstar)
+        assert (lam, list(idx), f_b, fstar_b) == (1, [0, 1, 2, 3], f, fstar)
+
+    def test_accepted(self):
+        # f = 3 (x1 + x2)(y1 - 2 y2) has c_m0 = -2 at m0 = x2 y2, so lam < 0
+        f = MultiPoly(X2Y2, {(1, 0, 1, 0): 3, (1, 0, 0, 1): -6,
+                             (0, 1, 1, 0): 3, (0, 1, 0, 1): -6})
+        fstar = MultiPoly(X2Y2, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1,
+                                 (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})
+        lam, factors = bernstein._factors(f, fstar)
+        assert [list(idx) for idx, _, _ in factors] == [[0, 1], [2, 3]]
+        assert lam == Fraction(-3, 2)
+        for x in ((1, 2, 3, 5), (-2, 7, 1, -4)):
+            parts = [p.evaluate([x[i] for i in idx])
+                     for idx, f_b, fstar_b in factors for p in (f_b, fstar_b)]
+            assert f.evaluate(x) * fstar.evaluate(x) == lam * prod(parts)
 
 
 # ---------------------------------------------------------------------

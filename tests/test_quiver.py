@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import delta_character, ref_quiver_matrices
+from conftest import delta_character, one_walk_b, ref_quiver_matrices
 from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
@@ -250,6 +250,7 @@ class TestGeneratedQuivers:
         assert delta_character(g, discriminant(g)) == character(g)
         res = bfunction(g)
         assert isinstance(res, BResult) and res.symmetric
+        assert (res.b, res.raw_leading) == one_walk_b(g)
         roots = [r for r, m in res.spectrum.roots for _ in range(m)]
         assert sorted(-2 - r for r in roots) == sorted(roots)
         assert max(roots) < 0
