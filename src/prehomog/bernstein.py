@@ -259,6 +259,7 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
                         k, f_set)
 
     descend(0, monomials, {0: 1}, 0, f_packed)
+    del descend     # it refers to itself: free it now, not at a collection
     return total, W, fstar.scale * f_scale ** n
 
 

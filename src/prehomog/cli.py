@@ -12,7 +12,7 @@ import sys
 
 from . import bernstein, fixtures, geometry, liealg, quiver, serialize
 from .errors import DomainError, MathFailure, ParseError, PrehomogError
-from .polyring import parse_factored, rational_root_spectrum
+from .polyring import _factored, parse_factored, rational_root_spectrum
 
 
 def _load_source(job):
@@ -162,9 +162,9 @@ def _cmd_microlocal(job):
 
 
 def _cmd_chain(job):
-    polys = [parse_factored(text) for text in job.factors]
-    asm = geometry.chain_assemble(polys)
-    sp = rational_root_spectrum(asm)
+    parsed = [_factored(text) for text in job.factors]
+    asm = geometry.chain_assemble(p for p, _ in parsed)
+    sp = rational_root_spectrum(*(f for _, factors in parsed for f in factors))
     record = {"command": "chain",
               "monic_coefficients": serialize.unipoly_to_json(asm),
               "roots": serialize.spectrum_roots_to_json(sp),

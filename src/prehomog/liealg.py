@@ -257,6 +257,7 @@ def _determinant(forms, variables):
         return got
 
     det = minor((1 << n) - 1)
+    del minor       # it refers to itself and holds the memo: free both now
     return MultiPoly._form(variables, {unpack(e, B, n): c for e, c in det.items()},
                            scale)
 

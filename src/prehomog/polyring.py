@@ -37,9 +37,9 @@ MAX_PARSED_DEGREE = 300
 # needs a larger trial divisor raises CapacityError instead of running
 # for minutes
 MAX_TRIAL_DIVISOR = 10**6
-# pair cap of the rational root search: end terms with more divisor pairs
-# (a | f(0), q | lc f) than this raise CapacityError before any divisor is
-# listed; the tests and the benchmark inputs reach 100800 pairs
+# pair cap of the rational root search, per searched factor: end terms with
+# more divisor pairs (a | f(0), q | lc f) raise CapacityError before any
+# divisor is listed; the tests reach 100800 pairs, the benchmark inputs 72
 MAX_ROOT_PAIRS = 2 * 10**6
 # degree-preserving lines is_squarefree tries before it answers False
 SQUAREFREE_LINES = 8
@@ -611,9 +611,13 @@ def univariate_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         W *= 2
 
 
-def rational_root_spectrum(b: UniPoly) -> Spectrum:
-    """All rational roots of b with multiplicities, roots in ascending
-    order; the residual carries any remaining non-rational factor, monic.
+def rational_root_spectrum(*factors) -> Spectrum:
+    """All rational roots of the product of factors with multiplicities,
+    roots in ascending order; the residual carries the monic product of
+    the factors' remaining non-rational parts.  A factor is a UniPoly b,
+    searched whole, or a pair (b, k) for b^k, as `chain` passes them: a
+    degree-1 b = q*s + p gives its root -p/q directly, any other b is
+    searched once, so one factor's divisor pairs never multiply another's.
 
     The search runs on the content-free integer form f = b.ints, with no
     Fraction inside it; the scale and sign of b do not change the result.
@@ -626,24 +630,33 @@ def rational_root_spectrum(b: UniPoly) -> Spectrum:
     passing the divisibility tests is tested by exact integer division by
     q*s - a, repeated for the multiplicity.
     """
-    if b.is_zero:
-        raise DomainError("zero polynomial has no spectrum")
-    f = list(b.ints)
-    roots = []
-    zeros = 0
-    while not f[zeros]:
-        zeros += 1
-    if zeros:
-        roots.append((Fraction(0), zeros))
-        f = f[zeros:]
-    f = _integer_roots(f, roots)
-    roots.sort(key=lambda rm: rm[0])
-    return Spectrum(roots, UniPoly._form(f, Fraction(1)).monic())
+    roots, residual = {}, [1]       # {(a, q): multiplicity} of a/q, q > 0
+    for factor in factors:
+        b, k = factor if type(factor) is tuple else (factor, 1)
+        if b.is_zero:
+            raise DomainError("zero polynomial has no spectrum")
+        f = b.ints
+        # a bare UniPoly, even of degree 1, is searched whole under the
+        # search's caps: the call `bfunction` and `symmetry --poly` make
+        if len(f) == 2 and b is not factor:     # q*s + p, gcd(p, q) = 1
+            found = [((-f[0], f[1]) if f[1] > 0 else (f[0], -f[1]), 1)]
+        else:
+            zeros = next(i for i, c in enumerate(f) if c)
+            found = [((0, 1), zeros)] if zeros else []
+            residual = _dense_mul(residual, _int_power(
+                _integer_roots(list(f[zeros:]), found), k))
+        for r, m in found:
+            roots[r] = roots.get(r, 0) + m * k
+    L = lcm(*(q for _, q in roots))     # a/q ascends as a L/q does
+    return Spectrum([(Fraction(*r), roots[r])
+                     for r in sorted(roots, key=lambda r: r[0] * (L // r[1]))],
+                    UniPoly._form(residual, Fraction(1)).monic())
 
 
 def _integer_roots(f, roots):
-    """Append the rational roots of the primitive integer polynomial f
-    (lowest degree first, f[0] != 0) to roots; return f deflated by them."""
+    """Append each rational root a/q (q > 0, in lowest terms) of the
+    primitive integer polynomial f (lowest degree first, f[0] != 0) to
+    roots as ((a, q), multiplicity); return f deflated by them."""
     f_neg = [-c if i % 2 else c for i, c in enumerate(f)]     # f(-s)
     signs = [sg for sg, g in ((-1, f_neg), (1, f)) if _sign_changes(g)]
     if not signs:
@@ -672,7 +685,7 @@ def _integer_roots(f, roots):
                     f = g
                     mult += 1
                 if mult:
-                    roots.append((Fraction(a, q), mult))
+                    roots.append(((a, q), mult))
                     if len(f) == 1:
                         return f
                     f1, fm1 = _at_one(f)
@@ -845,24 +858,43 @@ def parse_factored(text: str) -> UniPoly:
     one raises CapacityError.  Parentheses nested deeper than
     MAX_PARSED_DEPTH raise ParseError.
     """
+    return _parse(text, None)
+
+
+def _factored(text):
+    """(p, factors): p = `parse_factored(text)`, a constant times the
+    product of the pairs (b, k) in factors: the top-level atoms with
+    exponents k >= 1 (a sign or a number is a constant, an atom^0 is left
+    out), or [(p, 1)] when the top level is a sum such as "s+1+2"."""
+    atoms, one = [], Fraction(1)
+    p = _parse(text, atoms)
+    return p, [(UniPoly._new(a, one), k) for a, k in atoms] or [(p, 1)]
+
+
+def _parse(text, atoms):
+    """`parse_factored`'s descent; atoms, unless None, gets the top-level
+    (atom ints, k) of `_factored`, emptied when the top level is a sum."""
     tokens = _tokenize(text)
     if text.count("(") > MAX_PARSED_DEPTH and max(accumulate(
             (tok == "(") - (tok == ")") for tok in tokens)) > MAX_PARSED_DEPTH:
         raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH}")
     pos = 0
 
-    def parse_sum():
+    def parse_sum(atoms=None):
         nonlocal pos
         acc, op = _NIL, tokens[pos]
         pos += op in ("+", "-")
         while True:
-            acc = _sum(acc, parse_product(), -1 if op == "-" else 1)
+            acc = _sum(acc, parse_product(atoms), -1 if op == "-" else 1)
             op = tokens[pos]
             if op not in ("+", "-"):
                 return acc
             pos += 1
+            if atoms:
+                atoms.clear()
+            atoms = None
 
-    def parse_product():
+    def parse_product(atoms=None):
         """Atoms, juxtaposed or joined by "*", each with an optional "^"
         and integer exponent."""
         nonlocal pos
@@ -881,6 +913,7 @@ def parse_factored(text: str) -> UniPoly:
                 atom = ((1,), *tok) if tok[0] else _NIL
             else:
                 raise _unexpected(tok)
+            k = 1
             if tokens[pos] == "^":
                 k = tokens[pos + 1]
                 if type(k) is not tuple:
@@ -888,10 +921,14 @@ def parse_factored(text: str) -> UniPoly:
                 if k[1] != 1:
                     raise ParseError("exponent must be a nonnegative integer")
                 pos += 2
+                k = k[0]
+                _capped(k * max(len(atom[0]) - 1, 1))
+            if atoms is not None and k:
+                atoms.append((atom[0], k))
+            if k != 1:
                 a, num, den = atom
-                _capped(k[0] * max(len(a) - 1, 1))
-                a = _int_power(a, k[0])
-                atom = (a, num ** k[0], den ** k[0]) if a[-1] else _NIL
+                a = _int_power(a, k)
+                atom = (a, num ** k, den ** k) if a[-1] else _NIL
             acc = atom if acc is None else _product(acc, atom)
             tok = tokens[pos]
             if tok == "*":
@@ -899,7 +936,10 @@ def parse_factored(text: str) -> UniPoly:
             elif tok not in ("s", "(") and type(tok) is not tuple:
                 return acc
 
-    ints, num, den = parse_sum()
+    try:
+        ints, num, den = parse_sum(atoms)
+    finally:
+        del parse_sum, parse_product    # the two closures refer to each other
     if tokens[pos] is not None:
         raise ParseError(f"trailing input in polynomial string: {tokens[pos:-1]}")
     return UniPoly._form(ints, Fraction(num, den))

@@ -11,20 +11,24 @@ geometry that checks the geometry on the stored integer forms and carries
 the paper's local checks (the normal discriminant of Lemma 4.6, strong
 Euler homogeneity), the Fraction coefficient arithmetic that checks
 `UniPoly` on its integer form, the Fraction recursive descent that checks
-`parse_factored`, and the published b-function catalogue."""
+`parse_factored`, the expanded route that checks `chain` on its factors,
+with seeded chain lists, and the published b-function catalogue."""
 
+import json
 import re
 from fractions import Fraction
 from math import lcm
 
 from prehomog import bernstein, polyring
-from prehomog.errors import CapacityError, DomainError, ParseError
-from prehomog.geometry import PointContext
+from prehomog.errors import CapacityError, DomainError, ParseError, PrehomogError
+from prehomog.geometry import PointContext, chain_assemble
 from prehomog.liealg import (_determinant, _integer_form, character,
                              discriminant, dual_generators, is_special)
 from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
 from prehomog.polyring import (MultiPoly, UniPoly, parse_factored,
-                               parse_rational, primitive)
+                               parse_rational, primitive,
+                               rational_root_spectrum)
+from prehomog.serialize import spectrum_roots_to_json, unipoly_to_json
 
 _acceptance_lines = []
 
@@ -682,6 +686,69 @@ def ref_parse_factored(text):
     if pos != len(tokens):
         raise ParseError(f"trailing input in polynomial string: {tokens[pos:]}")
     return UniPoly(result)
+
+
+def chain_expanded(factors):
+    """(exit code, report) of `chain --json` on the texts factors by the
+    route it replaced: each text expanded by `parse_factored`, and the
+    roots searched on the assembled product."""
+    try:
+        asm = chain_assemble([parse_factored(text) for text in factors])
+        sp = rational_root_spectrum(asm)
+    except PrehomogError as exc:
+        return 1, f"error: {exc}"
+    return 0, json.dumps({"command": "chain",
+                          "monic_coefficients": unipoly_to_json(asm),
+                          "roots": spectrum_roots_to_json(sp),
+                          "residual": unipoly_to_json(sp.residual)}, indent=2)
+
+
+def random_chain_list(rng):
+    """(texts, traits): a seeded `chain` argument list with small end
+    terms, and the traits it shows among "negative_leading", "sum",
+    "shared_root", "exponent_zero", "residual".  Each text is a product of
+    powers of linear factors (q s + p) of either sign, quadratics (one the
+    product of a linear factor of the list with another, one without a
+    rational root) and constants, or a bare top-level sum; a leading "-"
+    negates a whole text."""
+    linear = [(rng.randint(1, 4) * rng.choice((1, -1)), rng.randint(-6, 6))
+              for _ in range(rng.randint(1, 4))]
+    traits = set()
+
+    def lin(q, p):
+        return f"{q}s{p:+d}"
+
+    def power():
+        r = rng.random()
+        if r < 0.5:
+            q, p = rng.choice(linear)
+            traits.update(["negative_leading"] if q < 0 else [])
+            base = f"({lin(q, p)})"
+        elif r < 0.7:
+            (q, p), (u, v) = rng.choice(linear), (rng.randint(1, 3), rng.randint(-4, 4))
+            traits.add("shared_root")
+            base = f"({q * u}s^2{q * v + p * u:+d}s{p * v:+d})"
+        elif r < 0.85:
+            traits.add("residual")
+            base = f"(s^2{rng.choice((1, 2, 3, 5)):+d})"
+        else:
+            base = rng.choice(["3", "2/5", "7"])
+        k = rng.choice(["", "", "^2", "^3", "^0"])
+        traits.update(["exponent_zero"] if k == "^0" else [])
+        return base + k
+
+    texts = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.2:
+            traits.add("sum")
+            text = f"{lin(*rng.choice(linear))}+{rng.randint(0, 3)}"
+        else:
+            text = "*".join(power() for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.2:
+            traits.add("negative_leading")
+            text = "-" + text
+        texts.append(text)
+    return texts, traits
 
 
 # ---------------------------------------------------------------------

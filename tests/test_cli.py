@@ -1,14 +1,17 @@
 import argparse
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import prehomog
+from conftest import chain_expanded, random_chain_list
 from prehomog.cli import _build_parser, main, run
 from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import OrderForm
@@ -185,6 +188,16 @@ class TestCommands:
         assert capsys.readouterr().out == out
 
 
+class TestChainFactors:
+    def test_against_expanded_route(self):
+        # `chain` on its arguments' factors prints what the expanded
+        # product printed: roots, residual and errors alike
+        rng = random.Random(32)
+        for _ in range(300):
+            texts, _ = random_chain_list(rng)
+            assert run(["chain", "--json", "--"] + texts) == chain_expanded(texts), texts
+
+
 class TestJsonOutput:
     def test_round_trip_bytes(self):
         code, text = run(["bfunction", "--fixture", "nc-2", "--json"])
@@ -318,10 +331,12 @@ class TestBadInput:
 
     def test_prime_end_term_fails_fast(self):
         # 2^64 - 59 is prime: trial division up to its square root would run
-        # for minutes, so the root search refuses it at its divisor limit
+        # for minutes, so the root search refuses it at its divisor limit.
+        # A degree-1 factor never reaches the search, so s^2 - p carries it:
+        # its sign change leaves Descartes' rule a positive root to look for
         env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
         done = subprocess.run(
-            [sys.executable, "-m", "prehomog.cli", "chain", "s+18446744073709551557"],
+            [sys.executable, "-m", "prehomog.cli", "chain", "(s^2-18446744073709551557)"],
             capture_output=True, text=True, env=env, timeout=10)
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "trial-division limit" in done.stdout
@@ -343,18 +358,42 @@ class TestBadInput:
                                       f"position {position}:")
 
     def test_divisor_pairs_fail_fast(self):
-        # every prime factor of 7...7 (60 digits) is squared: its divisor
-        # list would triple per prime, so the root search refuses it by the
-        # count.  The child's address space is capped at 1 GiB, so a search
-        # that lists the divisors fails there instead of filling the memory
+        # every prime factor of M = (7...7)^2 (7...7 of 60 digits) is
+        # squared: its divisor list would triple per prime, so the root
+        # search refuses it by the count.  The child's address space is
+        # capped at 1 GiB, so a search that lists the divisors fails there
+        # instead of filling the memory.  s^2 - M is searched, as a
+        # degree-1 factor such as (s + 7...7)^2 is not
         env = {**os.environ, "PYTHONPATH": str(Path(prehomog.__file__).parents[1])}
         done = subprocess.run(
-            [sys.executable, "-m", "prehomog.cli", "chain", "(s+" + "7" * 60 + ")^2"],
+            [sys.executable, "-m", "prehomog.cli", "chain",
+             f"(s^2-{int('7' * 60) ** 2})"],
             capture_output=True, text=True, env=env, timeout=10,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (1 << 30, 1 << 30)))
         assert done.returncode == 1
         assert done.stdout.startswith("error:") and "divisor pairs" in done.stdout
+
+    @pytest.mark.parametrize("factors, roots", [
+        (["s+18446744073709551557"], [(-(2**64 - 59), 1)]),
+        (["(s+" + "7" * 60 + ")^2"], [(-int("7" * 60), 2)]),
+        ([f"({k}s+{k + 1})" for k in range(2, 26)],
+         [(Fraction(-k - 1, k), 1) for k in range(2, 26)]),
+    ], ids=["prime", "squared-primes", "24-factors"])
+    def test_linear_end_terms(self, factors, roots):
+        # end terms the search refuses, but only on degree-1 factors,
+        # whose roots are read off directly: roots known by construction
+        code, text = run(["chain", "--json"] + factors)
+        assert code == 0
+        got = json.loads(text)
+        want = sorted(roots)
+        assert got["roots"] == [[str(r), m] for r, m in want]
+        monic = UniPoly.one()
+        for r, m in want:
+            for _ in range(m):
+                monic = monic * UniPoly([-r, 1])
+        assert got["monic_coefficients"] == [str(c) for c in monic.coeffs]
+        assert got["residual"] == ["1"]
 
     # [A1, A2] leaves the span of A1, A2, A3, though f is a semi-invariant
     # of each A_k (not a squarefree one, as Saito's criterion requires)

@@ -1,6 +1,7 @@
-"""The package's public surface and its imports."""
+"""The package's public surface, its imports, and the garbage it leaves."""
 
 import ast
+import gc
 import re
 import sys
 from fractions import Fraction
@@ -9,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import prehomog
-from prehomog.bernstein import SPowerExpression
+from prehomog.bernstein import SPowerExpression, bfunction
+from prehomog.cli import run
 from prehomog.errors import ContextError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm, conormal_order, point_context
-from prehomog.liealg import character, character_of_combination
+from prehomog.liealg import character, character_of_combination, classify
 
 
 def test_every_public_name_resolves():
@@ -151,6 +153,28 @@ def test_no_test_only_definitions():
     assigned = _assignments(p for p in src if p.stem not in ("fixtures", "__init__"))
     assert len(assigned) > 10
     assert [a for a in assigned if a[1] not in read] == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bfunction(get_fixture("dtilde3-22111").generators()),
+    lambda: classify(get_fixture("star-2111").generators()),
+    lambda: run(["chain", "s+1", "(3s+2)(3s+3)(3s+4)", "((s+1)^2+1)"]),
+    lambda: run(["chain", "s+1", "(3s+2"]),
+], ids=["bfunction", "classify", "chain", "chain-error"])
+def test_no_reference_cycles(call):
+    """The recursive closures (the walk's `descend`, the determinant's
+    `minor`, the parser's `parse_sum` and `parse_product`) are freed on
+    return, so a call leaves nothing for the cyclic collector."""
+    call()      # the caches of the first call: fixtures, argparse, re
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _conormal_order(y):

@@ -6,17 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fraction_shift, from_roots, ref_add, ref_compose_linear,
-                      ref_derivative, ref_divmod, ref_evaluate, ref_gcd,
-                      ref_monic, ref_mul, ref_parse_factored, ref_poly_add,
-                      ref_poly_derivative, ref_poly_linear, ref_poly_mul,
-                      ref_restrict_line, ref_trim, restrict)
+from conftest import (fraction_shift, from_roots, random_chain_list, ref_add,
+                      ref_compose_linear, ref_derivative, ref_divmod,
+                      ref_evaluate, ref_gcd, ref_monic, ref_mul,
+                      ref_parse_factored, ref_poly_add, ref_poly_derivative,
+                      ref_poly_linear, ref_poly_mul, ref_restrict_line,
+                      ref_trim, restrict)
 from prehomog import polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import classify
-from prehomog.polyring import (MultiPoly, Spectrum, UniPoly,
+from prehomog.polyring import (MultiPoly, Spectrum, UniPoly, _factored,
                                is_squarefree, parse_factored,
                                parse_rational, primitive,
                                rational_root_spectrum, univariate_gcd)
@@ -1065,3 +1066,131 @@ class TestParserAgainstFraction:
             assert parse_outcome(parse_factored, text) == want, text
             failed += not isinstance(want, tuple)
         assert failed >= 150
+
+
+def factored_outcome(text):
+    """(the factors of `_factored(text)` as ((ints, k), ...), p's form), or
+    the class and message of its error."""
+    try:
+        p, factors = _factored(text)
+    except (ParseError, CapacityError) as exc:
+        return type(exc), str(exc)
+    return tuple((b.ints, k) for b, k in factors), (p.ints, p.scale)
+
+
+def power_product(factors):
+    """The product of b^k over the pairs (b, k)."""
+    out = UniPoly.one()
+    for b, k in factors:
+        for _ in range(k):
+            out = out * b
+    return out
+
+
+class TestFactoredSpectrum:
+    """`chain` reads the spectrum off each argument's top-level factors
+    (`_factored`) instead of searching the expanded product."""
+
+    def test_factors_of_seeded_texts(self):
+        # p is parse_factored's polynomial, the factors multiply to it up
+        # to a constant, and every error is parse_factored's, message too
+        rng = random.Random(2024)
+        legal = 0
+        for _ in range(600):
+            text = random_factored_text(rng)
+            got = factored_outcome(text)
+            try:
+                want = parse_factored(text)
+            except (ParseError, CapacityError) as exc:
+                assert got == (type(exc), str(exc)), text
+                continue
+            p, factors = _factored(text)
+            assert p == want, text
+            assert all(k >= 1 for _, k in factors), text
+            prod = power_product(factors)
+            assert prod.is_zero if p.is_zero else prod.monic() == p.monic(), text
+            legal += 1
+        assert legal >= 500
+
+    @pytest.mark.parametrize("text, factors", [
+        ("s+1+2", [((3, 1), 1)]),                          # a top-level sum
+        ("-(3s+2)(s+1)^2", [((2, 3), 1), ((1, 1), 2)]),    # a leading minus
+        ("5(s+1)^2", [((1,), 1), ((1, 1), 2)]),            # a constant
+        ("(s+1)^0(s+2)", [((2, 1), 1)]),                   # exponent 0
+        ("(s+1)^0", [((1,), 1)]),
+        ("s^2*((s+1)(s+2))^2", [((0, 1), 2), ((2, 3, 1), 2)]),
+        ("(2-3s)", [((2, -3), 1)]),
+    ])
+    def test_top_level_factors(self, text, factors):
+        p, got = _factored(text)
+        assert [(b.ints, k) for b, k in got] == [(tuple(a), k) for a, k in factors]
+        assert p == parse_factored(text)
+
+    def test_spectrum_of_seeded_lists(self):
+        # the spectrum of the factors is that of their product
+        rng = random.Random(33)
+        seen = dict.fromkeys(("negative_leading", "sum", "shared_root",
+                              "exponent_zero", "residual"), 0)
+        lists = 0
+        while lists < 300:
+            texts, traits = random_chain_list(rng)
+            try:
+                parsed = [_factored(text) for text in texts]
+            except ParseError:
+                continue
+            factors = [f for _, fs in parsed for f in fs]
+            product = UniPoly.one()
+            for p, _ in parsed:
+                product = product * p
+            if product.is_zero:
+                continue
+            sp = rational_root_spectrum(*factors)
+            assert sp == rational_root_spectrum(product), texts
+            lists += 1
+            for t in traits - {"shared_root"}:
+                seen[t] += 1
+            # a root of a degree-1 factor that a longer factor has too
+            linear = {r for b, _ in factors if b.degree() == 1
+                      for r, _ in rational_root_spectrum(b).roots}
+            seen["shared_root"] += any(
+                r in linear for b, _ in factors if b.degree() > 1
+                for r, _ in rational_root_spectrum(b).roots)
+        assert min(seen.values()) >= 30, seen
+
+    def test_linear_factors_skip_the_search(self, monkeypatch):
+        # a degree-1 factor's end terms are never factored, whatever their
+        # size; one polynomial is still searched whole
+        def no_search(n, most):
+            raise AssertionError("degree-1 factor reached the search")
+
+        big = 2**64 - 59        # prime, past the trial-division limit
+        b = UniPoly([big, 1])
+        monkeypatch.setattr(polyring, "_prime_powers", no_search)
+        sp = rational_root_spectrum((b, 2), (UniPoly([3, 2]), 1), (UniPoly([0, 5]), 3))
+        assert sp.roots == ((-big, 2), (Fraction(-3, 2), 1), (0, 3))
+        assert sp.residual == UniPoly.one()
+        monkeypatch.undo()
+        with pytest.raises(CapacityError, match="trial-division limit"):
+            rational_root_spectrum(b)
+
+    def test_powers_of_searched_factors(self, monkeypatch):
+        # a longer factor is searched once, its roots and residual raised
+        # to its exponent, and its pairs never multiply with another's
+        calls = [0]
+        search = polyring._integer_roots
+
+        def counted(f, roots):
+            calls[0] += 1
+            return search(f, roots)
+
+        monkeypatch.setattr(polyring, "_integer_roots", counted)
+        sp = rational_root_spectrum((UniPoly([-1, 0, 1]), 3),
+                                    (UniPoly([2, 0, 1]), 2), (UniPoly([1, 1]), 1))
+        assert calls[0] == 2
+        assert sp.roots == ((-1, 4), (1, 3))
+        assert sp.residual == UniPoly([4, 0, 4, 0, 1])      # (s^2 + 2)^2
+        monkeypatch.setattr(polyring, "MAX_ROOT_PAIRS", 8)
+        # s^2 - 6 has 4 divisor pairs, its cube 16
+        assert rational_root_spectrum((UniPoly([-6, 0, 1]), 3)).roots == ()
+        with pytest.raises(CapacityError, match="more than 8 divisor pairs"):
+            rational_root_spectrum(parse_factored("(s^2-6)^3"))
