@@ -20,6 +20,11 @@ pointwise geometry.  The determinant works on packed exponents and
 restores the scales once at the end.  The character comes from the Lie
 algebra alone, dchi(A) = tr A - tr ad A on the closure rows, so it never
 differentiates f.
+The sparsity of the forms gives the block-triangular form of the Saito
+matrix (A_1 x | ... | A_n x), `_blocks`; the determinant of a square
+block is `_determinant` on its sub-forms, and a block determinant that
+divides another (`polyring._quotient`) is a squared factor of f, which
+certifies `classify`'s "not reduced".
 """
 
 from fractions import Fraction
@@ -27,8 +32,8 @@ from math import lcm
 
 from . import linalg
 from .errors import ClosureError, ContextError, DomainError
-from .polyring import (MultiPoly, _coerce, _exact, exponent_bits, is_squarefree,
-                       primitive, unpack)
+from .polyring import (MultiPoly, _coerce, _exact, _quotient, exponent_bits,
+                       is_squarefree, primitive, unpack)
 
 
 def default_variables(n):
@@ -215,16 +220,19 @@ def _integer_form(A, n):
 
 
 def _determinant(forms, variables):
-    """det(A_1 x, ..., A_n x) from the integer forms of the A_k; no
-    independence requirement, so the result may be zero.
+    """det(A_1 x, ..., A_m x) from m integer forms (rows, scale) with m
+    rows each, rows[i] the entries (j, a) of row i over the variables; no
+    independence requirement, so the result may be zero.  With the n forms
+    of a GeneratorSet this is f; with a square block of the Saito matrix
+    (rows R, one form per column) it is that block's determinant.
 
     The determinant of the integer matrices is expanded by minors with
     memoisation over column subsets (row r is expanded when r + 1 columns
     have been consumed); the integer determinant and the product of the
     scales go to `MultiPoly._form`, which divides the content out.  An
-    r-minor has degree r <= n, so no exponent passes n.
+    r-minor has degree r <= m, so no exponent passes m.
     """
-    n = len(variables)
+    n = len(forms)
     B = exponent_bits(n)
     scale = Fraction(1)
     cols = []   # cols[k][i]: the linear form (A_k x)_i as packed pairs
@@ -258,13 +266,109 @@ def _determinant(forms, variables):
 
     det = minor((1 << n) - 1)
     del minor       # it refers to itself and holds the memo: free both now
-    return MultiPoly._form(variables, {unpack(e, B, n): c for e, c in det.items()},
+    return MultiPoly._form(variables,
+                           {unpack(e, B, len(variables)): c for e, c in det.items()},
                            scale)
 
 
 def discriminant(g: GeneratorSet) -> MultiPoly:
     """f(x) = det(A_1 x, ..., A_n x), homogeneous of degree n or zero."""
     return _determinant(g.forms, g.variables)
+
+
+def _blocks(g):
+    """The diagonal blocks [(R_b, C_b)] of the block-triangular form of the
+    Saito matrix M(x) = (A_1 x | ... | A_n x), so f = +-prod_b det M_b
+    with M_b its rows R_b and columns C_b; None when M has no perfect
+    matching, i.e. f = 0 structurally.
+
+    Entry (i, k) is structurally zero iff row i of M_k is empty.  A
+    maximum matching by augmenting paths pairs each column k with a row
+    match[k]; the strongly connected components of the digraph with an
+    edge i -> match[k] for each nonzero (i, k) (Tarjan) are the row sets
+    of the irreducible diagonal blocks (Dulmage & Mendelsohn 1958; Pothen
+    & Fan 1990).  Both searches keep explicit stacks, so nothing refers to
+    itself after the call.
+    """
+    n = g.n
+    adj = [[k for k, (rows, _) in enumerate(g.forms) if rows[i]] for i in range(n)]
+    match = [-1] * n
+    for root in range(n):
+        seen = set()
+        path = []           # the column taken from each row on the stack but the last
+        stack = [iter(adj[root])]
+        while stack:
+            k = next((k for k in stack[-1] if k not in seen), None)
+            if k is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen.add(k)
+            path.append(k)
+            if match[k] < 0:
+                break
+            stack.append(iter(adj[match[k]]))
+        else:
+            return None
+        row = root
+        for k in path:      # shift the matching along the augmenting path
+            row, match[k] = match[k], row
+    succ = [[match[k] for k in ks] for ks in adj]
+    index, low = [-1] * n, [0] * n
+    on_stack, stack, comps = [False] * n, [], []
+    count = 0
+    for s in range(n):
+        if index[s] >= 0:
+            continue
+        work = [(s, None)]
+        while work:
+            v, it = work.pop()
+            if it is None:          # first visit of v
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on_stack[v] = True
+                it = iter(succ[v])
+            for w in it:
+                if index[w] < 0:
+                    work += [(v, it), (w, None)]
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(comp)
+    column = [0] * n        # column[i]: the column matched to row i
+    for k, i in enumerate(match):
+        column[i] = k
+    return [(comp, [column[i] for i in comp]) for comp in comps]
+
+
+def _squared_block(g):
+    """(h, q), integer forms with det M_i = h q and h = det M_j for two
+    blocks i != j of `_blocks`, so h^2 | f, as h has degree |C_j| >= 1;
+    None when no block determinant divides another.  Larger blocks are
+    tried first; the scales do not matter to divisibility."""
+    blocks = sorted(_blocks(g), key=lambda b: -len(b[0]))
+    dets = [_determinant([(tuple(g.forms[k][0][i] for i in R), 1) for k in C],
+                         g.variables).ints for R, C in blocks]
+    support = [{v for e in d for v, x in enumerate(e) if x} for d in dets]
+    for j, h in enumerate(dets):
+        for i, p in enumerate(dets):
+            if i != j and len(blocks[i][0]) >= len(blocks[j][0]) \
+                    and support[j] <= support[i]:
+                q = _quotient(p, h)
+                if q is not None:
+                    return h, q
+    return None
 
 
 def character(g: GeneratorSet):
@@ -341,13 +445,16 @@ def dual_generators(g: GeneratorSet) -> GeneratorSet:
 
 def classify(g: GeneratorSet) -> Classification:
     """Saito-style classification of the discriminant divisor.  `reduced`,
-    and with it the kind, comes from `is_squarefree`: True is certified,
-    False is probabilistic."""
+    and with it the kind, comes from `is_squarefree`: True is certified.
+    Once its first line shows a repeated factor, the blocks of the Saito
+    matrix are searched for a witness h with h^2 | f (`_squared_block`);
+    one found certifies False at once.  Without one, False comes after all
+    eight lines and is probabilistic."""
     c = character(g)
     f = discriminant(g)
     if f.is_zero:
         return Classification("not-prehomogeneous", False, False, f)
     special = is_special(g, c)
-    reduced = is_squarefree(f)
+    reduced = is_squarefree(f, lambda: _squared_block(g) is not None)
     kind = "linear-free-divisor" if reduced else "prehomogeneous-determinant"
     return Classification(kind, reduced, special, f)

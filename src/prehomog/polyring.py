@@ -24,6 +24,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, zip_longest
 from math import comb, gcd, isqrt, lcm, prod
 
@@ -767,7 +768,58 @@ def _divisors(powers):
     return sorted(out)
 
 
-def is_squarefree(p: MultiPoly) -> bool:
+def _quotient(a, b):
+    """The integer form q with a = q*b, or None when b does not divide a:
+    a and b are integer forms of one variable context ({exponent tuple:
+    int}, b nonzero and content-free, as `MultiPoly.ints` holds them).
+
+    Each step divides the leading term of the remainder by that of b, in
+    graded lex order: the exponents are packed with the total degree in
+    the top slot, so remainder terms never pass deg a and no slot
+    carries.  If b | a in Q[x], the leading term of b divides that of
+    every remainder, and by Gauss's lemma q has integer coefficients, as
+    b is content-free.  So a step whose exponent difference leaves a slot
+    negative (a borrow across a slot boundary) or whose coefficient is not
+    a multiple of b's leading coefficient proves that b does not divide a.
+    """
+    if not a:
+        return {}
+    nv = len(next(iter(b)))
+    da = max(map(sum, a))
+    B = exponent_bits(da)
+    top = B * nv
+
+    def pack(p):
+        return {sum(x << B * i for i, x in enumerate(e)) + (sum(e) << top): c
+                for e, c in p.items()}
+
+    r, b = pack(a), pack(b)
+    lead = max(b)
+    lc = b.pop(lead)
+    slots = sum(1 << B * i for i in range(1, nv + 1))
+    heap = [-e for e in r]
+    heapify(heap)
+    q = {}
+    while heap:
+        e = -heappop(heap)
+        c = r.pop(e)
+        if not c:
+            continue
+        d = e - lead
+        k, m = divmod(c, lc)
+        if d < 0 or (d ^ e ^ lead) & slots or m:
+            return None
+        q[d] = k
+        for e2, c2 in b.items():
+            t = d + e2
+            if t not in r:
+                r[t] = 0
+                heappush(heap, -t)
+            r[t] -= k * c2
+    return {unpack(e, B, nv): c for e, c in q.items()}
+
+
+def is_squarefree(p: MultiPoly, witness=None) -> bool:
     """Squarefreeness via random line restrictions.
 
     Restricts p to t -> p(a + t*b) for integer a, b drawn from
@@ -776,10 +828,15 @@ def is_squarefree(p: MultiPoly) -> bool:
     On a degree-preserving line every factor of p keeps its degree, so
     p = g^2 h with deg g > 0 always shows the repeated factor g(a + t*b).
     One clean line therefore proves p squarefree: True is certified.
-    False comes only after SQUAREFREE_LINES (8) lines that all show a
-    repeated factor, and is probabilistic.  For squarefree p of degree d,
-    u has a repeated root only where its discriminant in t, a nonzero
-    polynomial of degree <= d(2d - 2) in (a, b), vanishes; drawn from
+
+    After the first line that shows a repeated factor, `witness` (if
+    given) is called once; it returns True only when it has proved
+    h^2 | p for some h of positive degree, and then False is certified
+    and no further line is drawn.  Otherwise False comes only after
+    SQUAREFREE_LINES (8) lines that all show a repeated factor, and is
+    probabilistic.  For squarefree p of degree d, u has a repeated root
+    only where its discriminant in t, a nonzero polynomial of degree
+    <= d(2d - 2) in (a, b), vanishes; drawn from
     [-10^4, 10^4], a line is bad with probability <= d(2d - 2)/(2*10^4 + 1)
     (Schwartz-Zippel), about 0.009 at d = 10.  From d of about 100 the
     bound is 1: it says nothing.
@@ -804,6 +861,8 @@ def is_squarefree(p: MultiPoly) -> bool:
         if univariate_gcd(u, u.derivative()).degree() == 0:
             return True
         done += 1
+        if done == 1 and witness is not None and witness():
+            return False
     return False
 
 

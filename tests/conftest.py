@@ -1,7 +1,8 @@
 """Shared test plumbing: the acceptance summary lines, the Fraction
 Gauss-Jordan that checks the integer echelon of `linalg.echelon`, dense
 Fraction matrix helpers, the determinant kernel of `liealg` on ad-hoc
-matrices, the delta_A oracle that checks `liealg.character` on f itself,
+matrices, the oracle of the Saito matrix's blocks and their squared-factor
+witness, the delta_A oracle that checks `liealg.character` on f itself,
 the one-walk b that checks `bfunction`'s split into factors, the
 structure constants of a Lie algebra, the character difference of a set
 and its dual, the Fourier identity of normal-ordered first-order
@@ -17,16 +18,17 @@ with seeded chain lists, and the published b-function catalogue."""
 import json
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from prehomog import bernstein, polyring
+from prehomog import bernstein, polyring, quiver
 from prehomog.errors import CapacityError, DomainError, ParseError, PrehomogError
 from prehomog.geometry import PointContext, chain_assemble
-from prehomog.liealg import (_determinant, _integer_form, character,
-                             discriminant, dual_generators, is_special)
+from prehomog.liealg import (_blocks, _determinant, _integer_form,
+                             _squared_block, character, classify, discriminant,
+                             dual_generators, is_special)
 from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
-from prehomog.polyring import (MultiPoly, UniPoly, parse_factored,
-                               parse_rational, primitive,
+from prehomog.polyring import (MultiPoly, UniPoly, is_squarefree,
+                               parse_factored, parse_rational, primitive,
                                rational_root_spectrum)
 from prehomog.serialize import spectrum_roots_to_json, unipoly_to_json
 
@@ -154,6 +156,19 @@ def combination(coeffs, mats):
     return out
 
 
+def elementary_product(rng, n, count):
+    """(P, P^-1) for P a product of `count` seeded matrices I + c e_ij,
+    i != j: det P = 1, and P^-1 is the product of the I - c e_ij."""
+    P, P_inv = identity(n), identity(n)
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2))
+        E, E_inv = identity(n), identity(n)
+        E[i][j], E_inv[i][j] = c, -c
+        P, P_inv = mat_mul(P, E), mat_mul(E_inv, P_inv)
+    return P, P_inv
+
+
 def int_product(a, b):
     """The product of two dense integer matrices, in ints."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
@@ -165,6 +180,60 @@ def columns_determinant(mats, variables):
     are dependent."""
     return _determinant([_integer_form(A, len(variables)) for A in mats],
                         tuple(variables))
+
+
+def star_31111():
+    """The center-3 star with four 1-dimensional sources: n = 12, 415 terms
+    in f and f*."""
+    sources = ["s1", "s2", "s3", "s4"]
+    qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
+    d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
+    return quiver.infinitesimal_generators(qv, d)
+
+
+def _proportional(a, b):
+    """Whether the Fraction dicts a and b are nonzero multiples of each other."""
+    if a.keys() != b.keys() or not a:
+        return False
+    e = next(iter(a))
+    return ref_poly_mul(b, a[e] / b[e]) == a
+
+
+def saito_oracle(g):
+    """Checks the Saito blocks of g, a set with f != 0, and returns whether
+    `liealg._squared_block` found a witness:
+
+    - `classify(g).reduced` is `is_squarefree(f)`, the verdict of all eight
+      lines;
+    - f = +-prod_b det M_b over `liealg._blocks`, multiplied out in the
+      Fraction dict arithmetic with the product of the scales;
+    - a witness (h, q) is the integer form of det M_j, and det M_i = h q,
+      for two blocks i != j; then h^2 q times the other blocks'
+      determinants is a multiple of f, so h^2 | f, checked by
+      multiplication alone."""
+    f = discriminant(g)
+    assert classify(g).reduced is is_squarefree(f)
+    dets = [_determinant([(tuple(g.forms[k][0][i] for i in rows), 1) for k in cols],
+                         g.variables) for rows, cols in _blocks(g)]
+    whole = {(0,) * g.n: Fraction(1)}
+    for d in dets:
+        whole = ref_poly_mul(whole, d.terms)
+    whole = ref_poly_mul(whole, prod(scale for _, scale in g.forms))
+    assert whole in (f.terms, ref_poly_mul(f.terms, -1))
+    witness = _squared_block(g)
+    if witness is None:
+        return False
+    h, q = witness
+    ints = [d.ints for d in dets]
+    j = ints.index(h)
+    hq = ref_poly_mul(h, q)
+    i = next(i for i, p in enumerate(ints) if i != j and p == hq)
+    cofactor = ref_poly_mul(hq, h)
+    for b, p in enumerate(ints):
+        if b not in (i, j):
+            cofactor = ref_poly_mul(cofactor, p)
+    assert h and max(map(sum, h)) >= 1 and _proportional(cofactor, f.terms)
+    return True
 
 
 def delta_packed(form, terms, B):

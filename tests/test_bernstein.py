@@ -5,13 +5,13 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import (delta_character, eigenvalue, fourier_holds,
-                      fourier_transform, from_roots, identity, mat_mul,
-                      mat_scale, one_walk_b, q_dual_operator, q_operator,
+from conftest import (delta_character, eigenvalue, elementary_product,
+                      fourier_holds, fourier_transform, from_roots, identity,
+                      mat_mul, mat_scale, one_walk_b, q_dual_operator, q_operator,
                       ref_packed, ref_poly_add, ref_poly_derivative,
-                      ref_poly_mul, substitute_s)
+                      ref_poly_mul, star_31111, substitute_s)
 
-from prehomog import bernstein, linalg, quiver
+from prehomog import bernstein, linalg
 from prehomog.bernstein import (BFailure, BResult, SPowerExpression,
                                 apply_operator, bfunction, extract_cofactor,
                                 symmetry_check)
@@ -417,15 +417,6 @@ SPECIAL_INPUTS = ([n for n in fixture_names() if n not in NON_SPECIAL]
                   + ["atilde-8", "nc-8"])
 
 
-def star_31111():
-    """The center-3 star with four 1-dimensional sources: n = 12, 415 terms
-    in f and f*."""
-    sources = ["s1", "s2", "s3", "s4"]
-    qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
-    d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
-    return quiver.infinitesimal_generators(qv, d)
-
-
 def widen_slots(monkeypatch):
     """Make `_walk` take 64 bits per s-slot more than `_slot_width` proves."""
     width = bernstein._slot_width
@@ -663,19 +654,6 @@ class TestFactors:
 # metamorphic properties: the same divisor in other generators or coordinates
 
 METAMORPHIC_INPUTS = ["binary-cubic", "star-2111", "atilde-3", "dtilde3-22111"]
-
-
-def elementary_product(rng, n, count):
-    """(P, P^-1) for P a product of `count` seeded matrices I + c e_ij,
-    i != j: det P = 1, and P^-1 is the product of the I - c e_ij."""
-    P, P_inv = identity(n), identity(n)
-    for _ in range(count):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((1, -1, 2))
-        E, E_inv = identity(n), identity(n)
-        E[i][j], E_inv[i][j] = c, -c
-        P, P_inv = mat_mul(P, E), mat_mul(E_inv, P_inv)
-    return P, P_inv
 
 
 class TestMetamorphic:

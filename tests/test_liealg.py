@@ -8,12 +8,14 @@ import pytest
 
 from conftest import (bracket, columns_determinant, combination,
                       delta_character, delta_packed, dual_characters_agree,
-                      eigenvalue, identity, mat_add, mat_scale, mat_vec,
+                      eigenvalue, elementary_product, identity, mat_add,
+                      mat_mul, mat_scale, mat_vec,
                       ref_annihilator_basis, ref_in_span,
                       ref_poly_add, ref_poly_derivative, ref_poly_linear,
-                      ref_poly_mul, ref_structure_constants)
+                      ref_poly_mul, ref_structure_constants, saito_oracle,
+                      star_31111)
 
-from prehomog import liealg, linalg, polyring, quiver
+from prehomog import liealg, linalg, polyring
 from prehomog.errors import ClosureError, ContextError, DomainError
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import (GeneratorSet, character,
@@ -503,10 +505,7 @@ class TestCharacter:
 
     def test_star_31111(self):
         """n = 12: the center-3 star with four 1-dimensional sources."""
-        sources = ["s1", "s2", "s3", "s4"]
-        qv = quiver.Quiver(["c"] + sources, [(s, "c") for s in sources])
-        d = quiver.DimensionVector({"c": 3, **dict.fromkeys(sources, 1)})
-        g = quiver.infinitesimal_generators(qv, d)
+        g = star_31111()
         f = discriminant(g)
         dual = dual_generators(g)
         fstar = discriminant(dual)
@@ -625,3 +624,55 @@ class TestClassify:
         cls = classify(g)
         assert cls.kind == "not-prehomogeneous"
         assert cls.discriminant.is_zero
+
+
+NONREDUCED = {"det22-squared", "dtilde3-22111", "atilde-2", "atilde-3",
+              "atilde-4", "atilde-5", "atilde-6", "atilde-7", "atilde-8",
+              "atilde-29"}
+
+
+def permuted_rescaled(g, rng):
+    """g's generators in a seeded order, each times a seeded rational."""
+    order = rng.sample(range(g.n), g.n)
+    return GeneratorSet([mat_scale(g.matrix(k), rng.choice((2, -3, Fraction(1, 2))))
+                         for k in order], g.variables)
+
+
+def conjugated(g, rng):
+    """P A_k P^-1 for a seeded unimodular P, three elementary steps from I."""
+    P, P_inv = elementary_product(rng, g.n, 3)
+    return GeneratorSet([mat_mul(mat_mul(P, A), P_inv) for A in g.matrices()])
+
+
+class TestSaitoBlocks:
+    """The block-triangular form of the Saito matrix, its block determinants
+    and the squared-block witness, against `conftest.saito_oracle`: the
+    verdict of all eight lines, f multiplied out from the blocks, and h^2 | f
+    by multiplication alone."""
+
+    @pytest.mark.parametrize("name", fixture_names() + [
+        "atilde-4", "atilde-5", "atilde-6", "atilde-7", "atilde-8", "atilde-29",
+        "nc-8", "star-31111"])
+    def test_named(self, name):
+        g = star_31111() if name == "star-31111" else get_fixture(name).generators()
+        assert saito_oracle(g) is (name in NONREDUCED)
+        if name in fixture_names():
+            assert saito_oracle(dual_generators(g)) is (name in NONREDUCED)
+
+    @pytest.mark.parametrize("name", ["det22-squared", "dtilde3-22111", "atilde-3",
+                                      "binary-cubic", "star-2111", "quadric-cone-4"])
+    def test_seeded_variants(self, name):
+        """A permutation and rescaling of the generators moves the blocks
+        and keeps them; a unimodular conjugate keeps f up to a unit but may
+        merge blocks, so its witness may be gone."""
+        rng = random.Random(name)
+        g = get_fixture(name).generators()
+        saito_oracle(conjugated(g, rng))
+        assert saito_oracle(permuted_rescaled(g, rng)) is (name in NONREDUCED)
+
+    def test_conjugate_needs_division(self):
+        """Blocks [2, 4]: the quadric divides the quartic block."""
+        g = conjugated(get_fixture("atilde-3").generators(), random.Random(3))
+        assert sorted(len(rows) for rows, _ in liealg._blocks(g)) == [2, 4]
+        h, q = liealg._squared_block(g)
+        assert max(map(sum, h)) == 2 and max(map(sum, q)) == 2

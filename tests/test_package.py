@@ -158,13 +158,15 @@ def test_no_test_only_definitions():
 @pytest.mark.parametrize("call", [
     lambda: bfunction(get_fixture("dtilde3-22111").generators()),
     lambda: classify(get_fixture("star-2111").generators()),
+    lambda: classify(get_fixture("det22-squared").generators()),
     lambda: run(["chain", "s+1", "(3s+2)(3s+3)(3s+4)", "((s+1)^2+1)"]),
     lambda: run(["chain", "s+1", "(3s+2"]),
-], ids=["bfunction", "classify", "chain", "chain-error"])
+], ids=["bfunction", "classify", "classify-witness", "chain", "chain-error"])
 def test_no_reference_cycles(call):
     """The recursive closures (the walk's `descend`, the determinant's
     `minor`, the parser's `parse_sum` and `parse_product`) are freed on
-    return, so a call leaves nothing for the cyclic collector."""
+    return, and the Saito blocks' searches keep explicit stacks, so a call
+    leaves nothing for the cyclic collector."""
     call()      # the caches of the first call: fixtures, argparse, re
     enabled = gc.isenabled()
     gc.disable()

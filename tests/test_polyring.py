@@ -12,7 +12,7 @@ from conftest import (fraction_shift, from_roots, random_chain_list, ref_add,
                       ref_parse_factored, ref_poly_add, ref_poly_derivative,
                       ref_poly_linear, ref_poly_mul, ref_restrict_line,
                       ref_trim, restrict)
-from prehomog import polyring
+from prehomog import liealg, polyring
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
 from prehomog.fixtures import fixture_names, get_fixture
@@ -828,6 +828,60 @@ def linear_factor_product(rng):
             return out
 
 
+def random_form(rng, sign):
+    """A content-free integer form on three variables, {exponent tuple: int}:
+    a signed monomial, or up to four terms with no unit coefficient, all
+    negative when sign < 0, all positive when sign > 0, mixed at 0."""
+    while True:
+        terms = {tuple(rng.randint(0, 2) for _ in XYZ):
+                 rng.choice((2, 3, 5, 6, 10, 15)) for _ in range(rng.randint(1, 4))}
+        if len(terms) == 1:
+            return {e: rng.choice((1, -1)) for e in terms}
+        if math.gcd(*terms.values()) == 1:
+            return {e: c * (sign or rng.choice((1, -1))) for e, c in terms.items()}
+
+
+class TestQuotient:
+    """`polyring._quotient`, the exact division of integer forms, against
+    products made by `conftest.ref_poly_mul`."""
+
+    def test_seeded_products(self):
+        rng = random.Random(2718)
+        zero = (0, 0, 0)
+        constant = 0
+        for trial in range(300):
+            a = random_form(rng, trial % 3 - 1)
+            b = random_form(rng, trial // 3 % 3 - 1)
+            ab = {e: int(c) for e, c in ref_poly_mul(a, b).items()}
+            assert polyring._quotient(ab, b) == a
+            if set(b) == {zero}:
+                constant += 1
+                continue
+            ab[zero] = ab.get(zero, 0) + 1
+            assert polyring._quotient({e: c for e, c in ab.items() if c}, b) is None
+            c = random_form(rng, 0)
+            q = polyring._quotient(c, b)
+            assert q is None or ref_poly_mul(q, b) == c
+        assert constant < 150
+
+    def test_constant_divisor_and_zero(self):
+        a = {(2, 0, 1): -6, (0, 1, 0): 10, (0, 0, 0): 15}
+        assert polyring._quotient(a, {(0, 0, 0): 1}) == a
+        assert polyring._quotient(a, {(0, 0, 0): -1}) == {e: -c for e, c in a.items()}
+        assert polyring._quotient({}, {(1, 0, 0): 2, (0, 1, 0): 3}) == {}
+
+    def test_refusals(self):
+        b = {(1, 0, 0): 2, (0, 1, 0): 3}                 # 2x + 3y
+        # x (2x + 3y) + y^2: the exponents fit, a coefficient does not
+        assert polyring._quotient({(2, 0, 0): 2, (1, 1, 0): 3, (0, 2, 0): 1}, b) is None
+        # 3x: the leading coefficient 3 is not a multiple of 2
+        assert polyring._quotient({(1, 0, 0): 3}, b) is None
+        # z: the exponent difference leaves a slot negative
+        assert polyring._quotient({(0, 0, 1): 1}, b) is None
+        # a of lower degree than b
+        assert polyring._quotient({(1, 0, 0): 2}, {(1, 1, 0): 1}) is None
+
+
 # ten factors in the shape of a seeded chain list: roots in (-2, 0)
 GUARD_LIST = "(12s+7)(5s+9)(12s+13)(7s+4)(11s+19)(3s+2)(5s+6)(3s+4)(2s+3)(s+1)"
 
@@ -842,6 +896,9 @@ def _count_lines(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "restrict_line", counted)
     return lines
+
+
+NONREDUCED_FIXTURES = {"atilde-2", "atilde-3", "det22-squared", "dtilde3-22111"}
 
 
 class TestSquarefree:
@@ -866,11 +923,39 @@ class TestSquarefree:
         assert is_squarefree(lin(1, 1, 0) ** 2 * Z) is False
         assert lines[0] == 8
 
+    def test_witness_after_first_repeated_factor(self, monkeypatch):
+        lines = _count_lines(monkeypatch)
+        calls = []
+        p = lin(1, 1, 0) ** 2 * Z
+        assert is_squarefree(p, lambda: calls.append(lines[0])) is False
+        assert (calls, lines[0]) == ([1], 8)      # no proof: all eight lines
+        assert is_squarefree(p, lambda: calls.append(lines[0]) or True) is False
+        assert (calls, lines[0]) == ([1, 9], 9)   # a proof ends it after one
+        assert is_squarefree(X * Y * Z, calls.clear) is True
+        assert (calls, lines[0]) == ([1, 9], 10)  # a clean line never asks
+
     def test_classify_verdicts_unchanged(self):
-        nonreduced = {"atilde-2", "atilde-3", "det22-squared", "dtilde3-22111"}
         for name in fixture_names():
             cls = classify(get_fixture(name).generators())
-            assert cls.reduced is (name not in nonreduced), name
+            assert cls.reduced is (name not in NONREDUCED_FIXTURES), name
+
+    @pytest.mark.parametrize("name", ["det22-squared", "atilde-29"])
+    def test_classify_certifies_on_one_line(self, name, monkeypatch):
+        """A squared block determinant proves `reduced: no` after the first
+        line."""
+        lines = _count_lines(monkeypatch)
+        assert classify(get_fixture(name).generators()).reduced is False
+        assert lines[0] == 1
+
+    def test_reduced_inputs_never_search_blocks(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("block search on a reduced input")
+
+        monkeypatch.setattr(liealg, "_blocks", refuse)
+        reduced = [n for n in fixture_names() if n not in NONREDUCED_FIXTURES]
+        assert len(reduced) == 10
+        for name in reduced:
+            assert classify(get_fixture(name).generators()).reduced is True
 
     def test_degree_zero_and_errors(self):
         assert is_squarefree(mp({(0, 0, 0): 5}))
