@@ -171,7 +171,7 @@ def _int_step(P, k, fv, f, shift, mask, W):
     return {e: V for e, V in out.items() if V}
 
 
-def _slot_width(monomials, f_packed, B):
+def _slot_width(monomials, f):
     """Bits per s-slot that provably hold every coefficient of the result.
 
     N bounds the l1 norm of P_k over x and s together:
@@ -183,7 +183,7 @@ def _slot_width(monomials, f_packed, B):
     times one product over k = 0..n-1.
     """
     alpha = monomials[0][0]
-    f_int = [(unpack(e, B, len(alpha)), abs(c)) for e, c in f_packed]
+    f_int = [(e, abs(c)) for e, c in f.ints.items()]
     norm_f = sum(c for _, c in f_int)
     norm_fv = max(sum(e[vi] * c for e, c in f_int) for vi in range(len(alpha)))
     deg_f = max(max(e) for e, _ in f_int)
@@ -231,7 +231,7 @@ def _walk(fstar: MultiPoly, f: MultiPoly, x0):
     f_packed, f_scale = packed(f, B)
     monomials = list(fstar.ints.items())
     R = max((abs(a) for a in x0 if a is not None), default=0)
-    W = _slot_width(monomials, f_packed, B) + (R ** (n * (n - 1))).bit_length()
+    W = _slot_width(monomials, f) + (R ** (n * (n - 1))).bit_length()
 
     order = sorted(range(len(x0)), key=lambda v: x0[v] != 0)
     total = {}

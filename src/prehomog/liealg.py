@@ -12,14 +12,14 @@ matrix to integers).  The generated families (quiver representations,
 `nc-N`) write their forms directly, without a dense matrix, and enter
 through `GeneratorSet._from_forms`; the dual set negates and transposes
 the integers.
-Everything reads the forms: the independence check and the closure
-check, which builds only its verdict (`_rows`, `linalg.echelon` on the
-flattened M_k), the determinant, the character, the traces of
-`is_special`, and the images A_k x and combinations sum c_k A_k of the
-pointwise geometry.  The determinant works on packed exponents and
-restores the scales once at the end.  The character comes from the Lie
-algebra alone, dchi(A) = tr A - tr ad A on the closure rows, so it never
-differentiates f.
+Everything reads the forms: the determinant, the traces of `is_special`,
+and the images A_k x and combinations sum c_k A_k of the pointwise
+geometry.  The independence proof reduces the flattened M_k once
+(`linalg.echelon`, in `GeneratorSet._prove`) and keeps the rows; the
+closure check and the character read those rows, and the dual maps them.
+The determinant works on packed exponents and restores the scales once
+at the end.  The character comes from the Lie algebra alone, dchi(A) =
+tr A - tr ad A on the kept rows, so it never differentiates f.
 The sparsity of the forms gives the block-triangular form of the Saito
 matrix (A_1 x | ... | A_n x), `_blocks`; the determinant of a square
 block is `_determinant` on its sub-forms, and a block determinant that
@@ -50,10 +50,12 @@ class GeneratorSet:
     `forms[k]`, the integer form (rows, scale) of A_k, is the only stored
     copy of the generator, and canonical: equal sets have equal forms.
     `matrix` and `matrices` rebuild Fraction lists from it; `combination`
-    and `images` work on its sparse integer rows.
+    and `images` work on its sparse integer rows.  `rows` holds the n rows
+    (p_r, E_r) that `linalg.echelon` keeps of the M_k flattened to
+    {i*n + j: M_ij}, so E_r[p_s] = 0 for r != s and E_r[p_r] != 0.
     """
 
-    __slots__ = ("n", "variables", "forms")
+    __slots__ = ("n", "variables", "forms", "rows")
 
     def __init__(self, generators, variables=None):
         generators = list(generators)
@@ -78,15 +80,18 @@ class GeneratorSet:
         variables = tuple(variables)
         if len(variables) != n:
             raise ContextError("need one variable per generator")
-        if len(_rows(forms, n)) != n:
+        rows = linalg.echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
+                              for form, _ in forms)
+        if len(rows) != n:
             raise DomainError("generators are linearly dependent")
-        self._fill(variables, forms)
+        self._fill(variables, forms, rows)
 
-    def _fill(self, variables, forms):
-        """Set the fields from n names and n independent integer forms."""
+    def _fill(self, variables, forms, rows):
+        """Set the fields from n names, n independent forms and their rows."""
         object.__setattr__(self, "n", len(forms))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "forms", tuple(forms))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSet is immutable")
@@ -154,25 +159,19 @@ class Classification:
 def validate_algebra(g: GeneratorSet):
     """The first pair (i, j), i < j in row-major order, whose bracket
     [A_i, A_j] leaves the generator span, or None when the generators
-    close under the bracket; no structure constants are built."""
-    return _open_bracket(g, _rows(g.forms, g.n))
+    close under the bracket; no structure constants are built.
 
-
-def _open_bracket(g, rows):
-    """`validate_algebra` on the closure rows of g.
-
-    `_rows` reduces the integer forms A_k = s_k M_k to n rows with pivots
-    p_r, as the M_k are independent; scaled to the common pivot value D
-    they are rows E_r with E_r[p_s] = D delta_rs.  [A_i, A_j] is in the
-    span iff b = [M_i, M_j] is, iff D b - sum_r b[p_r] E_r vanishes: it
-    does at the pivots, so only the other columns are kept.  Brackets are
+    Scaled to the common pivot value D, the rows (p_r, E_r) of g are rows
+    with E_r[p_s] = D delta_rs.  [A_i, A_j] is in the span iff
+    b = [M_i, M_j] is, iff D b - sum_r b[p_r] E_r vanishes: it does at
+    the pivots, so only the other columns are kept.  Brackets are
     antisymmetric, so only i < j is tried.
     """
     n = g.n
-    D = lcm(*(E[p] for p, E in rows))
-    pivots = {p for p, _ in rows}
+    D = lcm(*(E[p] for p, E in g.rows))
+    pivots = {p for p, _ in g.rows}
     basis = [(p, [(c, v * (D // E[p])) for c, v in E.items() if c not in pivots])
-             for p, E in rows]
+             for p, E in g.rows]
     # nonzero entries (i, k, M_ik) of each integer form
     entries = [[(i, k, a) for i, row in enumerate(form[0]) for k, a in row]
                for form in g.forms]
@@ -194,14 +193,6 @@ def _open_bracket(g, rows):
             if any(res.values()):
                 return i, j
     return None
-
-
-def _rows(forms, n):
-    """[(p_r, E_r)] from `linalg.echelon` on the integer forms M_k, each
-    flattened to {i*n + j: M_ij}: one row per independent form, since a
-    dependent row cancels."""
-    return linalg.echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
-                          for form, _ in forms)
 
 
 def _integer_form(A, n):
@@ -374,27 +365,27 @@ def _squared_block(g):
 def character(g: GeneratorSet):
     """The tuple of dchi(A_k) = tr A_k - tr ad A_k, the character of
     f = det(A_1 x | ... | A_n x); no f is built.  It raises ClosureError,
-    naming the first failing bracket, unless the generators close under
-    the bracket: the closure test and the character read the same rows.
+    naming the first failing bracket of `validate_algebra`, unless the
+    generators close under the bracket: the closure test and the character
+    read the same rows, `g.rows`.
 
     When the A_k close, f(hx) = det h (det Ad h)^-1 f(x) (Kimura, ch. 2).
-    tr ad is read on the closure rows (p_r, E_r) of `_rows`: X in the span
+    tr ad is read on the rows (p_r, E_r) of g: X in the span
     has coordinate X[p_r] / E_r[p_r] on E_r, so tr ad M = sum_r
     [M, E_r][p_r] / E_r[p_r], with [M, E]_ij = sum_l M_il E_lj - E_il M_lj.
     Both traces are linear in M, so D dchi(M) = sum_ab M_ab L_ab for one
     integer matrix L, D the lcm of the pivot values.  L is built from each
     entry of each E_r once; each A_k = s_k M_k then costs one pass over
     its nonzero entries."""
-    n = g.n
-    rows = _rows(g.forms, n)
-    pair = _open_bracket(g, rows)
+    pair = validate_algebra(g)
     if pair is not None:
         i, j = pair
         raise ClosureError(
             f"bracket [A{i + 1}, A{j + 1}] is outside the generator span")
-    D = lcm(*(E[p] for p, E in rows))
+    n = g.n
+    D = lcm(*(E[p] for p, E in g.rows))
     L = {a * (n + 1): D for a in range(n)}
-    for p, E in rows:
+    for p, E in g.rows:
         i, j = divmod(p, n)
         w = D // E[p]
         for c, v in E.items():
@@ -430,16 +421,21 @@ def dual_generators(g: GeneratorSet) -> GeneratorSet:
 
     A -> -A^t is linear and invertible, so the duals are independent
     because the A_k are; the independence proof is not rerun.  The
-    integer form of -A^t is (-M^t, scale), so nothing is rescanned."""
+    integer form of -A^t is (-M^t, scale), and the same map, flat index
+    i*n + j to j*n + i, takes the rows of g to rows of the dual with the
+    pivot property that `validate_algebra` and `character` read."""
+    n = g.n
     forms = []
-    for rows, scale in g.forms:
-        cols = [[] for _ in range(g.n)]
-        for i, row in enumerate(rows):
+    for M, scale in g.forms:
+        cols = [[] for _ in range(n)]
+        for i, row in enumerate(M):
             for j, a in row:
                 cols[j].append((i, -a))
         forms.append((tuple(map(tuple, cols)), scale))
+    flip = [j * n + i for i in range(n) for j in range(n)]
+    rows = [(flip[p], {flip[c]: -v for c, v in E.items()}) for p, E in g.rows]
     dual = GeneratorSet.__new__(GeneratorSet)
-    dual._fill(dual_variables(g.variables), forms)
+    dual._fill(dual_variables(g.variables), forms, rows)
     return dual
 
 

@@ -616,24 +616,26 @@ def rational_root_spectrum(*factors) -> Spectrum:
     """All rational roots of the product of factors with multiplicities,
     roots in ascending order; the residual carries the monic product of
     the factors' remaining non-rational parts.  A factor is a UniPoly b,
-    searched whole, or a pair (b, k) for b^k, as `chain` passes them: a
-    degree-1 b = q*s + p gives its root -p/q directly, any other b is
-    searched once, so one factor's divisor pairs never multiply another's.
+    searched whole, or a pair (b, k) for b^k with an int k >= 1, as
+    `chain` passes them: a degree-1 b = q*s + p gives its root -p/q
+    directly, any other b is searched once, so one factor's divisor pairs
+    never multiply another's.
 
     The search runs on the content-free integer form f = b.ints, with no
     Fraction inside it; the scale and sign of b do not change the result.
-    A root a/q in lowest terms (q > 0) has a | f(0) and
-    q | lc(f), and by Gauss's lemma q*s - a divides f in Z[s], so
-    (q - a) | f(1) and (q + a) | f(-1).  Only coprime divisor pairs are
-    tried, only inside Fujiwara's bounds on |root| and on 1/|root|, each
-    rounded up to a power of two (`_fujiwara_bound`), and
-    only of a sign that Descartes' rule of signs leaves possible; a pair
-    passing the divisibility tests is tested by exact integer division by
-    q*s - a, repeated for the multiplicity.
+    A root a/q in lowest terms (q > 0) has a | f(0) and q | lc(f), and by
+    Gauss's lemma q*s - a divides f in Z[s], so (q - a) | f(1) and
+    (q + a) | f(-1).  Only coprime divisor pairs are tried, only inside
+    Fujiwara's bounds on |root| and on 1/|root|, each rounded up to a power
+    of two (`_fujiwara_bound`), and only of a sign that Descartes' rule of
+    signs leaves possible; a pair passing the divisibility tests is tested
+    by exact integer division by q*s - a, repeated for the multiplicity.
     """
     roots, residual = {}, [1]       # {(a, q): multiplicity} of a/q, q > 0
     for factor in factors:
         b, k = factor if type(factor) is tuple else (factor, 1)
+        if type(k) is not int or k < 1:
+            raise DomainError(f"factor exponent must be an int >= 1, got {k!r}")
         if b.is_zero:
             raise DomainError("zero polynomial has no spectrum")
         f = b.ints

@@ -220,8 +220,9 @@ def dtilde3_quiver():
 
 def atilde_quiver(n: int):
     """Two dimensional top with arrows to both ends of a path of n
-    one dimensional vertices (n >= 1)."""
-    n = int(n)
+    one dimensional vertices (int n >= 1)."""
+    if type(n) is not int:  # no bool, float or string lengths
+        raise DomainError(f"path length must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("need at least one path vertex")
     verts = ["top"] + [f"v{i}" for i in range(1, n + 1)]

@@ -23,9 +23,9 @@ from math import lcm, prod
 from prehomog import bernstein, polyring, quiver
 from prehomog.errors import CapacityError, DomainError, ParseError, PrehomogError
 from prehomog.geometry import PointContext, chain_assemble
-from prehomog.liealg import (_blocks, _determinant, _integer_form,
+from prehomog.liealg import (GeneratorSet, _blocks, _determinant, _integer_form,
                              _squared_block, character, classify, discriminant,
-                             dual_generators, is_special)
+                             dual_generators, is_special, validate_algebra)
 from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
 from prehomog.polyring import (MultiPoly, UniPoly, is_squarefree,
                                parse_factored, parse_rational, primitive,
@@ -317,6 +317,24 @@ def dual_characters_agree(g):
     return (cf, cfs) == (character(g), character(dual)) and \
         all(a - b == 2 * t for a, b, t in zip(cf, cfs, map(trace, g.matrices()))) and \
         (not is_special(g, cf) or cfs == tuple(-v for v in cf))
+
+
+def dual_rows_agree(g):
+    """The rows that `dual_generators` maps from g against the rows of a
+    fresh independence proof on the dual forms: both keep the pivot
+    property, and `validate_algebra` and `character` read the same from
+    both (the first open bracket, else the character values)."""
+    d = dual_generators(g)
+    fresh = GeneratorSet._from_forms(d.forms, d.variables)
+
+    def verdict(h):
+        pair = validate_algebra(h)
+        return pair, character(h) if pair is None else None
+
+    pivots = [p for p, _ in d.rows]
+    return len(d.rows) == d.n and \
+        all((E.get(q, 0) != 0) == (q == p) for p, E in d.rows for q in pivots) and \
+        verdict(d) == verdict(fresh)
 
 
 def ref_structure_constants(g):

@@ -498,10 +498,8 @@ class TestPointwise:
         # from the two discriminants alone: ||f*||_1 times one product over k
         monkeypatch.setattr(bernstein, "_walk", None)
         f, fstar = discriminant(g), discriminant(dual_generators(g))
-        n = f.degree()
-        B = exponent_bits(n * (n - 1))
         monomials = list(zip(fstar.terms, primitive(fstar.terms.values())[0]))
-        assert bernstein._slot_width(monomials, packed(f, B)[0], B) == width
+        assert bernstein._slot_width(monomials, f) == width
 
     def test_zero_coordinates_first(self, monkeypatch):
         # the derivation order sets the cost, not the result: on dtilde3 the

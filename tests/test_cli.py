@@ -103,6 +103,38 @@ class TestSources:
         assert code == 1
 
 
+class TestOneElimination:
+    """`linalg.echelon` runs once per generator set a command reads from a
+    file (its independence proof, whose rows the closure check and the
+    character reuse) and never on a cached fixture; euler adds the two
+    rrefs of `point_context`."""
+
+    @pytest.mark.parametrize("argv, count", [
+        (["classify", "--fixture", "star-2111"], 0),
+        (["bfunction", "--fixture", "star-2111"], 0),
+        (["classify", "--input", "g.json"], 1),
+        (["bfunction", "--input", "g.json"], 1),
+        (["classify", "--input", "star-quiver.json"], 1),
+        (["euler", "--fixture", "star-2111", "--point", "1,0,0,1,1,1"], 2),
+        (["euler", "--input", "g.json", "--point", "1,0,0,1,1,1"], 3)])
+    def test_echelon_calls(self, argv, count, tmp_path, monkeypatch):
+        g = get_fixture("star-2111").generators()      # fills the cache
+        path = write_json(tmp_path, "g.json", {
+            "variables": list(g.variables),
+            "generators": [[[str(v) for v in row] for row in m] for m in g.matrices()]})
+        calls = []
+        echelon = prehomog.linalg.echelon
+
+        def counted(rows):
+            calls.append(1)
+            return echelon(rows)
+
+        monkeypatch.setattr(prehomog.linalg, "echelon", counted)
+        files = {"g.json": path, "star-quiver.json": str(Path(__file__).parent / QUIVER_FILE)}
+        code, _ = run([files.get(a, a) for a in argv])
+        assert (code, len(calls)) == (0, count)
+
+
 class TestCommands:
     def test_classify_text(self):
         code, text = run(["classify", "--fixture", "star-2111"])

@@ -608,6 +608,16 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             rational_root_spectrum(UniPoly([]))
 
+    @pytest.mark.parametrize("factor", [
+        (UniPoly([1, 1]), 0), (UniPoly([1, 1]), -2), (UniPoly([1, 0, 1]), -1),
+        (UniPoly([1, 1]), 1.0), (UniPoly([1, 1]), True), (UniPoly([1, 1]), "2")])
+    def test_exponent_must_be_a_positive_int(self, factor):
+        # (s+1)^0 once gave the root -1, (s+1)^-2 a multiplicity -2
+        with pytest.raises(DomainError):
+            rational_root_spectrum(factor)
+        with pytest.raises(DomainError):
+            rational_root_spectrum(UniPoly([2, 1]), factor)
+
     def test_positive_roots_found(self):
         b = from_roots([Fraction(3, 2), 1, -1, -4])
         sp = rational_root_spectrum(b)

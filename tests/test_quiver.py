@@ -2,7 +2,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import delta_character, one_walk_b, ref_quiver_matrices, saito_oracle
+from conftest import (delta_character, dual_rows_agree, one_walk_b,
+                      ref_quiver_matrices, saito_oracle)
 from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
@@ -180,6 +181,12 @@ class TestFamilies:
         with pytest.raises(DomainError):
             atilde_quiver(0)
 
+    @pytest.mark.parametrize("n", [2.9, 2.0, "3", True])
+    def test_atilde_needs_an_int(self, n):
+        # no truncation to the n = 2 quiver, no string or bool lengths
+        with pytest.raises(DomainError):
+            atilde_quiver(n)
+
 
 def reference_inputs():
     """The quivers whose generators are checked against the dense
@@ -248,6 +255,7 @@ class TestGeneratedQuivers:
         g = infinitesimal_generators(qv, d)
         assert g == GeneratorSet(ref_quiver_matrices(qv, d), rep_space(qv, d))
         assert delta_character(g, discriminant(g)) == character(g)
+        assert dual_rows_agree(g) and dual_rows_agree(dual_generators(g))
         res = bfunction(g)
         assert isinstance(res, BResult) and res.symmetric
         assert (res.b, res.raw_leading) == one_walk_b(g)
