@@ -129,7 +129,7 @@ def _at_point(job):
         raise ParseError(f"point needs {g.n} coordinates, got {len(x0)}")
     c = liealg.character(g)
     if liealg.discriminant(g).is_zero:
-        raise DomainError("character requires a nonzero discriminant")
+        raise DomainError("discriminant vanishes; not prehomogeneous")
     return g, name, c, geometry.point_context(g, x0)
 
 

@@ -2,10 +2,9 @@
 an Euler witness at a point, conormal orders, and chain assembly of
 b-function factors along an orbit chain.
 
-The orbit tangent at x0 is spanned by the images A_k x0 (`GeneratorSet.images`)
-and the isotropy by the combinations sum c_k A_k with sum c_k A_k x0 = 0,
-kept as their coefficients c; `GeneratorSet.combination` rebuilds a matrix
-where one is needed.  Caller numbers are made exact once, on entry.
+The orbit tangent at x0 is the span of the images A_k x0, the isotropy the
+sums c_k A_k vanishing at x0, kept as c (a matrix is `g.combination(c)`);
+`point_context` reads both off one elimination.  Numbers are exact on entry.
 """
 
 from fractions import Fraction
@@ -68,16 +67,17 @@ class OrderForm:
 
 
 def point_context(g: liealg.GeneratorSet, x0) -> PointContext:
-    """Isotropy, tangent, and normal coordinates at a rational point."""
-    x0 = linalg.frac_vector(x0)
-    if len(x0) != g.n:
-        raise ContextError(f"point has {len(x0)} coordinates, expected {g.n}")
-    images = g.images(x0)
-    # the columns map a coefficient vector c to sum c_k A_k x0
-    iso_coeffs = linalg.solve_affine(linalg.transpose(images), [0] * g.n)[1]
-    tangent, pivots = linalg.rref(images)
-    normal = sorted(set(range(g.n)).difference(pivots))
-    return PointContext(x0, iso_coeffs, tangent, pivots, normal)
+    """Isotropy, tangent and normal coordinates at a rational point, from the
+    RREF of the rows [A_k x0 | e_k], e_k in column 2n-1-k: rows pivoting below
+    n are the tangent, the others are relations c, each pivoting at its last
+    generator k with c_k = 1: solve_affine's kernel basis, in reverse order."""
+    x0, n = linalg.frac_vector(x0), g.n
+    R, pivots = linalg.rref([img + [0] * (n - 1 - k) + [1] + [0] * k
+                             for k, img in enumerate(g.images(x0))])
+    r = sum(p < n for p in pivots)
+    iso_coeffs = [row[n:][::-1] for row in reversed(R[r:])]
+    normal = sorted(set(range(n)).difference(pivots[:r]))
+    return PointContext(x0, iso_coeffs, [row[:n] for row in R[:r]], pivots[:r], normal)
 
 
 def _quotient_vector(ctx: PointContext, v):

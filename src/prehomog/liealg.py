@@ -112,6 +112,8 @@ class GeneratorSet:
     def combination(self, coeffs):
         """sum_k coeffs_k A_k as Fraction rows, from integer row sums
         weighted by coeffs_k scale_k = q w_k, w_k ints."""
+        if len(coeffs) != self.n:
+            raise ContextError(f"{len(coeffs)} coefficients, expected {self.n}")
         w, q = primitive([c * s for c, (_, s) in zip(coeffs, self.forms)])
         acc = [{} for _ in range(self.n)]
         for wk, (rows, _) in zip(w, self.forms):
@@ -124,6 +126,8 @@ class GeneratorSet:
 
     def images(self, x):
         """[A_k x for each k] as Fraction lists, for x of ints and Fractions."""
+        if len(x) != self.n:
+            raise ContextError(f"point has {len(x)} coordinates, expected {self.n}")
         X, q = primitive(x)
         zero = Fraction(0)
         return [[sq * v if v else zero for v in [sum(a * X[j] for j, a in row) for row in rows]]
@@ -401,6 +405,8 @@ def character(g: GeneratorSet):
 
 def character_of_combination(c, coeffs):
     """dchi is linear; evaluate the character values c on sum coeffs_k * A_k."""
+    if len(coeffs) != len(c):
+        raise ContextError(f"{len(coeffs)} coefficients, expected {len(c)}")
     return sum((_coerce(a) * v for a, v in zip(coeffs, c)), Fraction(0))
 
 
@@ -408,6 +414,8 @@ def is_special(g: GeneratorSet, c) -> bool:
     """True iff dchi(A_k) = tr(A_k) for every generator, with c the
     character values and each trace read off the diagonal of the integer
     form (rows, scale) of A_k."""
+    if len(c) != g.n:
+        raise ContextError(f"{len(c)} character values, expected {g.n}")
     return all(v == scale * sum(dict(row).get(i, 0) for i, row in enumerate(rows))
                for v, (rows, scale) in zip(c, g.forms))
 

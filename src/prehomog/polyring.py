@@ -617,9 +617,9 @@ def rational_root_spectrum(*factors) -> Spectrum:
     roots in ascending order; the residual carries the monic product of
     the factors' remaining non-rational parts.  A factor is a UniPoly b,
     searched whole, or a pair (b, k) for b^k with an int k >= 1, as
-    `chain` passes them: a degree-1 b = q*s + p gives its root -p/q
-    directly, any other b is searched once, so one factor's divisor pairs
-    never multiply another's.
+    `chain` passes them.  Every degree-1 b = q*s + p gives its root -p/q
+    directly, whatever the size of p and q; any other b is searched once,
+    so one factor's divisor pairs never multiply another's.
 
     The search runs on the content-free integer form f = b.ints, with no
     Fraction inside it; the scale and sign of b do not change the result.
@@ -639,9 +639,7 @@ def rational_root_spectrum(*factors) -> Spectrum:
         if b.is_zero:
             raise DomainError("zero polynomial has no spectrum")
         f = b.ints
-        # a bare UniPoly, even of degree 1, is searched whole under the
-        # search's caps: the call `bfunction` and `symmetry --poly` make
-        if len(f) == 2 and b is not factor:     # q*s + p, gcd(p, q) = 1
+        if len(f) == 2:                 # q*s + p, gcd(p, q) = 1
             found = [((-f[0], f[1]) if f[1] > 0 else (f[0], -f[1]), 1)]
         else:
             zeros = next(i for i, c in enumerate(f) if c)

@@ -138,7 +138,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
 
 
 def bracket(a, b):
@@ -455,7 +455,8 @@ def ref_point_context(g, x0):
 
 def ref_isotropy(g, ctx):
     """The isotropy matrices sum c_k A_k by the dense `combination`."""
-    return [combination(cs, g.matrices()) for cs in ctx.isotropy_coeffs]
+    mats = g.matrices()
+    return [combination(cs, mats) for cs in ctx.isotropy_coeffs]
 
 
 def ref_normal_representation(g, ctx):
@@ -483,9 +484,10 @@ def ref_annihilator_basis(g, c):
 
 def ref_euler_witness(g, c, ctx):
     """B / dchi(B) for the first isotropy element B with dchi(B) != 0."""
-    for cs, B in zip(ctx.isotropy_coeffs, ref_isotropy(g, ctx)):
+    for cs in ctx.isotropy_coeffs:
         val = sum(a * v for a, v in zip(cs, c))
         if val:
+            B = combination(cs, g.matrices())
             return tuple(tuple(v / val for v in row) for row in B)
     return None
 

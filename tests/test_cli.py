@@ -106,8 +106,9 @@ class TestSources:
 class TestOneElimination:
     """`linalg.echelon` runs once per generator set a command reads from a
     file (its independence proof, whose rows the closure check and the
-    character reuse) and never on a cached fixture; euler adds the two
-    rrefs of `point_context`."""
+    character reuse) and never on a cached fixture; euler adds the one
+    rref of `point_context`, and microlocal with a covector one more, the
+    solve of `conormal_order`."""
 
     @pytest.mark.parametrize("argv, count", [
         (["classify", "--fixture", "star-2111"], 0),
@@ -115,8 +116,12 @@ class TestOneElimination:
         (["classify", "--input", "g.json"], 1),
         (["bfunction", "--input", "g.json"], 1),
         (["classify", "--input", "star-quiver.json"], 1),
-        (["euler", "--fixture", "star-2111", "--point", "1,0,0,1,1,1"], 2),
-        (["euler", "--input", "g.json", "--point", "1,0,0,1,1,1"], 3)])
+        (["euler", "--fixture", "star-2111", "--point", "1,0,0,1,1,1"], 1),
+        (["euler", "--input", "g.json", "--point", "1,0,0,1,1,1"], 2),
+        (["microlocal", "--fixture", "star-2111", "--point", "1,0,0,1,0,1",
+          "--covector", "1"], 2),
+        (["microlocal", "--input", "g.json", "--point", "1,0,0,1,0,1",
+          "--covector", "1"], 3)])
     def test_echelon_calls(self, argv, count, tmp_path, monkeypatch):
         g = get_fixture("star-2111").generators()      # fills the cache
         path = write_json(tmp_path, "g.json", {
@@ -449,7 +454,7 @@ class TestBadInput:
     def test_zero_discriminant(self, command, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", self.ZERO_F)
         self.run_main([command, "--input", path, "--point=1,0"], capsys,
-                      "character requires a nonzero discriminant")
+                      "discriminant vanishes; not prehomogeneous")
 
     # past Python's limit of 4300 digits for int() on a string
     BIG = "7" * 5000

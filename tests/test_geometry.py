@@ -7,15 +7,19 @@ from conftest import (eigenvalue, fraction_shift, ref_add,
                       ref_annihilator_basis, ref_euler_witness, ref_neg,
                       ref_normal_discriminant,
                       ref_normal_representation, ref_point_context,
-                      ref_strong_euler, restrict)
+                      ref_rref, ref_strong_euler, restrict)
+from test_quiver import GENERATED
 
 from prehomog.errors import ContextError, DomainError, InadmissibleCovectorError
 from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import (OrderForm, PointContext, chain_assemble,
                                conormal_order, euler_at_point,
                                normal_representation, point_context)
-from prehomog.liealg import GeneratorSet, character, discriminant, is_special
+from prehomog.liealg import (GeneratorSet, character, discriminant,
+                             dual_generators, is_special)
+from prehomog.linalg import transpose
 from prehomog.polyring import MultiPoly, UniPoly
+from prehomog.quiver import infinitesimal_generators
 
 F = Fraction
 
@@ -72,6 +76,11 @@ class TestPointContext:
     def test_wrong_length(self):
         with pytest.raises(ContextError):
             point_context(nc3(), (1, 0))
+
+    def test_context_of_another_set(self):
+        ctx = point_context(get_fixture("nc-4").generators(), (0, 1, 1, 1))
+        with pytest.raises(ContextError, match="4 coefficients, expected 3"):
+            euler_at_point(nc3(), character(nc3()), ctx)
 
     def test_immutable(self):
         ctx = point_context(nc3(), (1, 0, 0))
@@ -289,9 +298,35 @@ def reference_points(g, rng):
     return [e1, (0,) * g.n] + rational + binary
 
 
+def shape(g, x0):
+    """(rank, dependent first) of the images A_k x0: the pivots of `ref_rref`
+    of their transpose are the generators whose image does not depend on the
+    earlier ones, and dependent first says another generator precedes one."""
+    _, pivots = ref_rref(transpose(g.images(x0)))
+    dependent = [k for k in range(g.n) if k not in pivots]
+    return len(pivots), bool(pivots and dependent) and dependent[0] < pivots[-1]
+
+
+def rank_points(g, rng):
+    """[(x0, dependent first)]: for each rank that points with k = 1, ...,
+    n - 1 nonzero coordinates reach, on the last k coordinates or on two
+    seeded sets of k, one such point, with a dependent generator first if any."""
+    by_rank = {}
+    for k in range(1, g.n):
+        supports = [range(g.n - k, g.n)] + [rng.sample(range(g.n), k) for _ in range(2)]
+        for support in supports:
+            x0 = tuple(rng.choice((1, -1, 2, F(1, 2))) if i in support else 0
+                       for i in range(g.n))
+            r, first = shape(g, x0)
+            if first or r not in by_rank:
+                by_rank[r] = x0, first
+    return list(by_rank.values())
+
+
 class TestAgainstDenseReference:
     """The geometry on the stored integer forms against the dense Fraction
-    geometry of conftest (mat_vec images, mat_add combinations)."""
+    geometry of conftest (mat_vec images, mat_add combinations), on every
+    fixture, its dual and the generated quiver classes."""
 
     @staticmethod
     def check(g, c, x0):
@@ -315,6 +350,20 @@ class TestAgainstDenseReference:
         h = GeneratorSet(mats, g.variables)
         return h, character(h)
 
+    def check_points(self, g, c, points):
+        """check at the rank points; every set with n >= 3 has one with a
+        dependent generator before an independent one."""
+        assert g.n < 3 or any(first for _, first in points)
+        for x0, _ in points:
+            self.check(g, c, x0)
+
+    def check_set(self, g, rng):
+        """check at the rank points and a seeded rational point; at the
+        origin every set has the same context, which the fixtures check."""
+        c = character(g)
+        self.check_points(g, c, rank_points(g, rng))
+        self.check(g, c, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g.n)))
+
     def test_star_chain(self):
         g = get_fixture("star-2111").generators()
         c = character(g)
@@ -335,3 +384,10 @@ class TestAgainstDenseReference:
         for h, ch in ((g, c), unit):
             for x0 in reference_points(h, rng):
                 self.check(h, ch, x0)
+        self.check_points(g, c, rank_points(g, rng))
+        self.check_set(dual_generators(g), rng)
+
+    @pytest.mark.parametrize("qv, d", GENERATED)
+    def test_generated_quivers(self, qv, d):
+        g = infinitesimal_generators(qv, d)
+        self.check_set(g, random.Random(str(g.variables)))

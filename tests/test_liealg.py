@@ -168,6 +168,19 @@ class TestImagesAndCombinations:
             assert all(type(v) is Fraction for v in sum(images + comb, []))
             assert g.combination([0] * g.n) == [[0] * g.n] * g.n
 
+    def test_images_wrong_length(self):
+        g = get_fixture("nc-3").generators()
+        for x in ((1, 0), (1, 0, 0, 1)):
+            with pytest.raises(ContextError,
+                               match=f"point has {len(x)} coordinates, expected 3"):
+                g.images(x)
+
+    def test_combination_wrong_length(self):
+        g = get_fixture("nc-3").generators()
+        for cs in ((1, 0), (1, 0, 0, 1)):
+            with pytest.raises(ContextError, match=f"{len(cs)} coefficients, expected 3"):
+                g.combination(cs)
+
 
 class TestIntegerForm:
     """GeneratorSet.forms: A_k = scale_k * M_k, M_k content-free, scale_k > 0."""
@@ -525,6 +538,11 @@ class TestCharacter:
         assert character_of_combination(c, [1, 1, 1]) == 6
         assert character_of_combination(c, [Fraction(1, 2), 0, 0]) == Fraction(1, 2)
 
+    def test_combination_wrong_length(self):
+        for cs in ((1, 1), (1, 1, 1, 1)):
+            with pytest.raises(ContextError, match=f"{len(cs)} coefficients, expected 3"):
+                character_of_combination((1, 2, 3), cs)
+
     def test_zero_discriminant_rejected(self):
         g = diag_gens(2)
         with pytest.raises(DomainError):
@@ -536,6 +554,12 @@ class TestCharacter:
         assert c == (3, 2, 0)
         assert tuple(map(linalg.trace, g.matrices())) == (3, 3, 0)
         assert not is_special(g, c)
+
+    def test_is_special_wrong_length(self):
+        g = get_fixture("quadric-cone-3").generators()
+        for c in ((), (3, 3), (3, 3, 0, 0)):
+            with pytest.raises(ContextError, match=f"{len(c)} character values, expected 3"):
+                is_special(g, c)
 
 
 class TestAnnihilator:

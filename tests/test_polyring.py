@@ -652,8 +652,9 @@ class TestSpectrum:
         assert polyring._divisors(powers[0]) == [1, 999983, 999983 ** 2]
         with pytest.raises(CapacityError, match="trial-division limit"):
             polyring._prime_powers((10**6 + 3) ** 2, polyring.MAX_ROOT_PAIRS)
+        # (s+1)(s+2^64-59): a degree-1 factor gives its root unsearched
         with pytest.raises(CapacityError):
-            rational_root_spectrum(UniPoly([2**64 - 59, 1]))
+            rational_root_spectrum(UniPoly([1, 1]) * UniPoly([2**64 - 59, 1]))
 
     def test_large_smooth_end_terms(self):
         # c0 has 72 bits: beyond trial division up to its square root
@@ -665,8 +666,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("text", [
         "(s+" + "7" * 60 + ")^2",                   # each prime squared
-        "s+" + str(math.prod(p for p in range(2, 542)
-                             if all(p % q for q in range(2, p)))),  # 100 primes
+        "(s+1)(s+" + str(math.prod(p for p in range(2, 542)
+                                   if all(p % q for q in range(2, p)))) + ")",  # 100 primes
     ])
     def test_divisor_pair_cap(self, text):
         # the divisor count is known from the prime exponents, so an end
@@ -1254,7 +1255,7 @@ class TestFactoredSpectrum:
 
     def test_linear_factors_skip_the_search(self, monkeypatch):
         # a degree-1 factor's end terms are never factored, whatever their
-        # size; one polynomial is still searched whole
+        # size, bare or in a pair; a product of degree 2 is searched whole
         def no_search(n, most):
             raise AssertionError("degree-1 factor reached the search")
 
@@ -1264,9 +1265,10 @@ class TestFactoredSpectrum:
         sp = rational_root_spectrum((b, 2), (UniPoly([3, 2]), 1), (UniPoly([0, 5]), 3))
         assert sp.roots == ((-big, 2), (Fraction(-3, 2), 1), (0, 3))
         assert sp.residual == UniPoly.one()
+        assert rational_root_spectrum(b).roots == ((-big, 1),)
         monkeypatch.undo()
         with pytest.raises(CapacityError, match="trial-division limit"):
-            rational_root_spectrum(b)
+            rational_root_spectrum(UniPoly([1, 1]) * b)
 
     def test_powers_of_searched_factors(self, monkeypatch):
         # a longer factor is searched once, its roots and residual raised
