@@ -80,6 +80,8 @@ class GeneratorSet:
         variables = tuple(variables)
         if len(variables) != n:
             raise ContextError("need one variable per generator")
+        if len(set(variables)) != n or not all(variables):
+            raise ContextError("variable names must be distinct and nonempty")
         rows = linalg.echelon({i * n + j: a for i, r in enumerate(form) for j, a in r}
                               for form, _ in forms)
         if len(rows) != n:
@@ -271,80 +273,50 @@ def discriminant(g: GeneratorSet) -> MultiPoly:
     return _determinant(g.forms, g.variables)
 
 
+def _augment(i, adj, match, seen):
+    """Whether an augmenting path from row i exists among the columns not in
+    `seen` (Kuhn 1955); if so the matching `match` (column -> row, -1 when
+    free) is shifted along it.  Columns are tried in the order of adj[i]."""
+    for k in adj[i]:
+        if k not in seen:
+            seen.add(k)
+            if match[k] < 0 or _augment(match[k], adj, match, seen):
+                match[k] = i
+                return True
+    return False
+
+
 def _blocks(g):
     """The diagonal blocks [(R_b, C_b)] of the block-triangular form of the
     Saito matrix M(x) = (A_1 x | ... | A_n x), so f = +-prod_b det M_b
     with M_b its rows R_b and columns C_b; None when M has no perfect
     matching, i.e. f = 0 structurally.
 
-    Entry (i, k) is structurally zero iff row i of M_k is empty.  A
-    maximum matching by augmenting paths pairs each column k with a row
-    match[k]; the strongly connected components of the digraph with an
-    edge i -> match[k] for each nonzero (i, k) (Tarjan) are the row sets
-    of the irreducible diagonal blocks (Dulmage & Mendelsohn 1958; Pothen
-    & Fan 1990).  Both searches keep explicit stacks, so nothing refers to
-    itself after the call.
+    Entry (i, k) is structurally zero iff row i of M_k is empty.  Kuhn's
+    augmenting paths (`_augment`) pair each column k with a row match[k];
+    the strongly connected components of the digraph with an edge
+    i -> match[k] for each nonzero (i, k) are the row sets of the
+    irreducible diagonal blocks (Dulmage & Mendelsohn 1958).  Row i reaches
+    the rows of the bit set reach[i], closed by Warshall's algorithm
+    (1962); two rows share a component iff their reach sets are equal.
     """
     n = g.n
     adj = [[k for k, (rows, _) in enumerate(g.forms) if rows[i]] for i in range(n)]
     match = [-1] * n
-    for root in range(n):
-        seen = set()
-        path = []           # the column taken from each row on the stack but the last
-        stack = [iter(adj[root])]
-        while stack:
-            k = next((k for k in stack[-1] if k not in seen), None)
-            if k is None:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen.add(k)
-            path.append(k)
-            if match[k] < 0:
-                break
-            stack.append(iter(adj[match[k]]))
-        else:
-            return None
-        row = root
-        for k in path:      # shift the matching along the augmenting path
-            row, match[k] = match[k], row
-    succ = [[match[k] for k in ks] for ks in adj]
-    index, low = [-1] * n, [0] * n
-    on_stack, stack, comps = [False] * n, [], []
-    count = 0
-    for s in range(n):
-        if index[s] >= 0:
-            continue
-        work = [(s, None)]
-        while work:
-            v, it = work.pop()
-            if it is None:          # first visit of v
-                index[v] = low[v] = count
-                count += 1
-                stack.append(v)
-                on_stack[v] = True
-                it = iter(succ[v])
-            for w in it:
-                if index[w] < 0:
-                    work += [(v, it), (w, None)]
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack[comp[-1]] = False
-                    comps.append(comp)
+    if not all(_augment(i, adj, match, set()) for i in range(n)):
+        return None
+    # reflexive already: row i's matched entry is an edge i -> i
+    reach = [sum({1 << match[k] for k in ks}) for ks in adj]
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        reach = [r | via if r & bit else r for r in reach]
     column = [0] * n        # column[i]: the column matched to row i
     for k, i in enumerate(match):
         column[i] = k
-    return [(comp, [column[i] for i in comp]) for comp in comps]
+    comps = {}
+    for i, r in enumerate(reach):
+        comps.setdefault(r, []).append(i)
+    return [(rows, [column[i] for i in rows]) for rows in comps.values()]
 
 
 def _squared_block(g):

@@ -53,8 +53,6 @@ class Quiver:
         raise AttributeError("Quiver is immutable")
 
     def is_connected(self):
-        if len(self.vertices) == 1:
-            return True
         adj = {v: set() for v in self.vertices}
         for a, b in self.edges:
             adj[a].add(b)

@@ -199,6 +199,61 @@ def _proportional(a, b):
     return ref_poly_mul(b, a[e] / b[e]) == a
 
 
+def ref_blocks(g):
+    """The Saito blocks of g as a set of (frozenset rows, frozenset columns),
+    or None when the Saito matrix has no perfect matching, without
+    `liealg._blocks`: columns are matched by breadth-first augmenting
+    paths, the matching is checked perfect and on entries (i, k) with row i
+    of M_k nonempty, and rows i and j share a block iff each reaches the
+    other over the edges i -> match[k], by a plain search from every row.
+    The blocks do not depend on the matching (Dulmage & Mendelsohn)."""
+    n = g.n
+    nonzero = {(i, k) for k, (rows, _) in enumerate(g.forms) for i in range(n) if rows[i]}
+    match, column = {}, {}      # column -> row, row -> column
+    for root in range(n):
+        parent, queue, free = {}, [root], None     # parent: column -> row
+        for i in queue:         # the queue grows as it is read
+            for k in range(n):
+                if (i, k) in nonzero and k not in parent:
+                    parent[k] = i
+                    if k not in match:
+                        free = k
+                        break
+                    queue.append(match[k])
+            if free is not None:
+                break
+        else:
+            return None
+        k = free
+        while k is not None:
+            i = parent[k]
+            prev = column.get(i)
+            match[k], column[i] = i, k
+            k = prev
+    assert sorted(match) == sorted(column) == list(range(n))
+    assert all((i, k) in nonzero for k, i in match.items())
+    reach = []
+    for s in range(n):
+        seen, stack = {s}, [s]
+        while stack:
+            i = stack.pop()
+            for j in {match[k] for k in range(n) if (i, k) in nonzero} - seen:
+                seen.add(j)
+                stack.append(j)
+        reach.append(seen)
+    return {(frozenset(rows), frozenset(column[i] for i in rows))
+            for rows in [[j for j in range(n) if j in reach[i] and i in reach[j]]
+                         for i in range(n)]}
+
+
+def blocks_agree(g):
+    """Whether `liealg._blocks(g)`, as sets of rows and columns, are the
+    blocks of `ref_blocks` (both None when there is no perfect matching)."""
+    blocks = _blocks(g)
+    got = None if blocks is None else {(frozenset(r), frozenset(c)) for r, c in blocks}
+    return (blocks is None or len(got) == len(blocks)) and got == ref_blocks(g)
+
+
 def saito_oracle(g):
     """Checks the Saito blocks of g, a set with f != 0, and returns whether
     `liealg._squared_block` found a witness:

@@ -91,6 +91,15 @@ class TestSources:
             assert code == 0
             assert f"reductive (asserted): {shown}" in text
 
+    @pytest.mark.parametrize("variables", [["x", "x"], ["", "y"]])
+    def test_variable_names_distinct_and_nonempty(self, variables, tmp_path):
+        obj = nc2_record()
+        obj["variables"] = variables
+        path = write_json(tmp_path, "g.json", obj)
+        code, text = run(["classify", "--input", path])
+        assert code == 1
+        assert text == "error: variable names must be distinct and nonempty"
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

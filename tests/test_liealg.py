@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import (bracket, columns_determinant, combination,
+from conftest import (blocks_agree, bracket, columns_determinant, combination,
                       delta_character, delta_packed, dual_characters_agree,
                       dual_rows_agree, eigenvalue, elementary_product,
                       identity, mat_add, mat_mul, mat_scale, mat_vec,
@@ -76,6 +76,15 @@ class TestGeneratorSet:
     def test_variable_count(self):
         with pytest.raises(ContextError):
             GeneratorSet([[[1]]], variables=("x", "y"))
+
+    @pytest.mark.parametrize("variables", [("x", "x"), ("", "y")])
+    def test_variable_names_distinct_and_nonempty(self, variables):
+        mats = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+        with pytest.raises(ContextError, match="distinct and nonempty"):
+            GeneratorSet(mats, variables)
+        forms = [liealg._integer_form(A, 2) for A in mats]
+        with pytest.raises(ContextError, match="distinct and nonempty"):
+            GeneratorSet._from_forms(forms, variables)
 
     def test_default_variables(self):
         g = diag_gens(3)
@@ -717,3 +726,44 @@ class TestSaitoBlocks:
         assert sorted(len(rows) for rows, _ in liealg._blocks(g)) == [2, 4]
         h, q = liealg._squared_block(g)
         assert max(map(sum, h)) == 2 and max(map(sum, q)) == 2
+
+
+def sparse_pattern(rng, n):
+    """A seeded set of n independent generators, each with one to three
+    small nonzero entries, built from its integer forms; None when the
+    draw is dependent."""
+    forms = []
+    for _ in range(n):
+        A = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            A[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1, 2, 3))
+        forms.append(liealg._integer_form(A, n))
+    try:
+        return GeneratorSet._from_forms(forms)
+    except DomainError:
+        return None
+
+
+class TestBlockOracle:
+    """`liealg._blocks` against `conftest.ref_blocks`, a breadth-first
+    matching and a search from every row."""
+
+    @pytest.mark.parametrize("name", fixture_names() + ["atilde-8", "nc-8", "atilde-30",
+                                                        "star-31111"])
+    def test_named(self, name):
+        g = star_31111() if name == "star-31111" else get_fixture(name).generators()
+        assert blocks_agree(g) and blocks_agree(dual_generators(g))
+
+    def test_seeded_patterns(self):
+        rng = random.Random(37)
+        sets = [g for g in (sparse_pattern(rng, rng.randint(1, 7)) for _ in range(400))
+                if g is not None]
+        blocks = [liealg._blocks(g) for g in sets]
+        assert len(sets) > 200 and 0 < blocks.count(None) < len(sets)
+        assert max(len(b) for b in blocks if b) > 2
+        assert all(blocks_agree(g) for g in sets)
+
+    def test_structurally_singular(self):
+        """nc-2 with both generators in row 0: no perfect matching."""
+        g = GeneratorSet([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+        assert liealg._blocks(g) is None and blocks_agree(g)

@@ -165,8 +165,9 @@ def test_no_test_only_definitions():
 def test_no_reference_cycles(call):
     """The recursive closures (the walk's `descend`, the determinant's
     `minor`, the parser's `parse_sum` and `parse_product`) are freed on
-    return, and the Saito blocks' searches keep explicit stacks, so a call
-    leaves nothing for the cyclic collector."""
+    return, and the Saito blocks' matching recurses through the module
+    function `liealg._augment`, which holds no reference to itself, so a
+    call leaves nothing for the cyclic collector."""
     call()      # the caches of the first call: fixtures, argparse, re
     enabled = gc.isenabled()
     gc.disable()

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import (delta_character, dual_rows_agree, one_walk_b,
+from conftest import (blocks_agree, delta_character, dual_rows_agree, one_walk_b,
                       ref_quiver_matrices, saito_oracle)
 from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
@@ -269,7 +269,7 @@ class TestGeneratedQuivers:
     def test_saito_blocks(self):
         """`conftest.saito_oracle` on every class and its dual: a squared
         block determinant certifies 86 of the 90 sets that are not
-        reduced."""
+        reduced; the blocks are those of `conftest.ref_blocks`."""
         sets = [h for qv, d in (p.values for p in GENERATED)
                 for g in [infinitesimal_generators(qv, d)]
                 for h in (g, dual_generators(g))]
@@ -277,3 +277,4 @@ class TestGeneratedQuivers:
         nonreduced = [not classify(g).reduced for g in sets]
         assert (len(sets), sum(nonreduced), sum(witnessed)) == (122, 90, 86)
         assert all(n for w, n in zip(witnessed, nonreduced) if w)
+        assert all(blocks_agree(g) for g in sets)
