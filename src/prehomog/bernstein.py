@@ -35,10 +35,12 @@ integers.  Each prefix of derivations shared by several monomials is done
 once, and each variable that has a value in x0 is set as soon as its last
 derivation is done.  `bfunction` gives every variable a value.
 `apply_operator` gives none, so it builds the whole k = n state, and
-`extract_cofactor` divides that by f^{n-1}: the full-state route, kept
-public as the reference the pointwise route is compared with.  The
-Fraction engine in tests/test_bernstein.py, one literal derivation at a
-time, is the independent check of the walk itself.
+`extract_cofactor` proves Q = b(s) f^{n-1} on it by exact division, with
+no power of f: each s-slice of Q is a multiple of the top one, and the
+top one divided by f n-1 times leaves a constant.  That is the full-state
+route, kept public as the reference the pointwise route is compared with.
+The Fraction engine in tests/test_bernstein.py, one literal derivation at
+a time, is the independent check of the walk itself.
 """
 
 from fractions import Fraction
@@ -47,7 +49,8 @@ from math import prod
 from . import liealg
 from .errors import ContextError, DomainError
 from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _exact,
-                       exponent_bits, packed, rational_root_spectrum, unpack)
+                       _monomial, _quotient, exponent_bits, packed, primitive,
+                       rational_root_spectrum, unpack)
 
 
 class SPowerExpression:
@@ -67,16 +70,14 @@ class SPowerExpression:
             raise DomainError("power offset must be nonnegative")
         clean = {}
         for exps, sc in terms.items():
-            sc = list(sc)
+            exps, sc = _monomial(exps, len(variables)), list(sc)
             while sc and not sc[-1]:
                 sc.pop()
             if not sc:
                 continue
             if len(sc) - 1 > k:
                 raise DomainError("s-degree exceeds the power offset")
-            if len(exps) != len(variables):
-                raise ContextError("exponent tuple length mismatch")
-            clean[tuple(exps)] = tuple(map(_exact, sc))
+            clean[exps] = tuple(map(_exact, sc))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
@@ -87,9 +88,6 @@ class SPowerExpression:
     @property
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, exps) -> UniPoly:
-        return UniPoly(self.terms.get(tuple(exps), ()))
 
     def __eq__(self, other):
         if not isinstance(other, SPowerExpression):
@@ -302,10 +300,13 @@ def apply_operator(fstar: MultiPoly, f: MultiPoly) -> SPowerExpression:
 def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     """Divide the k = n state by f^{n-1}: on success the quotient is b(s).
 
-    Picks the lexicographically first monomial x^beta of f^{n-1}, reads
-    b(s) = Q_beta(s) / c_beta, and verifies Q - b(s) f^{n-1} = 0 exactly.
-    A nonzero residual returns a BFailure, the expected outcome for
-    non-special inputs.
+    With T the top s-slice of Q (T_e the top coefficient of Q_e(s)),
+    Q = b(s) f^{n-1} exactly when every Q_e(s) is T_e times one
+    s-polynomial p(s), and T is a constant c times f^{n-1}: T, made
+    content-free, divides by f (`_quotient`, exact on the integer forms)
+    n-1 times down to one constant monomial.  Then b = c p, and no power
+    of f is built.  Any failed check returns a BFailure, the expected
+    outcome for non-special inputs.
     """
     if f.is_zero:
         raise DomainError("f must be nonzero")
@@ -319,25 +320,22 @@ def extract_cofactor(q: SPowerExpression, f: MultiPoly):
     if q.is_zero:
         return BFailure("functional-equation", "operator annihilated f^{s+1}")
 
-    fpow = (f ** (n - 1)).terms
-    beta = min(fpow)
-    c_beta = fpow[beta]
-    q_beta = q.terms.get(beta)
-    if q_beta is None:
-        return BFailure("functional-equation",
-                        "cofactor monomial missing from the operator image")
-
-    # verify c_beta * Q == Q_beta * f^{n-1}, exactly on Q's coefficients;
-    # the s-lists are trimmed and c_beta, c != 0, so equal lists mean equal
-    # polynomials
-    if q.terms.keys() != fpow.keys():
-        return BFailure("functional-equation", "support mismatch against f^(n-1)")
-    for e, c in fpow.items():
-        if [c_beta * v for v in q.terms[e]] != [c * v for v in q_beta]:
+    q0 = max(q.terms.values(), key=len)
+    for e, sc in q.terms.items():
+        # Q_e T_0 == Q_0 T_e on trimmed s-lists: a shorter Q_e gives a
+        # shorter list, so every term reaches the top s-slice
+        if [q0[-1] * v for v in sc] != [sc[-1] * v for v in q0]:
             return BFailure("functional-equation",
-                            f"residual nonzero at monomial {e}")
-
-    b_raw = UniPoly([v / c_beta for v in q_beta])
+                            f"not a multiple of the top s-slice at monomial {e}")
+    ints, scale = primitive([sc[-1] for sc in q.terms.values()])
+    t = dict(zip(q.terms, ints))
+    for _ in range(n - 1):
+        t = _quotient(t, f.ints) or {}      # None (f does not divide) ends it
+    if t.keys() != {(0,) * len(f.variables)}:
+        return BFailure("functional-equation",
+                        "top s-slice is not a multiple of f^(n-1)")
+    ratio = scale * t.popitem()[1] / (f.scale ** (n - 1) * q0[-1])
+    b_raw = UniPoly([v * ratio for v in q0])
     b = b_raw.monic()
     return BResult(b, b_raw.leading(), rational_root_spectrum(b))
 

@@ -30,8 +30,6 @@ from math import comb, gcd, isqrt, lcm, prod
 
 from .errors import CapacityError, ContextError, DomainError, ParseError
 
-# total-degree cap; beyond this we refuse rather than grind forever
-MAX_TOTAL_DEGREE = 10**6
 # degree cap of parse_factored
 MAX_PARSED_DEGREE = 300
 # trial-division cap of the rational root search: an end term that still
@@ -92,11 +90,23 @@ def _exact(c):
 def _coerce(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     if isinstance(c, str):
         return parse_rational(c)
     raise ContextError(f"cannot use {type(c).__name__} as a coefficient")
+
+
+def _monomial(exps, nv):
+    """exps, checked as the exponent tuple of a monomial in nv variables."""
+    # tuple keys only: a dict cannot hold two equal ones
+    if type(exps) is not tuple or any(type(e) is not int for e in exps):
+        raise ContextError(f"exponents must be a tuple of ints, got {exps!r}")
+    if len(exps) != nv:
+        raise ContextError("exponent tuple length does not match variables")
+    if any(e < 0 for e in exps):
+        raise DomainError("negative exponent")
+    return exps
 
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -139,8 +149,8 @@ class MultiPoly:
 
     The form is canonical, so == compares it, and the integer engines
     read it directly; `terms` gives the Fraction coefficients, for display
-    and serialization.  Instances are treated as immutable.  * needs one
-    variable context and raises ContextError across two; == is False.
+    and serialization.  Instances are treated as immutable, and two of
+    different variable contexts are never ==.
     """
 
     __slots__ = ("variables", "ints", "scale")
@@ -150,16 +160,8 @@ class MultiPoly:
         if len(set(variables)) != len(variables):
             raise ContextError("duplicate variable names")
         clean = {}
-        nv = len(variables)
         for exps, c in terms.items():
-            # tuple keys only: a dict cannot hold two equal ones
-            if type(exps) is not tuple or any(type(e) is not int for e in exps):
-                raise ContextError(f"exponents must be a tuple of ints, got {exps!r}")
-            if len(exps) != nv:
-                raise ContextError("exponent tuple length does not match variables")
-            if any(e < 0 for e in exps):
-                raise DomainError("negative exponent")
-            c = _exact(c)
+            exps, c = _monomial(exps, len(variables)), _exact(c)
             if c:
                 clean[exps] = c
         ints, scale = primitive(list(clean.values()))
@@ -205,41 +207,6 @@ class MultiPoly:
 
     def is_homogeneous(self):
         return len({sum(e) for e in self.ints}) <= 1
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return MultiPoly._form(self.variables, self.ints,
-                                   self.scale * _coerce(other))
-        if self.variables != other.variables:
-            raise ContextError(f"variable contexts differ: {self.variables} "
-                               f"and {other.variables}")
-        a, b = self.ints, other.ints
-        if a and b:
-            da = max(sum(e) for e in a)
-            db = max(sum(e) for e in b)
-            if da + db > MAX_TOTAL_DEGREE:
-                raise CapacityError("product degree exceeds supported range")
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly._form(self.variables, {e: c for e, c in out.items() if c},
-                               self.scale * other.scale)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise DomainError("exponent must be a nonnegative integer")
-        if self.degree() * k > MAX_TOTAL_DEGREE:
-            raise CapacityError("power degree exceeds supported range")
-        result = MultiPoly._form(self.variables, {(0,) * len(self.variables): 1},
-                                 Fraction(1))
-        for _ in range(k):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

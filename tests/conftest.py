@@ -599,6 +599,15 @@ def ref_poly_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def ref_product(p, *factors):
+    """The MultiPoly p times each factor, a MultiPoly of p's variables or a
+    number, multiplied out by `ref_poly_mul`."""
+    terms = p.terms
+    for q in factors:
+        terms = ref_poly_mul(terms, q.terms if isinstance(q, MultiPoly) else q)
+    return MultiPoly(p.variables, terms)
+
+
 def ref_poly_derivative(a, i):
     """d/dx_i of a."""
     return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]

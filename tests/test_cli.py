@@ -1,10 +1,12 @@
 import argparse
+import inspect
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 import prehomog
 from conftest import chain_expanded, random_chain_list
+from prehomog import fixtures
 from prehomog.cli import _build_parser, main, run
 from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import OrderForm
@@ -608,6 +611,10 @@ def classify_runs():
     return [pytest.param(stem, argv, id=stem) for stem, argv in runs]
 
 
+# the fixtures of the recorded `symmetry --fixture` runs
+SYMMETRY_SOURCES = ["star-2111", "bilinear-cone-4"]
+
+
 def test_every_command_has_golden_bytes():
     commands, = [a.choices for a in _build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]
@@ -640,7 +647,7 @@ class TestGoldenBytes:
         out = capsys.readouterr().out.encode("utf-8")
         assert out == (GOLDEN / f"{stem}.out").read_bytes()
 
-    @pytest.mark.parametrize("name", ["star-2111", "bilinear-cone-4"])
+    @pytest.mark.parametrize("name", SYMMETRY_SOURCES)
     @pytest.mark.parametrize("form, flag", [("txt", []), ("json", ["--json"])])
     def test_symmetry_source_bytes(self, name, form, flag, capsys):
         code = main(["symmetry", "--fixture", name] + flag)
@@ -654,3 +661,105 @@ class TestGoldenBytes:
         assert main(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert out == (GOLDEN / f"{stem}.out").read_bytes()
+
+
+def golden_argvs():
+    """Every argv of TestGoldenBytes, in its order."""
+    runs = [["bfunction", "--fixture", name, "--json"] for name in fixture_names()]
+    runs += [p.values[1] for p in geometry_runs() + poly_runs()]
+    runs += [["symmetry", "--fixture", name] + flag
+             for name in SYMMETRY_SOURCES for flag in ([], ["--json"])]
+    return runs + [p.values[1] for p in classify_runs()]
+
+
+def error_argvs(path):
+    """The argv lists TestBadInput's tests are parametrized by;
+    test_span_not_closed's read the generator file at path."""
+    runs = []
+    for name, test in vars(TestBadInput).items():
+        for mark in getattr(test, "pytestmark", ()):
+            if mark.name == "parametrize" and mark.args[0] == "argv":
+                extra = ["--input", path] if name == "test_span_not_closed" else []
+                runs += [argv + extra for argv in mark.args[1]]
+    return runs
+
+
+def src_functions():
+    """(file, qualified name) of every function and method of src/prehomog,
+    nested ones included: the code objects of each module, compiled under
+    its file name, as its frames report it."""
+    out = set()
+
+    def walk(code):
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                # a class body has no locals of its own; lambdas and
+                # comprehensions are parts of their function
+                if c.co_flags & inspect.CO_NEWLOCALS and not c.co_name.startswith("<"):
+                    out.add((c.co_filename, c.co_qualname))
+                walk(c)
+
+    for path in sorted(Path(prehomog.__file__).parent.glob("*.py")):
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    return out
+
+
+# src functions that no golden or error run calls, and why each stays
+UNCALLED = {
+    # the full-state reference route, the oracle of the pointwise route;
+    # benchmark/spans.py wraps apply_operator and extract_cofactor by name
+    "bernstein.py": {"apply_operator", "extract_cofactor",
+                     "SPowerExpression.__init__", "SPowerExpression.is_zero",
+                     "SPowerExpression.__eq__"},
+    # the validating constructor, its exponent check (shared with
+    # SPowerExpression's) and a test of the input: the product builds
+    # every MultiPoly from integer forms, through `_form`
+    "polyring.py": {"MultiPoly.__init__", "_monomial", "MultiPoly.is_homogeneous",
+                    # value equality and hashing, for callers and tests
+                    "MultiPoly.__eq__", "MultiPoly.__hash__", "UniPoly.__hash__",
+                    "Spectrum.__eq__",
+                    # benchmark/spans.py rebinds it to count evaluations
+                    "UniPoly.evaluate"},
+    "geometry.py": {"OrderForm.__eq__"},
+    "quiver.py": {"Quiver.__eq__", "DimensionVector.__eq__"},
+    # GeneratorSet.__eq__ is value equality; the benchmark workloads read
+    # the rational matrices
+    "liealg.py": {"GeneratorSet.__eq__", "GeneratorSet.matrix",
+                  "GeneratorSet.matrices"},
+}
+
+
+def test_every_src_function_is_called(tmp_path, monkeypatch, capsys):
+    """Reach, not names: the golden runs and the error runs, traced from
+    empty fixture caches, call every function of src/prehomog but those
+    of UNCALLED and the __repr__ (display) and __setattr__ (the
+    immutability guard) methods.  So a function only tests call does not
+    linger in src, and UNCALLED holds only uncalled functions."""
+    monkeypatch.chdir(Path(__file__).parent)
+    for fixture in fixtures._STATIC.values():
+        monkeypatch.setattr(fixture, "_cache", None)
+    monkeypatch.setattr(fixtures, "_FAMILY", {})
+    _build_parser.cache_clear()
+    path = write_json(tmp_path, "g.json", TestBadInput.NOT_CLOSED)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in golden_argvs() + error_argvs(path):
+            main(argv)
+    finally:
+        sys.setprofile(outer)
+    capsys.readouterr()
+    defined = src_functions()
+    reached = {(c.co_filename, c.co_qualname) for c in called}
+    uncalled = {(Path(f).name, q) for f, q in defined - reached}
+    listed = {(name, q) for name, qs in UNCALLED.items() for q in qs}
+    assert len(defined) > 150
+    assert sorted(u for u in uncalled - listed
+                  if not u[1].endswith((".__repr__", ".__setattr__"))) == []
+    assert listed <= uncalled

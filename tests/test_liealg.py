@@ -12,7 +12,8 @@ from conftest import (blocks_agree, bracket, columns_determinant, combination,
                       identity, mat_add, mat_mul, mat_scale, mat_vec,
                       ref_annihilator_basis, ref_in_span,
                       ref_poly_add, ref_poly_derivative, ref_poly_linear,
-                      ref_poly_mul, ref_structure_constants, saito_oracle,
+                      ref_poly_mul, ref_product, ref_structure_constants,
+                      saito_oracle,
                       star_31111)
 
 from prehomog import liealg, linalg, polyring
@@ -103,11 +104,11 @@ class TestGeneratorSet:
 
     def test_entries_coerced_like_coefficients(self):
         """Matrix entries follow the coefficient rule of MultiPoly: ints,
-        bools, Fractions and "p/q" strings, nothing else."""
-        for bad in (0.1, 1.0, None, [1], 1j):
+        Fractions and "p/q" strings, nothing else (a bool is no number)."""
+        for bad in (0.1, 1.0, None, [1], 1j, True, False):
             with pytest.raises(ContextError, match="cannot use"):
                 GeneratorSet([[[bad]]])
-        assert GeneratorSet([[[True]]]) == GeneratorSet([[["2/2"]]])
+        assert GeneratorSet([[[1]]]) == GeneratorSet([[["2/2"]]])
 
     def test_matrices_give_back_fractions(self):
         g = GeneratorSet([[[1, "-2/6"], [0, Fraction(3, 4)]],
@@ -425,7 +426,7 @@ class TestDiscriminant:
         table = MultiPoly(g.variables, {
             (0, 2, 2, 0): 1, (1, 0, 3, 0): -4, (0, 3, 0, 1): -4,
             (1, 1, 1, 1): 18, (2, 0, 0, 2): -27})
-        assert f == table * -3
+        assert f == ref_product(table, -3)
 
     def test_degenerate_columns_give_zero(self):
         e11 = [[1, 0], [0, 0]]

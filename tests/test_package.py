@@ -15,7 +15,9 @@ from prehomog.cli import run
 from prehomog.errors import ContextError
 from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm, conormal_order, point_context
-from prehomog.liealg import character, character_of_combination, classify
+from prehomog.liealg import (GeneratorSet, character, character_of_combination,
+                             classify)
+from prehomog.polyring import MultiPoly
 
 
 def test_every_public_name_resolves():
@@ -151,7 +153,7 @@ def test_no_test_only_definitions():
     assert [m for m in methods if m[2] not in reached] == []
     read = _read(product) | readme
     assigned = _assignments(p for p in src if p.stem not in ("fixtures", "__init__"))
-    assert len(assigned) > 10
+    assert len(assigned) > 9
     assert [a for a in assigned if a[1] not in read] == []
 
 
@@ -188,18 +190,24 @@ def _conormal_order(y):
 
 CALLER_NUMBERS = {
     "SPowerExpression": lambda x: SPowerExpression(("x",), 1, {(0,): (1, x)}),
+    "MultiPoly": lambda x: MultiPoly(("x",), {(1,): x}),
+    "GeneratorSet": lambda x: GeneratorSet([[[x]]]),
     "character_of_combination": lambda x: character_of_combination((1, 2), (x, 1)),
     "conormal_order": _conormal_order,
     "OrderForm": lambda x: OrderForm(x, x),
+    "point_context": lambda x: point_context(get_fixture("nc-2").generators(),
+                                             (x, 1)).x0,
 }
 
 
 @pytest.mark.parametrize("name", CALLER_NUMBERS)
 def test_caller_numbers_are_exact(name):
-    """A float would be stored inexactly (0.1 is 3602879701896397/2^55), so
-    every entry point that takes a caller's number refuses it, and takes
-    the same rational as a "p/q" string or a Fraction."""
+    """A float would be stored inexactly (0.1 is 3602879701896397/2^55) and
+    a bool is no number, so every entry point that takes a caller's number
+    refuses both, and takes the same rational as a "p/q" string or a
+    Fraction."""
     entry = CALLER_NUMBERS[name]
-    with pytest.raises(ContextError):
-        entry(0.1)
+    for bad in (0.1, True):
+        with pytest.raises(ContextError):
+            entry(bad)
     assert entry("1/3") == entry(Fraction(1, 3))

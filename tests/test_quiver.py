@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from conftest import (blocks_agree, delta_character, dual_rows_agree, one_walk_b,
-                      ref_quiver_matrices, saito_oracle)
+                      ref_product, ref_quiver_matrices, saito_oracle)
 from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
@@ -152,7 +152,7 @@ class TestFamilies:
             return MultiPoly(names, {mono(2 * a, 2 * b + 1): 1,
                                      mono(2 * a + 1, 2 * b): -1})
 
-        assert f == minor(0, 1) * minor(0, 2) * minor(1, 2)
+        assert f == ref_product(minor(0, 1), minor(0, 2), minor(1, 2))
 
     def test_atilde_one_is_a_squared_minor(self):
         qv, d = atilde_quiver(1)
@@ -163,7 +163,7 @@ class TestFamilies:
         assert cls.special
         # m = ae - bc on the coordinates a, b, c, e
         m = MultiPoly(rep_space(qv, d), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
-        assert f == m * m or f == m * m * -1
+        assert f in (ref_product(m, m), ref_product(m, m, -1))
 
     def test_atilde_matches_fixture(self):
         g = get_fixture("atilde-2").generators()
