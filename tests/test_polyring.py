@@ -14,6 +14,8 @@ from conftest import (fraction_shift, from_roots, random_chain_list, ref_add,
                       ref_restrict_line,
                       ref_trim, restrict)
 from prehomog import liealg, polyring
+from prehomog.bernstein import (SPowerExpression, apply_operator,
+                               extract_cofactor)
 from prehomog.errors import (CapacityError, ContextError, DomainError,
                              ParseError)
 from prehomog.fixtures import fixture_names, get_fixture
@@ -112,10 +114,17 @@ class TestMultiPolyBasics:
             assert a == b and hash(a) == hash(b), (a, b)
         assert len({MultiPoly(("x",), {(1,): 1}), MultiPoly(("y",), {(1,): 1})}) == 2
         assert len({mp({(1, 0, 0): 2}), mp({(1, 0, 0): 1})}) == 2
-        # two variable contexts are never equal
+
+    def test_arithmetic_needs_one_context(self):
+        # the arithmetic left on MultiPoly, the operator walk and the exact
+        # division by f, refuses two variable contexts
         a = MultiPoly(("x",), {(1,): 1})
-        assert a != MultiPoly(("y",), {(1,): 1})
-        assert a != MultiPoly(("x", "y"), {(1, 0): 1})
+        b = MultiPoly(("y",), {(1,): 1})
+        with pytest.raises(ContextError, match="variable context mismatch"):
+            extract_cofactor(SPowerExpression(("y",), 1, {(1,): [1]}), a)
+        with pytest.raises(ContextError, match="same number of variables"):
+            apply_operator(a, MultiPoly(("x", "y"), {(1, 0): 1}))
+        assert a != b and a != MultiPoly(("x", "y"), {(1, 0): 1})
         assert MultiPoly(("x",), {(0,): 2}) != MultiPoly(("y",), {(0,): 2})
 
     def test_immutability(self):
