@@ -48,12 +48,12 @@ from math import prod
 
 from . import liealg
 from .errors import ContextError, DomainError
-from .polyring import (MultiPoly, Spectrum, UniPoly, _balanced_digits, _exact,
-                       _monomial, _quotient, exponent_bits, packed, primitive,
-                       rational_root_spectrum, unpack)
+from .polyring import (MultiPoly, Spectrum, UniPoly, _Value, _balanced_digits,
+                       _exact, _monomial, _quotient, exponent_bits, packed,
+                       primitive, rational_root_spectrum, unpack)
 
 
-class SPowerExpression:
+class SPowerExpression(_Value):
     """f^{s+1-k} * P with P sparse in x and dense in s: the result record
     of `apply_operator` and the input of `extract_cofactor`.
 
@@ -82,18 +82,9 @@ class SPowerExpression:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SPowerExpression is immutable")
-
     @property
     def is_zero(self):
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SPowerExpression):
-            return NotImplemented
-        return (self.variables, self.k, self.terms) == \
-            (other.variables, other.k, other.terms)
 
     def __repr__(self):
         return f"SPowerExpression(k={self.k}, terms={len(self.terms)})"

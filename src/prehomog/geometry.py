@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from . import liealg, linalg
 from .errors import ContextError, DomainError, InadmissibleCovectorError
-from .polyring import UniPoly, _coerce
+from .polyring import UniPoly, _Value, _coerce
 
 
-class PointContext:
+class PointContext(_Value):
     """A rational point with its isotropy, orbit tangent, and a chosen
     coordinate complement, built by `point_context` and stored as given.
 
@@ -33,31 +33,23 @@ class PointContext:
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "normal_coords", tuple(normal_coords))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PointContext is immutable")
-
     def __repr__(self):
         return (f"PointContext(x0={self.x0}, "
                 f"dim isotropy={len(self.isotropy_coeffs)}, "
                 f"dim tangent={len(self.tangent)})")
 
 
-class OrderForm:
+class OrderForm(_Value):
     """ord f^s = -m*s - half_mu along a conormal Lagrangian."""
 
     __slots__ = ("m", "half_mu")
 
     def __init__(self, m, half_mu):
-        self.m = _coerce(m)
-        self.half_mu = _coerce(half_mu)
+        object.__setattr__(self, "m", _coerce(m))
+        object.__setattr__(self, "half_mu", _coerce(half_mu))
 
     def to_polynomial(self) -> UniPoly:
         return UniPoly([-self.half_mu, -self.m])
-
-    def __eq__(self, other):
-        if not isinstance(other, OrderForm):
-            return NotImplemented
-        return (self.m, self.half_mu) == (other.m, other.half_mu)
 
     def __str__(self):
         return str(self.to_polynomial())

@@ -32,15 +32,15 @@ from math import lcm
 
 from . import linalg
 from .errors import ClosureError, ContextError, DomainError
-from .polyring import (MultiPoly, _coerce, _exact, _quotient, exponent_bits,
-                       is_squarefree, primitive, unpack)
+from .polyring import (MultiPoly, _Value, _coerce, _exact, _quotient,
+                       exponent_bits, is_squarefree, primitive, unpack)
 
 
 def default_variables(n):
     return tuple(f"x{i+1}" for i in range(n))
 
 
-class GeneratorSet:
+class GeneratorSet(_Value):
     """Ordered generators of a Lie algebra of linear fields.
 
     Generator order is semantically significant: the discriminant is
@@ -95,9 +95,6 @@ class GeneratorSet:
         object.__setattr__(self, "forms", tuple(forms))
         object.__setattr__(self, "rows", tuple(rows))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorSet is immutable")
-
     def matrix(self, k):
         """A_k as a fresh list of Fraction rows."""
         rows, scale = self.forms[k]
@@ -116,7 +113,7 @@ class GeneratorSet:
         weighted by coeffs_k scale_k = q w_k, w_k ints."""
         if len(coeffs) != self.n:
             raise ContextError(f"{len(coeffs)} coefficients, expected {self.n}")
-        w, q = primitive([c * s for c, (_, s) in zip(coeffs, self.forms)])
+        w, q = primitive([_exact(c) * s for c, (_, s) in zip(coeffs, self.forms)])
         acc = [{} for _ in range(self.n)]
         for wk, (rows, _) in zip(w, self.forms):
             if wk:
@@ -127,14 +124,15 @@ class GeneratorSet:
         return [[q * r[j] if j in r else zero for j in range(self.n)] for r in acc]
 
     def images(self, x):
-        """[A_k x for each k] as Fraction lists, for x of ints and Fractions."""
+        """[A_k x for each k] as Fraction lists, for x of exact numbers."""
         if len(x) != self.n:
             raise ContextError(f"point has {len(x)} coordinates, expected {self.n}")
-        X, q = primitive(x)
+        X, q = primitive([_exact(v) for v in x])
         zero = Fraction(0)
         return [[sq * v if v else zero for v in [sum(a * X[j] for j, a in row) for row in rows]]
                 for rows, sq in [(rows, scale * q) for rows, scale in self.forms]]
 
+    # its own ==: rows are derived, and a dual's differ from a fresh set's
     def __eq__(self, other):
         if not isinstance(other, GeneratorSet):
             return NotImplemented

@@ -141,7 +141,24 @@ def _literal(num, den, text):
     return num // g, den // g
 
 
-class MultiPoly:
+class _Value:
+    """The base of the library's value records: each is frozen once its
+    constructor has set its __slots__ (through object.__setattr__), and
+    two of one type are == when their slots are, in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+
+class MultiPoly(_Value):
     """Sparse multivariate polynomial over Q, kept as its content-free
     integer form: p = scale * sum ints[e] x^e, with ints a map from
     exponent tuples (one int per variable) to nonzero ints of gcd 1 and
@@ -149,8 +166,7 @@ class MultiPoly:
 
     The form is canonical, so == compares it, and the integer engines
     read it directly; `terms` gives the Fraction coefficients, for display
-    and serialization.  Instances are treated as immutable, and two of
-    different variable contexts are never ==.
+    and serialization.  Two of different variable contexts are never ==.
     """
 
     __slots__ = ("variables", "ints", "scale")
@@ -168,9 +184,6 @@ class MultiPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "ints", dict(zip(clean, ints)))
         object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def _form(cls, variables, ints, scale):
@@ -207,12 +220,6 @@ class MultiPoly:
 
     def is_homogeneous(self):
         return len({sum(e) for e in self.ints}) <= 1
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.variables, self.ints, self.scale) == \
-            (other.variables, other.ints, other.scale)
 
     def __hash__(self):
         return hash((self.variables, frozenset(self.ints.items()), self.scale))
@@ -358,7 +365,7 @@ def _int_power(a, k):
     return out
 
 
-class UniPoly:
+class UniPoly(_Value):
     """Dense univariate polynomial over Q, kept as its content-free integer
     form: p = scale * sum ints[i] s^i, lowest degree first, with no
     trailing zero, gcd(ints) = 1 and scale > 0 a Fraction (the zero
@@ -381,9 +388,6 @@ class UniPoly:
         p = UniPoly._form(*primitive([_exact(c) for c in coeffs]))
         object.__setattr__(self, "ints", p.ints)
         object.__setattr__(self, "scale", p.scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def _new(cls, ints, scale):
@@ -455,10 +459,11 @@ class UniPoly:
 
     __rmul__ = __mul__
 
+    # its own ==: a constant also equals its number (a bool is none)
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.ints == other.ints and self.scale == other.scale
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == UniPoly.constant(other)
         return NotImplemented
 
@@ -530,7 +535,7 @@ def _pseudo_rem(a, b):
     return r
 
 
-class Spectrum:
+class Spectrum(_Value):
     """Rational roots with multiplicity, and the monic residual."""
 
     __slots__ = ("roots", "residual")
@@ -538,14 +543,6 @@ class Spectrum:
     def __init__(self, roots, residual):
         object.__setattr__(self, "roots", tuple(roots))
         object.__setattr__(self, "residual", residual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spectrum is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return (self.roots, self.residual) == (other.roots, other.residual)
 
     def __str__(self):
         if not self.roots:

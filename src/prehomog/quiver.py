@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import liealg
 from .errors import CapacityError, ContextError, DomainError
+from .polyring import _Value
 
 # variable cap of generated inputs (nc-N, atilde-N, quiver dimension
 # vectors).  Building the integer forms is cheap (atilde-125, at the cap,
@@ -20,7 +21,7 @@ from .errors import CapacityError, ContextError, DomainError
 MAX_GENERATED_VARIABLES = 128
 
 
-class Quiver:
+class Quiver(_Value):
     """Finite quiver: ordered vertex names and directed edges (src, tgt).
 
     Loops are rejected; the action of the vertex groups on a loop edge
@@ -49,9 +50,6 @@ class Quiver:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quiver is immutable")
-
     def is_connected(self):
         adj = {v: set() for v in self.vertices}
         for a, b in self.edges:
@@ -66,16 +64,11 @@ class Quiver:
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
-    def __eq__(self, other):
-        if not isinstance(other, Quiver):
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
     def __repr__(self):
         return f"Quiver(vertices={list(self.vertices)}, edges={list(self.edges)})"
 
 
-class DimensionVector:
+class DimensionVector(_Value):
     """Positive integer dimension per vertex name."""
 
     __slots__ = ("dims",)
@@ -93,19 +86,11 @@ class DimensionVector:
             clean[v] = d
         object.__setattr__(self, "dims", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DimensionVector is immutable")
-
     def __getitem__(self, v):
         try:
             return self.dims[v]
         except KeyError:
             raise ContextError(f"no dimension for vertex {v!r}") from None
-
-    def __eq__(self, other):
-        if not isinstance(other, DimensionVector):
-            return NotImplemented
-        return self.dims == other.dims
 
     def __repr__(self):
         return f"DimensionVector({self.dims})"

@@ -709,19 +709,15 @@ UNCALLED = {
     # the full-state reference route, the oracle of the pointwise route;
     # benchmark/spans.py wraps apply_operator and extract_cofactor by name
     "bernstein.py": {"apply_operator", "extract_cofactor",
-                     "SPowerExpression.__init__", "SPowerExpression.is_zero",
-                     "SPowerExpression.__eq__"},
+                     "SPowerExpression.__init__", "SPowerExpression.is_zero"},
     # the validating constructor, its exponent check (shared with
     # SPowerExpression's) and a test of the input: the product builds
     # every MultiPoly from integer forms, through `_form`
     "polyring.py": {"MultiPoly.__init__", "_monomial", "MultiPoly.is_homogeneous",
                     # value equality and hashing, for callers and tests
-                    "MultiPoly.__eq__", "MultiPoly.__hash__", "UniPoly.__hash__",
-                    "Spectrum.__eq__",
+                    "_Value.__eq__", "MultiPoly.__hash__", "UniPoly.__hash__",
                     # benchmark/spans.py rebinds it to count evaluations
                     "UniPoly.evaluate"},
-    "geometry.py": {"OrderForm.__eq__"},
-    "quiver.py": {"Quiver.__eq__", "DimensionVector.__eq__"},
     # GeneratorSet.__eq__ is value equality; the benchmark workloads read
     # the rational matrices
     "liealg.py": {"GeneratorSet.__eq__", "GeneratorSet.matrix",

@@ -591,6 +591,14 @@ class TestDual:
         assert d.variables == ("x1*", "x2*")
         assert d.matrix(0) == [[-1, 0], [0, 0]]
 
+    def test_equal_to_a_fresh_set_with_other_rows(self):
+        """GeneratorSet keeps its own ==, which skips the derived rows: a
+        dual's rows are g's mapped, not a fresh echelon of the same forms."""
+        d = dual_generators(get_fixture("binary-cubic").generators())
+        fresh = GeneratorSet._from_forms(d.forms, d.variables)
+        assert d.rows != fresh.rows
+        assert d == fresh
+
     def test_no_independence_proof(self, monkeypatch):
         def no_elimination(rows):
             raise AssertionError("dual_generators reduced rows")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import prehomog
+from prehomog import polyring
 from prehomog.bernstein import SPowerExpression, bfunction
 from prehomog.cli import run
 from prehomog.errors import ContextError
@@ -17,7 +18,8 @@ from prehomog.fixtures import get_fixture
 from prehomog.geometry import OrderForm, conormal_order, point_context
 from prehomog.liealg import (GeneratorSet, character, character_of_combination,
                              classify)
-from prehomog.polyring import MultiPoly
+from prehomog.polyring import MultiPoly, Spectrum, UniPoly
+from prehomog.quiver import DimensionVector, Quiver
 
 
 def test_every_public_name_resolves():
@@ -197,6 +199,9 @@ CALLER_NUMBERS = {
     "OrderForm": lambda x: OrderForm(x, x),
     "point_context": lambda x: point_context(get_fixture("nc-2").generators(),
                                              (x, 1)).x0,
+    "GeneratorSet.combination":
+        lambda x: get_fixture("nc-2").generators().combination((x, 1)),
+    "GeneratorSet.images": lambda x: get_fixture("nc-2").generators().images((x, 1)),
 }
 
 
@@ -211,3 +216,81 @@ def test_caller_numbers_are_exact(name):
         with pytest.raises(ContextError):
             entry(bad)
     assert entry("1/3") == entry(Fraction(1, 3))
+
+
+def _nc2_context(x0):
+    return point_context(get_fixture("nc-2").generators(), x0)
+
+
+# each value record: a builder, called twice for two equal values, then
+# builders that each change one field of its value
+RECORDS = {
+    "MultiPoly": (lambda: MultiPoly(("x", "y"), {(1, 0): 2, (0, 1): 1}),
+                  lambda: MultiPoly(("x", "z"), {(1, 0): 2, (0, 1): 1}),
+                  lambda: MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 2}),
+                  lambda: MultiPoly(("x", "y"), {(1, 0): 4, (0, 1): 2})),
+    "UniPoly": (lambda: UniPoly([1, 2]), lambda: UniPoly([2, 1]),
+                lambda: UniPoly([2, 4])),
+    "Spectrum": (lambda: Spectrum([(Fraction(-1), 2)], UniPoly.one()),
+                 lambda: Spectrum([(Fraction(-1), 1)], UniPoly.one()),
+                 lambda: Spectrum([(Fraction(-1), 2)], UniPoly([1, 0, 1]))),
+    "SPowerExpression": (lambda: SPowerExpression(("x",), 1, {(1,): (1, 2)}),
+                         lambda: SPowerExpression(("y",), 1, {(1,): (1, 2)}),
+                         lambda: SPowerExpression(("x",), 2, {(1,): (1, 2)}),
+                         lambda: SPowerExpression(("x",), 1, {(1,): (1,)})),
+    "GeneratorSet": (lambda: GeneratorSet([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+                     lambda: GeneratorSet([[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                                          ("a", "b")),
+                     lambda: GeneratorSet([[[1, 0], [0, 0]], [[0, 0], [0, 2]]])),
+    "PointContext": (lambda: _nc2_context((1, 1)), lambda: _nc2_context((1, 0)),
+                     lambda: _nc2_context((2, 2))),
+    "OrderForm": (lambda: OrderForm(1, "1/2"), lambda: OrderForm(2, "1/2"),
+                  lambda: OrderForm(1, 1)),
+    "Quiver": (lambda: Quiver(["a", "b"], [("a", "b")]),
+               lambda: Quiver(["a", "c"], [("a", "c")]),
+               lambda: Quiver(["a", "b"], [("b", "a")])),
+    "DimensionVector": (lambda: DimensionVector({"a": 1}),
+                        lambda: DimensionVector({"a": 2})),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_value_records(name):
+    """A value record is frozen once built: assigning any slot, or any
+    other name, raises an AttributeError naming its class.  Equal inputs
+    build == values, a changed field gives a != one, and a value of
+    another type is never ==."""
+    build, *changed = RECORDS[name]
+    value = build()
+    assert type(value).__name__ == name
+    for attr in type(value).__slots__ + ("other",):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, getattr(value, attr, None))
+    assert value == build() and not value != build()
+    for other in changed:
+        assert value != other() and not value == other()
+    assert value != name and not value == object()
+
+
+def test_one_value_base():
+    """The immutability guard and slot equality live once, in
+    polyring._Value: no other class of src/prehomog defines __setattr__,
+    and only UniPoly (a constant equals its number) and GeneratorSet (its
+    rows are derived) keep their own __eq__.  RECORDS covers every
+    subclass."""
+    defines = {"__setattr__": set(), "__eq__": set()}
+    for path in sorted((ROOT / "src" / "prehomog").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        names = {node.name}
+                    else:  # an assignment such as __eq__ = ...
+                        names = {t.id for t in getattr(node, "targets", ())
+                                 if isinstance(t, ast.Name)}
+                    for name in names & defines.keys():
+                        defines[name].add(cls.name)
+    assert defines == {"__setattr__": {"_Value"},
+                       "__eq__": {"_Value", "UniPoly", "GeneratorSet"}}
+    assert sorted(c.__name__ for c in polyring._Value.__subclasses__()) == \
+        sorted(RECORDS)

@@ -444,6 +444,14 @@ class TestUniPolyAgainstFraction:
         assert len({UniPoly([5]), 5}) == 1
         assert len({UniPoly([]), 0, Fraction(0)}) == 1
 
+    def test_a_bool_compares_unequal(self):
+        # == answers and never raises: a bool, like a float, is no number,
+        # even where it hashes as the constant it would equal
+        one = UniPoly.one()
+        assert (one == True) is False and one != True  # noqa: E712
+        assert one == 1 and one != 1.0
+        assert True not in {one: 1} and UniPoly([]) != False  # noqa: E712
+
     def test_no_fraction_per_term(self, monkeypatch):
         # on a degree-60 input the integer form builds a bounded number of
         # Fractions per operation; the Fraction arithmetic builds one or
