@@ -13,7 +13,8 @@ from .errors import (CapacityError, ClosureError, ContextError, DomainError,
 from .geometry import (OrderForm, PointContext, chain_assemble, conormal_order,
                        euler_at_point, normal_representation, point_context)
 from .liealg import (Classification, GeneratorSet, character, classify,
-                     discriminant, dual_generators, is_special, validate_algebra)
+                     discriminant, dual_discriminant, is_special,
+                     validate_algebra)
 from .polyring import (MultiPoly, Spectrum, UniPoly, is_squarefree,
                        parse_factored, rational_root_spectrum, univariate_gcd)
 from .quiver import (DimensionVector, Quiver, atilde_quiver, dtilde3_quiver,
@@ -30,7 +31,7 @@ __all__ = [
     "PrehomogError", "Quiver", "Spectrum", "SPowerExpression",
     "UniPoly", "apply_operator", "atilde_quiver", "bfunction",
     "chain_assemble", "character", "classify", "conormal_order",
-    "discriminant", "dtilde3_quiver", "dual_generators", "euler_at_point",
+    "discriminant", "dtilde3_quiver", "dual_discriminant", "euler_at_point",
     "extract_cofactor", "infinitesimal_generators", "is_special",
     "is_squarefree", "normal_representation", "parse_factored",
     "point_context", "rational_root_spectrum", "rep_space", "star_quiver",

@@ -489,7 +489,7 @@ def bfunction(g: liealg.GeneratorSet):
     if f.is_zero:
         raise DomainError("discriminant vanishes; not prehomogeneous")
     special = liealg.is_special(g, c)
-    fstar = liealg.discriminant(liealg.dual_generators(g))
+    fstar = liealg.dual_discriminant(g)
     if fstar.is_zero:
         return BFailure("dual-degenerate", "f* = 0", special=special)
     if not special:

@@ -21,12 +21,11 @@ from .polyring import parse_rational
 class Fixture:
     """A named divisor: lazily built generators plus metadata."""
 
-    __slots__ = ("name", "reductive", "description", "_factory", "_cache")
+    __slots__ = ("name", "reductive", "_factory", "_cache")
 
-    def __init__(self, name, factory, reductive, description):
+    def __init__(self, name, factory, reductive):
         self.name = name
         self.reductive = reductive
-        self.description = description
         self._factory = factory
         self._cache = None
 
@@ -42,6 +41,7 @@ def _diag(*vals):
 
 
 def _nc(n):
+    # normal crossings x1*...*xn
     def build():
         # the integer form (rows, 1) of each coordinate scaling E_kk
         return GeneratorSet._from_forms(
@@ -51,7 +51,8 @@ def _nc(n):
 
 
 def _binary_cubic():
-    # gl2 acting on coefficients of binary cubics xu^3 + yu^2v + zuv^2 + wv^3
+    # gl2 acting on coefficients of binary cubics xu^3 + yu^2v + zuv^2 + wv^3;
+    # f is the discriminant of the cubic
     mats = [
         _diag(3, 2, 1, 0),
         [[0, 0, 0, 0], [3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0]],
@@ -103,7 +104,8 @@ def _bilinear_cone_4():
 
 
 def _cubic_chain_4():
-    # x(y^3 - 3xyz + 3x^2 w); nilpotent chain plus two torus directions
+    # x(y^3 - 3xyz + 3x^2 w); nilpotent chain plus two torus directions;
+    # not special
     mats = [
         _diag(1, 0, -1, -2),
         _diag(0, 1, 2, 3),
@@ -120,32 +122,18 @@ def _from_quiver(builder, *args):
     return build
 
 
-_STATIC = {
-    "binary-cubic": Fixture(
-        "binary-cubic", _binary_cubic, True,
-        "gl2 on binary cubics; discriminant of the cubic"),
-    "det22-squared": Fixture(
-        "det22-squared", _det22_squared, True,
-        "gl2 by left multiplication on 2x2 matrices; f = det^2"),
-    "quadric-cone-3": Fixture(
-        "quadric-cone-3", _quadric_cone_3, False,
-        "(y^2+xz)z, solvable symmetry algebra"),
-    "quadric-cone-4": Fixture(
-        "quadric-cone-4", _quadric_cone_4, False,
-        "(y^2+xz)zw, the cone with an extra scaling"),
-    "bilinear-cone-4": Fixture(
-        "bilinear-cone-4", _bilinear_cone_4, False,
-        "(yz+xw)zw, non-special"),
-    "cubic-chain-4": Fixture(
-        "cubic-chain-4", _cubic_chain_4, False,
-        "x(y^3-3xyz+3x^2w), non-special"),
-    "star-2111": Fixture(
-        "star-2111", _from_quiver(quiver.star_quiver), True,
-        "three sources into a 2-dimensional center"),
-    "dtilde3-22111": Fixture(
-        "dtilde3-22111", _from_quiver(quiver.dtilde3_quiver), True,
-        "affine D3 shape; nonreduced discriminant det^2 * minors"),
-}
+_STATIC = {f.name: f for f in [
+    Fixture("binary-cubic", _binary_cubic, True),
+    Fixture("det22-squared", _det22_squared, True),
+    Fixture("quadric-cone-3", _quadric_cone_3, False),
+    Fixture("quadric-cone-4", _quadric_cone_4, False),
+    Fixture("bilinear-cone-4", _bilinear_cone_4, False),
+    Fixture("cubic-chain-4", _cubic_chain_4, False),
+    # three sources into a 2-dimensional center
+    Fixture("star-2111", _from_quiver(quiver.star_quiver), True),
+    # affine D3 shape; nonreduced discriminant det^2 * minors
+    Fixture("dtilde3-22111", _from_quiver(quiver.dtilde3_quiver), True),
+]}
 
 
 # family members by name, each built on its first request
@@ -174,17 +162,14 @@ def _family(name):
         raise CapacityError(f"{name} has {size} variables, more than the "
                             f"limit {quiver.MAX_GENERATED_VARIABLES}")
     if kind == "nc":
-        return Fixture(name, _nc(n), True, f"normal crossings x1*...*x{n}")
-    return Fixture(name, _from_quiver(quiver.atilde_quiver, n), True,
-                   f"affine A{n} shape; f = det^2 * path coordinates")
+        return Fixture(name, _nc(n), True)
+    # affine A_n shape; f = det^2 * path coordinates
+    return Fixture(name, _from_quiver(quiver.atilde_quiver, n), True)
 
 
 def fixture_names():
     """Concrete names covering every family; used for sweep tests."""
-    return ["nc-1", "nc-2", "nc-3", "nc-4", "binary-cubic", "det22-squared",
-            "quadric-cone-3", "quadric-cone-4", "bilinear-cone-4",
-            "cubic-chain-4", "star-2111", "dtilde3-22111", "atilde-2",
-            "atilde-3"]
+    return [f"nc-{n}" for n in range(1, 5)] + list(_STATIC) + ["atilde-2", "atilde-3"]
 
 
 # ---------------------------------------------------------------------

@@ -3,20 +3,21 @@
 A GeneratorSet holds n independent n x n matrices A_1, ..., A_n.  The
 matrix A acts as the vector field delta_A = <Ax, d/dx>; the discriminant
 is f(x) = det(A_1 x | ... | A_n x).  This module computes discriminants,
-infinitesimal characters, specialness, and the dual (negative transpose)
-generator set.
+infinitesimal characters, specialness, and the discriminant f* of the
+dual (negative transpose) action.
 
 A GeneratorSet stores each generator once, as its content-free integer
 form A_k = scale_k * M_k from `_integer_form` (the one route from a
 matrix to integers).  The generated families (quiver representations,
 `nc-N`) write their forms directly, without a dense matrix, and enter
-through `GeneratorSet._from_forms`; the dual set negates and transposes
-the integers.
-Everything reads the forms: the determinant, the traces of `is_special`,
+through `GeneratorSet._from_forms`; f* negates and transposes the
+integers of the forms, with no dual set.
+Everything reads the forms: the determinants, the traces of `is_special`,
 and the images A_k x and combinations sum c_k A_k of the pointwise
 geometry.  The independence proof reduces the flattened M_k once
-(`linalg.echelon`, in `GeneratorSet._prove`) and keeps the rows; the
-closure check and the character read those rows, and the dual maps them.
+(`linalg.echelon`, in `GeneratorSet._prove`) and keeps the rows, so every
+set's rows come from that one elimination; the closure check and the
+character read them.
 The determinant works on packed exponents and restores the scales once
 at the end.  The character comes from the Lie algebra alone, dchi(A) =
 tr A - tr ad A on the kept rows, so it never differentiates f.
@@ -52,7 +53,9 @@ class GeneratorSet(_Value):
     `matrix` and `matrices` rebuild Fraction lists from it; `combination`
     and `images` work on its sparse integer rows.  `rows` holds the n rows
     (p_r, E_r) that `linalg.echelon` keeps of the M_k flattened to
-    {i*n + j: M_ij}, so E_r[p_s] = 0 for r != s and E_r[p_r] != 0.
+    {i*n + j: M_ij}, so E_r[p_s] = 0 for r != s and E_r[p_r] != 0; every
+    set gets them from that one elimination, so equal forms give equal
+    rows and == compares the slots.
     """
 
     __slots__ = ("n", "variables", "forms", "rows")
@@ -71,7 +74,8 @@ class GeneratorSet(_Value):
         return g
 
     def _prove(self, forms, variables):
-        """Check the names and the independence of the forms, then fill."""
+        """Check the names and the independence of the forms, then set the
+        fields."""
         n = len(forms)
         if n < 1:
             raise DomainError("need at least one generator")
@@ -86,11 +90,7 @@ class GeneratorSet(_Value):
                               for form, _ in forms)
         if len(rows) != n:
             raise DomainError("generators are linearly dependent")
-        self._fill(variables, forms, rows)
-
-    def _fill(self, variables, forms, rows):
-        """Set the fields from n names, n independent forms and their rows."""
-        object.__setattr__(self, "n", len(forms))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "forms", tuple(forms))
         object.__setattr__(self, "rows", tuple(rows))
@@ -131,12 +131,6 @@ class GeneratorSet(_Value):
         zero = Fraction(0)
         return [[sq * v if v else zero for v in [sum(a * X[j] for j, a in row) for row in rows]]
                 for rows, sq in [(rows, scale * q) for rows, scale in self.forms]]
-
-    # its own ==: rows are derived, and a dual's differ from a fresh set's
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorSet):
-            return NotImplemented
-        return self.forms == other.forms and self.variables == other.variables
 
     def __repr__(self):
         return f"GeneratorSet(n={self.n}, variables={self.variables})"
@@ -394,27 +388,19 @@ def dual_variables(variables):
     return tuple(v + "*" for v in variables)
 
 
-def dual_generators(g: GeneratorSet) -> GeneratorSet:
-    """The dual action {-A^t} on dual variables.
-
-    A -> -A^t is linear and invertible, so the duals are independent
-    because the A_k are; the independence proof is not rerun.  The
-    integer form of -A^t is (-M^t, scale), and the same map, flat index
-    i*n + j to j*n + i, takes the rows of g to rows of the dual with the
-    pivot property that `validate_algebra` and `character` read."""
-    n = g.n
+def dual_discriminant(g: GeneratorSet) -> MultiPoly:
+    """f*(y) = det(-A_1^t y, ..., -A_n^t y), the discriminant of the dual
+    action, on the dual variables.  The integer form of -A^t is
+    (-M^t, scale), so the determinant reads g's forms negated and
+    transposed; no dual set is built or proved."""
     forms = []
     for M, scale in g.forms:
-        cols = [[] for _ in range(n)]
+        cols = [[] for _ in range(g.n)]
         for i, row in enumerate(M):
             for j, a in row:
                 cols[j].append((i, -a))
-        forms.append((tuple(map(tuple, cols)), scale))
-    flip = [j * n + i for i in range(n) for j in range(n)]
-    rows = [(flip[p], {flip[c]: -v for c, v in E.items()}) for p, E in g.rows]
-    dual = GeneratorSet.__new__(GeneratorSet)
-    dual._fill(dual_variables(g.variables), forms, rows)
-    return dual
+        forms.append((cols, scale))
+    return _determinant(forms, dual_variables(g.variables))
 
 
 def classify(g: GeneratorSet) -> Classification:

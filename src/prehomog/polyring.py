@@ -143,12 +143,16 @@ def _literal(num, den, text):
 
 class _Value:
     """The base of the library's value records: each is frozen once its
-    constructor has set its __slots__ (through object.__setattr__), and
-    two of one type are == when their slots are, in order."""
+    constructor has set its __slots__ (through object.__setattr__), so no
+    name can be set or deleted, and two of one type are == when their
+    slots are, in order."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
@@ -371,9 +375,10 @@ class UniPoly(_Value):
     trailing zero, gcd(ints) = 1 and scale > 0 a Fraction (the zero
     polynomial is ints () and scale 1).
 
-    The form is canonical, so == compares (ints, scale), and the
-    operations b(s) needs run on the ints: products, `monic`, `leading`,
-    `derivative`, `compose_linear` and `evaluate`.  There is no sum or
+    The form is canonical, so == compares (ints, scale): a UniPoly equals
+    only a UniPoly, a constant not its number.  The operations b(s) needs
+    run on the ints: products, `monic`, `leading`, `derivative`,
+    `compose_linear` and `evaluate`.  There is no sum or
     division; `univariate_gcd` tests divisibility by a remainder-only
     pseudo-division.  A product of content-free forms is content-free
     (Gauss's lemma), so only derivatives and substitutions divide the
@@ -459,18 +464,7 @@ class UniPoly(_Value):
 
     __rmul__ = __mul__
 
-    # its own ==: a constant also equals its number (a bool is none)
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.ints == other.ints and self.scale == other.scale
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self == UniPoly.constant(other)
-        return NotImplemented
-
     def __hash__(self):
-        # a constant hashes as its value, as it compares equal to it
-        if len(self.ints) < 2:
-            return hash(self.leading() if self.ints else 0)
         return hash((self.ints, self.scale))
 
     def evaluate(self, x) -> Fraction:

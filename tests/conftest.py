@@ -4,9 +4,9 @@ Fraction matrix helpers, the determinant kernel of `liealg` on ad-hoc
 matrices, the oracle of the Saito matrix's blocks and their squared-factor
 witness, the delta_A oracle that checks `liealg.character` on f itself,
 the one-walk b that checks `bfunction`'s split into factors, the
-structure constants of a Lie algebra, the character difference of a set
-and its dual, the Fourier identity of normal-ordered first-order
-operators, the dense generators of a quiver that check the integer forms
+structure constants of a Lie algebra, the dual set {-A^t} built afresh
+and the closure checks and characters of a set and its dual, the
+Fourier identity of normal-ordered first-order operators, the dense generators of a quiver that check the integer forms
 `quiver.infinitesimal_generators` writes directly, the dense pointwise
 geometry that checks the geometry on the stored integer forms and carries
 the paper's local checks (the normal discriminant of Lemma 4.6, strong
@@ -25,7 +25,7 @@ from prehomog.errors import CapacityError, DomainError, ParseError, PrehomogErro
 from prehomog.geometry import PointContext, chain_assemble
 from prehomog.liealg import (GeneratorSet, _blocks, _determinant, _integer_form,
                              _squared_block, character, classify, discriminant,
-                             dual_generators, is_special, validate_algebra)
+                             dual_variables, is_special, validate_algebra)
 from prehomog.linalg import echelon, frac_matrix, frac_vector, trace, transpose
 from prehomog.polyring import (MultiPoly, UniPoly, is_squarefree,
                                parse_factored, parse_rational, primitive,
@@ -180,6 +180,18 @@ def columns_determinant(mats, variables):
     are dependent."""
     return _determinant([_integer_form(A, len(variables)) for A in mats],
                         tuple(variables))
+
+
+def dual_matrices(mats):
+    """-A^t of each matrix A, dense."""
+    return [mat_scale(transpose(A), -1) for A in mats]
+
+
+def dual_generators(g):
+    """The dual set {-A^t} on the dual variables, built and proved afresh
+    from the dense matrices: the product needs only its discriminant,
+    `liealg.dual_discriminant`."""
+    return GeneratorSet(dual_matrices(g.matrices()), dual_variables(g.variables))
 
 
 def star_31111():
@@ -374,22 +386,18 @@ def dual_characters_agree(g):
         (not is_special(g, cf) or cfs == tuple(-v for v in cf))
 
 
-def dual_rows_agree(g):
-    """The rows that `dual_generators` maps from g against the rows of a
-    fresh independence proof on the dual forms: both keep the pivot
-    property, and `validate_algebra` and `character` read the same from
-    both (the first open bracket, else the character values)."""
+def dual_verdicts_agree(g):
+    """The closure check and the character of the dual set, each read off
+    the rows of its own elimination, against g's mapped through A -> -A^t.
+    That map is an isomorphism of Lie algebras ([-A^t, -B^t] = -[A, B]^t),
+    so the first open bracket is the same pair, and with tr ad kept and tr
+    negated, dchi*(A_k) = dchi(A_k) - 2 tr A_k."""
     d = dual_generators(g)
-    fresh = GeneratorSet._from_forms(d.forms, d.variables)
-
-    def verdict(h):
-        pair = validate_algebra(h)
-        return pair, character(h) if pair is None else None
-
-    pivots = [p for p, _ in d.rows]
-    return len(d.rows) == d.n and \
-        all((E.get(q, 0) != 0) == (q == p) for p, E in d.rows for q in pivots) and \
-        verdict(d) == verdict(fresh)
+    pair = validate_algebra(g)
+    if pair is not None:
+        return validate_algebra(d) == pair
+    return validate_algebra(d) is None and character(d) == tuple(
+        v - 2 * trace(A) for v, A in zip(character(g), g.matrices()))
 
 
 def ref_structure_constants(g):

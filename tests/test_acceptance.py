@@ -9,9 +9,10 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import (dual_characters_agree, fourier_holds, record_criterion,
-                      reduced_discriminant_bfunctions, ref_add, ref_in_span,
-                      ref_product, star_edge_factors, table_spectra)
+from conftest import (dual_characters_agree, dual_generators, fourier_holds,
+                      record_criterion, reduced_discriminant_bfunctions,
+                      ref_add, ref_in_span, ref_product, star_edge_factors,
+                      table_spectra)
 
 from prehomog.bernstein import (BFailure, BResult, apply_operator, bfunction,
                                 extract_cofactor, symmetry_check)
@@ -20,7 +21,7 @@ from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import OrderForm, chain_assemble, conormal_order, \
     point_context
 from prehomog.liealg import (character, character_of_combination, classify,
-                             discriminant, dual_generators)
+                             discriminant)
 from prehomog.polyring import (MultiPoly, UniPoly, is_squarefree,
                                parse_factored)
 from prehomog.quiver import infinitesimal_generators, star_quiver

@@ -5,8 +5,9 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import (delta_character, eigenvalue, elementary_product,
-                      fourier_holds, fourier_transform, from_roots, identity,
+from conftest import (delta_character, dual_generators, eigenvalue,
+                      elementary_product, fourier_holds, fourier_transform,
+                      from_roots, identity,
                       mat_mul, mat_scale, one_walk_b, q_dual_operator, q_operator,
                       ref_packed, ref_poly_add, ref_poly_derivative,
                       ref_poly_mul, ref_product, star_31111, substitute_s)
@@ -17,8 +18,7 @@ from prehomog.bernstein import (BFailure, BResult, SPowerExpression,
                                 symmetry_check)
 from prehomog.errors import ClosureError, ContextError, DomainError
 from prehomog.fixtures import fixture_names, get_fixture
-from prehomog.liealg import (GeneratorSet, character, discriminant,
-                             dual_generators, is_special)
+from prehomog.liealg import GeneratorSet, character, discriminant, is_special
 from prehomog.polyring import MultiPoly, UniPoly, exponent_bits, packed, primitive
 
 XY = ("x", "y")

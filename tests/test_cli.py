@@ -714,22 +714,20 @@ UNCALLED = {
     # SPowerExpression's) and a test of the input: the product builds
     # every MultiPoly from integer forms, through `_form`
     "polyring.py": {"MultiPoly.__init__", "_monomial", "MultiPoly.is_homogeneous",
-                    # value equality and hashing, for callers and tests
-                    "_Value.__eq__", "MultiPoly.__hash__", "UniPoly.__hash__",
+                    # hashing, for callers and tests
+                    "MultiPoly.__hash__", "UniPoly.__hash__",
                     # benchmark/spans.py rebinds it to count evaluations
                     "UniPoly.evaluate"},
-    # GeneratorSet.__eq__ is value equality; the benchmark workloads read
-    # the rational matrices
-    "liealg.py": {"GeneratorSet.__eq__", "GeneratorSet.matrix",
-                  "GeneratorSet.matrices"},
+    # the benchmark workloads read the rational matrices
+    "liealg.py": {"GeneratorSet.matrix", "GeneratorSet.matrices"},
 }
 
 
 def test_every_src_function_is_called(tmp_path, monkeypatch, capsys):
     """Reach, not names: the golden runs and the error runs, traced from
     empty fixture caches, call every function of src/prehomog but those
-    of UNCALLED and the __repr__ (display) and __setattr__ (the
-    immutability guard) methods.  So a function only tests call does not
+    of UNCALLED and the __repr__ (display), __setattr__ and __delattr__
+    (the immutability guard) methods.  So a function only tests call does not
     linger in src, and UNCALLED holds only uncalled functions."""
     monkeypatch.chdir(Path(__file__).parent)
     for fixture in fixtures._STATIC.values():
@@ -757,5 +755,5 @@ def test_every_src_function_is_called(tmp_path, monkeypatch, capsys):
     listed = {(name, q) for name, qs in UNCALLED.items() for q in qs}
     assert len(defined) > 150
     assert sorted(u for u in uncalled - listed
-                  if not u[1].endswith((".__repr__", ".__setattr__"))) == []
+                  if not u[1].endswith((".__repr__", ".__setattr__", ".__delattr__"))) == []
     assert listed <= uncalled

@@ -87,10 +87,6 @@ class TestMetadata:
         for name in nonreductive:
             assert not get_fixture(name).reductive, name
 
-    def test_descriptions_present(self):
-        for name in fixture_names():
-            assert get_fixture(name).description
-
 
 class TestAlgebraSanity:
     def test_all_closed_and_prehomogeneous(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (eigenvalue, fraction_shift, ref_add,
+from conftest import (dual_generators, eigenvalue, fraction_shift, ref_add,
                       ref_annihilator_basis, ref_euler_witness, ref_neg,
                       ref_normal_discriminant,
                       ref_normal_representation, ref_point_context,
@@ -15,8 +15,7 @@ from prehomog.fixtures import fixture_names, get_fixture, star_chain
 from prehomog.geometry import (OrderForm, PointContext, chain_assemble,
                                conormal_order, euler_at_point,
                                normal_representation, point_context)
-from prehomog.liealg import (GeneratorSet, character, discriminant,
-                             dual_generators, is_special)
+from prehomog.liealg import GeneratorSet, character, discriminant, is_special
 from prehomog.linalg import transpose
 from prehomog.polyring import MultiPoly, UniPoly
 from prehomog.quiver import infinitesimal_generators

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,22 +9,26 @@ import pytest
 
 from conftest import (blocks_agree, bracket, columns_determinant, combination,
                       delta_character, delta_packed, dual_characters_agree,
-                      dual_rows_agree, eigenvalue, elementary_product,
+                      dual_generators, dual_matrices, dual_verdicts_agree,
+                      eigenvalue, elementary_product,
                       identity, mat_add, mat_mul, mat_scale, mat_vec,
                       ref_annihilator_basis, ref_in_span,
                       ref_poly_add, ref_poly_derivative, ref_poly_linear,
                       ref_poly_mul, ref_product, ref_structure_constants,
                       saito_oracle,
                       star_31111)
+from test_quiver import GENERATED
 
 from prehomog import liealg, linalg, polyring
 from prehomog.errors import ClosureError, ContextError, DomainError
 from prehomog.fixtures import fixture_names, get_fixture
 from prehomog.liealg import (GeneratorSet, character,
                              character_of_combination, classify,
-                             discriminant, dual_generators, is_special,
+                             discriminant, dual_discriminant, is_special,
                              validate_algebra)
 from prehomog.polyring import MultiPoly
+from prehomog.quiver import infinitesimal_generators
+from prehomog.serialize import generatorset_from_json
 
 XY = ("x", "y")
 
@@ -146,10 +151,6 @@ def random_rational_set(rng, n):
             return GeneratorSet(mats), mats
         except DomainError:
             continue
-
-
-def dual_matrices(mats):
-    return [mat_scale(linalg.transpose(A), -1) for A in mats]
 
 
 def expand_form(form, n):
@@ -491,8 +492,10 @@ class TestStoredFormAgainstMatrices:
                 f = discriminant(h)
                 values = character(h) if not f.is_zero else ()
                 validate_algebra(h)
-                dual_generators(h)
+                fstar = dual_discriminant(h)
             assert f == columns_determinant(h_mats, h.variables)
+            assert fstar == columns_determinant(dual_matrices(h_mats),
+                                                liealg.dual_variables(h.variables))
             for k, v in enumerate(values):
                 assert v == eigenvalue(h_mats[k], f)
             if values:
@@ -590,47 +593,38 @@ class TestDual:
         d = dual_generators(g)
         assert d.variables == ("x1*", "x2*")
         assert d.matrix(0) == [[-1, 0], [0, 0]]
-
-    def test_equal_to_a_fresh_set_with_other_rows(self):
-        """GeneratorSet keeps its own ==, which skips the derived rows: a
-        dual's rows are g's mapped, not a fresh echelon of the same forms."""
-        d = dual_generators(get_fixture("binary-cubic").generators())
-        fresh = GeneratorSet._from_forms(d.forms, d.variables)
-        assert d.rows != fresh.rows
-        assert d == fresh
+        assert dual_discriminant(g) == MultiPoly(d.variables, {(1, 1): 1})
 
     def test_no_independence_proof(self, monkeypatch):
+        """f* reads g's forms negated and transposed: no elimination, and
+        the same polynomial as the discriminant of a fresh dual set."""
         def no_elimination(rows):
-            raise AssertionError("dual_generators reduced rows")
+            raise AssertionError("dual_discriminant reduced rows")
 
         for name in fixture_names():
             g = get_fixture(name).generators()
-            expected = GeneratorSet(dual_matrices(g.matrices()),
-                                    liealg.dual_variables(g.variables))
             with monkeypatch.context() as m:
                 m.setattr(linalg, "rref", no_elimination)
                 m.setattr(linalg, "echelon", no_elimination)
-                d = dual_generators(g)
-            assert d == expected, name
-            assert (d.n, d.variables) == (expected.n, expected.variables)
-            assert d.forms == expected.forms, name
+                fstar = dual_discriminant(g)
+            assert fstar == discriminant(dual_generators(g)), name
 
     @pytest.mark.parametrize("name", fixture_names() + ["atilde-8", "nc-8", "star-31111"])
     def test_mapped_rows(self, name):
-        """The dual reads its closure check and character off g's rows,
-        negated and transposed, as it would off a fresh echelon; so does
-        the dual of the dual."""
+        """The dual reads its closure check and character off the rows of
+        its own elimination, and they agree with g's through A -> -A^t; so
+        do the dual of the dual's."""
         g = star_31111() if name == "star-31111" else get_fixture(name).generators()
-        assert dual_rows_agree(g)
-        assert dual_rows_agree(dual_generators(g))
+        assert dual_verdicts_agree(g)
+        assert dual_verdicts_agree(dual_generators(g))
 
     def test_mapped_rows_seeded(self):
         """Random rational sets, mostly not closed: the same first open
-        bracket on the mapped rows as on fresh ones."""
+        bracket on the dual as on g."""
         rng = random.Random(6113)
         for _ in range(80):
             g = rescaled(random_generator_set(rng, rng.randint(2, 5)), rng)
-            assert dual_rows_agree(g)
+            assert dual_verdicts_agree(g)
 
     def test_dual_of_dual(self):
         rng = random.Random(1618)
@@ -651,7 +645,55 @@ class TestDual:
         # triangular pair: f = x^2 but the dual determinant vanishes
         g = GeneratorSet([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
         assert discriminant(g) == MultiPoly(g.variables, {(2, 0): 1})
-        assert discriminant(dual_generators(g)).is_zero
+        assert dual_discriminant(g).is_zero
+
+
+def _one_route_set(key):
+    if key == "star-31111":
+        return star_31111()
+    if key == "json":
+        # binary-cubic's generators rescaled by k/3, as "p/q" text
+        mats = get_fixture("binary-cubic").generators().matrices()
+        text = json.dumps({"generators": [[[str(v * Fraction(k, 3)) for v in row]
+                                           for row in A]
+                                          for k, A in enumerate(mats, 1)]})
+        return generatorset_from_json(json.loads(text))
+    if key in QUIVERS:
+        return infinitesimal_generators(*QUIVERS[key])
+    return get_fixture(key).generators()
+
+
+QUIVERS = {p.id: p.values for p in GENERATED}
+
+
+def one_route(g):
+    """g's rows are those of one `linalg.echelon` of its flattened forms,
+    f* from its forms is the discriminant of the dual set proved afresh
+    and the determinant of the dense -A^t, and the double dual has g's
+    forms."""
+    n = g.n
+    flat = [{i * n + j: a for i, row in enumerate(M) for j, a in row}
+            for M, _ in g.forms]
+    d = dual_generators(g)
+    fstar = dual_discriminant(g)
+    return g.rows == tuple(linalg.echelon(flat)) and \
+        fstar == discriminant(d) and \
+        fstar == columns_determinant(dual_matrices(g.matrices()), d.variables) and \
+        dual_generators(d).forms == g.forms
+
+
+class TestOneRoute:
+    """Every set gets its rows from the elimination of its own proof, and
+    f* has one route, from the forms; on the named fixtures, every
+    generated quiver class, the center-3 star and a set read from JSON,
+    and on each one's dual."""
+
+    @pytest.mark.parametrize("key", fixture_names() + list(QUIVERS) +
+                             ["star-31111", "json"])
+    def test_rows_and_fstar(self, key):
+        g = _one_route_set(key)
+        assert one_route(g)
+        assert one_route(dual_generators(g))
 
 
 class TestClassify:

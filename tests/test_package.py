@@ -256,16 +256,19 @@ RECORDS = {
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_value_records(name):
-    """A value record is frozen once built: assigning any slot, or any
-    other name, raises an AttributeError naming its class.  Equal inputs
-    build == values, a changed field gives a != one, and a value of
-    another type is never ==."""
+    """A value record is frozen once built: assigning or deleting any
+    slot, or any other name, raises an AttributeError naming its class.
+    Equal inputs build == values, a changed field gives a != one, and a
+    value of another type is never ==."""
     build, *changed = RECORDS[name]
     value = build()
     assert type(value).__name__ == name
     for attr in type(value).__slots__ + ("other",):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(value, attr, getattr(value, attr, None))
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, attr)
+    str(value)
     assert value == build() and not value != build()
     for other in changed:
         assert value != other() and not value == other()
@@ -274,11 +277,10 @@ def test_value_records(name):
 
 def test_one_value_base():
     """The immutability guard and slot equality live once, in
-    polyring._Value: no other class of src/prehomog defines __setattr__,
-    and only UniPoly (a constant equals its number) and GeneratorSet (its
-    rows are derived) keep their own __eq__.  RECORDS covers every
-    subclass."""
-    defines = {"__setattr__": set(), "__eq__": set()}
+    polyring._Value: no other class of src/prehomog defines __eq__,
+    __setattr__ or __delattr__.  RECORDS covers every subclass."""
+    guarded = {"__eq__", "__setattr__", "__delattr__"}
+    defines = set()
     for path in sorted((ROOT / "src" / "prehomog").glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(cls, ast.ClassDef):
@@ -288,9 +290,7 @@ def test_one_value_base():
                     else:  # an assignment such as __eq__ = ...
                         names = {t.id for t in getattr(node, "targets", ())
                                  if isinstance(t, ast.Name)}
-                    for name in names & defines.keys():
-                        defines[name].add(cls.name)
-    assert defines == {"__setattr__": {"_Value"},
-                       "__eq__": {"_Value", "UniPoly", "GeneratorSet"}}
+                    defines |= {(cls.name, name) for name in names & guarded}
+    assert defines == {("_Value", name) for name in guarded}
     assert sorted(c.__name__ for c in polyring._Value.__subclasses__()) == \
         sorted(RECORDS)

@@ -396,7 +396,7 @@ class TestUniPolyAgainstFraction:
         assert got == same and hash(got) == hash(same)
         if len(want) < 2:
             value = want[0] if want else 0
-            assert got == value and hash(got) == hash(value)
+            assert got == UniPoly.constant(value) and got != value
         seen["zero"] += not want
         seen["constant"] += len(want) == 1
         seen["negative_leading"] += bool(want) and want[-1] < 0
@@ -436,21 +436,15 @@ class TestUniPolyAgainstFraction:
             self.check(p.restrict_line(a, b), ref_restrict_line(p, a, b), seen)
         assert min(seen.values()) >= 20, seen
 
-    def test_constant_hashes_as_its_value(self):
-        assert UniPoly([5]) == 5 and hash(UniPoly([5])) == hash(5)
-        assert UniPoly([]) == 0 and hash(UniPoly([])) == hash(0)
-        assert UniPoly([Fraction(-2, 3)]) == Fraction(-2, 3)
-        assert hash(UniPoly([Fraction(-2, 3)])) == hash(Fraction(-2, 3))
-        assert len({UniPoly([5]), 5}) == 1
-        assert len({UniPoly([]), 0, Fraction(0)}) == 1
-
     def test_a_bool_compares_unequal(self):
-        # == answers and never raises: a bool, like a float, is no number,
-        # even where it hashes as the constant it would equal
+        # == answers and never raises: a UniPoly equals only a UniPoly, so
+        # a constant equals no number, bool or not
         one = UniPoly.one()
         assert (one == True) is False and one != True  # noqa: E712
-        assert one == 1 and one != 1.0
-        assert True not in {one: 1} and UniPoly([]) != False  # noqa: E712
+        assert one != 1 and one != Fraction(1) and one != 1.0
+        assert one == UniPoly.constant(1) and UniPoly([]) == UniPoly.constant(0)
+        assert 1 not in {one: 1} and UniPoly([]) != False  # noqa: E712
+        assert len({UniPoly([5]), UniPoly.constant(5), 5}) == 2
 
     def test_no_fraction_per_term(self, monkeypatch):
         # on a degree-60 input the integer form builds a bounded number of

@@ -2,13 +2,13 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import (blocks_agree, delta_character, dual_rows_agree, one_walk_b,
-                      ref_product, ref_quiver_matrices, saito_oracle)
+from conftest import (blocks_agree, delta_character, dual_generators,
+                      dual_verdicts_agree, one_walk_b, ref_product,
+                      ref_quiver_matrices, saito_oracle)
 from prehomog.bernstein import BResult, bfunction
 from prehomog.errors import CapacityError, ContextError, DomainError
 from prehomog.fixtures import get_fixture
-from prehomog.liealg import (GeneratorSet, character, classify, discriminant,
-                             dual_generators)
+from prehomog.liealg import GeneratorSet, character, classify, discriminant
 from prehomog.polyring import MultiPoly
 from prehomog.quiver import (DimensionVector, Quiver, atilde_quiver,
                              dtilde3_quiver, infinitesimal_generators,
@@ -255,7 +255,7 @@ class TestGeneratedQuivers:
         g = infinitesimal_generators(qv, d)
         assert g == GeneratorSet(ref_quiver_matrices(qv, d), rep_space(qv, d))
         assert delta_character(g, discriminant(g)) == character(g)
-        assert dual_rows_agree(g) and dual_rows_agree(dual_generators(g))
+        assert dual_verdicts_agree(g) and dual_verdicts_agree(dual_generators(g))
         res = bfunction(g)
         assert isinstance(res, BResult) and res.symmetric
         assert (res.b, res.raw_leading) == one_walk_b(g)
